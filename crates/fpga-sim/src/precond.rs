@@ -27,7 +27,7 @@
 use crate::bram::{blocks_for_array, DOUBLE_BUFFER};
 use crate::executor::{FpgaAccelerator, LAUNCH_OVERHEAD_CYCLES};
 use sem_basis::fdm_coarse_degree;
-use sem_kernel::fdm::{fdm_flops_per_element, fdm_patch_points};
+use sem_kernel::fdm::fdm_flops_per_element;
 use serde::{Deserialize, Serialize};
 
 /// Streamed external words per DOF of the Jacobi pass (residual in, inverse
@@ -94,7 +94,7 @@ impl FdmPrecondModel {
     /// bytes.
     #[must_use]
     pub fn table_bytes(&self) -> u64 {
-        let pnx = fdm_patch_points(self.degree) as u64;
+        let pnx = self.degree as u64 + 1;
         let nc = self.coarse_dofs as u64;
         let matrices = 3 * DIRECTION_CLASSES as u64 * 2 * pnx * pnx;
         let tables = CLASS_COMBINATIONS as u64 * pnx * pnx * pnx;
@@ -107,7 +107,7 @@ impl FdmPrecondModel {
     /// patch buffers partitioned like the `Ax` scratch.
     #[must_use]
     pub fn bram_blocks(&self, accelerator: &FpgaAccelerator) -> usize {
-        let pnx = fdm_patch_points(self.degree);
+        let pnx = self.degree + 1;
         let banks = accelerator.design().unroll;
         // S and Sᵀ per direction class (row-major pnx² doubles each).
         let matrices = 3 * DIRECTION_CLASSES * 2 * blocks_for_array(pnx * pnx, 1);
@@ -141,8 +141,7 @@ impl FdmPrecondModel {
     ) -> FdmPrecondEstimate {
         let design = accelerator.design();
         let nx = self.degree + 1;
-        let pnx = fdm_patch_points(self.degree);
-        let dofs_per_element = (pnx * pnx * pnx) as f64;
+        let dofs_per_element = (nx * nx * nx) as f64;
         let total_dofs = dofs_per_element * num_elements as f64;
         let f_mhz = accelerator.synthesis().fmax_mhz;
 
@@ -160,7 +159,7 @@ impl FdmPrecondModel {
             .effective_bytes_per_cycle(total_bytes, f_mhz)
             / FDM_BYTES_PER_DOF;
         let steady_rate = compute_rate.min(memory_rate).max(1e-9);
-        let fill = 0.5 * pnx as f64 * num_elements as f64;
+        let fill = 0.5 * nx as f64 * num_elements as f64;
 
         // Coarse level (absent entirely when `coarse_dofs == 0`).  The
         // restriction/prolongation contractions read the element data

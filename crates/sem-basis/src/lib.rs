@@ -40,7 +40,7 @@ pub mod quadrature;
 
 pub use derivative::DerivativeMatrix;
 pub use eigen::{generalized_eigen_diag, symmetric_eigen};
-pub use fdm1d::{fdm_coarse_degree, fdm_overlap, Fdm1d, Fdm1dBoundary};
+pub use fdm1d::{fdm_coarse_degree, Fdm1d, Fdm1dBoundary};
 pub use interp::{degree_prolongation, interpolation_matrix};
 pub use lagrange::LagrangeBasis;
 pub use legendre::{legendre, legendre_derivative, legendre_pair};

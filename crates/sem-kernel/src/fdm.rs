@@ -201,20 +201,12 @@ pub fn fdm_element_apply_cached(
     });
 }
 
-/// Patch points per direction of the FDM pass at `degree`:
-/// `N + 1 + 2·overlap` (see [`sem_basis::fdm1d::fdm_overlap`]; the measured
-/// default overlap is zero, so this is `N + 1`).
-#[must_use]
-pub fn fdm_patch_points(degree: usize) -> usize {
-    degree + 1 + 2 * sem_basis::fdm_overlap(degree)
-}
-
-/// Floating-point operations of one element's FDM apply: six patch-sized
+/// Floating-point operations of one element's FDM apply: six element-sized
 /// contractions at a multiply-add each, plus the modal scale.
 #[must_use]
 pub fn fdm_flops_per_element(degree: usize) -> u64 {
-    let pnx = fdm_patch_points(degree) as u64;
-    6 * 2 * pnx * pnx * pnx * pnx + pnx * pnx * pnx
+    let nx = degree as u64 + 1;
+    6 * 2 * nx * nx * nx * nx + nx * nx * nx
 }
 
 /// External-memory bytes per degree of freedom of the FDM pass: the residual
@@ -346,11 +338,7 @@ mod tests {
 
     #[test]
     fn flop_accounting_is_consistent() {
-        let pnx = fdm_patch_points(7) as u64;
-        assert_eq!(
-            fdm_flops_per_element(7),
-            12 * pnx * pnx * pnx * pnx + pnx * pnx * pnx
-        );
+        assert_eq!(fdm_flops_per_element(7), 12 * 8 * 8 * 8 * 8 + 8 * 8 * 8);
         assert_eq!(fdm_bytes_per_dof(), 16);
     }
 }

@@ -42,8 +42,7 @@ pub mod reference;
 pub mod specialized;
 
 pub use fdm::{
-    fdm_bytes_per_dof, fdm_flops_per_element, fdm_patch_points, rcontract_x, rcontract_y,
-    rcontract_z, FdmScratch,
+    fdm_bytes_per_dof, fdm_flops_per_element, rcontract_x, rcontract_y, rcontract_z, FdmScratch,
 };
 pub use helmholtz::{HelmholtzCost, HelmholtzOperator};
 pub use operator::{AxImplementation, PoissonOperator};

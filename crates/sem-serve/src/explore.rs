@@ -15,24 +15,23 @@
 //! * [`Strategy::Seeded`] takes pseudo-random walks instead (for cases whose
 //!   trees are too large to enumerate) and counts distinct traces.
 //!
-//! Every explored schedule is checked for the host's contract:
+//! Every case runs through the one pool, with its fault schedule
+//! ([`ExploreCase::fatal_workers`] / [`ExploreCase::retry_once`]) deciding
+//! each job's verdict, and every explored schedule is checked for the
+//! host's contract:
 //!
-//! 1. **Job conservation** — every submitted job executes exactly once, and
-//!    the per-worker ledgers agree with the delivered completions;
-//! 2. **Ordering** — each worker's deliveries arrive in its execution
-//!    order, jobs a worker takes from its *own* deque execute in hint
-//!    (submission) order, and each worker drains injector floaters in FIFO
-//!    order;
+//! 1. **Job conservation under failure** — every job is delivered exactly
+//!    once or handed back, hand-back happens only when the whole pool is
+//!    dead, only scripted workers die (delivering nothing), dying workers
+//!    requeue what they held, retries are counted exactly, and the
+//!    per-worker ledgers agree with the delivered completions;
+//! 2. **Ordering** (fault-free cases) — jobs a worker takes from its *own*
+//!    deque execute in hint (submission) order, each worker drains
+//!    injector floaters in FIFO order, and steal counts and hints match
+//!    the delivered completions;
 //! 3. **Deadlock/livelock freedom** — the schedule terminates within a step
 //!    budget (a genuinely stuck pool would either hang a grant forever or
 //!    exceed the budget, both of which the explorer reports).
-//!
-//! Cases carrying a fault schedule ([`ExploreCase::fatal_workers`] /
-//! [`ExploreCase::retry_once`]) drive the *tolerant* host
-//! ([`run_stealing_tolerant`]) instead, and the contract becomes **job
-//! conservation under failure**: every job is delivered exactly once or
-//! handed back, dying workers drain their deques, retries are counted
-//! exactly, and hand-back happens only when the whole pool is dead.
 //!
 //! Alongside the pass/fail verdict, each [`CaseReport`] carries a coverage
 //! map over [`SchedOp`] pair transitions — the distinct ordered pairs of
@@ -48,12 +47,10 @@
 //! the `sem-lint` binary and the integration smoke test) to bound the
 //! schedule budget in constrained environments.
 
-use crate::steal::{
-    run_stealing, run_stealing_tolerant, run_stealing_tolerant_with_feeder,
-    run_stealing_with_feeder, JobVerdict, StealRun, TaggedJob, TolerantRun,
-};
+use crate::steal::{run_stealing, run_stealing_with_feeder, JobVerdict, StealRun, TaggedJob};
 use crossbeam::sched::{self, SchedOp, Scheduler};
 use std::collections::BTreeSet;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 /// How the explorer picks the next thread at each scheduling point.
@@ -93,10 +90,9 @@ pub struct ExploreCase {
     pub contention: usize,
     /// Fault schedule: workers whose device is dead — each returns
     /// [`crate::steal::JobVerdict::Fatal`] on the first job it touches and
-    /// retires, draining its deque back to the injector.  Non-empty fault
-    /// fields route the case through [`run_stealing_tolerant`] and the
-    /// tolerant contract checks (conservation under failure) instead of
-    /// the plain host's ordering checks.
+    /// retires, draining its deque back to the injector.  Cases with a
+    /// non-empty fault schedule skip the ordering checks, which requeued
+    /// (unhinted) jobs cannot honour.
     pub fatal_workers: Vec<usize>,
     /// Fault schedule: payloads that fail recoverably
     /// ([`crate::steal::JobVerdict::Retry`]) on their first execution by a
@@ -121,12 +117,6 @@ impl ExploreCase {
     /// The hint job `payload` was submitted with (fed jobs always float).
     fn hint_of(&self, payload: usize) -> Option<usize> {
         self.hints.get(payload).copied().flatten()
-    }
-
-    /// Whether the case carries a fault schedule and must drive the
-    /// tolerant host.
-    fn tolerant(&self) -> bool {
-        !self.fatal_workers.is_empty() || !self.retry_once.is_empty()
     }
 }
 
@@ -236,6 +226,14 @@ fn json_string(value: &str) -> String {
 
 /// Serializes explorer entry points: the schedule hook is process-global.
 static EXPLORE_LOCK: Mutex<()> = Mutex::new(());
+
+/// Hold the explorer lock.  Unit tests that run the pool in the same
+/// process as the explorer's own tests take it, so their worker threads
+/// never register with a scheduler installed for someone else's case.
+#[cfg(test)]
+pub(crate) fn exclusive() -> MutexGuard<'static, ()> {
+    lock_poison_free(&EXPLORE_LOCK)
+}
 
 /// Ceiling on scheduling decisions per run; `run_stealing` on the standard
 /// cases needs a few dozen, so hitting this means a livelock.
@@ -494,71 +492,17 @@ struct RunRecord {
     diverged: bool,
 }
 
+/// Run `case` once under `script`, with the case's fault schedule driving
+/// verdicts: scripted dead workers `Fatal` their first job, scripted flaky
+/// payloads `Retry` their first healthy execution, everything else is
+/// `Done`.  Also returns the per-payload healthy-execution attempt counts
+/// (consumed in grant order, so exhaustive replays reproduce them).
 fn run_one(
     case: &ExploreCase,
     script: Vec<usize>,
     strategy: Strategy,
     run_seed: u64,
-) -> (StealRun<Vec<usize>, usize>, RunRecord) {
-    let max_steps = step_budget(case);
-    let scheduler = Arc::new(StepScheduler::new(
-        case.workers,
-        script,
-        strategy,
-        run_seed,
-        case.contention,
-        max_steps,
-    ));
-    let installed = Installed::new(Arc::clone(&scheduler));
-    let states: Vec<Vec<usize>> = vec![Vec::new(); case.workers];
-    let execute = |_: usize, log: &mut Vec<usize>, payload: usize| {
-        log.push(payload);
-        payload
-    };
-    let run = if case.feeder_jobs > 0 {
-        let base = case.hints.len();
-        let fed = case.feeder_jobs;
-        run_stealing_with_feeder(
-            states,
-            case.jobs(),
-            |feeder| {
-                for payload in base..base + fed {
-                    feeder.push(payload);
-                    // Let workers drain between arrivals so some pushes
-                    // genuinely race live sweeps.
-                    std::thread::yield_now();
-                }
-            },
-            execute,
-        )
-    } else {
-        run_stealing(states, case.jobs(), execute)
-    };
-    drop(installed);
-    let s = lock_poison_free(&scheduler.state);
-    let record = RunRecord {
-        script: s.script.clone(),
-        arity: s.arity.clone(),
-        trace: s.trace.clone(),
-        budget_exceeded: s.budget_exceeded,
-        diverged: s.diverged,
-    };
-    (run, record)
-}
-
-/// Like [`run_one`] but through the fault-tolerant host, with the case's
-/// fault schedule driving verdicts: scripted dead workers `Fatal` their
-/// first job, scripted flaky payloads `Retry` their first healthy
-/// execution.  Also returns the per-payload healthy-execution attempt
-/// counts (consumed in grant order, so exhaustive replays reproduce them).
-fn run_one_tolerant(
-    case: &ExploreCase,
-    script: Vec<usize>,
-    strategy: Strategy,
-    run_seed: u64,
-) -> (TolerantRun<usize, Vec<usize>, usize>, Vec<usize>, RunRecord) {
-    use std::sync::atomic::{AtomicUsize, Ordering};
-
+) -> (StealRun<usize, Vec<usize>, usize>, Vec<usize>, RunRecord) {
     let max_steps = step_budget(case);
     let scheduler = Arc::new(StepScheduler::new(
         case.workers,
@@ -588,19 +532,21 @@ fn run_one_tolerant(
     let run = if case.feeder_jobs > 0 {
         let base = case.hints.len();
         let fed = case.feeder_jobs;
-        run_stealing_tolerant_with_feeder(
+        run_stealing_with_feeder(
             states,
             case.jobs(),
             |feeder| {
                 for payload in base..base + fed {
                     feeder.push(payload);
+                    // Let workers drain between arrivals so some pushes
+                    // genuinely race live sweeps.
                     std::thread::yield_now();
                 }
             },
             execute,
         )
     } else {
-        run_stealing_tolerant(states, case.jobs(), execute)
+        run_stealing(states, case.jobs(), execute)
     };
     drop(installed);
     let s = lock_poison_free(&scheduler.state);
@@ -631,109 +577,14 @@ fn format_trace(trace: &[(usize, Option<SchedOp>)]) -> String {
 }
 
 /// Check the host's contract on one completed run; returns human-readable
-/// violations (empty when the schedule upholds every invariant).
-fn check_run(case: &ExploreCase, run: &StealRun<Vec<usize>, usize>) -> Vec<String> {
-    let n = case.total_jobs();
-    let mut violations = Vec::new();
-
-    // 1. Conservation: every job exactly once, globally and per ledger.
-    let mut seen: Vec<usize> = run.completed.iter().map(|c| c.result).collect();
-    seen.sort_unstable();
-    if seen != (0..n).collect::<Vec<_>>() {
-        violations.push(format!(
-            "conservation: expected every job 0..{n} exactly once, got {seen:?}"
-        ));
-    }
-    let executed: usize = run.workers.iter().map(|w| w.executed_jobs).sum();
-    if executed != n {
-        violations.push(format!(
-            "conservation: ledgers executed {executed} of {n} jobs"
-        ));
-    }
-
-    for (worker, ledger) in run.workers.iter().enumerate() {
-        // 2a. Delivery order: this worker's completions cross the channel in
-        // its execution order (the caller's re-sequencing relies on results
-        // being attributable, not on channel order — but per-sender FIFO is
-        // the channel's contract and the ledger must agree with it).
-        let delivered: Vec<usize> = run
-            .completed
-            .iter()
-            .filter(|c| c.worker == worker)
-            .map(|c| c.result)
-            .collect();
-        if delivered != ledger.state {
-            violations.push(format!(
-                "ordering: worker {worker} delivered {delivered:?} but executed {:?}",
-                ledger.state
-            ));
-        }
-        if ledger.executed_jobs != ledger.state.len() {
-            violations.push(format!(
-                "accounting: worker {worker} ledger claims {} jobs, log has {}",
-                ledger.executed_jobs,
-                ledger.state.len()
-            ));
-        }
-        // 2b. Own-deque FIFO: jobs hinted here and executed here left the
-        // deque front in submission order.
-        let own: Vec<usize> = ledger
-            .state
-            .iter()
-            .copied()
-            .filter(|&job| case.hint_of(job) == Some(worker))
-            .collect();
-        if !own.windows(2).all(|pair| pair[0] < pair[1]) {
-            violations.push(format!(
-                "ordering: worker {worker} ran its own hinted jobs out of order: {own:?}"
-            ));
-        }
-        // 2c. Injector FIFO per consumer: floaters a worker takes arrive in
-        // submission order.
-        // Fed jobs are pushed behind the seeded floaters in ascending
-        // payload order by a single feeder thread, so the global injector
-        // FIFO (and hence each consumer's drain order) stays ascending.
-        let floats: Vec<usize> = ledger
-            .state
-            .iter()
-            .copied()
-            .filter(|&job| case.hint_of(job).is_none())
-            .collect();
-        if !floats.windows(2).all(|pair| pair[0] < pair[1]) {
-            violations.push(format!(
-                "ordering: worker {worker} drained floaters out of order: {floats:?}"
-            ));
-        }
-    }
-
-    // 3. Steal accounting matches the per-job flags and recorded hints.
-    let stolen_flags = run.completed.iter().filter(|c| c.stolen()).count();
-    if run.total_steals() != stolen_flags {
-        violations.push(format!(
-            "accounting: total_steals {} != stolen completions {stolen_flags}",
-            run.total_steals()
-        ));
-    }
-    for completed in &run.completed {
-        if completed.hint != case.hint_of(completed.result) {
-            violations.push(format!(
-                "accounting: job {} completed with hint {:?}, submitted with {:?}",
-                completed.result,
-                completed.hint,
-                case.hint_of(completed.result)
-            ));
-        }
-    }
-    violations
-}
-
-/// Check the fault-tolerant host's contract on one completed run: **job
-/// conservation under failure** replaces the plain host's ordering checks
-/// (a retried job re-enters unhinted, so hint-order invariants no longer
-/// apply to it).
-fn check_tolerant_run(
+/// violations (empty when the schedule upholds every invariant).  Every
+/// case is held to **job conservation under failure**; fault-free cases
+/// are also held to the ordering and steal-accounting invariants (a
+/// requeued job re-enters unhinted, so hint-order invariants do not apply
+/// to runs that retry or lose workers).
+fn check_run(
     case: &ExploreCase,
-    run: &TolerantRun<usize, Vec<usize>, usize>,
+    run: &StealRun<usize, Vec<usize>, usize>,
     attempts: &[usize],
 ) -> Vec<String> {
     let n = case.total_jobs();
@@ -777,8 +628,36 @@ fn check_tolerant_run(
         }
     }
 
-    // 4. Ledger agreement: deliveries match each worker's execution log.
+    // 4. Retry accounting: exactly one retry per scripted flaky payload a
+    // healthy worker actually reached (attempt counts are consumed in
+    // grant order, so this is exact per schedule).
+    let reached = case
+        .retry_once
+        .iter()
+        .filter(|&&p| p < n && attempts[p] > 0)
+        .count();
+    if run.retries != reached {
+        violations.push(format!(
+            "accounting: {} retries recorded, {reached} scripted retry payloads reached",
+            run.retries
+        ));
+    }
+
+    // 5. Every death requeues at least the job the worker died holding.
+    let deaths = run.died.iter().filter(|&&d| d).count();
+    if run.requeued_on_death < deaths {
+        violations.push(format!(
+            "fault: {deaths} deaths but only {} jobs requeued on death",
+            run.requeued_on_death
+        ));
+    }
+
+    let fault_free = case.fatal_workers.is_empty() && case.retry_once.is_empty();
     for (worker, ledger) in run.workers.iter().enumerate() {
+        // 6. Ledger agreement: this worker's completions cross the channel
+        // in its execution order (the caller's re-sequencing relies on
+        // results being attributable, not on channel order — but per-sender
+        // FIFO is the channel's contract and the ledger must agree with it).
         let delivered: Vec<usize> = run
             .completed
             .iter()
@@ -798,30 +677,60 @@ fn check_tolerant_run(
                 ledger.state.len()
             ));
         }
+        if !fault_free {
+            continue;
+        }
+        // 7a. Own-deque FIFO: jobs hinted here and executed here left the
+        // deque front in submission order.
+        let own: Vec<usize> = ledger
+            .state
+            .iter()
+            .copied()
+            .filter(|&job| case.hint_of(job) == Some(worker))
+            .collect();
+        if !own.windows(2).all(|pair| pair[0] < pair[1]) {
+            violations.push(format!(
+                "ordering: worker {worker} ran its own hinted jobs out of order: {own:?}"
+            ));
+        }
+        // 7b. Injector FIFO per consumer: floaters a worker takes arrive in
+        // submission order.  Fed jobs are pushed behind the seeded floaters
+        // in ascending payload order by a single feeder thread, so the
+        // global injector FIFO (and hence each consumer's drain order)
+        // stays ascending.
+        let floats: Vec<usize> = ledger
+            .state
+            .iter()
+            .copied()
+            .filter(|&job| case.hint_of(job).is_none())
+            .collect();
+        if !floats.windows(2).all(|pair| pair[0] < pair[1]) {
+            violations.push(format!(
+                "ordering: worker {worker} drained floaters out of order: {floats:?}"
+            ));
+        }
+    }
+    if !fault_free {
+        return violations;
     }
 
-    // 5. Retry accounting: exactly one retry per scripted flaky payload a
-    // healthy worker actually reached (attempt counts are consumed in
-    // grant order, so this is exact per schedule).
-    let reached = case
-        .retry_once
-        .iter()
-        .filter(|&&p| p < n && attempts[p] > 0)
-        .count();
-    if run.retries != reached {
+    // 8. Steal accounting matches the per-job flags and recorded hints.
+    let stolen_flags = run.completed.iter().filter(|c| c.stolen()).count();
+    if run.total_steals() != stolen_flags {
         violations.push(format!(
-            "accounting: {} retries recorded, {reached} scripted retry payloads reached",
-            run.retries
+            "accounting: total_steals {} != stolen completions {stolen_flags}",
+            run.total_steals()
         ));
     }
-
-    // 6. Every death requeues at least the job the worker died holding.
-    let deaths = run.died.iter().filter(|&&d| d).count();
-    if run.requeued_on_death < deaths {
-        violations.push(format!(
-            "fault: {deaths} deaths but only {} jobs requeued on death",
-            run.requeued_on_death
-        ));
+    for completed in &run.completed {
+        if completed.hint != case.hint_of(completed.result) {
+            violations.push(format!(
+                "accounting: job {} completed with hint {:?}, submitted with {:?}",
+                completed.result,
+                completed.hint,
+                case.hint_of(completed.result)
+            ));
+        }
     }
     violations
 }
@@ -865,13 +774,8 @@ pub fn explore_case(case: &ExploreCase, strategy: Strategy, budget: usize) -> Ca
     let mut distinct: BTreeSet<Vec<(usize, Option<SchedOp>)>> = BTreeSet::new();
     let mut script = Vec::new();
     for run_seed in 0..budget as u64 {
-        let (run_violations, record) = if case.tolerant() {
-            let (run, attempts, record) = run_one_tolerant(case, script, strategy, run_seed);
-            (check_tolerant_run(case, &run, &attempts), record)
-        } else {
-            let (run, record) = run_one(case, script, strategy, run_seed);
-            (check_run(case, &run), record)
-        };
+        let (run, attempts, record) = run_one(case, script, strategy, run_seed);
+        let run_violations = check_run(case, &run, &attempts);
         report.longest_trace = report.longest_trace.max(record.trace.len());
         let ops: Vec<SchedOp> = record.trace.iter().filter_map(|&(_, op)| op).collect();
         for pair in ops.windows(2) {
@@ -1181,8 +1085,6 @@ mod tests {
         // first injector steals to lose their race and assert each one
         // falls through to a sibling steal within the same sweep — the
         // pre-fix loop restarted at `WorkerPop` instead.
-        use std::sync::atomic::{AtomicUsize, Ordering};
-
         let _exclusive = lock_poison_free(&EXPLORE_LOCK);
 
         struct RetryProbe {
@@ -1225,7 +1127,7 @@ mod tests {
             jobs,
             |_, log: &mut Vec<usize>, payload| {
                 log.push(payload);
-                payload
+                JobVerdict::<usize, usize>::Done(payload)
             },
         );
         sched::uninstall();

@@ -27,12 +27,12 @@
 //! * [`admission`] — [`AdmissionPolicy`]: deadline-aware admission on top
 //!   of the model-optimal completion predictions (reject, or down-batch and
 //!   re-price, whatever the model prices over the target);
-//! * [`steal`] — [`run_stealing`]: the generic work-stealing execution core
-//!   (per-worker deques + shared injector from the vendored `crossbeam`),
-//!   one thread per device slot, owned-session handoff, steal/concurrency
-//!   accounting; [`run_stealing_tolerant`] adds verdict-driven retry and
-//!   dying-worker requeue with an outstanding-work termination proof, so
-//!   jobs are conserved under any mix of faults;
+//! * [`steal`] — [`run_stealing`] / [`run_stealing_with_feeder`]: the one
+//!   work-stealing execution core (per-worker deques + shared injector from
+//!   the vendored `crossbeam`), one thread per device slot, owned-session
+//!   handoff, steal/concurrency accounting, and a [`JobVerdict`] per job —
+//!   retries and dying-worker requeues ride an outstanding-work
+//!   termination proof, so jobs are conserved under any mix of faults;
 //! * [`server`] — [`Server::serve`] and [`Server::serve_async`]: execute
 //!   everything through `SemSystem::solve_many` (solutions stay bitwise
 //!   identical to direct batched solves — and, on homogeneous pools, across
@@ -111,9 +111,8 @@ pub use server::{
     DeviceUsage, JobTrace, RequestOutcome, ServeOptions, ServeReport, ServeSummary, Server,
 };
 pub use steal::{
-    run_stealing, run_stealing_tolerant, run_stealing_tolerant_with_feeder,
-    run_stealing_with_feeder, CompletedJob, FeederHandle, JobVerdict, StealRun, TaggedJob,
-    TolerantFeederHandle, TolerantRun, WorkerLedger,
+    run_stealing, run_stealing_with_feeder, CompletedJob, FeederHandle, JobVerdict, StealRun,
+    TaggedJob, WorkerLedger,
 };
 pub use stream::{
     ArrivalStream, LiveOptions, LiveOutcome, LiveRejection, LiveReport, TimedRequest, WindowStats,

@@ -17,7 +17,7 @@ use crate::pipeline::{PipelineConfig, PipelineTimeline, RequestStages, Stage};
 use crate::queue::{BatchJob, SolveQueue};
 use crate::request::{ProblemSpec, RhsSpec, ServeRequest};
 use crate::scheduler::{DeviceSlot, DeviceStatus, SchedulingPolicy};
-use crate::steal::{run_stealing, TaggedJob};
+use crate::steal::{run_stealing, run_stealing_with_feeder, JobVerdict, TaggedJob};
 use sem_accel::{Backend, PerfSource, SemSystem};
 use sem_mesh::ElementField;
 use sem_obs::{recorder, DriftSample, Scope, SpanEvent, SpanKind, WallTimer};
@@ -376,17 +376,20 @@ pub struct ServeSummary {
 
 /// One executed job on its way into a report: what both execution hosts
 /// (sequential and work-stealing) produce per job.
-struct ExecutedJob {
+pub(crate) struct ExecutedJob {
     job: BatchJob,
-    device: usize,
+    pub(crate) device: usize,
     hinted_device: Option<usize>,
     timeline: PipelineTimeline,
-    outcomes: Vec<RequestOutcome>,
+    pub(crate) outcomes: Vec<RequestOutcome>,
     /// Whether the job's stage costs come from a cycle model (simulated
     /// backend) rather than host measurement — which decides whether its
     /// spans survive a modelled-clock trace export.
     modeled: bool,
 }
+
+/// Per-worker `(busy wall seconds, steals)` of one pool run.
+type WallStats = Vec<(f64, usize)>;
 
 /// A serving instance: a device pool plus options, with one lazily built
 /// `SemSystem` per (device, problem shape).
@@ -528,52 +531,15 @@ impl Server {
     ) -> ServeReport {
         let started = WallTimer::start();
         let (placed, rejections) = self.prepare(requests, policy);
-        let tagged: Vec<TaggedJob<BatchJob>> = placed
+        let seeded = placed
             .into_iter()
             .map(|(job, device, floating)| TaggedJob {
-                payload: job,
+                payload: ((), job),
                 hint: (!floating).then_some(device),
             })
             .collect();
-        // Each worker owns its slot's sessions for the duration of the run
-        // (`SemSystem` is `Send`, so the handoff is a move, not a copy) and
-        // hands them back through the ledger for reuse by the next serve.
-        let states: Vec<HashMap<ProblemSpec, SemSystem>> =
-            self.systems.iter_mut().map(std::mem::take).collect();
-        // lint: no-panic (this closure runs on worker threads; a panic would
-        // strand sibling deques mid-run)
-        let run = run_stealing(states, tagged, |worker, systems, job| {
-            let system = systems.entry(job.spec).or_insert_with(|| {
-                Self::build_system(
-                    &self.slots[worker].config,
-                    job.spec,
-                    self.options.precond,
-                    self.fault_states[worker].clone(),
-                )
-            });
-            let (timeline, outcomes, modeled) = self.execute_job_on(system, worker, &job, requests);
-            (job, timeline, outcomes, modeled)
-        });
-        let mut wall_stats = Vec::with_capacity(self.slots.len());
-        for (slot, ledger) in self.systems.iter_mut().zip(run.workers) {
-            wall_stats.push((ledger.busy_wall_seconds, ledger.steals));
-            *slot = ledger.state;
-        }
-        let executed: Vec<ExecutedJob> = run
-            .completed
-            .into_iter()
-            .map(|completed| {
-                let (job, timeline, outcomes, modeled) = completed.result;
-                ExecutedJob {
-                    job,
-                    device: completed.worker,
-                    hinted_device: completed.hint,
-                    timeline,
-                    outcomes,
-                    modeled,
-                }
-            })
-            .collect();
+        let (executed, wall_stats) = self.run_pool(seeded, None, requests);
+        let executed = executed.into_iter().map(|((), job)| job).collect();
         self.assemble(
             policy.name(),
             true,
@@ -583,6 +549,76 @@ impl Server {
             wall_stats,
             started.elapsed_wall_seconds(),
         )
+    }
+
+    /// Execute batch jobs on the work-stealing pool, one worker thread per
+    /// device slot.  Each worker borrows its slot's sessions for the run
+    /// (`SemSystem` is `Send`, so the handoff is a move, not a copy), builds
+    /// any session it lacks, and hands them back for reuse when the pool
+    /// drains.  `seeded` jobs are queued up front; `fed` jobs, when given,
+    /// are pushed (unhinted) by a live feeder while the workers already run.
+    /// Returns every executed job with its key, in completion order, plus
+    /// each worker's `(busy wall seconds, steals)`.
+    pub(crate) fn run_pool<K: Send>(
+        &mut self,
+        seeded: Vec<TaggedJob<(K, BatchJob)>>,
+        fed: Option<Vec<(K, BatchJob)>>,
+        requests: &[ServeRequest],
+    ) -> (Vec<(K, ExecutedJob)>, WallStats) {
+        let states: Vec<HashMap<ProblemSpec, SemSystem>> =
+            self.systems.iter_mut().map(std::mem::take).collect();
+        // lint: no-panic (this closure runs on worker threads; a panic would
+        // strand sibling deques mid-run)
+        let execute = |worker: usize,
+                       systems: &mut HashMap<ProblemSpec, SemSystem>,
+                       (key, job): (K, BatchJob)| {
+            let system = systems.entry(job.spec).or_insert_with(|| {
+                Self::build_system(
+                    &self.slots[worker].config,
+                    job.spec,
+                    self.options.precond,
+                    self.fault_states[worker].clone(),
+                )
+            });
+            let (timeline, outcomes, modeled) = self.execute_job_on(system, worker, &job, requests);
+            JobVerdict::Done((key, job, timeline, outcomes, modeled))
+        };
+        let run = match fed {
+            Some(fed) => run_stealing_with_feeder(
+                states,
+                seeded,
+                move |feeder| {
+                    for job in fed {
+                        feeder.push(job);
+                        std::thread::yield_now();
+                    }
+                },
+                execute,
+            ),
+            None => run_stealing(states, seeded, execute),
+        };
+        let mut wall_stats = Vec::with_capacity(self.slots.len());
+        for (slot, ledger) in self.systems.iter_mut().zip(run.workers) {
+            wall_stats.push((ledger.busy_wall_seconds, ledger.steals));
+            *slot = ledger.state;
+        }
+        let executed = run
+            .completed
+            .into_iter()
+            .map(|completed| {
+                let (key, job, timeline, outcomes, modeled) = completed.result;
+                let executed = ExecutedJob {
+                    job,
+                    device: completed.worker,
+                    hinted_device: completed.hint,
+                    timeline,
+                    outcomes,
+                    modeled,
+                };
+                (key, executed)
+            })
+            .collect();
+        (executed, wall_stats)
     }
 
     /// The shared front half of both hosts: pack the requests, admit jobs
@@ -668,7 +704,7 @@ impl Server {
         num_requests: usize,
         executed: Vec<ExecutedJob>,
         rejections: Vec<RejectedRequest>,
-        wall_stats: Vec<(f64, usize)>,
+        wall_stats: WallStats,
         wall_seconds: f64,
     ) -> ServeReport {
         let pool_size = self.slots.len();

@@ -1,11 +1,13 @@
-//! The work-stealing execution core of the async serving host: one worker
-//! thread per device slot, fed by per-worker deques plus a shared injector.
+//! The work-stealing execution core of the threaded serving hosts: one
+//! worker thread per device slot, fed by per-worker deques plus a shared
+//! injector.
 //!
 //! [`run_stealing`] is deliberately generic over the job payload, the
 //! per-worker owned state, and the result type, so the exact machinery that
-//! runs device sessions in [`crate::Server::serve_async`] can also be
-//! stress-tested with thousands of cheap synthetic jobs (see
-//! `tests/stress.rs`).
+//! runs device sessions in [`crate::Server::serve_async`] and
+//! [`crate::Server::serve_stream_async`] can also be stress-tested with
+//! thousands of cheap synthetic jobs (see `tests/stress.rs`) and explored
+//! schedule by schedule (see [`crate::explore`]).
 //!
 //! ## Seeding and stealing discipline
 //!
@@ -22,27 +24,34 @@
 //!    the *newest* job — the one that would otherwise wait longest behind a
 //!    busy device.
 //!
-//! ## Termination: the feeder-done protocol
+//! ## Verdicts
 //!
-//! Jobs are only removed to be executed and nothing is ever re-queued, so
-//! with a fixed job set an empty sweep would prove no pending
-//! work remains.  Live serving breaks that proof: a *feeder* (see
-//! [`run_stealing_with_feeder`]) keeps pushing arrivals into the shared
-//! injector while workers run, and a worker that exited on the first empty
-//! sweep would strand every job fed after it.  Workers therefore exit only
-//! when a **fully empty, uncontended sweep began after the feeder-done flag
-//! was observed set**.  The feeder publishes every push *before* the done
-//! flag is stored (both SeqCst), so a sweep that started after observing
-//! `done` sees every fed job — empty then really means empty forever.  The
-//! batch-only [`run_stealing`] starts with the flag already set, which
-//! restores the old "first empty sweep exits" behaviour exactly.
+//! The executor resolves every job it runs with a [`JobVerdict`]: `Done`
+//! delivers the result, `Retry` requeues the job through the injector for
+//! any worker, and `Fatal` retires the worker after handing its in-flight
+//! job and its whole deque back to the injector.  Hosts that never retry
+//! simply wrap their result in [`JobVerdict::Done`].  Whatever mix of
+//! verdicts the executor reports, the run **conserves jobs**: every job is
+//! delivered exactly once, or — only when every worker died — handed back in
+//! [`StealRun::unfinished`].
+//!
+//! ## Termination: outstanding work plus the feeder-done flag
+//!
+//! A worker exits only when a **fully empty, uncontended sweep began after
+//! it observed both the outstanding-work counter at zero and the
+//! feeder-done flag set**.  Seeded jobs start counted, a live feeder (see
+//! [`run_stealing_with_feeder`]) counts each arrival *before* publishing it,
+//! `Retry`/`Fatal` requeue before any count change, and `Done` retires the
+//! job only after its result is sent — so zero outstanding can never be
+//! observed while a job is invisible in flight, and the feeder stores the
+//! flag (SeqCst) only after its last push.  A consequence: idle workers
+//! wait for in-flight jobs to retire rather than exiting on the first empty
+//! sweep, because a `Retry` could requeue one.  A run without a feeder
+//! starts with the flag already set.
 //!
 //! Contended sweeps (a [`Steal::Retry`] from the injector *or* a sibling
-//! deque) and empty-but-not-done sweeps share one backoff path: park/unpark
-//! telemetry around a scheduler yield.  This is also why the run conserves
-//! jobs: every seeded or fed job is taken exactly once, by exactly one
-//! worker, and its result is delivered over a channel that the caller
-//! drains to completion.
+//! deque) and empty-but-not-finished sweeps share one backoff path:
+//! park/unpark telemetry around a scheduler yield.
 
 use crossbeam::channel;
 use crossbeam::deque::{Injector, Steal, Stealer, Worker};
@@ -64,7 +73,8 @@ pub struct TaggedJob<T> {
 pub struct CompletedJob<R> {
     /// The worker that actually executed the job.
     pub worker: usize,
-    /// The admission-time hint the job carried.
+    /// The hint the job carried when this worker took it (requeued jobs
+    /// float, so a retried job completes with `None`).
     pub hint: Option<usize>,
     /// What the executor returned.
     pub result: R,
@@ -87,25 +97,56 @@ pub struct WorkerLedger<S> {
     /// Wall-clock seconds this worker spent executing jobs (excludes idle
     /// spinning and queue operations).
     pub busy_wall_seconds: f64,
-    /// Jobs this worker executed.
+    /// Jobs this worker resolved [`JobVerdict::Done`].
     pub executed_jobs: usize,
-    /// Executed jobs that were hinted to a *different* worker.
+    /// Jobs this worker took that were hinted to a *different* worker.
     pub steals: usize,
+}
+
+/// How an executor resolved one job.
+#[derive(Debug)]
+pub enum JobVerdict<T, R> {
+    /// The job completed (and, if the caller verifies answers, passed):
+    /// deliver the result and retire the job.
+    Done(R),
+    /// The job failed recoverably (device fault, corrupt answer, timeout):
+    /// requeue the returned payload — typically the job with its retry
+    /// ledger advanced — through the shared injector for another worker.
+    /// The worker that reported it stays in the pool.
+    Retry(T),
+    /// The worker's device is unusable (dead): requeue the returned
+    /// payload, drain the worker's own deque back to the injector so
+    /// nothing it was hinted is lost, and retire the **worker**.
+    Fatal(T),
 }
 
 /// The outcome of one work-stealing run.
 #[derive(Debug)]
-pub struct StealRun<S, R> {
-    /// Executed jobs in completion order (the order results crossed the
-    /// channel, not submission order — the caller re-sequences).
+pub struct StealRun<T, S, R> {
+    /// Jobs resolved [`JobVerdict::Done`], in completion order (the order
+    /// results crossed the channel, not submission order — the caller
+    /// re-sequences).
     pub completed: Vec<CompletedJob<R>>,
-    /// Per-worker ledgers, indexed like the input states.
+    /// Per-worker ledgers, indexed like the input states.  Dead workers
+    /// still hand their state back — a died device's sessions return to
+    /// the caller, they are not leaked with the worker.
     pub workers: Vec<WorkerLedger<S>>,
+    /// Which workers retired through [`JobVerdict::Fatal`] (parallel to
+    /// `workers`).
+    pub died: Vec<bool>,
+    /// Jobs still unresolved when the run ended — non-empty only when
+    /// *every* worker died with work left.  The caller owns them (e.g. to
+    /// degrade onto host backends); they are never silently dropped.
+    pub unfinished: Vec<T>,
+    /// [`JobVerdict::Retry`] verdicts across the run.
+    pub retries: usize,
+    /// Jobs drained from dying workers' deques back to the injector.
+    pub requeued_on_death: usize,
     /// Wall-clock seconds from first spawn to last join.
     pub wall_seconds: f64,
 }
 
-impl<S, R> StealRun<S, R> {
+impl<T, S, R> StealRun<T, S, R> {
     /// Total wall-clock seconds workers spent executing jobs.
     #[must_use]
     pub fn busy_wall_seconds(&self) -> f64 {
@@ -128,6 +169,12 @@ impl<S, R> StealRun<S, R> {
     pub fn total_steals(&self) -> usize {
         self.workers.iter().map(|w| w.steals).sum()
     }
+
+    /// Workers that survived the run.
+    #[must_use]
+    pub fn alive_workers(&self) -> usize {
+        self.died.iter().filter(|&&d| !d).count()
+    }
 }
 
 /// What one worker sends back per executed job.
@@ -138,17 +185,21 @@ struct Delivery<R> {
 }
 
 /// The live-arrival side of a streaming run: the handle the feeder closure
-/// pushes timestamped work through while the worker pool is already
-/// draining.  Fed jobs carry no hint — they ride the shared injector to
-/// whichever worker frees up first, exactly like down-batched floaters.
+/// pushes work through while the worker pool is already draining.  Fed
+/// jobs carry no hint — they ride the shared injector to whichever worker
+/// frees up first, exactly like down-batched floaters.  Every push counts
+/// the job as outstanding *before* it becomes visible, so workers can never
+/// observe "all work resolved" while a fed job is in flight.
 #[derive(Debug)]
 pub struct FeederHandle<'a, T> {
     injector: &'a Injector<TaggedJob<T>>,
+    outstanding: &'a AtomicUsize,
 }
 
 impl<T> FeederHandle<'_, T> {
     /// Push one live arrival into the shared injector.
     pub fn push(&self, payload: T) {
+        self.outstanding.fetch_add(1, Ordering::SeqCst);
         self.injector.push(TaggedJob {
             payload,
             hint: None,
@@ -166,7 +217,8 @@ impl<T> FeederHandle<'_, T> {
 /// the worker's owned state — the state never crosses a thread boundary
 /// mid-run, so workers can keep non-`Sync` sessions (each `SemSystem` is
 /// owned by exactly one worker at a time) and hand them back through the
-/// ledger when the run ends.
+/// ledger when the run ends.  Its [`JobVerdict`] decides whether the job is
+/// delivered, requeued, or kills the worker (see the module docs).
 ///
 /// # Panics
 /// Panics if `states` is empty or any hint is out of range.
@@ -174,12 +226,12 @@ pub fn run_stealing<T, S, R, F>(
     states: Vec<S>,
     jobs: Vec<TaggedJob<T>>,
     execute: F,
-) -> StealRun<S, R>
+) -> StealRun<T, S, R>
 where
     T: Send,
     S: Send,
     R: Send,
-    F: Fn(usize, &mut S, T) -> R + Sync,
+    F: Fn(usize, &mut S, T) -> JobVerdict<T, R> + Sync,
 {
     run_stealing_inner(states, jobs, None::<fn(&FeederHandle<'_, T>)>, execute)
 }
@@ -188,8 +240,7 @@ where
 /// calling thread *after* the workers are spawned and may push arrivals
 /// into the shared injector at any point while the pool drains.  Workers
 /// stay alive — backing off through the contended-sweep path — until the
-/// feeder returns and every queued job is taken (the feeder-done protocol
-/// in the module docs).
+/// feeder returns and every job is resolved.
 ///
 /// # Panics
 /// Panics if `states` is empty or any seeded hint is out of range.
@@ -198,12 +249,12 @@ pub fn run_stealing_with_feeder<T, S, R, F, G>(
     jobs: Vec<TaggedJob<T>>,
     feeder: G,
     execute: F,
-) -> StealRun<S, R>
+) -> StealRun<T, S, R>
 where
     T: Send,
     S: Send,
     R: Send,
-    F: Fn(usize, &mut S, T) -> R + Sync,
+    F: Fn(usize, &mut S, T) -> JobVerdict<T, R> + Sync,
     G: FnOnce(&FeederHandle<'_, T>),
 {
     run_stealing_inner(states, jobs, Some(feeder), execute)
@@ -214,12 +265,12 @@ fn run_stealing_inner<T, S, R, F, G>(
     jobs: Vec<TaggedJob<T>>,
     feeder: Option<G>,
     execute: F,
-) -> StealRun<S, R>
+) -> StealRun<T, S, R>
 where
     T: Send,
     S: Send,
     R: Send,
-    F: Fn(usize, &mut S, T) -> R + Sync,
+    F: Fn(usize, &mut S, T) -> JobVerdict<T, R> + Sync,
     G: FnOnce(&FeederHandle<'_, T>),
 {
     let pool = states.len();
@@ -227,6 +278,7 @@ where
     let queues: Vec<Worker<TaggedJob<T>>> = (0..pool).map(|_| Worker::new_fifo()).collect();
     let stealers: Vec<Stealer<TaggedJob<T>>> = queues.iter().map(Worker::stealer).collect();
     let injector = Injector::new();
+    let outstanding = AtomicUsize::new(jobs.len());
     for job in jobs {
         match job.hint {
             Some(hint) => {
@@ -237,269 +289,8 @@ where
         }
     }
 
-    // With no feeder the flag starts set, so the first fully empty sweep
-    // exits — identical to the old batch-only termination rule.
-    let feeder_done = AtomicBool::new(feeder.is_none());
-    let (tx, rx) = channel::unbounded::<Delivery<R>>();
-    let run_timer = WallTimer::start();
-    let mut ledgers: Vec<Option<WorkerLedger<S>>> = Vec::with_capacity(pool);
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(pool);
-        for (index, (queue, mut state)) in queues.into_iter().zip(states).enumerate() {
-            let tx = tx.clone();
-            let injector = &injector;
-            let stealers = &stealers;
-            let execute = &execute;
-            let feeder_done = &feeder_done;
-            // lint: no-panic (a worker panic strands sibling deques mid-run)
-            handles.push(scope.spawn(move || {
-                // Registers this thread with a schedule explorer when one is
-                // installed (`sem_serve::explore`); inert in production.
-                let _control = crossbeam::sched::controlled(index);
-                let mut busy_wall_seconds = 0.0;
-                let mut executed_jobs = 0;
-                let mut steals = 0;
-                let obs = recorder();
-                while let Some(job) = next_job(index, &queue, injector, stealers, feeder_done) {
-                    if job.hint.is_some_and(|hint| hint != index) {
-                        steals += 1;
-                        if obs.is_enabled() {
-                            // Which worker robbed whom is a property of the
-                            // schedule, never of the answer: mark the event
-                            // so modelled-clock exports drop it.
-                            let at = obs.stamp(busy_wall_seconds);
-                            obs.record(
-                                SpanEvent::new(SpanKind::Steal, Scope::ScheduleDependent, at, at)
-                                    .with_index(index as u64),
-                            );
-                            obs.counter_add("sem_serve_steals_total", &[], 1);
-                        }
-                    }
-                    let hint = job.hint;
-                    let begun = WallTimer::start();
-                    let result = execute(index, &mut state, job.payload);
-                    busy_wall_seconds += begun.elapsed_wall_seconds();
-                    executed_jobs += 1;
-                    // The receiver outlives the scope by construction, so a
-                    // failed send can only mean the channel was torn down
-                    // mid-run; stop taking work instead of panicking with
-                    // sibling deques still live.
-                    let delivery = Delivery {
-                        worker: index,
-                        hint,
-                        result,
-                    };
-                    if tx.send(delivery).is_err() {
-                        break;
-                    }
-                }
-                WorkerLedger {
-                    state,
-                    busy_wall_seconds,
-                    executed_jobs,
-                    steals,
-                }
-            }));
-        }
-        drop(tx);
-        if let Some(feed) = feeder {
-            // The feeder runs on the calling thread, uncontrolled by any
-            // schedule explorer: live arrivals are outside the pool under
-            // test.  Every push lands before the done flag is stored, so a
-            // worker that observes `done` and then sweeps empty has seen
-            // every fed job.
-            let handle = FeederHandle {
-                injector: &injector,
-            };
-            feed(&handle);
-            feeder_done.store(true, Ordering::SeqCst);
-        }
-        for handle in handles {
-            ledgers.push(Some(handle.join().expect("worker thread panicked")));
-        }
-    });
-    let wall_seconds = run_timer.elapsed_wall_seconds();
-
-    let completed = rx
-        .iter()
-        .map(|delivery| CompletedJob {
-            worker: delivery.worker,
-            hint: delivery.hint,
-            result: delivery.result,
-        })
-        .collect();
-    StealRun {
-        completed,
-        workers: ledgers
-            .into_iter()
-            .map(|ledger| ledger.expect("every worker joined"))
-            .collect(),
-        wall_seconds,
-    }
-}
-
-/// How a fault-tolerant executor resolved one job.
-#[derive(Debug)]
-pub enum JobVerdict<T, R> {
-    /// The job completed (and, if the caller verifies answers, passed):
-    /// deliver the result and retire the job.
-    Done(R),
-    /// The job failed recoverably (device fault, corrupt answer, timeout):
-    /// requeue the returned payload — typically the job with its retry
-    /// ledger advanced — through the shared injector for another worker.
-    /// The worker that reported it stays in the pool.
-    Retry(T),
-    /// The worker's device is unusable (dead): requeue the returned
-    /// payload, drain the worker's own deque back to the injector so
-    /// nothing it was hinted is lost, and retire the **worker**.
-    Fatal(T),
-}
-
-/// The feeder handle of a fault-tolerant run: like [`FeederHandle`], but
-/// every push registers the job with the outstanding-work counter *before*
-/// it becomes visible, so workers can never observe "all work resolved"
-/// while a fed job is still in flight.
-#[derive(Debug)]
-pub struct TolerantFeederHandle<'a, T> {
-    injector: &'a Injector<TaggedJob<T>>,
-    outstanding: &'a AtomicUsize,
-}
-
-impl<T> TolerantFeederHandle<'_, T> {
-    /// Push one live arrival into the shared injector.
-    pub fn push(&self, payload: T) {
-        self.outstanding.fetch_add(1, Ordering::SeqCst);
-        self.injector.push(TaggedJob {
-            payload,
-            hint: None,
-        });
-        let obs = recorder();
-        if obs.is_enabled() {
-            obs.counter_add("sem_serve_live_arrivals_total", &[], 1);
-        }
-    }
-}
-
-/// The outcome of one fault-tolerant work-stealing run.
-#[derive(Debug)]
-pub struct TolerantRun<T, S, R> {
-    /// Jobs resolved [`JobVerdict::Done`], in completion order.
-    pub completed: Vec<CompletedJob<R>>,
-    /// Per-worker ledgers, indexed like the input states.  Dead workers
-    /// still hand their state back — a died device's sessions return to
-    /// the caller, they are not leaked with the worker.
-    pub workers: Vec<WorkerLedger<S>>,
-    /// Which workers retired through [`JobVerdict::Fatal`] (parallel to
-    /// `workers`).
-    pub died: Vec<bool>,
-    /// Jobs still unresolved when the run ended — non-empty only when
-    /// *every* worker died with work left.  The caller owns them (e.g. to
-    /// degrade onto host backends); they are never silently dropped.
-    pub unfinished: Vec<T>,
-    /// [`JobVerdict::Retry`] verdicts across the run.
-    pub retries: usize,
-    /// Jobs drained from dying workers' deques back to the injector.
-    pub requeued_on_death: usize,
-    /// Wall-clock seconds from first spawn to last join.
-    pub wall_seconds: f64,
-}
-
-impl<T, S, R> TolerantRun<T, S, R> {
-    /// Workers that survived the run.
-    #[must_use]
-    pub fn alive_workers(&self) -> usize {
-        self.died.iter().filter(|&&d| !d).count()
-    }
-}
-
-/// Fault-tolerant work stealing over a fixed job set: like
-/// [`run_stealing`], but the executor returns a [`JobVerdict`] and the run
-/// guarantees **job conservation under failure** — every job is either
-/// delivered exactly once or handed back in
-/// [`TolerantRun::unfinished`], whatever mix of retries and worker deaths
-/// the executor reports.
-///
-/// Termination replaces the empty-sweep proof with an outstanding-work
-/// counter: seeded jobs start counted, [`JobVerdict::Done`] retires one,
-/// and retry/fatal requeues keep the count — so a worker exits only when
-/// the count is zero (observed *before* a fully empty, uncontended sweep,
-/// by the same publish-before-flag argument as the feeder-done protocol).
-///
-/// # Panics
-/// Panics if `states` is empty or any hint is out of range.
-pub fn run_stealing_tolerant<T, S, R, F>(
-    states: Vec<S>,
-    jobs: Vec<TaggedJob<T>>,
-    execute: F,
-) -> TolerantRun<T, S, R>
-where
-    T: Send,
-    S: Send,
-    R: Send,
-    F: Fn(usize, &mut S, T) -> JobVerdict<T, R> + Sync,
-{
-    run_tolerant_inner(
-        states,
-        jobs,
-        None::<fn(&TolerantFeederHandle<'_, T>)>,
-        execute,
-    )
-}
-
-/// Like [`run_stealing_tolerant`], but with a live feeder pushing arrivals
-/// while the pool drains (the tolerant analogue of
-/// [`run_stealing_with_feeder`]).  The feeder's pushes register with the
-/// outstanding-work counter before they are published, so a retry racing
-/// the feeder-done flag can never convince a worker the run is over.
-///
-/// # Panics
-/// Panics if `states` is empty or any seeded hint is out of range.
-pub fn run_stealing_tolerant_with_feeder<T, S, R, F, G>(
-    states: Vec<S>,
-    jobs: Vec<TaggedJob<T>>,
-    feeder: G,
-    execute: F,
-) -> TolerantRun<T, S, R>
-where
-    T: Send,
-    S: Send,
-    R: Send,
-    F: Fn(usize, &mut S, T) -> JobVerdict<T, R> + Sync,
-    G: FnOnce(&TolerantFeederHandle<'_, T>),
-{
-    run_tolerant_inner(states, jobs, Some(feeder), execute)
-}
-
-fn run_tolerant_inner<T, S, R, F, G>(
-    states: Vec<S>,
-    jobs: Vec<TaggedJob<T>>,
-    feeder: Option<G>,
-    execute: F,
-) -> TolerantRun<T, S, R>
-where
-    T: Send,
-    S: Send,
-    R: Send,
-    F: Fn(usize, &mut S, T) -> JobVerdict<T, R> + Sync,
-    G: FnOnce(&TolerantFeederHandle<'_, T>),
-{
-    let pool = states.len();
-    assert!(pool > 0, "need at least one worker");
-    let queues: Vec<Worker<TaggedJob<T>>> = (0..pool).map(|_| Worker::new_fifo()).collect();
-    let stealers: Vec<Stealer<TaggedJob<T>>> = queues.iter().map(Worker::stealer).collect();
-    let injector = Injector::new();
-    let outstanding = AtomicUsize::new(0);
-    for job in jobs {
-        outstanding.fetch_add(1, Ordering::SeqCst);
-        match job.hint {
-            Some(hint) => {
-                assert!(hint < pool, "hint {hint} outside pool of {pool}");
-                queues[hint].push(job);
-            }
-            None => injector.push(job),
-        }
-    }
-
+    // With no feeder the flag starts set: a store from the (uncontrolled)
+    // calling thread would otherwise race the workers' first sweeps.
     let feeder_done = AtomicBool::new(feeder.is_none());
     let retries = AtomicUsize::new(0);
     let requeued_on_death = AtomicUsize::new(0);
@@ -519,6 +310,8 @@ where
             let requeued_on_death = &requeued_on_death;
             // lint: no-panic (a worker panic strands sibling deques mid-run)
             handles.push(scope.spawn(move || {
+                // Registers this thread with a schedule explorer when one is
+                // installed (`sem_serve::explore`); inert in production.
                 let _control = crossbeam::sched::controlled(index);
                 let mut busy_wall_seconds = 0.0;
                 let mut executed_jobs = 0;
@@ -526,11 +319,14 @@ where
                 let mut died = false;
                 let obs = recorder();
                 while let Some(job) =
-                    next_job_tolerant(index, &queue, injector, stealers, feeder_done, outstanding)
+                    next_job(index, &queue, injector, stealers, feeder_done, outstanding)
                 {
                     if job.hint.is_some_and(|hint| hint != index) {
                         steals += 1;
                         if obs.is_enabled() {
+                            // Which worker robbed whom is a property of the
+                            // schedule, never of the answer: mark the event
+                            // so modelled-clock exports drop it.
                             let at = obs.stamp(busy_wall_seconds);
                             obs.record(
                                 SpanEvent::new(SpanKind::Steal, Scope::ScheduleDependent, at, at)
@@ -551,6 +347,10 @@ where
                                 hint,
                                 result,
                             };
+                            // The receiver outlives the scope by construction,
+                            // so a failed send can only mean the channel was
+                            // torn down mid-run; stop taking work instead of
+                            // panicking with sibling deques still live.
                             let torn = tx.send(delivery).is_err();
                             // Retire the job only after its result is
                             // published: a worker observing zero outstanding
@@ -613,7 +413,10 @@ where
         }
         drop(tx);
         if let Some(feed) = feeder {
-            let handle = TolerantFeederHandle {
+            // The feeder runs on the calling thread, uncontrolled by any
+            // schedule explorer: live arrivals are outside the pool under
+            // test.  Every push lands before the done flag is stored.
+            let handle = FeederHandle {
                 injector: &injector,
                 outstanding: &outstanding,
             };
@@ -650,7 +453,7 @@ where
         .into_iter()
         .map(|entry| entry.expect("every worker joined"))
         .unzip();
-    TolerantRun {
+    StealRun {
         completed,
         workers,
         died,
@@ -661,12 +464,12 @@ where
     }
 }
 
-/// Tolerant-run termination: exit only when the outstanding-work counter
-/// was zero **and** the feeder-done flag set, both observed before a fully
-/// empty, uncontended sweep.  Retries requeue before any count change and
-/// the feeder counts before it publishes, so "zero outstanding" can never
-/// be observed while a job is invisible in flight.
-fn next_job_tolerant<T>(
+/// Take the next job, or decide the run is over.  Exits only on a fully
+/// empty, uncontended sweep that *began after* both the outstanding-work
+/// counter was observed at zero and the feeder-done flag observed set (see
+/// the module docs for why such a sweep has seen every job that will ever
+/// exist).
+fn next_job<T>(
     index: usize,
     own: &Worker<TaggedJob<T>>,
     injector: &Injector<TaggedJob<T>>,
@@ -675,6 +478,9 @@ fn next_job_tolerant<T>(
     outstanding: &AtomicUsize,
 ) -> Option<TaggedJob<T>> {
     loop {
+        // Load both before sweeping: a push racing with this sweep may be
+        // missed, but then one of the reads here was not yet final and the
+        // sweep retries.
         let done_before_sweep = feeder_done.load(Ordering::SeqCst);
         let outstanding_before_sweep = outstanding.load(Ordering::SeqCst);
         match sweep(index, own, injector, stealers) {
@@ -758,44 +564,27 @@ fn backoff(index: usize) {
     }
 }
 
-/// Take the next job, or decide the run is over.  Exits only on a fully
-/// empty, uncontended sweep that *began after* the feeder-done flag was
-/// observed set: the feeder publishes every push before storing the flag,
-/// so such a sweep has seen every job that will ever exist.
-fn next_job<T>(
-    index: usize,
-    own: &Worker<TaggedJob<T>>,
-    injector: &Injector<TaggedJob<T>>,
-    stealers: &[Stealer<TaggedJob<T>>],
-    feeder_done: &AtomicBool,
-) -> Option<TaggedJob<T>> {
-    loop {
-        // Load the flag before sweeping: a push racing with this sweep may
-        // be missed, but then the flag read here was false and the sweep
-        // retries.
-        let done_before_sweep = feeder_done.load(Ordering::SeqCst);
-        match sweep(index, own, injector, stealers) {
-            SweepOutcome::Job(job) => return Some(job),
-            SweepOutcome::Empty if done_before_sweep => return None,
-            SweepOutcome::Empty | SweepOutcome::Contended => backoff(index),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::explore::exclusive;
     use std::collections::BTreeSet;
+
+    /// The executor of hosts that never retry: deliver the payload.
+    fn echo(_: usize, _: &mut (), payload: usize) -> JobVerdict<usize, usize> {
+        JobVerdict::Done(payload)
+    }
 
     #[test]
     fn single_worker_executes_hinted_jobs_in_fifo_order() {
+        let _exclusive = exclusive();
         let jobs: Vec<TaggedJob<usize>> = (0..20)
             .map(|i| TaggedJob {
                 payload: i,
                 hint: Some(0),
             })
             .collect();
-        let run = run_stealing(vec![()], jobs, |_, (), payload| payload);
+        let run = run_stealing(vec![()], jobs, echo);
         let order: Vec<usize> = run.completed.iter().map(|c| c.result).collect();
         assert_eq!(order, (0..20).collect::<Vec<_>>());
         assert_eq!(run.workers[0].executed_jobs, 20);
@@ -804,6 +593,7 @@ mod tests {
 
     #[test]
     fn every_job_executes_exactly_once_across_a_stealing_pool() {
+        let _exclusive = exclusive();
         // All jobs hinted to worker 0: the only way the others get work is
         // by stealing, and conservation must still hold.
         let jobs: Vec<TaggedJob<usize>> = (0..200)
@@ -812,7 +602,7 @@ mod tests {
                 hint: Some(0),
             })
             .collect();
-        let run = run_stealing(vec![(); 4], jobs, |_, (), payload| payload);
+        let run = run_stealing(vec![(); 4], jobs, echo);
         let seen: BTreeSet<usize> = run.completed.iter().map(|c| c.result).collect();
         assert_eq!(seen.len(), 200, "no drop, no duplicate");
         assert_eq!(run.completed.len(), 200);
@@ -821,17 +611,16 @@ mod tests {
         // Steal accounting matches the per-job stolen flags.
         let stolen_flags = run.completed.iter().filter(|c| c.stolen()).count();
         assert_eq!(run.total_steals(), stolen_flags);
+        assert_eq!(run.retries, 0);
+        assert_eq!(run.requeued_on_death, 0);
+        assert!(run.unfinished.is_empty());
+        assert_eq!(run.alive_workers(), 4);
     }
 
     #[test]
     fn floating_jobs_ride_the_injector_and_are_never_counted_as_steals() {
-        let jobs: Vec<TaggedJob<usize>> = (0..50)
-            .map(|i| TaggedJob {
-                payload: i,
-                hint: None,
-            })
-            .collect();
-        let run = run_stealing(vec![(); 3], jobs, |_, (), payload| payload);
+        let _exclusive = exclusive();
+        let run = run_stealing(vec![(); 3], floaters(50), echo);
         assert_eq!(run.completed.len(), 50);
         assert_eq!(run.total_steals(), 0, "floaters have no owner to rob");
         assert!(run.completed.iter().all(|c| !c.stolen()));
@@ -839,6 +628,7 @@ mod tests {
 
     #[test]
     fn worker_state_is_owned_mutable_and_handed_back() {
+        let _exclusive = exclusive();
         let jobs: Vec<TaggedJob<u64>> = (1..=10)
             .map(|i| TaggedJob {
                 payload: i,
@@ -847,7 +637,7 @@ mod tests {
             .collect();
         let run = run_stealing(vec![0u64, 0u64], jobs, |_, sum, payload| {
             *sum += payload;
-            payload
+            JobVerdict::<u64, u64>::Done(payload)
         });
         let handed_back: u64 = run.workers.iter().map(|w| w.state).sum();
         assert_eq!(handed_back, 55, "every job mutated exactly one state");
@@ -855,6 +645,7 @@ mod tests {
 
     #[test]
     fn feeder_jobs_arrive_while_workers_run_and_are_conserved() {
+        let _exclusive = exclusive();
         let seeded: Vec<TaggedJob<usize>> = (0..10)
             .map(|i| TaggedJob {
                 payload: i,
@@ -872,7 +663,7 @@ mod tests {
                     std::thread::yield_now();
                 }
             },
-            |_, (), payload| payload,
+            echo,
         );
         let seen: BTreeSet<usize> = run.completed.iter().map(|c| c.result).collect();
         assert_eq!(seen.len(), 40, "every seeded and fed job exactly once");
@@ -888,6 +679,7 @@ mod tests {
 
     #[test]
     fn a_feeder_that_pushes_nothing_still_terminates() {
+        let _exclusive = exclusive();
         let run = run_stealing_with_feeder(
             vec![(); 2],
             vec![TaggedJob {
@@ -895,13 +687,14 @@ mod tests {
                 hint: Some(0),
             }],
             |_feeder| {},
-            |_, (), payload| payload,
+            echo,
         );
         assert_eq!(run.completed.len(), 1);
     }
 
     #[test]
     fn a_run_fed_entirely_through_the_injector_drains() {
+        let _exclusive = exclusive();
         let run = run_stealing_with_feeder(
             vec![(); 4],
             Vec::new(),
@@ -910,7 +703,7 @@ mod tests {
                     feeder.push(i);
                 }
             },
-            |_, (), payload| payload,
+            echo,
         );
         let seen: BTreeSet<usize> = run.completed.iter().map(|c| c.result).collect();
         assert_eq!(seen.len(), 100);
@@ -920,13 +713,14 @@ mod tests {
     #[test]
     #[should_panic(expected = "hint 2 outside pool")]
     fn out_of_range_hints_are_rejected() {
+        let _exclusive = exclusive();
         let _ = run_stealing(
             vec![(); 2],
             vec![TaggedJob {
                 payload: 0usize,
                 hint: Some(2),
             }],
-            |_, (), payload| payload,
+            echo,
         );
     }
 
@@ -940,25 +734,12 @@ mod tests {
     }
 
     #[test]
-    fn tolerant_run_with_no_faults_matches_plain_stealing() {
-        let run = run_stealing_tolerant(vec![(); 3], floaters(60), |_, (), payload| {
-            JobVerdict::<usize, usize>::Done(payload)
-        });
-        let seen: BTreeSet<usize> = run.completed.iter().map(|c| c.result).collect();
-        assert_eq!(seen, (0..60).collect());
-        assert_eq!(run.retries, 0);
-        assert_eq!(run.requeued_on_death, 0);
-        assert!(run.unfinished.is_empty());
-        assert_eq!(run.alive_workers(), 3);
-    }
-
-    #[test]
     fn retries_conserve_jobs_and_are_counted() {
+        let _exclusive = exclusive();
         // Every job fails once before succeeding; payloads carry a retry
         // budget the executor burns down, like a real retry ledger.
-        use std::sync::atomic::AtomicUsize;
         let attempts: Vec<AtomicUsize> = (0..40).map(|_| AtomicUsize::new(0)).collect();
-        let run = run_stealing_tolerant(vec![(); 4], floaters(40), |_, (), payload: usize| {
+        let run = run_stealing(vec![(); 4], floaters(40), |_, (), payload: usize| {
             if attempts[payload].fetch_add(1, Ordering::SeqCst) == 0 {
                 JobVerdict::Retry(payload)
             } else {
@@ -974,24 +755,31 @@ mod tests {
 
     #[test]
     fn a_dying_worker_drains_its_deque_and_nothing_is_lost() {
+        let _exclusive = exclusive();
         // Everything is hinted to worker 0, which dies on its first job.
         // Its in-flight job and its whole deque must flow back through the
-        // injector to the survivors.
+        // injector to the survivors.  Survivors hold their first stolen job
+        // until the death, so worker 0 always reaches its deque on a loaded
+        // host instead of being robbed of every job first.
         let jobs: Vec<TaggedJob<usize>> = (0..30)
             .map(|i| TaggedJob {
                 payload: i,
                 hint: Some(0),
             })
             .collect();
-        let run = run_stealing_tolerant(
+        let died = AtomicBool::new(false);
+        let run = run_stealing(
             vec![0usize, 1, 2],
             jobs,
             |_, me: &mut usize, payload: usize| {
                 if *me == 0 {
-                    JobVerdict::Fatal(payload)
-                } else {
-                    JobVerdict::Done(payload)
+                    died.store(true, Ordering::SeqCst);
+                    return JobVerdict::Fatal(payload);
                 }
+                while !died.load(Ordering::SeqCst) {
+                    std::thread::yield_now();
+                }
+                JobVerdict::Done(payload)
             },
         );
         let seen: BTreeSet<usize> = run.completed.iter().map(|c| c.result).collect();
@@ -1005,7 +793,8 @@ mod tests {
 
     #[test]
     fn an_all_dead_pool_hands_every_job_back_unfinished() {
-        let run = run_stealing_tolerant(vec![(); 3], floaters(25), |_, (), payload: usize| {
+        let _exclusive = exclusive();
+        let run = run_stealing(vec![(); 3], floaters(25), |_, (), payload: usize| {
             JobVerdict::<usize, usize>::Fatal(payload)
         });
         assert!(run.completed.is_empty());
@@ -1017,8 +806,9 @@ mod tests {
     }
 
     #[test]
-    fn tolerant_feeder_pushes_race_no_jobs_into_the_void() {
-        let run = run_stealing_tolerant_with_feeder(
+    fn feeder_pushes_racing_retries_lose_no_jobs() {
+        let _exclusive = exclusive();
+        let run = run_stealing_with_feeder(
             vec![(); 4],
             floaters(10),
             |feeder| {

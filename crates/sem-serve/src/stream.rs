@@ -24,10 +24,11 @@
 //!   predicted* backlog (all a causal host can know at admission time),
 //!   then every admitted job is fed through the shared injector of
 //!   [`crate::steal::run_stealing_with_feeder`] *while the worker pool is
-//!   already draining* — the live-arrival path of the feeder-done
-//!   termination protocol.  Answers are re-sequenced by request index; on a
-//!   homogeneous pool the solution bits are identical to the closed-batch
-//!   path on the same admitted set, whichever worker took each job.
+//!   already draining* (via `Server::run_pool`), so workers stay up until
+//!   the feeder is done and no job is outstanding.  Answers are
+//!   re-sequenced by request index; on a homogeneous pool the solution bits
+//!   are identical to the closed-batch path on the same admitted set,
+//!   whichever worker took each job.
 //!
 //! Windowed statistics drive elasticity: the stream is cut into fixed
 //! observation windows, each closed with admitted/rejected counts and a
@@ -44,13 +45,11 @@ use crate::autoscaler::{Autoscaler, ScaleEvent};
 use crate::queue::BatchJob;
 use crate::request::{ProblemSpec, ServeRequest};
 use crate::server::Server;
-use crate::steal::run_stealing_with_feeder;
 use perf_model::{arrival_times, StageDriftCorrector, WorkloadKind};
-use sem_accel::SemSystem;
 use sem_mesh::ElementField;
 use sem_obs::recorder;
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 /// One timestamped request of an open-loop workload.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -661,49 +660,19 @@ impl Server {
         requests: &[ServeRequest],
         outcomes: &mut Vec<LiveOutcome>,
     ) {
-        let states: Vec<HashMap<ProblemSpec, SemSystem>> =
-            self.systems.iter_mut().map(std::mem::take).collect();
-        let fed: Vec<(usize, BatchJob)> = planned
+        let fed = planned
             .iter()
             .enumerate()
             .map(|(plan_index, plan)| (plan_index, plan.job.clone()))
             .collect();
-        // lint: no-panic (the execute closure runs on worker threads; a
-        // panic would strand sibling deques mid-run)
-        let run = run_stealing_with_feeder(
-            states,
-            Vec::new(),
-            move |feeder| {
-                for job in fed {
-                    feeder.push(job);
-                    std::thread::yield_now();
-                }
-            },
-            |worker, systems, (plan_index, job): (usize, BatchJob)| {
-                let system = systems.entry(job.spec).or_insert_with(|| {
-                    Self::build_system(
-                        &self.slots[worker].config,
-                        job.spec,
-                        self.options.precond,
-                        self.fault_states[worker].clone(),
-                    )
-                });
-                let (_timeline, outs, _modeled) =
-                    self.execute_job_on(system, worker, &job, requests);
-                (plan_index, outs)
-            },
-        );
-        for (slot, ledger) in self.systems.iter_mut().zip(run.workers) {
-            *slot = ledger.state;
-        }
-        for completed in run.completed {
-            let (plan_index, outs) = completed.result;
+        let (executed, _wall_stats) = self.run_pool(Vec::new(), Some(fed), requests);
+        for (plan_index, executed) in executed {
             let plan = &planned[plan_index];
-            for outcome in outs {
+            for outcome in executed.outcomes {
                 outcomes.push(LiveOutcome {
                     request: outcome.request,
                     arrival_seconds: stream.arrivals()[outcome.request].arrival_seconds,
-                    device: completed.worker,
+                    device: executed.device,
                     device_label: outcome.device_label,
                     batch: outcome.batch,
                     started_seconds: plan.started_seconds,

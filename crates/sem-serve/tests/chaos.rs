@@ -1,5 +1,5 @@
-//! Chaos conservation battery: seeded fault mixes through the tolerant
-//! work-stealing host and the end-to-end chaos server, proving **no job is
+//! Chaos conservation battery: seeded fault mixes through the
+//! work-stealing pool and the end-to-end chaos server, proving **no job is
 //! ever lost** — every run delivers results that are exactly `0..n`, or
 //! hands the remainder back explicitly when the whole pool dies.
 //!
@@ -11,8 +11,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use fpga_sim::{FaultKind, FaultPlan, ScheduledFault};
 use sem_serve::{
-    run_stealing_tolerant, run_stealing_tolerant_with_feeder, FaultToleranceOptions, JobVerdict,
-    ProblemSpec, ServeOptions, ServeRequest, Server, TaggedJob, TolerantRun,
+    run_stealing, run_stealing_with_feeder, FaultToleranceOptions, JobVerdict, ProblemSpec,
+    ServeOptions, ServeRequest, Server, StealRun, TaggedJob,
 };
 
 /// splitmix64: the deterministic seed expander used across the repo's
@@ -47,7 +47,7 @@ fn seeded_jobs(n: usize, workers: usize, seed: u64) -> Vec<TaggedJob<usize>> {
 }
 
 /// Sorted payloads delivered by the run (payload-returning executors).
-fn delivered(run: &TolerantRun<usize, usize, usize>) -> Vec<usize> {
+fn delivered(run: &StealRun<usize, usize, usize>) -> Vec<usize> {
     let mut out: Vec<usize> = run.completed.iter().map(|c| c.result).collect();
     out.sort_unstable();
     out
@@ -55,7 +55,7 @@ fn delivered(run: &TolerantRun<usize, usize, usize>) -> Vec<usize> {
 
 /// Assert the conservation contract: completed plus unfinished is exactly
 /// `0..n`, with nothing duplicated and nothing dropped.
-fn assert_conserved(run: &TolerantRun<usize, usize, usize>, n: usize) {
+fn assert_conserved(run: &StealRun<usize, usize, usize>, n: usize) {
     let mut all = delivered(run);
     all.extend(run.unfinished.iter().copied());
     all.sort_unstable();
@@ -84,7 +84,7 @@ fn seeded_retry_mixes_deliver_exactly_zero_to_n() {
         let retry_once: Vec<bool> = (0..n).map(|_| draw(&mut state, 3) == 0).collect();
         let attempts: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
 
-        let run: TolerantRun<usize, usize, usize> = run_stealing_tolerant(
+        let run: StealRun<usize, usize, usize> = run_stealing(
             vec![0usize; workers],
             seeded_jobs(n, workers, seed ^ 0xA5A5),
             |_worker, _state, payload: usize| {
@@ -121,8 +121,8 @@ fn a_dying_worker_requeues_its_deque_and_loses_nothing() {
         .collect();
     let death_seen = AtomicUsize::new(0);
 
-    let run: TolerantRun<usize, usize, usize> =
-        run_stealing_tolerant(vec![0usize; workers], jobs, |worker, _state, payload| {
+    let run: StealRun<usize, usize, usize> =
+        run_stealing(vec![0usize; workers], jobs, |worker, _state, payload| {
             if worker == 0 {
                 death_seen.store(1, Ordering::SeqCst);
                 return JobVerdict::Fatal(payload);
@@ -160,7 +160,7 @@ fn retries_racing_a_live_feeder_still_conserve_jobs() {
         let retry_once: Vec<bool> = (0..n).map(|_| draw(&mut state, 2) == 0).collect();
         let attempts: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
 
-        let run: TolerantRun<usize, usize, usize> = run_stealing_tolerant_with_feeder(
+        let run: StealRun<usize, usize, usize> = run_stealing_with_feeder(
             vec![0usize; workers],
             seeded_jobs(preloaded, workers, seed ^ 0x5A5A),
             |handle| {
@@ -197,7 +197,7 @@ fn a_fully_dead_pool_hands_every_job_back() {
     // the caller can degrade the remainder onto host backends.
     let n = 12;
     let workers = 2;
-    let run: TolerantRun<usize, usize, usize> = run_stealing_tolerant(
+    let run: StealRun<usize, usize, usize> = run_stealing(
         vec![0usize; workers],
         seeded_jobs(n, workers, 0xDEAD),
         |_worker, _state, payload: usize| JobVerdict::Fatal(payload),
@@ -220,7 +220,7 @@ fn seeded_death_and_retry_storms_conserve_jobs() {
         let retry_once: Vec<bool> = (0..n).map(|_| draw(&mut state, 4) == 0).collect();
         let attempts: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
 
-        let run: TolerantRun<usize, usize, usize> = run_stealing_tolerant(
+        let run: StealRun<usize, usize, usize> = run_stealing(
             vec![0usize; workers],
             seeded_jobs(n, workers, seed ^ 0x1111),
             |worker, _state, payload: usize| {

@@ -47,7 +47,7 @@ fn standard_battery_upholds_the_contract_on_every_schedule() {
         total += report.schedules;
     }
     // Ten cases (feeder cases walk seeded, the rest depth-first; three
-    // carry fault schedules through the tolerant host): the battery covers
+    // carry fault schedules): the battery covers
     // a healthy slice of the interleaving space even under the CI smoke
     // budget.
     assert!(

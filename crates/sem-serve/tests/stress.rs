@@ -8,7 +8,7 @@
 //! comparisons, only conservation, ordering and accounting invariants.
 
 use rand::{Rng, SeedableRng, StdRng};
-use sem_serve::steal::{run_stealing, TaggedJob};
+use sem_serve::steal::{run_stealing, JobVerdict, StealRun, TaggedJob};
 use sem_serve::{ProblemSpec, RoundRobin, ServeOptions, ServeRequest, Server, SolveQueue};
 use sem_solver::CgOptions;
 use std::collections::BTreeSet;
@@ -45,6 +45,14 @@ fn random_stream(rng: &mut StdRng) -> Vec<ServeRequest> {
         }
     }
     requests
+}
+
+/// Run `jobs` on a `pool`-worker stealing pool whose executor delivers
+/// each payload unchanged, as a host that never retries does.
+fn echo_run(pool: usize, jobs: Vec<TaggedJob<usize>>) -> StealRun<usize, (), usize> {
+    run_stealing(vec![(); pool], jobs, |_, (), payload| {
+        JobVerdict::Done(payload)
+    })
 }
 
 #[test]
@@ -117,7 +125,7 @@ fn work_stealing_conserves_jobs_across_seeded_pools_and_hints() {
             .collect();
         let expected_hints: Vec<Option<usize>> = jobs.iter().map(|job| job.hint).collect();
 
-        let run = run_stealing(vec![(); pool], jobs, |_, (), payload| payload);
+        let run = echo_run(pool, jobs);
 
         // Conservation: every job executed exactly once, nothing invented.
         assert_eq!(run.completed.len(), num_jobs, "seed {seed}");
@@ -161,7 +169,7 @@ fn single_worker_pools_execute_hinted_jobs_in_submission_order() {
                 hint: (!floating).then_some(0),
             })
             .collect();
-        let run = run_stealing(vec![(); 1], jobs, |_, (), payload| payload);
+        let run = echo_run(1, jobs);
         // Hinted jobs keep their relative order (the worker drains its own
         // deque before touching the injector, both FIFO).
         let hinted_order: Vec<usize> = run

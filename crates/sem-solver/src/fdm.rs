@@ -7,24 +7,27 @@
 //! This preconditioner attacks the iteration count the way Nek5000 does,
 //! with a two-level overlapping Schwarz method:
 //!
-//! **Fine level — overlapping-patch fast diagonalisation.**  Each element's
-//! subdomain is the element extended by one GLL layer into every neighbour.
-//! On an undeformed brick the patch operator is the Kronecker sum of 1-D
-//! stiffness/mass pairs on `N + 3` nodes ([`sem_basis::fdm1d`]), so its
-//! inverse is three small tensor contractions each way:
+//! **Fine level — element-patch fast diagonalisation.**  Each element's
+//! subdomain is its closure, so neighbouring patches overlap on the shared
+//! interface nodes (minimal-overlap Schwarz).  On an undeformed brick the
+//! patch operator is the Kronecker sum of 1-D stiffness/mass pairs on
+//! `N + 1` nodes with the interface entries assembled from both sides
+//! ([`sem_basis::fdm1d`]), so its inverse is three small tensor
+//! contractions each way:
 //!
 //! ```text
 //! Â⁻¹ r = (S ⊗ S ⊗ S) diag(λˣᵢ + λʸⱼ + λᶻₖ)⁻¹ (Sᵀ ⊗ Sᵀ ⊗ Sᵀ) r
 //! ```
 //!
-//! The patch solves are summed with the overlap counting weight `W̃`
-//! (inverse patch-coverage count per grid point) on *both* sides —
-//! `Σₑ R̃ₑᵀ W̃ Âₑ⁻¹ W̃ R̃ₑ` — which keeps the preconditioner symmetric
-//! positive definite, so plain CG applies.  The one-layer overlap is what
-//! makes the sum strong on element faces, where zero-overlap block methods
-//! stall; every patch operator is definite (the truncation just outside the
-//! ghost layer is a homogeneous Dirichlet condition), so there is no Neumann
-//! constant mode to special-case.
+//! The patch solves are summed with the counting weight `W` (inverse patch
+//! coverage, which for element-closure patches is the inverse node
+//! multiplicity) on *both* sides — `Σₑ Rₑᵀ W Âₑ⁻¹ W Rₑ` — which keeps the
+//! preconditioner symmetric positive definite, so plain CG applies.  The
+//! assembled interface entries are what make the sum strong on element
+//! faces, where unassembled block methods stall; every patch operator is
+//! definite (the truncation just outside the element is a homogeneous
+//! Dirichlet condition), so there is no Neumann constant mode to
+//! special-case.
 //!
 //! **Coarse level — degree-`c` Galerkin correction.**  Patch solves cannot
 //! move error that is smooth *across* many elements, so a low-degree SEM
@@ -44,7 +47,7 @@
 //! scratch warms up, so the CG hot loop stays heap-silent.
 
 use crate::cg::Preconditioner;
-use sem_basis::{fdm_overlap, DenseMatrix, Fdm1d, Fdm1dBoundary};
+use sem_basis::{DenseMatrix, Fdm1d, Fdm1dBoundary};
 use sem_kernel::fdm::{fdm_element_apply, rcontract_x, rcontract_y, rcontract_z, FdmScratch};
 use sem_kernel::specialized::{DegreeDispatch, COARSE_POINTS};
 use sem_kernel::PoissonOperator;
@@ -52,12 +55,9 @@ use sem_mesh::{BoxMesh, DirichletMask, ElementField, GatherScatter};
 use std::cell::RefCell;
 
 /// Relative threshold below which an eigenvalue sum is treated as a removed
-/// mode (belt and braces: with overlapping patches every kept mode is
-/// strictly positive already).
+/// mode (belt and braces: with assembled interface entries every kept mode
+/// is strictly positive already).
 const ZERO_MODE_TOLERANCE: f64 = 1e-12;
-
-/// Sentinel for patch nodes outside the domain.
-const OUTSIDE: u32 = u32::MAX;
 
 /// Dimension of the FDM coarse space for a fine degree on an
 /// `[ex, ey, ez]` element grid — the interior points of the degree-`c`
@@ -190,19 +190,13 @@ impl CoarseCorrection {
 #[derive(Debug, Default)]
 struct ApplyScratch {
     kernel: FdmScratch,
-    /// Patch-coverage-weighted residual, full field.
+    /// Counting-weighted residual, full field (patch solve and coarse
+    /// restriction input).
     weighted_residual: Vec<f64>,
-    /// Counting-weighted residual of one element (coarse restriction input).
-    staged: Vec<f64>,
-    /// Patch gather/solve buffers, `(N+3)³` each.
-    patch_in: Vec<f64>,
+    /// Patch solve output, `(N+1)³`.
     patch_out: Vec<f64>,
-    /// Local index of every patch node (`OUTSIDE` beyond the domain).
-    patch_src: Vec<u32>,
     /// Global accumulation of the weighted patch corrections.
     z_global: Vec<f64>,
-    /// Per-direction extended-axis maps (`-1`: outside).
-    axis: [Vec<i64>; 3],
     /// Coarse right-hand side / solution.
     coarse_rhs: Vec<f64>,
     /// Coarse transfer contraction buffers.
@@ -219,12 +213,6 @@ thread_local! {
 pub struct FdmPreconditioner {
     degree: usize,
     num_elements: usize,
-    element_counts: [usize; 3],
-    /// Ghost-layer depth captured at setup (the `FDM_OVERLAP` experiment
-    /// knob is read exactly once, here — every table and the apply-time
-    /// patch extent are sized from this copy, so a later environment change
-    /// cannot desynchronise them).
-    overlap: usize,
     /// Distinct boundary classes per direction (at most three each:
     /// low-boundary, interior, high-boundary — or one both-ends class).
     classes: [Vec<DirectionClass>; 3],
@@ -232,13 +220,10 @@ pub struct FdmPreconditioner {
     combo_of_element: Vec<u32>,
     /// Inverse eigenvalue-sum tables, one per distinct class combination.
     combos: Vec<ComboTable>,
-    /// The counting weight (inverse node multiplicity) feeding the coarse
-    /// restriction.
+    /// The counting weight `W` (inverse node multiplicity), per local node
+    /// and per global node.
     weight: ElementField,
-    /// The overlap counting weight `W̃` (inverse patch-coverage count),
-    /// per local node and per global node.
-    patch_weight_local: ElementField,
-    patch_weight_global: Vec<f64>,
+    weight_global: Vec<f64>,
     /// The coarse solve (`None` for degree-1 discretisations, whose fine
     /// patches already reach the vertex scale).
     coarse: Option<CoarseCorrection>,
@@ -248,8 +233,7 @@ pub struct FdmPreconditioner {
     /// pass on-device (`None`: measure wall-clock instead).
     modeled_seconds: Option<f64>,
     /// Degree-specialized patch kernel, resolved once at setup from the
-    /// patch extent `N + 1 + 2·overlap` (covers overlapping patches too as
-    /// long as the extent stays within the generated range).
+    /// patch extent `N + 1`.
     dispatch: Option<DegreeDispatch>,
 }
 
@@ -257,7 +241,7 @@ impl FdmPreconditioner {
     /// Build the preconditioner: solve the per-direction generalized
     /// eigenproblems (once per distinct boundary class), precompute the
     /// inverse eigenvalue-sum table of every class combination and the
-    /// overlap weights, and assemble + factor the Galerkin coarse operator
+    /// counting weights, and assemble + factor the Galerkin coarse operator
     /// against `operator`.  All setup cost lives here; applications allocate
     /// nothing.
     #[must_use]
@@ -268,8 +252,7 @@ impl FdmPreconditioner {
         mask: &DirichletMask,
     ) -> Self {
         let degree = mesh.degree();
-        let overlap = fdm_overlap(degree);
-        let pnx = degree + 1 + 2 * overlap;
+        let nx = degree + 1;
         let counts = mesh.element_counts();
         let lengths = mesh.lengths();
 
@@ -286,7 +269,7 @@ impl FdmPreconditioner {
                     .unwrap_or_else(|| {
                         classes[d].push(DirectionClass {
                             boundary,
-                            factors: Fdm1d::with_overlap(degree, h, boundary, overlap),
+                            factors: Fdm1d::new(degree, h, boundary),
                         });
                         classes[d].len() - 1
                     });
@@ -313,7 +296,7 @@ impl FdmPreconditioner {
                             combos.push(ComboTable {
                                 class,
                                 inv: Self::inverse_table(
-                                    pnx,
+                                    nx,
                                     &classes[0][class[0]].factors.lambda,
                                     &classes[1][class[1]].factors.lambda,
                                     &classes[2][class[2]].factors.lambda,
@@ -326,53 +309,17 @@ impl FdmPreconditioner {
             }
         }
 
-        // Overlap coverage: how many patches contain each global grid point.
-        // Per direction a node at depth `i` is covered by its own element,
-        // plus the neighbours' patches when within their ghost reach; 3-D
-        // coverage is the product.
-        let nx = degree + 1;
-        let mut coverage = vec![0_u32; gather_scatter.num_global_dofs()];
-        let l2g = gather_scatter.local_to_global();
-        let o = overlap;
-        let covers = |pos: usize, count: usize, i: usize| -> u32 {
-            let mut c = 1;
-            if pos > 0 && i <= o {
-                c += 1;
-            }
-            if pos + 1 < count && i + 1 + o >= nx {
-                c += 1;
-            }
-            c
-        };
-        let npts = nx * nx * nx;
-        for ek in 0..counts[2] {
-            for ej in 0..counts[1] {
-                for ei in 0..counts[0] {
-                    let e = ei + counts[0] * (ej + counts[1] * ek);
-                    let mut local = e * npts;
-                    for k in 0..nx {
-                        let ck = covers(ek, counts[2], k);
-                        for j in 0..nx {
-                            let cj = covers(ej, counts[1], j);
-                            for i in 0..nx {
-                                let ci = covers(ei, counts[0], i);
-                                // Every copy of a global node writes the same
-                                // product, so plain stores suffice.
-                                coverage[l2g[local]] = ci * cj * ck;
-                                local += 1;
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        let patch_weight_global: Vec<f64> = coverage
+        // Patches are element closures, so the patch coverage of a grid
+        // point is its multiplicity and one counting weight serves both the
+        // patch sum and the coarse restriction.
+        let weight = gather_scatter.inverse_multiplicity();
+        let mut weight_global = vec![0.0; gather_scatter.num_global_dofs()];
+        for (&w, &g) in weight
+            .as_slice()
             .iter()
-            .map(|&c| if c == 0 { 0.0 } else { 1.0 / f64::from(c) })
-            .collect();
-        let mut patch_weight_local = ElementField::zeros(degree, mesh.num_elements());
-        for (w, &g) in patch_weight_local.as_mut_slice().iter_mut().zip(l2g) {
-            *w = patch_weight_global[g];
+            .zip(gather_scatter.local_to_global())
+        {
+            weight_global[g] = w;
         }
 
         let coarse = Self::build_coarse(mesh, operator);
@@ -380,19 +327,16 @@ impl FdmPreconditioner {
         Self {
             degree,
             num_elements: mesh.num_elements(),
-            element_counts: counts,
-            overlap,
             classes,
             combo_of_element,
             combos,
-            weight: gather_scatter.inverse_multiplicity(),
-            patch_weight_local,
-            patch_weight_global,
+            weight,
+            weight_global,
             coarse,
             gather_scatter: gather_scatter.clone(),
             mask: mask.clone(),
             modeled_seconds: None,
-            dispatch: DegreeDispatch::for_points(pnx),
+            dispatch: DegreeDispatch::for_points(nx),
         }
     }
 
@@ -594,31 +538,6 @@ impl FdmPreconditioner {
             .expect("Galerkin coarse operator is symmetric positive definite");
         Some(coarse)
     }
-
-    /// Fill one direction's extended-axis map: patch index →
-    /// `element_position * nx + node` in that direction, or `-1` outside the
-    /// domain.  The ghost layers reach `overlap` GLL nodes into each
-    /// neighbour.
-    fn fill_axis(axis: &mut Vec<i64>, pos: usize, count: usize, nx: usize, overlap: usize) {
-        axis.clear();
-        for t in 0..overlap {
-            axis.push(if pos > 0 {
-                ((pos - 1) * nx + nx - 1 - overlap + t) as i64
-            } else {
-                -1
-            });
-        }
-        for i in 0..nx {
-            axis.push((pos * nx + i) as i64);
-        }
-        for t in 0..overlap {
-            axis.push(if pos + 1 < count {
-                ((pos + 1) * nx + 1 + t) as i64
-            } else {
-                -1
-            });
-        }
-    }
 }
 
 impl Preconditioner for FdmPreconditioner {
@@ -637,11 +556,7 @@ impl Preconditioner for FdmPreconditioner {
         );
         assert_eq!(r.len(), z.len(), "output size mismatch");
         let nx = self.degree + 1;
-        let overlap = self.overlap;
-        let pnx = nx + 2 * overlap;
         let npts = nx * nx * nx;
-        let ppts = pnx * pnx * pnx;
-        let [ex, ey, _ez] = self.element_counts;
         let l2g = self.gather_scatter.local_to_global();
 
         APPLY_SCRATCH.with(|cell| {
@@ -649,18 +564,13 @@ impl Preconditioner for FdmPreconditioner {
             if s.weighted_residual.len() != r.len() {
                 s.weighted_residual.resize(r.len(), 0.0);
             }
-            if s.staged.len() != npts {
-                s.staged.resize(npts, 0.0);
+            if s.patch_out.len() != npts {
+                s.patch_out.resize(npts, 0.0);
                 s.ct1.resize(npts, 0.0);
                 s.ct2.resize(npts, 0.0);
             }
-            if s.patch_in.len() != ppts {
-                s.patch_in.resize(ppts, 0.0);
-                s.patch_out.resize(ppts, 0.0);
-                s.patch_src.resize(ppts, OUTSIDE);
-            }
-            if s.z_global.len() != self.patch_weight_global.len() {
-                s.z_global.resize(self.patch_weight_global.len(), 0.0);
+            if s.z_global.len() != self.weight_global.len() {
+                s.z_global.resize(self.weight_global.len(), 0.0);
             }
             s.z_global.iter_mut().for_each(|v| *v = 0.0);
             if let Some(coarse) = &self.coarse {
@@ -668,63 +578,30 @@ impl Preconditioner for FdmPreconditioner {
                 s.coarse_rhs.iter_mut().for_each(|v| *v = 0.0);
             }
 
-            // W̃-weighted residual (continuous: the weight is a function of
+            // W-weighted residual (continuous: the weight is a function of
             // the global node, the residual is continuous).
             for ((w, &rv), &wv) in s
                 .weighted_residual
                 .iter_mut()
                 .zip(r.as_slice())
-                .zip(self.patch_weight_local.as_slice())
+                .zip(self.weight.as_slice())
             {
                 *w = rv * wv;
             }
 
             for e in 0..self.num_elements {
-                let (ei, ej, ek) = (e % ex, (e / ex) % ey, e / (ex * ey));
+                let start = e * npts;
+                let patch_in = &s.weighted_residual[start..start + npts];
                 // Coarse restriction of the counting-weighted residual.
                 if let Some(coarse) = &self.coarse {
-                    let start = e * npts;
-                    for ((d, &rv), &wv) in s
-                        .staged
-                        .iter_mut()
-                        .zip(&r.as_slice()[start..start + npts])
-                        .zip(&self.weight.as_slice()[start..start + npts])
-                    {
-                        *d = rv * wv;
-                    }
                     coarse.restrict_element(
                         e,
-                        &s.staged,
+                        patch_in,
                         nx,
                         &mut s.coarse_rhs,
                         &mut s.ct1,
                         &mut s.ct2,
                     );
-                }
-
-                // Gather the overlapping patch from the weighted residual.
-                Self::fill_axis(&mut s.axis[0], ei, self.element_counts[0], nx, overlap);
-                Self::fill_axis(&mut s.axis[1], ej, self.element_counts[1], nx, overlap);
-                Self::fill_axis(&mut s.axis[2], ek, self.element_counts[2], nx, overlap);
-                let mut p = 0;
-                for &az in &s.axis[2] {
-                    for &ay in &s.axis[1] {
-                        for &ax in &s.axis[0] {
-                            if ax < 0 || ay < 0 || az < 0 {
-                                s.patch_in[p] = 0.0;
-                                s.patch_src[p] = OUTSIDE;
-                            } else {
-                                let (pex, ni) = (ax as usize / nx, ax as usize % nx);
-                                let (pey, nj) = (ay as usize / nx, ay as usize % nx);
-                                let (pez, nk) = (az as usize / nx, az as usize % nx);
-                                let src =
-                                    (pex + ex * (pey + ey * pez)) * npts + ni + nx * (nj + nx * nk);
-                                s.patch_in[p] = s.weighted_residual[src];
-                                s.patch_src[p] = u32::try_from(src).expect("local index fits u32");
-                            }
-                            p += 1;
-                        }
-                    }
                 }
 
                 // Patch tensor-product solve.
@@ -737,7 +614,7 @@ impl Preconditioner for FdmPreconditioner {
                         [fx.s.as_slice(), fy.s.as_slice(), fz.s.as_slice()],
                         [fx.st.as_slice(), fy.st.as_slice(), fz.st.as_slice()],
                         &combo.inv,
-                        &s.patch_in,
+                        patch_in,
                         &mut s.patch_out,
                     );
                 } else {
@@ -745,19 +622,16 @@ impl Preconditioner for FdmPreconditioner {
                         [fx.s.as_slice(), fy.s.as_slice(), fz.s.as_slice()],
                         [fx.st.as_slice(), fy.st.as_slice(), fz.st.as_slice()],
                         &combo.inv,
-                        &s.patch_in,
+                        patch_in,
                         &mut s.patch_out,
-                        pnx,
+                        nx,
                         &mut s.kernel,
                     );
                 }
 
                 // Scatter the weighted correction to the global grid.
-                for (&src, &zv) in s.patch_src.iter().zip(&s.patch_out) {
-                    if src != OUTSIDE {
-                        let g = l2g[src as usize];
-                        s.z_global[g] += self.patch_weight_global[g] * zv;
-                    }
+                for (&g, &zv) in l2g[start..start + npts].iter().zip(&s.patch_out) {
+                    s.z_global[g] += self.weight_global[g] * zv;
                 }
             }
 
