@@ -341,7 +341,9 @@ impl FpgaAccelerator {
     }
 
     /// Execute the kernel into a preallocated output field (the
-    /// allocation-free path used by backend-routed solver iterations).
+    /// allocation-free path used by backend-routed solver iterations): the
+    /// datapath reads the geometry's split planes in place, so repeated
+    /// applications (every CG iteration) copy nothing.
     ///
     /// # Panics
     /// Panics if the fields and geometric factors do not match the design's
@@ -357,29 +359,12 @@ impl FpgaAccelerator {
             self.design.degree,
             "geometry degree mismatch"
         );
+        assert_eq!(u.degree(), self.design.degree, "field degree mismatch");
         assert_eq!(
             u.num_elements(),
             geometry.num_elements(),
             "element count mismatch"
         );
-        self.execute_planes_into(u, &geometry.split(), w)
-    }
-
-    /// Like [`FpgaAccelerator::execute_into`], but on pre-split
-    /// geometric-factor planes, so callers that apply the operator
-    /// repeatedly (e.g. a backend inside a CG iteration) can split the
-    /// geometry once instead of re-allocating the planes per application.
-    ///
-    /// # Panics
-    /// Panics if the fields and planes do not match the design's degree and
-    /// each other.
-    pub fn execute_planes_into(
-        &self,
-        u: &ElementField,
-        planes: &[Vec<f64>; 6],
-        w: &mut ElementField,
-    ) -> ExecutionReport {
-        assert_eq!(u.degree(), self.design.degree, "field degree mismatch");
         assert_eq!(u.len(), w.len(), "output field size mismatch");
         // The datapath evaluates the same split-layout dataflow as the
         // optimised host kernel; results agree with the reference kernel to
@@ -388,7 +373,7 @@ impl FpgaAccelerator {
         sem_kernel::optimized::ax_optimized(
             u.as_slice(),
             w.as_mut_slice(),
-            planes,
+            geometry.planes(),
             &self.derivative,
         );
         self.estimate(u.num_elements())
@@ -491,7 +476,7 @@ mod tests {
 
         let dm = DerivativeMatrix::new(degree);
         let mut w_ref = vec![0.0; u.len()];
-        sem_kernel::reference::ax_reference(u.as_slice(), &mut w_ref, geo.interleaved(), &dm);
+        sem_kernel::reference::ax_reference(u.as_slice(), &mut w_ref, &geo.to_interleaved(), &dm);
         for (a, b) in w.as_slice().iter().zip(&w_ref) {
             assert!((a - b).abs() < 1e-10 * (1.0 + b.abs()));
         }

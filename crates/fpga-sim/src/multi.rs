@@ -11,7 +11,7 @@
 use crate::executor::FpgaAccelerator;
 use perf_model::FpgaDevice;
 use sem_basis::DerivativeMatrix;
-use sem_kernel::optimized::ax_optimized_slices;
+use sem_kernel::optimized::ax_optimized;
 use sem_mesh::{ElementField, GeometricFactors};
 use serde::{Deserialize, Serialize};
 
@@ -164,8 +164,9 @@ impl MultiBoardAccelerator {
     }
 
     /// Execute `w = A u`: every board evaluates its contiguous element block
-    /// with the same split-layout dataflow as the single-board simulator, so
-    /// results are bitwise identical to [`FpgaAccelerator::execute`].
+    /// of the geometry's split planes with the same dataflow as the
+    /// single-board simulator, so results are bitwise identical to
+    /// [`FpgaAccelerator::execute`].
     ///
     /// # Panics
     /// Panics if the fields and geometric factors do not match the design's
@@ -178,33 +179,13 @@ impl MultiBoardAccelerator {
     ) -> MultiBoardEstimate {
         let degree = self.accelerator.design().degree;
         assert_eq!(geometry.degree(), degree, "geometry degree mismatch");
+        assert_eq!(u.degree(), degree, "field degree mismatch");
         assert_eq!(
             u.num_elements(),
             geometry.num_elements(),
             "element count mismatch"
         );
-        self.execute_planes_into(u, &geometry.split(), w)
-    }
-
-    /// Like [`MultiBoardAccelerator::execute_into`], but on pre-split
-    /// geometric-factor planes, so repeated applications (e.g. inside a CG
-    /// iteration) split the geometry once.
-    ///
-    /// # Panics
-    /// Panics if the fields and planes do not match the design's degree and
-    /// each other.
-    pub fn execute_planes_into(
-        &self,
-        u: &ElementField,
-        planes: &[Vec<f64>; 6],
-        w: &mut ElementField,
-    ) -> MultiBoardEstimate {
-        let degree = self.accelerator.design().degree;
-        assert_eq!(u.degree(), degree, "field degree mismatch");
         assert_eq!(u.len(), w.len(), "output field size mismatch");
-        for plane in planes {
-            assert_eq!(plane.len(), u.len(), "geometric plane length mismatch");
-        }
 
         let num_elements = u.num_elements();
         let npts = u.dofs_per_element();
@@ -215,6 +196,7 @@ impl MultiBoardAccelerator {
         // board evaluating everything.
         let u_data = u.as_slice();
         let w_data = w.as_mut_slice();
+        let planes = geometry.planes();
         for board in 0..self.boards {
             let first = board * per_board;
             let last = ((board + 1) * per_board).min(num_elements);
@@ -222,17 +204,10 @@ impl MultiBoardAccelerator {
                 break;
             }
             let range = first * npts..last * npts;
-            ax_optimized_slices(
+            ax_optimized(
                 &u_data[range.clone()],
                 &mut w_data[range.clone()],
-                [
-                    &planes[0][range.clone()],
-                    &planes[1][range.clone()],
-                    &planes[2][range.clone()],
-                    &planes[3][range.clone()],
-                    &planes[4][range.clone()],
-                    &planes[5][range.clone()],
-                ],
+                planes.map(|plane| &plane[range.clone()]),
                 &self.derivative,
             );
         }

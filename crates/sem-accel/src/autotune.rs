@@ -10,9 +10,10 @@
 
 use crate::backend::Backend;
 use fpga_sim::{synthesize, AcceleratorDesign, FpgaAccelerator};
-use sem_mesh::{BoxMesh, ElementField, MeshDeformation};
+use sem_mesh::{BoxMesh, ElementField, GeometricFactors, MeshDeformation};
 use sem_obs::WallTimer;
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// One evaluated candidate configuration.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -79,15 +80,17 @@ pub fn autotune(degree: usize, elements: [usize; 3]) -> TuningReport {
     let num_elements = elements[0] * elements[1] * elements[2];
     let mut candidates = Vec::new();
 
-    // One mesh shared by every candidate: only the execution engine differs
-    // between registry entries, so the discretisation is built once.
+    // One mesh and geometry shared by every candidate: only the execution
+    // engine differs between registry entries, so the discretisation is
+    // built once.
     let mesh = BoxMesh::new(degree, elements, [1.0; 3], MeshDeformation::None);
+    let geometry = Arc::new(GeometricFactors::from_mesh(&mesh));
     let u = mesh.evaluate(|x, y, z| (x + 0.3) * (y - 0.7) * (z + 0.11));
     let mut w = ElementField::zeros(degree, num_elements);
 
     for name in Backend::deployable_registry_names() {
         let config = Backend::from_name(&name).expect("registry names resolve");
-        let engine = config.instantiate(&mesh);
+        let engine = config.instantiate(&mesh, &geometry);
         let flops = engine.flops_per_application() as f64;
         let (gflops, simulated) = match engine.simulated_seconds_per_application() {
             Some(seconds) => (flops / seconds / 1e9, true),

@@ -23,11 +23,12 @@
 use crate::exec::{AxBackend, CpuBackend, FpgaSimBackend, MultiFpgaBackend};
 use fpga_sim::FpgaDevice;
 use sem_kernel::AxImplementation;
-use sem_mesh::BoxMesh;
+use sem_mesh::{BoxMesh, GeometricFactors};
 use sem_solver::PrecondSpec;
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
 use std::fmt;
+use std::sync::Arc;
 
 /// Host-interconnect bandwidth (GB/s) assumed for multi-board interface
 /// exchanges when a configuration does not specify one (PCIe 3.0 x16-class).
@@ -318,22 +319,33 @@ impl Backend {
             .collect()
     }
 
-    /// Build the live execution engine for this configuration on `mesh`.
+    /// Build the live execution engine for this configuration on `mesh`,
+    /// applying the mesh's already computed `geometry` (shared, not copied).
     ///
     /// # Panics
     /// Panics if an FPGA design does not fit on the configured device, or if
     /// a multi-board configuration has zero boards.
     #[must_use]
-    pub fn instantiate(&self, mesh: &BoxMesh) -> Box<dyn AxBackend> {
+    pub fn instantiate(
+        &self,
+        mesh: &BoxMesh,
+        geometry: &Arc<GeometricFactors>,
+    ) -> Box<dyn AxBackend> {
+        let geometry = Arc::clone(geometry);
         match &self.exec {
-            ExecSpec::Cpu(implementation) => Box::new(CpuBackend::new(mesh, *implementation)),
-            ExecSpec::FpgaSimulated(device) => Box::new(FpgaSimBackend::new(mesh, device.clone())),
+            ExecSpec::Cpu(implementation) => {
+                Box::new(CpuBackend::with_geometry(geometry, *implementation))
+            }
+            ExecSpec::FpgaSimulated(device) => {
+                Box::new(FpgaSimBackend::new(mesh, geometry, device.clone()))
+            }
             ExecSpec::MultiFpga {
                 device,
                 boards,
                 interconnect_gbs,
             } => Box::new(MultiFpgaBackend::new(
                 mesh,
+                geometry,
                 device.clone(),
                 *boards,
                 *interconnect_gbs,
@@ -360,6 +372,10 @@ fn device_slug(device: &FpgaDevice) -> Option<&'static str> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn geometry(mesh: &BoxMesh) -> Arc<GeometricFactors> {
+        Arc::new(GeometricFactors::from_mesh(mesh))
+    }
 
     #[test]
     fn labels_and_flags() {
@@ -477,12 +493,12 @@ mod tests {
             Some("fpga:projected:a100-class"),
             "projected entries round-trip through the reverse lookup"
         );
-        let engine = backend.instantiate(&mesh);
+        let engine = backend.instantiate(&mesh, &geometry(&mesh));
         assert!(engine.label().contains("A100-class"), "{}", engine.label());
         let projected = engine.simulated_seconds_per_application().unwrap();
         let real = Backend::from_name("fpga:stratix10-gx2800")
             .unwrap()
-            .instantiate(&mesh)
+            .instantiate(&mesh, &geometry(&mesh))
             .simulated_seconds_per_application()
             .unwrap();
         assert!(
@@ -512,7 +528,10 @@ mod tests {
             Backend::fpga_simulated(),
             Backend::multi_fpga(2),
         ] {
-            assert_eq!(config.label(), config.instantiate(&mesh).label());
+            assert_eq!(
+                config.label(),
+                config.instantiate(&mesh, &geometry(&mesh)).label()
+            );
         }
     }
 
@@ -575,7 +594,7 @@ mod tests {
         let json = serde::json::to_string(&Backend::multi_fpga(2));
         let config: Backend = serde::json::from_str(&json).unwrap();
         let mesh = BoxMesh::unit_cube(3, 2);
-        let engine = config.instantiate(&mesh);
+        let engine = config.instantiate(&mesh, &geometry(&mesh));
         assert_eq!(engine.num_elements(), 8);
         assert!(engine.label().contains("2 x"));
     }

@@ -31,6 +31,7 @@ use sem_kernel::{ops, AxImplementation, PoissonOperator};
 use sem_mesh::{BoxMesh, ElementField, GatherScatter, GeometricFactors};
 use sem_solver::{coarse_space_dofs, CgApplyResult, LocalOperator, PrecondSpec, SolveFault};
 use std::borrow::Cow;
+use std::sync::Arc;
 
 /// Translate a device-level failure into the solver-side fault the CG loop
 /// reports (`sem-solver` cannot name accelerator types, so the adapter
@@ -52,11 +53,20 @@ pub trait AxBackend: Send + Sync {
     /// Short human-readable label (used in reports and benches).
     fn label(&self) -> Cow<'static, str>;
 
+    /// The geometric factors the backend applies.  A
+    /// [`crate::SemSystem`] computes them once and shares the one copy
+    /// between its backend and its host problem.
+    fn geometry(&self) -> &Arc<GeometricFactors>;
+
     /// Polynomial degree `N` the backend was built for.
-    fn degree(&self) -> usize;
+    fn degree(&self) -> usize {
+        self.geometry().degree()
+    }
 
     /// Number of elements the backend was built for.
-    fn num_elements(&self) -> usize;
+    fn num_elements(&self) -> usize {
+        self.geometry().num_elements()
+    }
 
     /// Apply the element-local operator: `w = A u` (no direct stiffness
     /// summation, no masking).
@@ -279,8 +289,17 @@ impl CpuBackend {
     /// Build the backend for `mesh` with the selected kernel implementation.
     #[must_use]
     pub fn new(mesh: &BoxMesh, implementation: AxImplementation) -> Self {
+        Self::with_geometry(Arc::new(GeometricFactors::from_mesh(mesh)), implementation)
+    }
+
+    /// Build the backend on already computed (shared) geometric factors.
+    #[must_use]
+    pub fn with_geometry(
+        geometry: Arc<GeometricFactors>,
+        implementation: AxImplementation,
+    ) -> Self {
         Self {
-            operator: PoissonOperator::new(mesh, implementation),
+            operator: PoissonOperator::with_geometry(geometry, implementation),
         }
     }
 
@@ -307,12 +326,8 @@ impl AxBackend for CpuBackend {
         Cow::Borrowed(Self::label_of(self.operator.implementation()))
     }
 
-    fn degree(&self) -> usize {
-        self.operator.degree()
-    }
-
-    fn num_elements(&self) -> usize {
-        self.operator.num_elements()
+    fn geometry(&self) -> &Arc<GeometricFactors> {
+        self.operator.geometry()
     }
 
     fn apply_into(&self, u: &ElementField, w: &mut ElementField) {
@@ -353,10 +368,7 @@ pub fn multi_fpga_label(boards: usize, device: &FpgaDevice) -> String {
 /// One simulated FPGA accelerator board.
 pub struct FpgaSimBackend {
     accelerator: FpgaAccelerator,
-    /// Geometric factors pre-split into the accelerator's plane layout, so
-    /// repeated applications (every CG iteration) do not re-split them.
-    planes: [Vec<f64>; 6],
-    num_elements: usize,
+    geometry: Arc<GeometricFactors>,
     seconds_per_application: f64,
     /// The on-device FDM preconditioner model (pass timing, BRAM fit,
     /// table bytes) for this problem shape.
@@ -369,14 +381,13 @@ pub struct FpgaSimBackend {
 
 impl FpgaSimBackend {
     /// Synthesise the production design for `mesh.degree()` onto `device`
-    /// and bind it to the mesh's geometry.
+    /// and bind it to the mesh's (shared) geometric factors.
     ///
     /// # Panics
     /// Panics if the design does not fit on the device.
     #[must_use]
-    pub fn new(mesh: &BoxMesh, device: FpgaDevice) -> Self {
+    pub fn new(mesh: &BoxMesh, geometry: Arc<GeometricFactors>, device: FpgaDevice) -> Self {
         let accelerator = FpgaAccelerator::for_degree(mesh.degree(), &device);
-        let planes = GeometricFactors::from_mesh(mesh).split();
         let num_elements = mesh.num_elements();
         let seconds_per_application = accelerator.estimate(num_elements).seconds;
         let fdm_model = FdmPrecondModel::new(
@@ -388,8 +399,7 @@ impl FpgaSimBackend {
         let label = fpga_sim_label(accelerator.device());
         Self {
             accelerator,
-            planes,
-            num_elements,
+            geometry,
             seconds_per_application,
             fdm_model,
             fdm_seconds: fdm_estimate.seconds,
@@ -411,16 +421,12 @@ impl AxBackend for FpgaSimBackend {
         Cow::Owned(self.label.clone())
     }
 
-    fn degree(&self) -> usize {
-        self.accelerator.design().degree
-    }
-
-    fn num_elements(&self) -> usize {
-        self.num_elements
+    fn geometry(&self) -> &Arc<GeometricFactors> {
+        &self.geometry
     }
 
     fn apply_into(&self, u: &ElementField, w: &mut ElementField) {
-        let _ = self.accelerator.execute_planes_into(u, &self.planes, w);
+        let _ = self.accelerator.execute_into(u, &self.geometry, w);
     }
 
     fn fuses_dssum(&self) -> bool {
@@ -432,11 +438,11 @@ impl AxBackend for FpgaSimBackend {
     }
 
     fn flops_per_application(&self) -> u64 {
-        ops::total_flops(self.degree(), self.num_elements)
+        ops::total_flops(self.degree(), self.num_elements())
     }
 
     fn dofs_per_application(&self) -> u64 {
-        ops::total_dofs(self.degree(), self.num_elements)
+        ops::total_dofs(self.degree(), self.num_elements())
     }
 
     fn perf_source(&self) -> PerfSource {
@@ -450,7 +456,7 @@ impl AxBackend for FpgaSimBackend {
     fn simulated_seconds_per_batch(&self, batch: usize) -> Option<f64> {
         Some(
             self.accelerator
-                .estimate_batch(self.num_elements, batch)
+                .estimate_batch(self.num_elements(), batch)
                 .seconds,
         )
     }
@@ -463,7 +469,7 @@ impl AxBackend for FpgaSimBackend {
         Some(OffloadPlan::new(
             self.accelerator.design(),
             self.accelerator.device(),
-            self.num_elements,
+            self.num_elements(),
         ))
     }
 
@@ -493,7 +499,7 @@ impl AxBackend for FpgaSimBackend {
             PrecondSpec::Identity => 0,
             // The inverse diagonal is a full field, uploaded once per
             // session.
-            PrecondSpec::Jacobi => ops::total_dofs(self.degree(), self.num_elements) * 8,
+            PrecondSpec::Jacobi => ops::total_dofs(self.degree(), self.num_elements()) * 8,
             PrecondSpec::Fdm => {
                 if self.fdm_fits {
                     self.fdm_model.table_bytes()
@@ -509,10 +515,7 @@ impl AxBackend for FpgaSimBackend {
 /// them (one board per rank, Nek5000-style).
 pub struct MultiFpgaBackend {
     multi: MultiBoardAccelerator,
-    /// Geometric factors pre-split into the accelerator's plane layout, so
-    /// repeated applications (every CG iteration) do not re-split them.
-    planes: [Vec<f64>; 6],
-    num_elements: usize,
+    geometry: Arc<GeometricFactors>,
     seconds_per_application: f64,
     /// On-device FDM model, priced over one board's element share (the pass
     /// is element-local, so boards run it exchange-free in parallel; the
@@ -526,14 +529,20 @@ pub struct MultiFpgaBackend {
 
 impl MultiFpgaBackend {
     /// Synthesise the per-degree design onto `boards` copies of `device`,
-    /// exchanging interface data over `interconnect_gbs` GB/s.
+    /// exchanging interface data over `interconnect_gbs` GB/s, and bind it
+    /// to the mesh's (shared) geometric factors.
     ///
     /// # Panics
     /// Panics if `boards` is zero or the design does not fit on the device.
     #[must_use]
-    pub fn new(mesh: &BoxMesh, device: FpgaDevice, boards: usize, interconnect_gbs: f64) -> Self {
+    pub fn new(
+        mesh: &BoxMesh,
+        geometry: Arc<GeometricFactors>,
+        device: FpgaDevice,
+        boards: usize,
+        interconnect_gbs: f64,
+    ) -> Self {
         let multi = MultiBoardAccelerator::new(mesh.degree(), &device, boards, interconnect_gbs);
-        let planes = GeometricFactors::from_mesh(mesh).split();
         let num_elements = mesh.num_elements();
         let estimate = multi.estimate(num_elements);
         let seconds_per_application = estimate.kernel_seconds + estimate.exchange_seconds;
@@ -547,8 +556,7 @@ impl MultiFpgaBackend {
         let label = multi_fpga_label(boards, multi.device());
         Self {
             multi,
-            planes,
-            num_elements,
+            geometry,
             seconds_per_application,
             fdm_model,
             fdm_seconds: fdm_estimate.seconds,
@@ -570,16 +578,12 @@ impl AxBackend for MultiFpgaBackend {
         Cow::Owned(self.label.clone())
     }
 
-    fn degree(&self) -> usize {
-        self.multi.accelerator().design().degree
-    }
-
-    fn num_elements(&self) -> usize {
-        self.num_elements
+    fn geometry(&self) -> &Arc<GeometricFactors> {
+        &self.geometry
     }
 
     fn apply_into(&self, u: &ElementField, w: &mut ElementField) {
-        let _ = self.multi.execute_planes_into(u, &self.planes, w);
+        let _ = self.multi.execute_into(u, &self.geometry, w);
     }
 
     fn fuses_dssum(&self) -> bool {
@@ -590,11 +594,11 @@ impl AxBackend for MultiFpgaBackend {
     }
 
     fn flops_per_application(&self) -> u64 {
-        ops::total_flops(self.degree(), self.num_elements)
+        ops::total_flops(self.degree(), self.num_elements())
     }
 
     fn dofs_per_application(&self) -> u64 {
-        ops::total_dofs(self.degree(), self.num_elements)
+        ops::total_dofs(self.degree(), self.num_elements())
     }
 
     fn perf_source(&self) -> PerfSource {
@@ -608,8 +612,8 @@ impl AxBackend for MultiFpgaBackend {
     fn simulated_seconds_per_batch(&self, batch: usize) -> Option<f64> {
         // The kernel launch amortises across the batch; the interface
         // exchange happens once per application regardless.
-        let estimate = self.multi.estimate(self.num_elements);
-        let per_board = self.multi.elements_per_board(self.num_elements);
+        let estimate = self.multi.estimate(self.num_elements());
+        let per_board = self.multi.elements_per_board(self.num_elements());
         let kernel = self
             .multi
             .accelerator()
@@ -629,7 +633,7 @@ impl AxBackend for MultiFpgaBackend {
         Some(OffloadPlan::new(
             self.multi.accelerator().design(),
             self.multi.device(),
-            self.num_elements,
+            self.num_elements(),
         ))
     }
 
@@ -654,7 +658,7 @@ impl AxBackend for MultiFpgaBackend {
     fn precond_table_bytes(&self, precond: PrecondSpec) -> u64 {
         match precond {
             PrecondSpec::Identity => 0,
-            PrecondSpec::Jacobi => ops::total_dofs(self.degree(), self.num_elements) * 8,
+            PrecondSpec::Jacobi => ops::total_dofs(self.degree(), self.num_elements()) * 8,
             PrecondSpec::Fdm => {
                 if self.fdm_fits {
                     // Every board holds the (tiny) table set.
@@ -676,6 +680,10 @@ mod tests {
         BoxMesh::unit_cube(degree, 2)
     }
 
+    fn geometry(mesh: &BoxMesh) -> Arc<GeometricFactors> {
+        Arc::new(GeometricFactors::from_mesh(mesh))
+    }
+
     #[test]
     fn cpu_backend_matches_the_operator_it_wraps() {
         let mesh = test_mesh(4);
@@ -695,7 +703,7 @@ mod tests {
     #[test]
     fn fpga_backend_reports_simulated_cost_and_power() {
         let mesh = test_mesh(7);
-        let backend = FpgaSimBackend::new(&mesh, FpgaDevice::stratix10_gx2800());
+        let backend = FpgaSimBackend::new(&mesh, geometry(&mesh), FpgaDevice::stratix10_gx2800());
         assert_eq!(backend.perf_source(), PerfSource::Simulated);
         let seconds = backend.simulated_seconds_per_application().unwrap();
         assert!(seconds > 0.0);
@@ -712,8 +720,14 @@ mod tests {
         let backends: Vec<Box<dyn AxBackend>> = vec![
             Box::new(CpuBackend::new(&mesh, AxImplementation::Reference)),
             Box::new(CpuBackend::new(&mesh, AxImplementation::Parallel)),
-            Box::new(FpgaSimBackend::new(&mesh, device.clone())),
-            Box::new(MultiFpgaBackend::new(&mesh, device, 3, 12.0)),
+            Box::new(FpgaSimBackend::new(&mesh, geometry(&mesh), device.clone())),
+            Box::new(MultiFpgaBackend::new(
+                &mesh,
+                geometry(&mesh),
+                device,
+                3,
+                12.0,
+            )),
         ];
         let u = mesh.evaluate(|x, y, z| (2.0 * x).sin() * y + z * z);
         let mut reference: Option<ElementField> = None;
@@ -742,8 +756,14 @@ mod tests {
         let device = FpgaDevice::stratix10_gx2800();
         let backends: Vec<Box<dyn AxBackend>> = vec![
             Box::new(CpuBackend::new(&mesh, AxImplementation::Optimized)),
-            Box::new(FpgaSimBackend::new(&mesh, device.clone())),
-            Box::new(MultiFpgaBackend::new(&mesh, device, 2, 12.0)),
+            Box::new(FpgaSimBackend::new(&mesh, geometry(&mesh), device.clone())),
+            Box::new(MultiFpgaBackend::new(
+                &mesh,
+                geometry(&mesh),
+                device,
+                2,
+                12.0,
+            )),
         ];
         let us: Vec<ElementField> = (0..3)
             .map(|i| mesh.evaluate(move |x, y, z| ((i + 1) as f64 * x).sin() * y + z))
@@ -764,8 +784,8 @@ mod tests {
         let mesh = test_mesh(3);
         let device = FpgaDevice::stratix10_gx2800();
         let cpu = CpuBackend::new(&mesh, AxImplementation::Optimized);
-        let fpga = FpgaSimBackend::new(&mesh, device.clone());
-        let multi = MultiFpgaBackend::new(&mesh, device, 2, 12.0);
+        let fpga = FpgaSimBackend::new(&mesh, geometry(&mesh), device.clone());
+        let multi = MultiFpgaBackend::new(&mesh, geometry(&mesh), device, 2, 12.0);
         assert!(!cpu.fuses_dssum());
         assert!(fpga.fuses_dssum());
         assert!(multi.fuses_dssum());
@@ -785,8 +805,8 @@ mod tests {
     fn simulated_batch_seconds_amortise_the_launch_overhead() {
         let mesh = test_mesh(7);
         let device = FpgaDevice::stratix10_gx2800();
-        let fpga = FpgaSimBackend::new(&mesh, device.clone());
-        let multi = MultiFpgaBackend::new(&mesh, device, 2, 12.0);
+        let fpga = FpgaSimBackend::new(&mesh, geometry(&mesh), device.clone());
+        let multi = MultiFpgaBackend::new(&mesh, geometry(&mesh), device, 2, 12.0);
         for backend in [&fpga as &dyn AxBackend, &multi as &dyn AxBackend] {
             let single = backend.simulated_seconds_per_application().unwrap();
             let batched = backend.simulated_seconds_per_batch(16).unwrap();
@@ -806,8 +826,11 @@ mod tests {
     #[test]
     fn dyn_backend_is_a_local_operator() {
         let mesh = test_mesh(3);
-        let backend: Box<dyn AxBackend> =
-            Box::new(FpgaSimBackend::new(&mesh, FpgaDevice::stratix10_gx2800()));
+        let backend: Box<dyn AxBackend> = Box::new(FpgaSimBackend::new(
+            &mesh,
+            geometry(&mesh),
+            FpgaDevice::stratix10_gx2800(),
+        ));
         let op: &dyn AxBackend = backend.as_ref();
         assert_eq!(LocalOperator::degree(op), 3);
         assert_eq!(LocalOperator::num_elements(op), 8);
@@ -822,8 +845,8 @@ mod tests {
     fn multi_fpga_power_scales_with_boards() {
         let mesh = test_mesh(7);
         let device = FpgaDevice::stratix10_gx2800();
-        let two = MultiFpgaBackend::new(&mesh, device.clone(), 2, 12.0);
-        let four = MultiFpgaBackend::new(&mesh, device, 4, 12.0);
+        let two = MultiFpgaBackend::new(&mesh, geometry(&mesh), device.clone(), 2, 12.0);
+        let four = MultiFpgaBackend::new(&mesh, geometry(&mesh), device, 4, 12.0);
         assert!((four.power_watts().unwrap() / two.power_watts().unwrap() - 2.0).abs() < 1e-9);
         assert!(four.label().contains("4 x"));
     }

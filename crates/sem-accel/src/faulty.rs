@@ -17,7 +17,7 @@ use crate::exec::AxBackend;
 use crate::offload::OffloadPlan;
 use crate::report::PerfSource;
 use fpga_sim::{corrupt_value, DeviceError, FaultAction, FaultState, FpgaAccelerator};
-use sem_mesh::{ElementField, GatherScatter};
+use sem_mesh::{ElementField, GatherScatter, GeometricFactors};
 use sem_solver::PrecondSpec;
 use std::borrow::Cow;
 use std::sync::Arc;
@@ -71,12 +71,8 @@ impl AxBackend for FaultyBackend {
         self.inner.label()
     }
 
-    fn degree(&self) -> usize {
-        self.inner.degree()
-    }
-
-    fn num_elements(&self) -> usize {
-        self.inner.num_elements()
+    fn geometry(&self) -> &Arc<GeometricFactors> {
+        self.inner.geometry()
     }
 
     fn apply_into(&self, u: &ElementField, w: &mut ElementField) {
@@ -257,7 +253,8 @@ mod tests {
     fn slowdown_scales_the_modelled_seconds() {
         let mesh = BoxMesh::unit_cube(4, 2);
         let device = fpga_sim::FpgaDevice::stratix10_gx2800();
-        let inner = Box::new(crate::exec::FpgaSimBackend::new(&mesh, device));
+        let geometry = Arc::new(sem_mesh::GeometricFactors::from_mesh(&mesh));
+        let inner = Box::new(crate::exec::FpgaSimBackend::new(&mesh, geometry, device));
         let clean_seconds = inner.simulated_seconds_per_application().unwrap();
         let faulty = FaultyBackend::new(
             inner,

@@ -14,7 +14,9 @@ use crate::report::{PerfSource, PerfSummary};
 use fpga_sim::{FaultState, FpgaAccelerator};
 use rayon::prelude::*;
 use sem_kernel::{AxImplementation, PoissonOperator};
-use sem_mesh::{BoxMesh, DirichletMask, ElementField, GatherScatter, MeshDeformation};
+use sem_mesh::{
+    BoxMesh, DirichletMask, ElementField, GatherScatter, GeometricFactors, MeshDeformation,
+};
 use sem_obs::{recorder, Scope, SpanEvent, SpanKind, WallTimer};
 use sem_solver::{
     AnyPreconditioner, CgOptions, CgScratch, CgSolver, PoissonProblem, PoissonSolution, PrecondSpec,
@@ -117,10 +119,13 @@ impl SemSystemBuilder {
 
     /// Build the system (meshes the domain, precomputes geometric factors,
     /// and — for FPGA backends — synthesises the simulated accelerator).
+    /// The geometric factors are computed once and shared by the execution
+    /// backend and the host problem.
     #[must_use]
     pub fn build(self) -> SemSystem {
         let mesh = BoxMesh::new(self.degree, self.elements, self.lengths, self.deformation);
-        let mut execution = self.backend.instantiate(&mesh);
+        let geometry = Arc::new(GeometricFactors::from_mesh(&mesh));
+        let mut execution = self.backend.instantiate(&mesh, &geometry);
         if let Some(state) = self.fault_state {
             execution = Box::new(FaultyBackend::new(execution, state));
         }
@@ -131,7 +136,7 @@ impl SemSystemBuilder {
             // CPU kernel there.
             ExecSpec::FpgaSimulated(_) | ExecSpec::MultiFpga { .. } => AxImplementation::Optimized,
         };
-        let problem = PoissonProblem::new(mesh, implementation);
+        let problem = PoissonProblem::with_geometry(mesh, geometry, implementation);
         // Preconditioner setup (for FDM: eigendecompositions plus the
         // Galerkin coarse factorisation) happens once per session, here.
         // Backends that claim the pass on-device attach their cycle model's
@@ -663,6 +668,27 @@ mod tests {
         assert_send_sync::<SemSystem>();
         assert_send_sync::<SolveReport>();
         assert_send_sync::<Box<dyn AxBackend>>();
+    }
+
+    #[test]
+    fn backend_and_host_problem_share_one_geometry_copy() {
+        for name in [
+            "cpu:reference",
+            "cpu:optimized",
+            "cpu:specialized",
+            "cpu:parallel",
+            "fpga:stratix10-gx2800",
+            "multi:2x520n",
+        ] {
+            let system = SemSystem::builder()
+                .degree(3)
+                .elements([2, 2, 2])
+                .backend_named(name)
+                .build();
+            let host = system.problem().operator().geometry();
+            assert!(Arc::ptr_eq(system.execution().geometry(), host), "{name}");
+            assert_eq!(Arc::strong_count(host), 2, "{name}: no third holder");
+        }
     }
 
     #[test]

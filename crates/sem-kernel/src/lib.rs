@@ -10,12 +10,16 @@
 //! per node (see `sem-mesh`).  Three CPU implementations are provided:
 //!
 //! * [`reference`] — a line-by-line port of the paper's Listing 1, operating
-//!   on the interleaved `gxyz` layout.  This is the semantic ground truth.
+//!   on the interleaved `gxyz` layout.  This is the semantic ground truth;
+//!   [`PoissonOperator`] builds the interleaved copy it reads only while this
+//!   kernel is selected.
 //! * [`optimized`] — the layout the optimised accelerator uses: `gxyz` split
 //!   into six planes, loop structure reorganised for locality (the
-//!   Section III-B transformations expressed on a CPU).
-//! * [`parallel`] — the optimised kernel dispatched over elements with Rayon,
-//!   the multi-core CPU baseline of the evaluation.
+//!   Section III-B transformations expressed on a CPU).  The split planes
+//!   are the only layout `sem-mesh` stores.
+//! * [`parallel`] — the specialized dispatch below (the optimised kernel
+//!   off-range) fanned out over elements with Rayon, the multi-core CPU
+//!   baseline of the evaluation.
 //!
 //! [`specialized`] layers degree-specialized codegen on top: const-generic
 //! kernel families with `NX = N + 1` baked in for the hot degrees

@@ -1,18 +1,19 @@
 //! High-level handle for the local Poisson operator on a mesh.
 //!
-//! [`PoissonOperator`] owns the per-mesh data (differentiation matrix and
-//! geometric factors in both layouts) and dispatches to one of the three CPU
-//! implementations.  The FPGA path lives in the `fpga-sim`/`sem-accel`
-//! crates and reuses the same data through this type.
+//! [`PoissonOperator`] holds the per-mesh data (differentiation matrix and
+//! the shared split-layout geometric factors) and dispatches to one of the
+//! CPU implementations.  The geometry sits behind an [`Arc`], so a session's
+//! host operator and its execution backend (`sem-accel`) apply one copy; only
+//! the reference kernel additionally keeps the Listing-1 interleaved array.
 
 use crate::ops;
-use crate::optimized::ax_optimized;
 use crate::parallel::ax_parallel;
 use crate::reference::ax_reference;
-use crate::specialized::DegreeDispatch;
+use crate::specialized::{ax_split, DegreeDispatch};
 use sem_basis::DerivativeMatrix;
 use sem_mesh::{BoxMesh, ElementField, GeometricFactors};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// Which CPU implementation of the kernel to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
@@ -22,7 +23,7 @@ pub enum AxImplementation {
     /// Split-layout, cache-blocked kernel.
     #[default]
     Optimized,
-    /// Split-layout kernel parallelised over elements with Rayon.
+    /// The [`Self::Specialized`] kernel fanned out over elements with Rayon.
     Parallel,
     /// Degree-specialized const-generic kernel (`NX = N + 1` compile-time,
     /// see [`crate::specialized`]); bitwise identical to [`Self::Optimized`]
@@ -33,11 +34,11 @@ pub enum AxImplementation {
 /// The matrix-free local Poisson operator bound to a mesh.
 #[derive(Debug, Clone)]
 pub struct PoissonOperator {
-    degree: usize,
-    num_elements: usize,
     derivative: DerivativeMatrix,
-    geometry: GeometricFactors,
-    split_planes: [Vec<f64>; 6],
+    geometry: Arc<GeometricFactors>,
+    /// The Listing-1 interleaved copy of `geometry`, present exactly when
+    /// the reference kernel is selected.
+    interleaved: Option<Vec<f64>>,
     implementation: AxImplementation,
     /// Specialized kernel family, resolved once at construction when the
     /// selected implementation can use it and the degree is covered.
@@ -45,43 +46,44 @@ pub struct PoissonOperator {
 }
 
 /// Resolve the specialized dispatch for an implementation/degree pair:
-/// `Specialized` asks for it explicitly, and `Optimized` auto-upgrades
-/// (bitwise-identical results) when the degree is covered.
+/// `Specialized` and `Parallel` ask for it explicitly, and `Optimized`
+/// auto-upgrades (bitwise-identical results) when the degree is covered.
 fn resolve_dispatch(implementation: AxImplementation, degree: usize) -> Option<DegreeDispatch> {
     match implementation {
-        AxImplementation::Optimized | AxImplementation::Specialized => {
-            DegreeDispatch::for_degree(degree)
-        }
-        AxImplementation::Reference | AxImplementation::Parallel => None,
+        AxImplementation::Optimized
+        | AxImplementation::Specialized
+        | AxImplementation::Parallel => DegreeDispatch::for_degree(degree),
+        AxImplementation::Reference => None,
     }
+}
+
+/// The interleaved copy the reference kernel needs, and only it.
+fn interleaved_for(
+    implementation: AxImplementation,
+    geometry: &GeometricFactors,
+) -> Option<Vec<f64>> {
+    (implementation == AxImplementation::Reference).then(|| geometry.to_interleaved())
 }
 
 impl PoissonOperator {
     /// Build the operator for a mesh, precomputing geometric factors.
     #[must_use]
     pub fn new(mesh: &BoxMesh, implementation: AxImplementation) -> Self {
-        let geometry = GeometricFactors::from_mesh(mesh);
-        Self::from_parts(mesh.degree(), mesh.num_elements(), geometry, implementation)
+        Self::with_geometry(Arc::new(GeometricFactors::from_mesh(mesh)), implementation)
     }
 
-    /// Build the operator from precomputed geometric factors.
+    /// Build the operator on already computed (and possibly shared)
+    /// geometric factors.
     #[must_use]
-    pub fn from_parts(
-        degree: usize,
-        num_elements: usize,
-        geometry: GeometricFactors,
+    pub fn with_geometry(
+        geometry: Arc<GeometricFactors>,
         implementation: AxImplementation,
     ) -> Self {
-        assert_eq!(geometry.degree(), degree);
-        assert_eq!(geometry.num_elements(), num_elements);
-        let derivative = DerivativeMatrix::new(degree);
-        let split_planes = geometry.split();
+        let degree = geometry.degree();
         Self {
-            degree,
-            num_elements,
-            derivative,
+            derivative: DerivativeMatrix::new(degree),
+            interleaved: interleaved_for(implementation, &geometry),
             geometry,
-            split_planes,
             implementation,
             dispatch: resolve_dispatch(implementation, degree),
         }
@@ -90,13 +92,13 @@ impl PoissonOperator {
     /// Polynomial degree.
     #[must_use]
     pub fn degree(&self) -> usize {
-        self.degree
+        self.geometry.degree()
     }
 
     /// Number of elements.
     #[must_use]
     pub fn num_elements(&self) -> usize {
-        self.num_elements
+        self.geometry.num_elements()
     }
 
     /// The implementation currently selected.
@@ -106,10 +108,14 @@ impl PoissonOperator {
     }
 
     /// Switch implementation (e.g. reference for verification, parallel for
-    /// throughput runs).  Re-resolves the specialized dispatch.
+    /// throughput runs).  Re-resolves the specialized dispatch, and builds
+    /// (or drops) the interleaved copy the reference kernel reads.
     pub fn set_implementation(&mut self, implementation: AxImplementation) {
+        if implementation != self.implementation {
+            self.interleaved = interleaved_for(implementation, &self.geometry);
+        }
         self.implementation = implementation;
-        self.dispatch = resolve_dispatch(implementation, self.degree);
+        self.dispatch = resolve_dispatch(implementation, self.degree());
     }
 
     /// The specialized kernel family serving this operator, when one is
@@ -133,16 +139,11 @@ impl PoissonOperator {
         &self.derivative
     }
 
-    /// The geometric factors (interleaved canonical copy).
+    /// The geometric factors, shared with every other holder of this
+    /// session's geometry.
     #[must_use]
-    pub fn geometry(&self) -> &GeometricFactors {
+    pub fn geometry(&self) -> &Arc<GeometricFactors> {
         &self.geometry
-    }
-
-    /// The split geometric-factor planes.
-    #[must_use]
-    pub fn split_planes(&self) -> &[Vec<f64>; 6] {
-        &self.split_planes
     }
 
     /// Apply the operator: `w = A u`, element by element.
@@ -151,13 +152,13 @@ impl PoissonOperator {
     /// Panics if `u` does not match the operator's mesh dimensions.
     #[must_use]
     pub fn apply(&self, u: &ElementField) -> ElementField {
-        assert_eq!(u.degree(), self.degree, "degree mismatch");
+        assert_eq!(u.degree(), self.degree(), "degree mismatch");
         assert_eq!(
             u.num_elements(),
-            self.num_elements,
+            self.num_elements(),
             "element count mismatch"
         );
-        let mut w = ElementField::zeros(self.degree, self.num_elements);
+        let mut w = ElementField::zeros(self.degree(), self.num_elements());
         self.apply_into(u, &mut w);
         w
     }
@@ -166,65 +167,37 @@ impl PoissonOperator {
     // lint: alloc-free (the Ax hot path: every CG iteration routes through here)
     pub fn apply_into(&self, u: &ElementField, w: &mut ElementField) {
         assert_eq!(u.len(), w.len(), "output field size mismatch");
-        match self.implementation {
-            AxImplementation::Reference => ax_reference(
-                u.as_slice(),
-                w.as_mut_slice(),
-                self.geometry.interleaved(),
-                &self.derivative,
-            ),
-            AxImplementation::Optimized | AxImplementation::Specialized => {
-                if let Some(dispatch) = &self.dispatch {
-                    dispatch.ax_apply_all(
-                        u.as_slice(),
-                        w.as_mut_slice(),
-                        [
-                            &self.split_planes[0][..],
-                            &self.split_planes[1][..],
-                            &self.split_planes[2][..],
-                            &self.split_planes[3][..],
-                            &self.split_planes[4][..],
-                            &self.split_planes[5][..],
-                        ],
-                        self.derivative.d().as_slice(),
-                        self.derivative.dt().as_slice(),
-                    );
-                } else {
-                    // Out-of-range degree (or pinned generic): the generic
-                    // split-layout kernel is the fallback path.
-                    ax_optimized(
-                        u.as_slice(),
-                        w.as_mut_slice(),
-                        &self.split_planes,
-                        &self.derivative,
-                    );
-                }
+        let (u, w) = (u.as_slice(), w.as_mut_slice());
+        let planes = self.geometry.planes();
+        let dispatch = self.dispatch.as_ref();
+        // The interleaved copy exists exactly when `Reference` is selected.
+        match (&self.interleaved, self.implementation) {
+            (Some(interleaved), _) => ax_reference(u, w, interleaved, &self.derivative),
+            (None, AxImplementation::Parallel) => {
+                ax_parallel(u, w, planes, &self.derivative, dispatch);
             }
-            AxImplementation::Parallel => ax_parallel(
-                u.as_slice(),
-                w.as_mut_slice(),
-                &self.split_planes,
-                &self.derivative,
-            ),
+            // Off-range degrees (or pinned generic kernels) have no dispatch
+            // and run the generic split-layout kernel.
+            (None, _) => ax_split(dispatch, u, w, planes, &self.derivative),
         }
     }
 
     /// FLOPs for one full operator application on this mesh.
     #[must_use]
     pub fn flops_per_application(&self) -> u64 {
-        ops::total_flops(self.degree, self.num_elements)
+        ops::total_flops(self.degree(), self.num_elements())
     }
 
     /// Degrees of freedom processed per application.
     #[must_use]
     pub fn dofs_per_application(&self) -> u64 {
-        ops::total_dofs(self.degree, self.num_elements)
+        ops::total_dofs(self.degree(), self.num_elements())
     }
 
     /// Bytes of compulsory global traffic per application.
     #[must_use]
     pub fn bytes_per_application(&self) -> u64 {
-        ops::total_bytes(self.degree, self.num_elements)
+        ops::total_bytes(self.degree(), self.num_elements())
     }
 }
 
@@ -302,6 +275,27 @@ mod tests {
         op.set_implementation(AxImplementation::Optimized);
         let w_opt = op.apply(&u);
         assert_eq!(w_spec.as_slice(), w_opt.as_slice());
+    }
+
+    #[test]
+    fn switching_to_reference_matches_a_reference_operator_bitwise() {
+        let mesh = BoxMesh::new(
+            5,
+            [2, 1, 2],
+            [1.0; 3],
+            sem_mesh::MeshDeformation::Sinusoidal { amplitude: 0.05 },
+        );
+        let u = mesh.evaluate(|x, y, z| (2.3 * x).sin() * y + z * z);
+        let mut op = PoissonOperator::new(&mesh, AxImplementation::Specialized);
+        assert!(
+            op.interleaved.is_none(),
+            "fast kernels keep no interleaved copy"
+        );
+        op.set_implementation(AxImplementation::Reference);
+        let reference = PoissonOperator::new(&mesh, AxImplementation::Reference);
+        assert_eq!(op.apply(&u).as_slice(), reference.apply(&u).as_slice());
+        op.set_implementation(AxImplementation::Optimized);
+        assert!(op.interleaved.is_none(), "leaving Reference drops the copy");
     }
 
     #[test]

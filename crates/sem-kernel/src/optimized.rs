@@ -194,34 +194,6 @@ pub fn ax_element_split(
     }
 }
 
-/// Apply the operator to every element using the split layout, sequentially.
-///
-/// `g_planes` holds the six geometric-factor planes, each of length
-/// `E (N+1)^3` (see `sem_mesh::GeometricFactors::split`).
-pub fn ax_optimized(
-    u: &[f64],
-    w: &mut [f64],
-    g_planes: &[Vec<f64>; 6],
-    derivative: &DerivativeMatrix,
-) {
-    for plane in g_planes {
-        assert_eq!(plane.len(), u.len(), "geometric plane length mismatch");
-    }
-    ax_optimized_slices(
-        u,
-        w,
-        [
-            &g_planes[0][..],
-            &g_planes[1][..],
-            &g_planes[2][..],
-            &g_planes[3][..],
-            &g_planes[4][..],
-            &g_planes[5][..],
-        ],
-        derivative,
-    );
-}
-
 thread_local! {
     /// Per-thread element scratch reused across applications, so repeated
     /// operator applications (every CG iteration) perform no heap allocation
@@ -230,37 +202,39 @@ thread_local! {
         std::cell::RefCell::new(AxScratch::default());
 }
 
-/// [`ax_optimized`] on borrowed geometric-factor plane slices.
+/// Apply the operator to every element using the split layout, sequentially.
+///
+/// `g_planes` holds the six geometric-factor planes, each of length
+/// `E (N+1)^3` (see `sem_mesh::GeometricFactors::planes`).
 ///
 /// This is the shared element loop behind every split-layout execution path:
 /// the sequential CPU kernel, the simulated accelerator, and per-board
 /// partitions (which pass sub-slices of the full planes).  The element
 /// scratch comes from a thread-local buffer sized on first use, so repeated
 /// applications are allocation-free; callers that manage their own scratch
-/// (e.g. the parallel kernel's worker threads) use
-/// [`ax_optimized_slices_with`] instead.
+/// use [`ax_optimized_with`] instead.
 ///
 /// # Panics
 /// Panics if `u` and `w` differ in length, the length is not a multiple of
 /// `(N+1)^3`, or any plane slice does not match `u`.
-pub fn ax_optimized_slices(
+pub fn ax_optimized(
     u: &[f64],
     w: &mut [f64],
     g_planes: [&[f64]; 6],
     derivative: &DerivativeMatrix,
 ) {
     ELEMENT_SCRATCH.with(|scratch| {
-        ax_optimized_slices_with(u, w, g_planes, derivative, &mut scratch.borrow_mut());
+        ax_optimized_with(u, w, g_planes, derivative, &mut scratch.borrow_mut());
     });
 }
 
-/// [`ax_optimized_slices`] with a caller-provided element scratch (resized on
+/// [`ax_optimized`] with a caller-provided element scratch (resized on
 /// demand), the fully allocation-free entry point.
 ///
 /// # Panics
 /// Panics if `u` and `w` differ in length, the length is not a multiple of
 /// `(N+1)^3`, or any plane slice does not match `u`.
-pub fn ax_optimized_slices_with(
+pub fn ax_optimized_with(
     u: &[f64],
     w: &mut [f64],
     g_planes: [&[f64]; 6],
@@ -340,8 +314,8 @@ mod tests {
             let u = random_field(mesh.num_local_dofs(), degree as u64);
             let mut w_ref = vec![0.0; u.len()];
             let mut w_opt = vec![0.0; u.len()];
-            ax_reference(&u, &mut w_ref, geo.interleaved(), &dm);
-            ax_optimized(&u, &mut w_opt, &geo.split(), &dm);
+            ax_reference(&u, &mut w_ref, &geo.to_interleaved(), &dm);
+            ax_optimized(&u, &mut w_opt, geo.planes(), &dm);
             for (a, b) in w_ref.iter().zip(&w_opt) {
                 assert!(
                     (a - b).abs() < 1e-11 * (1.0 + a.abs()),
@@ -365,8 +339,8 @@ mod tests {
         let u = random_field(mesh.num_local_dofs(), 99);
         let mut w_ref = vec![0.0; u.len()];
         let mut w_opt = vec![0.0; u.len()];
-        ax_reference(&u, &mut w_ref, geo.interleaved(), &dm);
-        ax_optimized(&u, &mut w_opt, &geo.split(), &dm);
+        ax_reference(&u, &mut w_ref, &geo.to_interleaved(), &dm);
+        ax_optimized(&u, &mut w_opt, geo.planes(), &dm);
         let max_err = w_ref
             .iter()
             .zip(&w_opt)
@@ -383,20 +357,19 @@ mod tests {
         let mesh = BoxMesh::unit_cube(degree, 1);
         let geo = GeometricFactors::from_mesh(&mesh);
         let dm = sem_basis::DerivativeMatrix::new(degree);
-        let planes = geo.split();
         let u = random_field(mesh.num_local_dofs(), 3);
         let mut w = vec![0.0; u.len()];
-        let g = [
-            planes[0].as_slice(),
-            planes[1].as_slice(),
-            planes[2].as_slice(),
-            planes[3].as_slice(),
-            planes[4].as_slice(),
-            planes[5].as_slice(),
-        ];
-        ax_element_split(&u, &mut w, g, &dm.d_flat(), &dm.dt_flat(), 6, &mut scratch);
+        ax_element_split(
+            &u,
+            &mut w,
+            geo.planes(),
+            &dm.d_flat(),
+            &dm.dt_flat(),
+            6,
+            &mut scratch,
+        );
         let mut w_ref = vec![0.0; u.len()];
-        ax_reference(&u, &mut w_ref, geo.interleaved(), &dm);
+        ax_reference(&u, &mut w_ref, &geo.to_interleaved(), &dm);
         for (a, b) in w_ref.iter().zip(&w) {
             assert!((a - b).abs() < 1e-11);
         }

@@ -2,24 +2,30 @@
 //!
 //! The evaluation of the operator is embarrassingly parallel over elements —
 //! exactly the property the CPU baselines of the paper exploit with one MPI
-//! rank per core.  Here we use Rayon's work-stealing pool instead: elements
-//! are chunked and each chunk applies the optimised split-layout kernel with
-//! its own scratch buffers.
+//! rank per core.  Here we use Rayon's work-stealing pool instead: this module
+//! only chunks the field by element, and each chunk runs the same kernel the
+//! sequential path resolves ([`crate::specialized::ax_split`]: the
+//! degree-specialized family, or the generic split-layout kernel off-range).
 
-use crate::optimized::{ax_element_split, AxScratch};
+use crate::specialized::{ax_split, DegreeDispatch};
 use rayon::prelude::*;
 use sem_basis::DerivativeMatrix;
 
 /// Apply the operator to every element in parallel.
 ///
-/// Semantics are identical to [`crate::optimized::ax_optimized`]; only the
+/// Semantics are identical to [`ax_split`] on the whole field; only the
 /// scheduling differs, so results are bitwise identical (each element's
 /// arithmetic is unchanged and elements are independent).
+///
+/// # Panics
+/// Panics if `u` and `w` differ in length, the length is not a multiple of
+/// `(N+1)^3`, or any plane does not match `u`.
 pub fn ax_parallel(
     u: &[f64],
     w: &mut [f64],
-    g_planes: &[Vec<f64>; 6],
+    g_planes: [&[f64]; 6],
     derivative: &DerivativeMatrix,
+    dispatch: Option<&DegreeDispatch>,
 ) {
     let nx = derivative.num_points();
     let npts = nx * nx * nx;
@@ -28,24 +34,12 @@ pub fn ax_parallel(
     for plane in g_planes {
         assert_eq!(plane.len(), u.len(), "geometric plane length mismatch");
     }
-    // Borrow the row-major matrix data in place (flattening copies would be
-    // two heap allocations per application).
-    let d = derivative.d().as_slice();
-    let dt = derivative.dt().as_slice();
-
     w.par_chunks_mut(npts).enumerate().for_each_init(
-        || AxScratch::new(nx),
-        |scratch, (e, w_elem)| {
+        || (),
+        |(), (e, w_elem)| {
             let range = e * npts..(e + 1) * npts;
-            let g = [
-                &g_planes[0][range.clone()],
-                &g_planes[1][range.clone()],
-                &g_planes[2][range.clone()],
-                &g_planes[3][range.clone()],
-                &g_planes[4][range.clone()],
-                &g_planes[5][range.clone()],
-            ];
-            ax_element_split(&u[range.clone()], w_elem, g, d, dt, nx, scratch);
+            let g = g_planes.map(|plane| &plane[range.clone()]);
+            ax_split(dispatch, &u[range], w_elem, g, derivative);
         },
     );
 }
@@ -67,20 +61,22 @@ mod tests {
                 MeshDeformation::Sinusoidal { amplitude: 0.03 },
             );
             let geo = GeometricFactors::from_mesh(&mesh);
-            let planes = geo.split();
             let dm = DerivativeMatrix::new(degree);
             let mut rng = StdRng::seed_from_u64(degree as u64);
             let u: Vec<f64> = (0..mesh.num_local_dofs())
                 .map(|_| rng.gen_range(-1.0..1.0))
                 .collect();
             let mut w_seq = vec![0.0; u.len()];
-            let mut w_par = vec![0.0; u.len()];
-            ax_optimized(&u, &mut w_seq, &planes, &dm);
-            ax_parallel(&u, &mut w_par, &planes, &dm);
-            assert_eq!(
-                w_seq, w_par,
-                "degree {degree}: parallel must be bitwise equal"
-            );
+            ax_optimized(&u, &mut w_seq, geo.planes(), &dm);
+            let dispatch = DegreeDispatch::for_degree(degree);
+            for dispatch in [None, dispatch.as_ref()] {
+                let mut w_par = vec![0.0; u.len()];
+                ax_parallel(&u, &mut w_par, geo.planes(), &dm, dispatch);
+                assert_eq!(
+                    w_seq, w_par,
+                    "degree {degree}: parallel must be bitwise equal"
+                );
+            }
         }
     }
 
@@ -91,7 +87,13 @@ mod tests {
         let dm = DerivativeMatrix::new(3);
         let u = vec![1.0; mesh.num_local_dofs()];
         let mut w = vec![0.0; u.len()];
-        ax_parallel(&u, &mut w, &geo.split(), &dm);
+        ax_parallel(
+            &u,
+            &mut w,
+            geo.planes(),
+            &dm,
+            DegreeDispatch::for_degree(3).as_ref(),
+        );
         assert!(w.iter().all(|&v| v.abs() < 1e-10));
     }
 }

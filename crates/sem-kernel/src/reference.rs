@@ -110,34 +110,35 @@ mod tests {
     use super::*;
     use sem_mesh::{BoxMesh, GeometricFactors, MeshDeformation};
 
-    fn setup(degree: usize, elems: usize) -> (BoxMesh, GeometricFactors, DerivativeMatrix) {
+    /// The mesh, its interleaved `gxyz` array and the derivative matrix.
+    fn setup(degree: usize, elems: usize) -> (BoxMesh, Vec<f64>, DerivativeMatrix) {
         let mesh = BoxMesh::unit_cube(degree, elems);
-        let geo = GeometricFactors::from_mesh(&mesh);
+        let gxyz = GeometricFactors::from_mesh(&mesh).to_interleaved();
         let dm = DerivativeMatrix::new(degree);
-        (mesh, geo, dm)
+        (mesh, gxyz, dm)
     }
 
     #[test]
     fn annihilates_constants() {
-        let (mesh, geo, dm) = setup(5, 2);
+        let (mesh, gxyz, dm) = setup(5, 2);
         let u = vec![3.0; mesh.num_local_dofs()];
         let mut w = vec![0.0; u.len()];
-        ax_reference(&u, &mut w, geo.interleaved(), &dm);
+        ax_reference(&u, &mut w, &gxyz, &dm);
         assert!(w.iter().all(|&v| v.abs() < 1e-10), "A * const = 0");
     }
 
     #[test]
     fn operator_is_symmetric() {
         use rand::{rngs::StdRng, Rng, SeedableRng};
-        let (mesh, geo, dm) = setup(4, 1);
+        let (mesh, gxyz, dm) = setup(4, 1);
         let n = mesh.num_local_dofs();
         let mut rng = StdRng::seed_from_u64(7);
         let u: Vec<f64> = (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect();
         let v: Vec<f64> = (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect();
         let mut au = vec![0.0; n];
         let mut av = vec![0.0; n];
-        ax_reference(&u, &mut au, geo.interleaved(), &dm);
-        ax_reference(&v, &mut av, geo.interleaved(), &dm);
+        ax_reference(&u, &mut au, &gxyz, &dm);
+        ax_reference(&v, &mut av, &gxyz, &dm);
         let vau: f64 = v.iter().zip(&au).map(|(a, b)| a * b).sum();
         let uav: f64 = u.iter().zip(&av).map(|(a, b)| a * b).sum();
         assert!((vau - uav).abs() < 1e-9 * (1.0 + vau.abs()));
@@ -146,13 +147,13 @@ mod tests {
     #[test]
     fn energy_is_nonnegative() {
         use rand::{rngs::StdRng, Rng, SeedableRng};
-        let (mesh, geo, dm) = setup(3, 2);
+        let (mesh, gxyz, dm) = setup(3, 2);
         let n = mesh.num_local_dofs();
         let mut rng = StdRng::seed_from_u64(42);
         for _ in 0..10 {
             let u: Vec<f64> = (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect();
             let mut au = vec![0.0; n];
-            ax_reference(&u, &mut au, geo.interleaved(), &dm);
+            ax_reference(&u, &mut au, &gxyz, &dm);
             let energy: f64 = u.iter().zip(&au).map(|(a, b)| a * b).sum();
             assert!(energy >= -1e-10, "energy {energy} must be non-negative");
         }
@@ -162,11 +163,11 @@ mod tests {
     fn energy_matches_dirichlet_integral_for_linear_field() {
         // For u = x on a unit-cube mesh, u^T A u = ∫ |∇u|^2 = volume = 1,
         // summed over elements (each element contributes its own volume).
-        let (mesh, geo, dm) = setup(4, 2);
+        let (mesh, gxyz, dm) = setup(4, 2);
         let xs = &mesh.coordinates()[0];
         let u = xs.as_slice().to_vec();
         let mut au = vec![0.0; u.len()];
-        ax_reference(&u, &mut au, geo.interleaved(), &dm);
+        ax_reference(&u, &mut au, &gxyz, &dm);
         let energy: f64 = u.iter().zip(&au).map(|(a, b)| a * b).sum();
         assert!((energy - 1.0).abs() < 1e-9, "energy {energy}");
     }
@@ -177,12 +178,12 @@ mod tests {
         // ∫ |∇u|^2 = pi^2/4 * 1/3 + pi^2/4 * 1/3 + 1/4  (separable integrals)
         let degree = 9;
         let mesh = BoxMesh::unit_cube(degree, 2);
-        let geo = GeometricFactors::from_mesh(&mesh);
+        let gxyz = GeometricFactors::from_mesh(&mesh).to_interleaved();
         let dm = DerivativeMatrix::new(degree);
         let pi = std::f64::consts::PI;
         let u = mesh.evaluate(|x, y, z| (pi * x).sin() * (pi * y).cos() * z);
         let mut au = vec![0.0; u.len()];
-        ax_reference(u.as_slice(), &mut au, geo.interleaved(), &dm);
+        ax_reference(u.as_slice(), &mut au, &gxyz, &dm);
         let energy: f64 = u.as_slice().iter().zip(&au).map(|(a, b)| a * b).sum();
         let exact = pi * pi / 4.0 * (1.0 / 3.0) + pi * pi / 4.0 * (1.0 / 3.0) + 0.25;
         assert!(
@@ -200,7 +201,7 @@ mod tests {
             [1.0; 3],
             MeshDeformation::Sinusoidal { amplitude: 0.04 },
         );
-        let geo = GeometricFactors::from_mesh(&mesh);
+        let gxyz = GeometricFactors::from_mesh(&mesh).to_interleaved();
         let dm = DerivativeMatrix::new(degree);
         // Constants are still annihilated and linear-in-x energy still equals
         // the deformed domain volume (which equals 1 since the map is a
@@ -208,12 +209,12 @@ mod tests {
         // exactly — so only check it is close to the undeformed value).
         let u = vec![1.0; mesh.num_local_dofs()];
         let mut w = vec![0.0; u.len()];
-        ax_reference(&u, &mut w, geo.interleaved(), &dm);
+        ax_reference(&u, &mut w, &gxyz, &dm);
         assert!(w.iter().all(|&v| v.abs() < 1e-9));
 
         let xs = &mesh.coordinates()[0];
         let mut ax = vec![0.0; u.len()];
-        ax_reference(xs.as_slice(), &mut ax, geo.interleaved(), &dm);
+        ax_reference(xs.as_slice(), &mut ax, &gxyz, &dm);
         let energy: f64 = xs.as_slice().iter().zip(&ax).map(|(a, b)| a * b).sum();
         assert!((energy - 1.0).abs() < 0.05, "energy {energy} ~ volume");
     }

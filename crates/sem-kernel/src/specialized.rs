@@ -34,6 +34,9 @@
 //! measured CPU kernel and the modeled FPGA datapath share one source of
 //! truth.
 
+use crate::optimized::ax_optimized;
+use sem_basis::DerivativeMatrix;
+
 /// Smallest specialized degree.
 pub const MIN_DEGREE: usize = 3;
 
@@ -256,7 +259,7 @@ fn ax_element_core<const NX: usize, const NPTS: usize>(
 }
 
 /// The whole-field element loop over [`ax_element_core`] (the specialized
-/// mirror of [`crate::optimized::ax_optimized_slices_with`]).
+/// mirror of [`crate::optimized::ax_optimized_with`]).
 fn ax_field_core<const NX: usize, const NPTS: usize>(
     u: &[f64],
     w: &mut [f64],
@@ -592,7 +595,7 @@ impl DegreeDispatch {
     }
 
     /// Apply `w = Dᵀ G D u` over every element of a field (the specialized
-    /// mirror of [`crate::optimized::ax_optimized_slices`]; bitwise
+    /// mirror of [`crate::optimized::ax_optimized`]; bitwise
     /// identical results).
     ///
     /// # Panics
@@ -639,11 +642,38 @@ impl DegreeDispatch {
     }
 }
 
+/// Apply `w = Dᵀ G D u` over a run of whole elements with the resolved
+/// specialized family, or with the generic split-layout kernel
+/// ([`ax_optimized`]) when none is resolved (off-range degrees, pinned
+/// generic kernels).  The two paths are bitwise identical.
+///
+/// # Panics
+/// Panics if the field length is not a multiple of `(N+1)³` or any plane
+/// slice mismatches.
+pub fn ax_split(
+    dispatch: Option<&DegreeDispatch>,
+    u: &[f64],
+    w: &mut [f64],
+    g_planes: [&[f64]; 6],
+    derivative: &DerivativeMatrix,
+) {
+    match dispatch {
+        Some(dispatch) => dispatch.ax_apply_all(
+            u,
+            w,
+            g_planes,
+            derivative.d().as_slice(),
+            derivative.dt().as_slice(),
+        ),
+        None => ax_optimized(u, w, g_planes, derivative),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::fdm::{fdm_element_apply, rcontract_x, rcontract_y, rcontract_z, FdmScratch};
-    use crate::optimized::{ax_optimized_slices_with, AxScratch};
+    use crate::optimized::{ax_optimized_with, AxScratch};
     use rand::{rngs::StdRng, Rng, SeedableRng};
     use sem_mesh::{BoxMesh, GeometricFactors, MeshDeformation};
 
@@ -693,20 +723,12 @@ mod tests {
             );
             let geo = GeometricFactors::from_mesh(&mesh);
             let dm = sem_basis::DerivativeMatrix::new(degree);
-            let planes = geo.split();
-            let g = [
-                planes[0].as_slice(),
-                planes[1].as_slice(),
-                planes[2].as_slice(),
-                planes[3].as_slice(),
-                planes[4].as_slice(),
-                planes[5].as_slice(),
-            ];
+            let g = geo.planes();
             let u = random_field(mesh.num_local_dofs(), degree as u64);
             let mut w_gen = vec![0.0; u.len()];
             let mut w_spec = vec![0.0; u.len()];
             let mut scratch = AxScratch::default();
-            ax_optimized_slices_with(&u, &mut w_gen, g, &dm, &mut scratch);
+            ax_optimized_with(&u, &mut w_gen, g, &dm, &mut scratch);
             let dispatch = DegreeDispatch::for_degree(degree).unwrap();
             dispatch.ax_apply_all(&u, &mut w_spec, g, dm.d().as_slice(), dm.dt().as_slice());
             assert_eq!(w_gen, w_spec, "degree {degree}");

@@ -16,10 +16,13 @@
 //! shut = g2*ur + g4*us + g5*ut
 //! ```
 //!
-//! Two memory layouts are provided, matching the two accelerator variants the
-//! paper discusses: the *interleaved* layout (`g[c + 6*node + 6*npts*e]`,
-//! used by the baseline kernel) and the *split* layout (six separate planes,
-//! the Section III-B optimisation that removes BRAM arbitration).
+//! The factors are stored in the *split* layout only: six element-major
+//! planes, one per component, the Section III-B optimisation that gives each
+//! component its own memory bank and removes BRAM arbitration.  Every fast
+//! kernel, the preconditioners and the simulated accelerator borrow these
+//! planes; the Listing-1 *interleaved* layout (`g[c + 6*node + 6*npts*e]`)
+//! is produced on demand by [`GeometricFactors::to_interleaved`] for the
+//! reference kernel alone.
 
 use crate::field::ElementField;
 use crate::mesh::BoxMesh;
@@ -29,23 +32,14 @@ use serde::{Deserialize, Serialize};
 /// Number of independent entries of the symmetric geometric-factor tensor.
 pub const NUM_GEOMETRIC_FACTORS: usize = 6;
 
-/// Memory layout of the geometric factors.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum GeometryLayout {
-    /// `g[c + 6*node + 6*npts*element]` — the layout of Listing 1.
-    Interleaved,
-    /// Six separate element-major planes — the layout of the optimised
-    /// accelerator (one BRAM per component, no arbitration).
-    Split,
-}
-
 /// Geometric factors plus the diagonal mass matrix for a mesh.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct GeometricFactors {
     degree: usize,
     num_elements: usize,
-    /// Interleaved storage, the canonical copy.
-    interleaved: Vec<f64>,
+    /// Six element-major planes `[G_rr, G_rs, G_rt, G_ss, G_st, G_tt]`, each
+    /// `E (N+1)^3` long: the only stored copy.
+    planes: [Vec<f64>; NUM_GEOMETRIC_FACTORS],
     /// Diagonal of the mass matrix, `B = J w_i w_j w_k` per node.
     mass: ElementField,
     /// Smallest Jacobian determinant encountered (mesh validity indicator).
@@ -69,7 +63,8 @@ impl GeometricFactors {
         let d = dm.d();
 
         let [xs, ys, zs] = mesh.coordinates();
-        let mut interleaved = vec![0.0_f64; NUM_GEOMETRIC_FACTORS * npts * num_elements];
+        let mut planes: [Vec<f64>; NUM_GEOMETRIC_FACTORS] =
+            std::array::from_fn(|_| vec![0.0_f64; npts * num_elements]);
         let mut mass = ElementField::zeros(degree, num_elements);
         let mut min_jacobian = f64::INFINITY;
 
@@ -112,14 +107,11 @@ impl GeometricFactors {
                         let w = gll.weights[i] * gll.weights[j] * gll.weights[k];
                         let scale = det * w;
                         // G_ab = scale * sum_c dr_a/dx_c * dr_b/dx_c
-                        let mut g = [0.0_f64; NUM_GEOMETRIC_FACTORS];
                         let pairs = [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)];
-                        for (slot, &(a, b)) in pairs.iter().enumerate() {
+                        for (plane, &(a, b)) in planes.iter_mut().zip(&pairs) {
                             let acc: f64 = inv[a].iter().zip(&inv[b]).map(|(x, y)| x * y).sum();
-                            g[slot] = scale * acc;
+                            plane[node + npts * e] = scale * acc;
                         }
-                        let base = NUM_GEOMETRIC_FACTORS * (node + npts * e);
-                        interleaved[base..base + NUM_GEOMETRIC_FACTORS].copy_from_slice(&g);
                         mass.element_mut(e)[node] = scale;
                     }
                 }
@@ -129,7 +121,7 @@ impl GeometricFactors {
         Self {
             degree,
             num_elements,
-            interleaved,
+            planes,
             mass,
             min_jacobian,
         }
@@ -159,37 +151,33 @@ impl GeometricFactors {
         self.min_jacobian
     }
 
-    /// The interleaved (`Listing 1`) storage: `g[c + 6*node + 6*npts*e]`.
+    /// The six geometric-factor planes, each of length `E * (N+1)^3`, in the
+    /// order `[G_rr, G_rs, G_rt, G_ss, G_st, G_tt]`.
     #[must_use]
-    pub fn interleaved(&self) -> &[f64] {
-        &self.interleaved
+    pub fn planes(&self) -> [&[f64]; NUM_GEOMETRIC_FACTORS] {
+        std::array::from_fn(|c| self.planes[c].as_slice())
     }
 
     /// Factor `c ∈ 0..6` at element `e`, node index `node`.
     #[must_use]
     pub fn at(&self, e: usize, node: usize, c: usize) -> f64 {
-        let npts = self.nodes_per_element();
-        self.interleaved[c + NUM_GEOMETRIC_FACTORS * (node + npts * e)]
+        self.planes[c][node + self.nodes_per_element() * e]
     }
 
-    /// Convert to the split layout: six element-major planes, each of length
-    /// `E * (N+1)^3` (the Section III-B optimisation).
+    /// A fresh copy in the interleaved (Listing 1) layout,
+    /// `g[c + 6*node + 6*npts*e]`, the input of the reference kernel.
     #[must_use]
-    pub fn split(&self) -> [Vec<f64>; NUM_GEOMETRIC_FACTORS] {
-        let npts = self.nodes_per_element();
-        let total = npts * self.num_elements;
-        let mut planes: [Vec<f64>; NUM_GEOMETRIC_FACTORS] = Default::default();
-        for plane in &mut planes {
-            plane.resize(total, 0.0);
-        }
-        for e in 0..self.num_elements {
-            for node in 0..npts {
-                for (c, plane) in planes.iter_mut().enumerate() {
-                    plane[node + npts * e] = self.at(e, node, c);
-                }
+    pub fn to_interleaved(&self) -> Vec<f64> {
+        let mut interleaved = vec![0.0; NUM_GEOMETRIC_FACTORS * self.planes[0].len()];
+        for (point, g) in interleaved
+            .chunks_exact_mut(NUM_GEOMETRIC_FACTORS)
+            .enumerate()
+        {
+            for (slot, plane) in g.iter_mut().zip(&self.planes) {
+                *slot = plane[point];
             }
         }
-        planes
+        interleaved
     }
 
     /// The diagonal mass matrix `B = J w` as an element-major field.
@@ -202,7 +190,7 @@ impl GeometricFactors {
     /// from external memory for `gxyz`).
     #[must_use]
     pub fn size_bytes(&self) -> usize {
-        self.interleaved.len() * std::mem::size_of::<f64>()
+        NUM_GEOMETRIC_FACTORS * self.planes[0].len() * std::mem::size_of::<f64>()
     }
 }
 
@@ -283,7 +271,7 @@ mod tests {
     }
 
     #[test]
-    fn split_layout_matches_interleaved() {
+    fn interleaved_copy_matches_the_planes() {
         let mesh = BoxMesh::new(
             3,
             [2, 1, 1],
@@ -291,12 +279,18 @@ mod tests {
             MeshDeformation::Sinusoidal { amplitude: 0.02 },
         );
         let geo = GeometricFactors::from_mesh(&mesh);
-        let planes = geo.split();
+        let interleaved = geo.to_interleaved();
         let npts = geo.nodes_per_element();
+        assert_eq!(interleaved.len() * 8, geo.size_bytes());
         for e in 0..geo.num_elements() {
             for node in 0..npts {
-                for (c, plane) in planes.iter().enumerate() {
-                    assert_eq!(plane[node + npts * e], geo.at(e, node, c));
+                for (c, plane) in geo.planes().iter().enumerate() {
+                    let g = plane[node + npts * e];
+                    assert_eq!(g, geo.at(e, node, c));
+                    assert_eq!(
+                        g,
+                        interleaved[c + NUM_GEOMETRIC_FACTORS * (node + npts * e)]
+                    );
                 }
             }
         }

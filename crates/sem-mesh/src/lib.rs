@@ -9,10 +9,10 @@
 //! The data layouts intentionally mirror Nekbone / the paper's Listing 1:
 //!
 //! * nodal fields are stored element-major (`ele * (N+1)^3 + ijk`),
-//! * geometric factors are stored either interleaved
-//!   (`gxyz[c + 6*ijk + 6*(N+1)^3*ele]`, the layout of the baseline kernel)
-//!   or split into six separate planes (the layout of the optimised
-//!   accelerator, Section III-B of the paper).
+//! * geometric factors are stored split into six separate planes (the layout
+//!   of the optimised accelerator, Section III-B of the paper); the
+//!   interleaved `gxyz[c + 6*ijk + 6*(N+1)^3*ele]` layout of the baseline
+//!   kernel is built on demand for the reference kernel only.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
@@ -25,6 +25,6 @@ pub mod mesh;
 
 pub use field::ElementField;
 pub use gather_scatter::GatherScatter;
-pub use geometry::{GeometricFactors, GeometryLayout};
+pub use geometry::GeometricFactors;
 pub use mask::DirichletMask;
 pub use mesh::{BoxMesh, MeshDeformation};

@@ -498,7 +498,7 @@ impl FdmPreconditioner {
         // one full-mesh `Ax` per coarse dof (which is O(elements²) overall).
         let nx = mesh.degree() + 1;
         let npts = nx * nx * nx;
-        let planes = operator.split_planes();
+        let planes = operator.geometry().planes();
         let derivative = operator.derivative();
         let (d, dt) = (derivative.d().as_slice(), derivative.dt().as_slice());
         let mut ax_scratch = sem_kernel::optimized::AxScratch::new(nx);
@@ -508,14 +508,7 @@ impl FdmPreconditioner {
         let (mut t1, mut t2) = (vec![0.0; npts], vec![0.0; npts]);
         for e in 0..mesh.num_elements() {
             let range = e * npts..(e + 1) * npts;
-            let g = [
-                &planes[0][range.clone()],
-                &planes[1][range.clone()],
-                &planes[2][range.clone()],
-                &planes[3][range.clone()],
-                &planes[4][range.clone()],
-                &planes[5][range.clone()],
-            ];
+            let g = planes.map(|plane| &plane[range.clone()]);
             for w_local in 0..cpts {
                 let w = coarse.element_dofs[e][w_local];
                 if w < 0 {

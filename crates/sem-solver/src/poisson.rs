@@ -12,7 +12,8 @@ use crate::fdm::FdmPreconditioner;
 use crate::jacobi::JacobiPreconditioner;
 use crate::precond::{AnyPreconditioner, PrecondSpec};
 use sem_kernel::{AxImplementation, PoissonOperator};
-use sem_mesh::{BoxMesh, DirichletMask, ElementField, GatherScatter};
+use sem_mesh::{BoxMesh, DirichletMask, ElementField, GatherScatter, GeometricFactors};
+use std::sync::Arc;
 
 /// A discretised homogeneous-Dirichlet Poisson problem on a box mesh.
 pub struct PoissonProblem {
@@ -39,7 +40,30 @@ impl PoissonProblem {
     /// Discretise the problem on `mesh` with the given kernel implementation.
     #[must_use]
     pub fn new(mesh: BoxMesh, implementation: AxImplementation) -> Self {
-        let operator = PoissonOperator::new(&mesh, implementation);
+        let geometry = Arc::new(GeometricFactors::from_mesh(&mesh));
+        Self::with_geometry(mesh, geometry, implementation)
+    }
+
+    /// Discretise the problem on `mesh` over its already computed geometric
+    /// factors, sharing them with every other holder (a session's execution
+    /// backend, for one).
+    ///
+    /// # Panics
+    /// Panics if `geometry` was not computed for a mesh of this degree and
+    /// element count.
+    #[must_use]
+    pub fn with_geometry(
+        mesh: BoxMesh,
+        geometry: Arc<GeometricFactors>,
+        implementation: AxImplementation,
+    ) -> Self {
+        assert_eq!(geometry.degree(), mesh.degree(), "geometry degree mismatch");
+        assert_eq!(
+            geometry.num_elements(),
+            mesh.num_elements(),
+            "geometry element count mismatch"
+        );
+        let operator = PoissonOperator::with_geometry(geometry, implementation);
         let gather_scatter = GatherScatter::from_mesh(&mesh);
         let mask = DirichletMask::from_mesh(&mesh);
         Self {

@@ -3,8 +3,9 @@
 //! CPU and FPGA backends.
 
 use semfpga::accel::{Backend, PerfSource, SemSystem};
-use semfpga::mesh::{BoxMesh, ElementField};
+use semfpga::mesh::{BoxMesh, ElementField, GeometricFactors};
 use semfpga::solver::CgOptions;
+use std::sync::Arc;
 
 /// The backends the parity sweep instantiates (multi-board capped at two
 /// boards so the partition is non-trivial even on tiny meshes).
@@ -26,10 +27,11 @@ fn all_registered_backends_produce_identical_ax_results() {
     for degree in [3usize, 7, 11] {
         let mesh = BoxMesh::unit_cube(degree, 2);
         let u = mesh.evaluate(|x, y, z| (2.0 * x - y).sin() * (z + 0.5) + x * x * y);
+        let geometry = Arc::new(GeometricFactors::from_mesh(&mesh));
 
         let mut reference: Option<(String, ElementField)> = None;
         for config in parity_backends() {
-            let backend = config.instantiate(&mesh);
+            let backend = config.instantiate(&mesh, &geometry);
             let mut w = ElementField::zeros(degree, mesh.num_elements());
             backend.apply_into(&u, &mut w);
             match &reference {
@@ -52,9 +54,10 @@ fn all_registered_backends_produce_identical_ax_results() {
 #[test]
 fn every_registry_backend_reports_consistent_metadata() {
     let mesh = BoxMesh::unit_cube(3, 2);
+    let geometry = Arc::new(GeometricFactors::from_mesh(&mesh));
     for name in Backend::registry_names() {
         let config = Backend::from_name(&name).unwrap();
-        let backend = config.instantiate(&mesh);
+        let backend = config.instantiate(&mesh, &geometry);
         assert_eq!(backend.degree(), 3, "{name}");
         assert_eq!(backend.num_elements(), 8, "{name}");
         assert!(backend.flops_per_application() > 0, "{name}");

@@ -2,13 +2,18 @@
 //! covered degree N = 3..=15 the `cpu:specialized` path must agree with
 //! `cpu:reference` to 1e-10 on the Ax operator, the FDM preconditioner
 //! application, and the Helmholtz operator — and out-of-range degrees must
-//! fall back to the generic kernels instead of panicking.
+//! fall back to the generic kernels instead of panicking.  `cpu:parallel`
+//! fans the same dispatch out over elements, so its `Ax` must match
+//! `cpu:specialized` bit for bit, in range and off it.
 
 use semfpga::accel::Backend;
 use semfpga::kernel::specialized::{MAX_DEGREE, MIN_DEGREE};
 use semfpga::kernel::{AxImplementation, DegreeDispatch, HelmholtzOperator, PoissonOperator};
-use semfpga::mesh::{BoxMesh, DirichletMask, ElementField, GatherScatter, MeshDeformation};
+use semfpga::mesh::{
+    BoxMesh, DirichletMask, ElementField, GatherScatter, GeometricFactors, MeshDeformation,
+};
 use semfpga::solver::{FdmPreconditioner, Preconditioner};
+use std::sync::Arc;
 
 /// A deformed mesh so all six geometric-factor planes are populated and the
 /// contractions cannot hide behind diagonal geometry.
@@ -36,13 +41,19 @@ fn specialized_ax_matches_reference_on_every_covered_degree() {
     for degree in MIN_DEGREE..=MAX_DEGREE {
         let mesh = deformed_mesh(degree);
         let u = mesh.evaluate(|x, y, z| (3.1 * x + 1.3 * y).sin() * (z * z + 0.25) + x * y);
-        let specialized = Backend::cpu_specialized().instantiate(&mesh);
-        let reference = Backend::cpu_reference().instantiate(&mesh);
-        let mut w_spec = ElementField::zeros(degree, mesh.num_elements());
-        let mut w_ref = w_spec.clone();
-        specialized.apply_into(&u, &mut w_spec);
-        reference.apply_into(&u, &mut w_ref);
-        assert_close("Ax", degree, &w_ref, &w_spec);
+        let geometry = Arc::new(GeometricFactors::from_mesh(&mesh));
+        let apply = |backend: Backend| {
+            let mut w = ElementField::zeros(degree, mesh.num_elements());
+            backend.instantiate(&mesh, &geometry).apply_into(&u, &mut w);
+            w
+        };
+        let w_spec = apply(Backend::cpu_specialized());
+        assert_close("Ax", degree, &apply(Backend::cpu_reference()), &w_spec);
+        assert_eq!(
+            apply(Backend::cpu_parallel()).as_slice(),
+            w_spec.as_slice(),
+            "parallel Ax, degree {degree}"
+        );
     }
 }
 
@@ -101,6 +112,13 @@ fn out_of_range_degrees_fall_back_to_the_generic_path_without_panicking() {
             degree,
             &reference.apply(&u),
             &operator.apply(&u),
+        );
+        let parallel = PoissonOperator::new(&mesh, AxImplementation::Parallel);
+        assert!(parallel.dispatch().is_none(), "degree {degree}");
+        assert_eq!(
+            parallel.apply(&u).as_slice(),
+            operator.apply(&u).as_slice(),
+            "parallel fallback Ax, degree {degree}"
         );
     }
 }
