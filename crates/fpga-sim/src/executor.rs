@@ -1,8 +1,12 @@
 //! Functional + timing execution of the simulated accelerator.
 //!
-//! [`FpgaAccelerator::execute`] produces the actual kernel output (by running
-//! the same double-precision arithmetic as the host kernels) together with a
-//! cycle-level timing estimate derived from the design parameters:
+//! [`FpgaAccelerator::execute`] produces the actual kernel output together
+//! with a cycle-level timing estimate.  The functional datapath is the
+//! degree-specialized kernel family the host operators run
+//! ([`sem_kernel::specialized::ax_split`] over the [`DegreeDispatch`]
+//! resolved for the design's degree, the generic kernel off-range), so a
+//! simulated board's numbers are bitwise those of `cpu:specialized`.  The
+//! timing follows the design parameters:
 //!
 //! * the unrolled datapath retires `T / II` DOFs per cycle when fed,
 //!   halved if the unroll factor does not divide `N+1` (BRAM arbitration);
@@ -22,6 +26,8 @@ use crate::power::PowerModel;
 use crate::synthesis::{synthesize, SynthesisReport};
 use perf_model::FpgaDevice;
 use sem_basis::DerivativeMatrix;
+use sem_kernel::specialized::ax_split;
+use sem_kernel::DegreeDispatch;
 use sem_mesh::{ElementField, GeometricFactors};
 use sem_obs::{recorder, Scope, SpanEvent, SpanKind};
 use serde::{Deserialize, Serialize};
@@ -102,6 +108,9 @@ pub struct FpgaAccelerator {
     memory: MemorySystem,
     power: PowerModel,
     derivative: DerivativeMatrix,
+    /// The specialized kernel family of the design's degree (`None`
+    /// off-range: the datapath runs the generic kernel).
+    dispatch: Option<DegreeDispatch>,
 }
 
 impl FpgaAccelerator {
@@ -119,6 +128,7 @@ impl FpgaAccelerator {
         );
         let memory = MemorySystem::of_device(&device, design.memory_allocation);
         let derivative = DerivativeMatrix::new(design.degree);
+        let dispatch = DegreeDispatch::for_degree(design.degree);
         Self {
             device,
             design,
@@ -126,6 +136,7 @@ impl FpgaAccelerator {
             memory,
             power: PowerModel::stratix10_board(),
             derivative,
+            dispatch,
         }
     }
 
@@ -340,10 +351,9 @@ impl FpgaAccelerator {
         (w, report)
     }
 
-    /// Execute the kernel into a preallocated output field (the
-    /// allocation-free path used by backend-routed solver iterations): the
-    /// datapath reads the geometry's split planes in place, so repeated
-    /// applications (every CG iteration) copy nothing.
+    /// Execute the kernel into a preallocated output field and return the
+    /// timing estimate: [`FpgaAccelerator::apply_into`] followed by
+    /// [`FpgaAccelerator::estimate`].
     ///
     /// # Panics
     /// Panics if the fields and geometric factors do not match the design's
@@ -354,6 +364,32 @@ impl FpgaAccelerator {
         geometry: &GeometricFactors,
         w: &mut ElementField,
     ) -> ExecutionReport {
+        self.apply_into(u, geometry, w);
+        self.estimate(u.num_elements())
+    }
+
+    /// The numeric pass alone: `w = A u` through the datapath, with no
+    /// timing report (the per-iteration path of backend-routed solves,
+    /// whose modelled seconds are priced once at setup).  The datapath
+    /// reads the geometry's split planes in place, so repeated
+    /// applications copy and allocate nothing.
+    ///
+    /// # Panics
+    /// Panics if the fields and geometric factors do not match the design's
+    /// degree and each other.
+    pub fn apply_into(&self, u: &ElementField, geometry: &GeometricFactors, w: &mut ElementField) {
+        self.check_operands(u, geometry, w);
+        self.datapath(u.as_slice(), w.as_mut_slice(), geometry.planes());
+    }
+
+    /// Assert that the fields and geometric factors match the design's
+    /// degree and each other.
+    pub(crate) fn check_operands(
+        &self,
+        u: &ElementField,
+        geometry: &GeometricFactors,
+        w: &ElementField,
+    ) {
         assert_eq!(
             geometry.degree(),
             self.design.degree,
@@ -366,17 +402,13 @@ impl FpgaAccelerator {
             "element count mismatch"
         );
         assert_eq!(u.len(), w.len(), "output field size mismatch");
-        // The datapath evaluates the same split-layout dataflow as the
-        // optimised host kernel; results agree with the reference kernel to
-        // rounding (the real accelerator reorders operations too, via
-        // -ffp-reassoc).
-        sem_kernel::optimized::ax_optimized(
-            u.as_slice(),
-            w.as_mut_slice(),
-            geometry.planes(),
-            &self.derivative,
-        );
-        self.estimate(u.num_elements())
+    }
+
+    /// The functional datapath over a run of whole elements: the resolved
+    /// specialized kernel family, exactly as `cpu:specialized` runs it.
+    /// Multi-board execution feeds each board's element block through here.
+    pub(crate) fn datapath(&self, u: &[f64], w: &mut [f64], planes: [&[f64]; 6]) {
+        ax_split(self.dispatch.as_ref(), u, w, planes, &self.derivative);
     }
 }
 
@@ -480,6 +512,10 @@ mod tests {
         for (a, b) in w.as_slice().iter().zip(&w_ref) {
             assert!((a - b).abs() < 1e-10 * (1.0 + b.abs()));
         }
+        // The datapath is the host's specialized kernel: bitwise equal.
+        let host =
+            sem_kernel::PoissonOperator::new(&mesh, sem_kernel::AxImplementation::Specialized);
+        assert_eq!(w.as_slice(), host.apply(&u).as_slice());
         assert_eq!(report.num_elements, 8);
         assert!(report.seconds > 0.0);
         assert!(report.gflops_per_watt > 0.0);

@@ -10,8 +10,6 @@
 
 use crate::executor::FpgaAccelerator;
 use perf_model::FpgaDevice;
-use sem_basis::DerivativeMatrix;
-use sem_kernel::optimized::ax_optimized;
 use sem_mesh::{ElementField, GeometricFactors};
 use serde::{Deserialize, Serialize};
 
@@ -93,15 +91,14 @@ pub fn estimate_scaling(
 /// one-board-per-MPI-rank deployment the paper's host application implies.
 ///
 /// Unlike [`estimate_scaling`], which only produces timing numbers, this
-/// type also *executes* the kernel functionally: each board evaluates its
-/// own contiguous block of elements (numerically on the host, standing in
-/// for the per-board datapath), so a solver can iterate through a
-/// multi-board backend and obtain bit-identical results to the single-board
-/// simulator.
+/// type also *executes* the kernel functionally: each board's contiguous
+/// element block runs through the per-board [`FpgaAccelerator`]'s datapath
+/// (the resolved specialized kernel family), so one code path serves one
+/// board and many, and a solver iterating through a multi-board backend
+/// obtains bit-identical results to the single-board simulator.
 #[derive(Debug, Clone)]
 pub struct MultiBoardAccelerator {
     accelerator: FpgaAccelerator,
-    derivative: DerivativeMatrix,
     boards: usize,
     interconnect_gbs: f64,
 }
@@ -118,7 +115,6 @@ impl MultiBoardAccelerator {
         assert!(boards > 0, "need at least one board");
         Self {
             accelerator: FpgaAccelerator::for_degree(degree, device),
-            derivative: DerivativeMatrix::new(degree),
             boards,
             interconnect_gbs,
         }
@@ -163,10 +159,9 @@ impl MultiBoardAccelerator {
         )
     }
 
-    /// Execute `w = A u`: every board evaluates its contiguous element block
-    /// of the geometry's split planes with the same dataflow as the
-    /// single-board simulator, so results are bitwise identical to
-    /// [`FpgaAccelerator::execute`].
+    /// Execute `w = A u` and return the multi-board timing estimate:
+    /// [`MultiBoardAccelerator::apply_into`] followed by
+    /// [`MultiBoardAccelerator::estimate`].
     ///
     /// # Panics
     /// Panics if the fields and geometric factors do not match the design's
@@ -177,25 +172,24 @@ impl MultiBoardAccelerator {
         geometry: &GeometricFactors,
         w: &mut ElementField,
     ) -> MultiBoardEstimate {
-        let degree = self.accelerator.design().degree;
-        assert_eq!(geometry.degree(), degree, "geometry degree mismatch");
-        assert_eq!(u.degree(), degree, "field degree mismatch");
-        assert_eq!(
-            u.num_elements(),
-            geometry.num_elements(),
-            "element count mismatch"
-        );
-        assert_eq!(u.len(), w.len(), "output field size mismatch");
+        self.apply_into(u, geometry, w);
+        self.estimate(u.num_elements())
+    }
 
+    /// The numeric pass alone: every board runs its contiguous element
+    /// block of the geometry's split planes through the single-board
+    /// datapath, so results are bitwise identical to
+    /// [`FpgaAccelerator::execute`].  Builds no timing estimate.
+    ///
+    /// # Panics
+    /// Panics if the fields and geometric factors do not match the design's
+    /// degree and each other.
+    pub fn apply_into(&self, u: &ElementField, geometry: &GeometricFactors, w: &mut ElementField) {
+        self.accelerator.check_operands(u, geometry, w);
         let num_elements = u.num_elements();
         let npts = u.dofs_per_element();
         let per_board = self.elements_per_board(num_elements);
-
-        // Each board runs the shared split-layout element loop on its own
-        // contiguous block, so results are bitwise identical to a single
-        // board evaluating everything.
-        let u_data = u.as_slice();
-        let w_data = w.as_mut_slice();
+        let (u, w) = (u.as_slice(), w.as_mut_slice());
         let planes = geometry.planes();
         for board in 0..self.boards {
             let first = board * per_board;
@@ -204,14 +198,12 @@ impl MultiBoardAccelerator {
                 break;
             }
             let range = first * npts..last * npts;
-            ax_optimized(
-                &u_data[range.clone()],
-                &mut w_data[range.clone()],
+            self.accelerator.datapath(
+                &u[range.clone()],
+                &mut w[range.clone()],
                 planes.map(|plane| &plane[range.clone()]),
-                &self.derivative,
             );
         }
-        self.estimate(num_elements)
     }
 }
 

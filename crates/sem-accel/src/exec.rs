@@ -426,7 +426,7 @@ impl AxBackend for FpgaSimBackend {
     }
 
     fn apply_into(&self, u: &ElementField, w: &mut ElementField) {
-        let _ = self.accelerator.execute_into(u, &self.geometry, w);
+        self.accelerator.apply_into(u, &self.geometry, w);
     }
 
     fn fuses_dssum(&self) -> bool {
@@ -583,7 +583,7 @@ impl AxBackend for MultiFpgaBackend {
     }
 
     fn apply_into(&self, u: &ElementField, w: &mut ElementField) {
-        let _ = self.multi.execute_into(u, &self.geometry, w);
+        self.multi.apply_into(u, &self.geometry, w);
     }
 
     fn fuses_dssum(&self) -> bool {

@@ -132,8 +132,9 @@ impl SemSystemBuilder {
         let implementation = match &self.backend.exec {
             ExecSpec::Cpu(implementation) => *implementation,
             // Accelerator backends still need a host operator for RHS
-            // assembly, preconditioning and verification; use the optimised
-            // CPU kernel there.
+            // assembly, preconditioning and verification.  `Optimized`
+            // auto-upgrades to the specialized family on covered degrees,
+            // the same kernel the simulated datapath runs.
             ExecSpec::FpgaSimulated(_) | ExecSpec::MultiFpga { .. } => AxImplementation::Optimized,
         };
         let problem = PoissonProblem::with_geometry(mesh, geometry, implementation);

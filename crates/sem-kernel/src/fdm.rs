@@ -3,8 +3,8 @@
 //! The element-local FDM preconditioner applies `z = S (Λ-sum)⁻¹ Sᵀ r` per
 //! element: three small dense contractions forward (`Sᵀ` along x, y, z), a
 //! pointwise scale by the precomputed inverse eigenvalue sums, and three
-//! contractions back (`S`).  The loops mirror [`crate::optimized`]'s
-//! split-layout `Ax` structure — unit-stride inner loops over the fastest
+//! contractions back (`S`).  The loops mirror the generic `Ax` kernel's
+//! split-layout structure — unit-stride inner loops over the fastest
 //! index — so the same datapath shape serves both kernels on the CPU and on
 //! the simulated accelerator (`fpga-sim` prices this pass with the same
 //! cycle model family).

@@ -13,19 +13,25 @@
 //!   on the interleaved `gxyz` layout.  This is the semantic ground truth;
 //!   [`PoissonOperator`] builds the interleaved copy it reads only while this
 //!   kernel is selected.
-//! * [`optimized`] — the layout the optimised accelerator uses: `gxyz` split
-//!   into six planes, loop structure reorganised for locality (the
-//!   Section III-B transformations expressed on a CPU).  The split planes
-//!   are the only layout `sem-mesh` stores.
-//! * [`parallel`] — the specialized dispatch below (the optimised kernel
+//! * the generic split-layout kernel (crate-private `optimized`) — the
+//!   layout the optimised accelerator uses: `gxyz` split into six planes,
+//!   loop structure reorganised for locality (the Section III-B
+//!   transformations expressed on a CPU).  The split planes are the only
+//!   layout `sem-mesh` stores.
+//! * [`parallel`] — the specialized dispatch below (the generic kernel
 //!   off-range) fanned out over elements with Rayon, the multi-core CPU
 //!   baseline of the evaluation.
 //!
 //! [`specialized`] layers degree-specialized codegen on top: const-generic
 //! kernel families with `NX = N + 1` baked in for the hot degrees
 //! `N = 3..=15`, resolved once via [`specialized::DegreeDispatch`] and
-//! bitwise identical to [`optimized`] (the Rust-native analogue of the
-//! paper's fixed-degree HLS datapath).
+//! bitwise identical to the generic kernel (the Rust-native analogue of the
+//! paper's fixed-degree HLS datapath).  [`specialized::ax_split`] is the one
+//! split-layout `Ax` entry: every host operator, the Rayon fan-out, the FDM
+//! coarse assembly and the simulated FPGA datapath (`fpga-sim`) call it with
+//! their resolved dispatch, and it runs the generic kernel only when none is
+//! resolved (off-range degrees).  To measure the generic kernel on a covered
+//! degree, pin it with [`PoissonOperator::pin_generic`].
 //!
 //! [`ops`] provides the FLOP / byte / DOF accounting used by every
 //! benchmark, matching the closed forms of Section IV, and [`assemble`]
@@ -40,7 +46,7 @@ pub mod fdm;
 pub mod helmholtz;
 pub mod operator;
 pub mod ops;
-pub mod optimized;
+mod optimized;
 pub mod parallel;
 pub mod reference;
 pub mod specialized;

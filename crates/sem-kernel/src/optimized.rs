@@ -12,12 +12,17 @@
 //!   vectorise them;
 //! * one element's scratch (`shur`/`shus`/`shut`) is kept hot in cache and
 //!   reused across the two loop nests, exactly like the on-chip BRAM copy.
+//!
+//! The module is crate-private: outside `sem-kernel` it is reached only
+//! through [`crate::specialized::ax_split`], which runs it when no
+//! specialized family is resolved (off-range degrees, or a
+//! [`crate::PoissonOperator`] pinned to the generic kernels).
 
 use sem_basis::DerivativeMatrix;
 
 /// Scratch buffers reused across elements to avoid per-element allocation.
 #[derive(Debug, Default, Clone)]
-pub struct AxScratch {
+pub(crate) struct AxScratch {
     shur: Vec<f64>,
     shus: Vec<f64>,
     shut: Vec<f64>,
@@ -27,20 +32,6 @@ pub struct AxScratch {
 }
 
 impl AxScratch {
-    /// Create scratch sized for `nx = N + 1` points per direction.
-    #[must_use]
-    pub fn new(nx: usize) -> Self {
-        let npts = nx * nx * nx;
-        Self {
-            shur: vec![0.0; npts],
-            shus: vec![0.0; npts],
-            shut: vec![0.0; npts],
-            ur: vec![0.0; npts],
-            us: vec![0.0; npts],
-            ut: vec![0.0; npts],
-        }
-    }
-
     /// Grow-only resize: shrinking to a smaller degree reuses the existing
     /// allocations (the kernel only touches the first `nx³` entries), so
     /// mixed-degree batches stay allocation-free after the first element of
@@ -72,7 +63,7 @@ impl AxScratch {
 // Index-based loops deliberately mirror the paper's Listing 1 structure and
 // keep the stride arithmetic explicit for the strength-reduced inner loops.
 #[allow(clippy::needless_range_loop)]
-pub fn ax_element_split(
+fn ax_element_split(
     u: &[f64],
     w: &mut [f64],
     g: [&[f64]; 6],
@@ -207,17 +198,16 @@ thread_local! {
 /// `g_planes` holds the six geometric-factor planes, each of length
 /// `E (N+1)^3` (see `sem_mesh::GeometricFactors::planes`).
 ///
-/// This is the shared element loop behind every split-layout execution path:
-/// the sequential CPU kernel, the simulated accelerator, and per-board
-/// partitions (which pass sub-slices of the full planes).  The element
-/// scratch comes from a thread-local buffer sized on first use, so repeated
-/// applications are allocation-free; callers that manage their own scratch
-/// use [`ax_optimized_with`] instead.
+/// This is the generic element loop behind [`crate::specialized::ax_split`]
+/// when no specialized family is resolved.  The element scratch comes from a
+/// thread-local buffer sized on first use, so repeated applications are
+/// allocation-free; callers that manage their own scratch use
+/// [`ax_optimized_with`] instead.
 ///
 /// # Panics
 /// Panics if `u` and `w` differ in length, the length is not a multiple of
 /// `(N+1)^3`, or any plane slice does not match `u`.
-pub fn ax_optimized(
+pub(crate) fn ax_optimized(
     u: &[f64],
     w: &mut [f64],
     g_planes: [&[f64]; 6],
@@ -234,7 +224,7 @@ pub fn ax_optimized(
 /// # Panics
 /// Panics if `u` and `w` differ in length, the length is not a multiple of
 /// `(N+1)^3`, or any plane slice does not match `u`.
-pub fn ax_optimized_with(
+pub(crate) fn ax_optimized_with(
     u: &[f64],
     w: &mut [f64],
     g_planes: [&[f64]; 6],
@@ -289,7 +279,8 @@ mod tests {
 
     #[test]
     fn ensure_reuses_the_allocation_when_shrinking() {
-        let mut scratch = AxScratch::new(8);
+        let mut scratch = AxScratch::default();
+        scratch.ensure(8);
         let cap = scratch.shur.capacity();
         let ptr = scratch.shur.as_ptr();
         scratch.ensure(4);
@@ -351,7 +342,8 @@ mod tests {
 
     #[test]
     fn scratch_reuse_is_safe_across_degrees() {
-        let mut scratch = AxScratch::new(4);
+        let mut scratch = AxScratch::default();
+        scratch.ensure(4);
         // Using the scratch with a different nx must transparently resize.
         let degree = 5;
         let mesh = BoxMesh::unit_cube(degree, 1);

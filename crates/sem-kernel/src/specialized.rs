@@ -3,7 +3,7 @@
 //! The paper's accelerator (Section III-B, Listing 1) owes its throughput to
 //! specializing the datapath to one polynomial degree: loop trip counts,
 //! unroll factors and array partitioning are HLS *compile-time* constants.
-//! The generic CPU kernels in [`crate::optimized`] and [`crate::fdm`] carry
+//! The generic CPU kernels (the split-layout `Ax` and [`crate::fdm`]) carry
 //! `nx` as a runtime value, so LLVM can neither fully unroll the unit-stride
 //! inner dimensions nor keep the differentiation rows in registers.  This
 //! module is the Rust-native analogue of that HLS specialization: one
@@ -134,7 +134,7 @@ impl<const NPTS: usize> SpecScratch<NPTS> {
 
 /// One element's `w = Dᵀ G D u` with `NX` as a compile-time constant.
 ///
-/// Mirrors [`crate::optimized::ax_element_split`] operation for operation
+/// Mirrors the generic `ax_element_split` operation for operation
 /// (same loops, same accumulation order — results are bitwise identical);
 /// the const trip counts let LLVM fully unroll the `0..NX` dot products and
 /// elide the bounds checks against the fixed-size scratch.
@@ -595,7 +595,7 @@ impl DegreeDispatch {
     }
 
     /// Apply `w = Dᵀ G D u` over every element of a field (the specialized
-    /// mirror of [`crate::optimized::ax_optimized`]; bitwise
+    /// mirror of the generic split-layout kernel; bitwise
     /// identical results).
     ///
     /// # Panics
@@ -644,7 +644,7 @@ impl DegreeDispatch {
 
 /// Apply `w = Dᵀ G D u` over a run of whole elements with the resolved
 /// specialized family, or with the generic split-layout kernel
-/// ([`ax_optimized`]) when none is resolved (off-range degrees, pinned
+/// (`optimized::ax_optimized`) when none is resolved (off-range degrees, pinned
 /// generic kernels).  The two paths are bitwise identical.
 ///
 /// # Panics

@@ -49,7 +49,7 @@
 use crate::cg::Preconditioner;
 use sem_basis::{DenseMatrix, Fdm1d, Fdm1dBoundary};
 use sem_kernel::fdm::{fdm_element_apply, rcontract_x, rcontract_y, rcontract_z, FdmScratch};
-use sem_kernel::specialized::{DegreeDispatch, COARSE_POINTS};
+use sem_kernel::specialized::{ax_split, DegreeDispatch, COARSE_POINTS};
 use sem_kernel::PoissonOperator;
 use sem_mesh::{BoxMesh, DirichletMask, ElementField, GatherScatter};
 use std::cell::RefCell;
@@ -499,9 +499,7 @@ impl FdmPreconditioner {
         let nx = mesh.degree() + 1;
         let npts = nx * nx * nx;
         let planes = operator.geometry().planes();
-        let derivative = operator.derivative();
-        let (d, dt) = (derivative.d().as_slice(), derivative.dt().as_slice());
-        let mut ax_scratch = sem_kernel::optimized::AxScratch::new(nx);
+        let (derivative, ax_dispatch) = (operator.derivative(), operator.dispatch());
         let cpts = cnx * cnx * cnx;
         let mut a_c = DenseMatrix::zeros(num_dofs, num_dofs);
         let mut y = vec![0.0; npts];
@@ -517,7 +515,7 @@ impl FdmPreconditioner {
                 t1[..cpts].iter_mut().for_each(|v| *v = 0.0);
                 t1[w_local] = 1.0;
                 let p_w = coarse.prolong_local(&mut t1, &mut t2, nx);
-                sem_kernel::optimized::ax_element_split(p_w, &mut y, g, d, dt, nx, &mut ax_scratch);
+                ax_split(ax_dispatch, p_w, &mut y, g, derivative);
                 coarse.restrict_local(&y, nx, &mut t1, &mut t2);
                 for (v_local, &v) in coarse.element_dofs[e].iter().enumerate() {
                     if v >= 0 {

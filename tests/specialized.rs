@@ -3,10 +3,15 @@
 //! `cpu:reference` to 1e-10 on the Ax operator, the FDM preconditioner
 //! application, and the Helmholtz operator — and out-of-range degrees must
 //! fall back to the generic kernels instead of panicking.  `cpu:parallel`
-//! fans the same dispatch out over elements, so its `Ax` must match
-//! `cpu:specialized` bit for bit, in range and off it.
+//! fans the same dispatch out over elements, and the simulated FPGA datapath
+//! (one board, and 2 or 3 boards with the elements block-partitioned) runs
+//! it per board, so their `Ax` must match `cpu:specialized` bit for bit, in
+//! range and off it.
 
 use semfpga::accel::Backend;
+use semfpga::fpga::{
+    synthesize, AcceleratorDesign, FpgaAccelerator, FpgaDevice, MultiBoardAccelerator,
+};
 use semfpga::kernel::specialized::{MAX_DEGREE, MIN_DEGREE};
 use semfpga::kernel::{AxImplementation, DegreeDispatch, HelmholtzOperator, PoissonOperator};
 use semfpga::mesh::{
@@ -36,8 +41,35 @@ fn assert_close(label: &str, degree: usize, expected: &ElementField, got: &Eleme
     }
 }
 
+/// `w = A u` through the simulated 520N datapath: one board, then 2 and 3
+/// boards (the 2³-element meshes split 4+4 and, unevenly, 3+3+2).  Empty
+/// when the design for `degree` does not fit the board.
+fn simulated_ax(
+    mesh: &BoxMesh,
+    geometry: &GeometricFactors,
+    u: &ElementField,
+) -> Vec<(String, ElementField)> {
+    let degree = mesh.degree();
+    let device = FpgaDevice::stratix10_gx2800();
+    if !synthesize(&AcceleratorDesign::for_degree(degree, &device), &device).fits {
+        return Vec::new();
+    }
+    let zeros = || ElementField::zeros(degree, mesh.num_elements());
+    let mut w = zeros();
+    let _ = FpgaAccelerator::for_degree(degree, &device).execute_into(u, geometry, &mut w);
+    let mut results = vec![("fpga-sim".to_string(), w)];
+    for boards in [2, 3] {
+        let mut w = zeros();
+        let _ = MultiBoardAccelerator::new(degree, &device, boards, 12.0)
+            .execute_into(u, geometry, &mut w);
+        results.push((format!("{boards}-board fpga-sim"), w));
+    }
+    results
+}
+
 #[test]
 fn specialized_ax_matches_reference_on_every_covered_degree() {
+    let mut simulated_degrees = 0;
     for degree in MIN_DEGREE..=MAX_DEGREE {
         let mesh = deformed_mesh(degree);
         let u = mesh.evaluate(|x, y, z| (3.1 * x + 1.3 * y).sin() * (z * z + 0.25) + x * y);
@@ -54,7 +86,20 @@ fn specialized_ax_matches_reference_on_every_covered_degree() {
             w_spec.as_slice(),
             "parallel Ax, degree {degree}"
         );
+        let simulated = simulated_ax(&mesh, &geometry, &u);
+        simulated_degrees += usize::from(!simulated.is_empty());
+        for (label, w) in simulated {
+            assert_eq!(
+                w.as_slice(),
+                w_spec.as_slice(),
+                "{label} Ax, degree {degree}"
+            );
+        }
     }
+    assert!(
+        simulated_degrees >= 3,
+        "the 520N battery must cover several degrees, not {simulated_degrees}"
+    );
 }
 
 #[test]
@@ -120,5 +165,18 @@ fn out_of_range_degrees_fall_back_to_the_generic_path_without_panicking() {
             operator.apply(&u).as_slice(),
             "parallel fallback Ax, degree {degree}"
         );
+        let geometry = GeometricFactors::from_mesh(&mesh);
+        let simulated = simulated_ax(&mesh, &geometry, &u);
+        assert!(
+            degree != 2 || !simulated.is_empty(),
+            "the N = 2 design fits the 520N"
+        );
+        for (label, w) in simulated {
+            assert_eq!(
+                w.as_slice(),
+                operator.apply(&u).as_slice(),
+                "{label} fallback Ax, degree {degree}"
+            );
+        }
     }
 }
