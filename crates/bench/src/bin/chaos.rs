@@ -1,5 +1,11 @@
-//! Chaos battery: the fault-tolerant serving host under seeded fault
+//! Chaos battery: the fault-tolerant streaming host under seeded fault
 //! plans, with recovery quality asserted as hard acceptance figures.
+//!
+//! There is one fault-tolerant streaming host with two executors
+//! (`Server::serve_stream` and `Server::serve_stream_async`); this battery
+//! drives the synchronous one, whose modelled clock makes every figure
+//! replayable.  The request set is a closed stream (every arrival at
+//! t = 0, no deadline), so admission packs it exactly like a batch serve.
 //!
 //! Four scenarios serve the same seeded request set on the same pool —
 //! three identical FPGA boards plus a `cpu:optimized` degradation reserve:
@@ -25,9 +31,9 @@
 //! corruptions, one death and one hang — the committed fault trace the
 //! roadmap's acceptance gate names.
 //!
-//! Everything is modeled time (the chaos host holds `cpu:*` slots out of
-//! normal placement), so `BENCH_chaos.json` is bitwise reproducible under
-//! the fixed seed on any host.
+//! Everything is modeled time (the host holds `cpu:*` slots of a mixed
+//! pool out of normal placement), so `BENCH_chaos.json` is bitwise
+//! reproducible under the fixed seed on any host.
 //!
 //! Run with `cargo run --release -p bench --bin chaos -- [degree] [per_side] [requests] [seed]`
 //! (defaults `4 2 24 42`, which is also what CI's smoke step and the
@@ -36,7 +42,7 @@
 use bench::table::{fmt, TableWriter};
 use fpga_sim::{FaultKind, FaultPlan, ScheduledFault};
 use sem_serve::{
-    ChaosReport, ChaosSummary, FaultToleranceOptions, ProblemSpec, ServeOptions, ServeRequest,
+    ArrivalStream, ChaosSummary, LiveOptions, LiveReport, ProblemSpec, ServeOptions, ServeRequest,
     Server,
 };
 use serde::Serialize;
@@ -59,7 +65,7 @@ struct ChaosRow {
     /// Faults scheduled across the pool (seeded plans count their drawn
     /// faults).
     injected_faults: usize,
-    /// The chaos host's aggregate for this scenario.
+    /// The host's fault aggregate for this scenario.
     summary: ChaosSummary,
     /// p99 latency of this row over the fault-free baseline's (`None` on
     /// the baseline row itself).
@@ -101,28 +107,29 @@ fn options() -> ServeOptions {
 fn serve_scenario(
     requests: &[ServeRequest],
     plans: &[(usize, FaultPlan)],
-    chaos: &FaultToleranceOptions,
-) -> ChaosReport {
+    live: &LiveOptions,
+) -> LiveReport {
+    let stream = ArrivalStream::closed(requests);
     let serve_once = || {
         let mut server =
             Server::from_registry_names(&[FPGA, FPGA, FPGA, "cpu:optimized"], options());
         for (device, plan) in plans {
             server.inject_faults(*device, plan.clone());
         }
-        server.serve_chaos(requests, *chaos)
+        server.serve_stream(&stream, live, None)
     };
     let first = serve_once();
     let replay = serve_once();
     assert_eq!(
-        serde::json::to_string(&first.summary()),
-        serde::json::to_string(&replay.summary()),
+        serde::json::to_string(&first.chaos_summary()),
+        serde::json::to_string(&replay.chaos_summary()),
         "a chaos serve must replay bitwise under a fixed fault plan"
     );
     first
 }
 
 /// Whether every outcome of `report` matches the baseline bit for bit.
-fn bitwise_identical(baseline: &ChaosReport, report: &ChaosReport) -> bool {
+fn bitwise_identical(baseline: &LiveReport, report: &LiveReport) -> bool {
     baseline.outcomes.len() == report.outcomes.len()
         && baseline
             .outcomes
@@ -157,7 +164,11 @@ fn main() {
     let requests: Vec<ServeRequest> = (0..request_count)
         .map(|i| ServeRequest::seeded(spec, seed.wrapping_add(i as u64)))
         .collect();
-    let chaos = FaultToleranceOptions::default();
+    // No deadline: the battery measures recovery, not admission.
+    let live = LiveOptions {
+        deadline_seconds: f64::INFINITY,
+        ..LiveOptions::default()
+    };
     println!(
         "Chaos battery: N = {degree}, {per_side}x{per_side}x{per_side} elements, \
          {request_count} requests, seed {seed}, pool 3x {FPGA} + cpu reserve\n"
@@ -230,11 +241,11 @@ fn main() {
         "p99 (ms)",
         "inflation",
     ]);
-    let mut baseline: Option<ChaosReport> = None;
+    let mut baseline: Option<LiveReport> = None;
     let mut rows = Vec::new();
     for (label, plans) in &scenarios {
-        let report = serve_scenario(&requests, plans, &chaos);
-        let summary = report.summary();
+        let report = serve_scenario(&requests, plans, &live);
+        let summary = report.chaos_summary();
         let injected_faults: usize = plans.iter().map(|(_, plan)| plan.faults().len()).sum();
         let p99_inflation = baseline.as_ref().and_then(|base| {
             let base_p99 = base.latency_percentile_seconds(99.0)?;
@@ -313,6 +324,10 @@ fn main() {
     // can consume a transient and the hang in one session, and the hang
     // outranks the corruption in the reported reason.
     let committed_invocation = degree == 4 && per_side == 2 && request_count == 24 && seed == 42;
+    assert_eq!(
+        rows[0].summary.retries_total, 0,
+        "the fault-free baseline must verify every answer on its first attempt"
+    );
     let battery = &rows[1];
     if committed_invocation {
         assert!(
@@ -362,8 +377,8 @@ fn main() {
             "cpu:optimized".to_string(),
         ],
         max_batch: options().max_batch,
-        timeout_factor: chaos.timeout_factor,
-        max_retries: chaos.max_retries,
+        timeout_factor: live.fault.timeout_factor,
+        max_retries: live.fault.max_retries,
         p99_inflation_bound: P99_INFLATION_BOUND,
         rows,
     };

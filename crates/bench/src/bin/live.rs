@@ -128,6 +128,7 @@ fn probe_session_seconds(spec: ProblemSpec) -> f64 {
         batch_window_seconds: 0.0,
         window_seconds: 1e9,
         down_batch: false,
+        ..LiveOptions::default()
     };
     let report = server.serve_stream(&stream, &generous, None);
     let session = report.outcomes[0].completed_seconds - report.outcomes[0].started_seconds;
@@ -158,6 +159,14 @@ fn run_row(
 
     let mut static_server = Server::new(slots, options());
     let fixed = static_server.serve_stream(&stream, live, None);
+    // No fault is injected, so every answer must verify on its first
+    // attempt: a retry here would be a spurious detection.
+    for report in [&autoscaled, &fixed] {
+        assert!(
+            report.fault_events.is_empty() && report.unserved.is_empty(),
+            "{label}: a fault-free live run recorded a fault"
+        );
+    }
 
     let p99 = autoscaled.latency_percentile_seconds(99.0);
     LiveRow {
@@ -216,6 +225,7 @@ fn main() {
         batch_window_seconds: 0.1 * unit,
         window_seconds: 8.0 * unit,
         down_batch: true,
+        ..LiveOptions::default()
     };
     println!(
         "Live serving: N = {degree}, {per_side}x{per_side}x{per_side} elements, \

@@ -1,27 +1,12 @@
-//! Serving-layer fault tolerance: detection thresholds, retry policy, and
-//! per-device circuit breakers.
+//! Serving-layer fault-tolerance policy: detection thresholds, retry
+//! backoff, the per-request retry ledger, per-device circuit breakers and
+//! the trusted residual check.
 //!
 //! The simulator injects faults ([`fpga_sim::FaultPlan`] behind
-//! `sem_accel::FaultyBackend`); this module is the *policy* side the chaos
-//! host ([`crate::Server::serve_chaos`]) runs against it:
-//!
-//! * **Detection** — typed device errors surface from the solver as
-//!   `SolveFault`; silent corruption is caught by recomputing the released
-//!   answer's relative residual on the trusted host operator
-//!   ([`relative_residual`]) against the request tolerance; sticky
-//!   slowdowns are caught by a modeled-time timeout budget (`k×` the
-//!   drift-corrected admission prediction).  Nothing consults a wall
-//!   clock, so every verdict is deterministic.
-//! * **Retry** — failed jobs requeue with capped exponential backoff in
-//!   modeled seconds, each attempt recorded in a [`RetryLedger`]; past
-//!   [`FaultToleranceOptions::max_retries`] the job is pinned to the
-//!   fallback device (a clean `cpu:*` slot when one exists) so admitted
-//!   work always completes.
-//! * **Quarantine** — a per-device [`CircuitBreaker`] walks
-//!   healthy → suspect → quarantined on consecutive faults and re-admits
-//!   by probing after a modeled cooldown; quarantined devices leave the
-//!   placement set (and the autoscaler's activation mask, see
-//!   [`crate::Autoscaler::set_quarantined`]).
+//! `sem_accel::FaultyBackend`); this module is the *policy* side the
+//! streaming host runs against it.  [`crate::chaos`] describes how
+//! detection, retry and quarantine play out on its two executors.  Every
+//! threshold is priced in modelled seconds, never on a wall clock.
 
 use sem_accel::SemSystem;
 use sem_mesh::ElementField;
@@ -66,9 +51,9 @@ impl FaultReason {
     }
 }
 
-/// Knobs of the fault-tolerant serving path.  Everything is priced in
+/// Knobs of the fault-tolerant streaming host.  Everything is priced in
 /// modeled seconds; defaults are deliberately conservative so a fault-free
-/// run is indistinguishable from the plain host.
+/// run records no fault.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 pub struct FaultToleranceOptions {
     /// Residual verification slack: an answer is accepted when its
@@ -294,7 +279,7 @@ impl CircuitBreaker {
     /// offered a probe job.
     ///
     /// Compares `now >= since + cooldown` — the *same* expression the
-    /// chaos placer uses to compute its wait-until time.  The subtractive
+    /// placer uses to compute its wait-until time.  The subtractive
     /// form `now - since >= cooldown` disagrees with it at the boundary
     /// (for `since ≈ 1.001122…`, `(since + 1.0) - since` rounds below
     /// `1.0`), which let the host wake at exactly the scheduled probe
@@ -413,7 +398,7 @@ mod tests {
 
     #[test]
     fn a_probe_is_due_at_exactly_the_scheduled_wake_up_time() {
-        // Regression: the chaos placer waits until `since + cooldown`, so
+        // Regression: the placer waits until `since + cooldown`, so
         // `probe_due` must be true at precisely that float.  The old
         // subtractive test (`now - since >= cooldown`) rounds the
         // difference below the cooldown for awkward `since` values — the

@@ -40,12 +40,13 @@
 //!   per-request latency, per-device utilisation, measured concurrency,
 //!   steal counts and aggregate throughput ([`ServeReport`] /
 //!   [`ServeSummary`]);
-//! * [`stream`] — live traffic: [`ArrivalStream`]s of timestamped requests
-//!   (seeded open-loop workloads via `perf_model::workload`), windowed
-//!   deadline admission in virtual time with drift-corrected pricing, the
-//!   synchronous reference host ([`Server::serve_stream`]) and the
-//!   streaming work-stealing host ([`Server::serve_stream_async`]) whose
-//!   feeder pushes arrivals into the shared injector while workers drain;
+//! * [`stream`] — the one fault-tolerant streaming host: [`ArrivalStream`]s
+//!   of timestamped requests (or a closed set at t = 0), windowed deadline
+//!   admission in virtual time with typed rejections, and a synchronous
+//!   ([`Server::serve_stream`]) and a threaded ([`Server::serve_stream_async`])
+//!   executor, both reporting in one [`LiveReport`];
+//! * [`chaos`] / [`fault`] — how that host detects, retries and quarantines
+//!   injected device faults ([`CircuitBreaker`], [`ChaosSummary`]);
 //! * [`autoscaler`] — [`Autoscaler`]: an SLO-holding, cost-minimising
 //!   activation mask over an `arch-db` candidate pool (real FPGA boards and
 //!   `fpga:projected:*` devices), one flip per observation window, holding
@@ -89,7 +90,7 @@ pub mod stream;
 
 pub use admission::{AdmissionPolicy, AdmittedJob, RejectedRequest};
 pub use autoscaler::{Autoscaler, AutoscalerPolicy, ScaleDirection, ScaleEvent};
-pub use chaos::{ChaosReport, ChaosSummary, FaultEvent};
+pub use chaos::{ChaosSummary, FaultEvent};
 pub use explore::{
     explore_case, standard_battery, standard_cases, CaseReport, ExploreCase, Strategy,
 };
@@ -115,5 +116,6 @@ pub use steal::{
     TaggedJob, WorkerLedger,
 };
 pub use stream::{
-    ArrivalStream, LiveOptions, LiveOutcome, LiveRejection, LiveReport, TimedRequest, WindowStats,
+    ArrivalStream, LiveOptions, LiveRejection, LiveReport, RejectionReason, TimedRequest,
+    WindowStats,
 };

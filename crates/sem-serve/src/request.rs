@@ -25,6 +25,13 @@ impl ProblemSpec {
         }
     }
 
+    /// Whether the spec can be meshed: degree ≥ 1 and at least one element
+    /// per direction.
+    #[must_use]
+    pub fn is_valid(&self) -> bool {
+        self.degree >= 1 && self.elements.iter().all(|&e| e >= 1)
+    }
+
     /// Total element count.
     #[must_use]
     pub fn num_elements(&self) -> usize {

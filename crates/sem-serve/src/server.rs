@@ -17,7 +17,7 @@ use crate::pipeline::{PipelineConfig, PipelineTimeline, RequestStages, Stage};
 use crate::queue::{BatchJob, SolveQueue};
 use crate::request::{ProblemSpec, RhsSpec, ServeRequest};
 use crate::scheduler::{DeviceSlot, DeviceStatus, SchedulingPolicy};
-use crate::steal::{run_stealing, run_stealing_with_feeder, JobVerdict, TaggedJob};
+use crate::steal::{run_stealing, run_stealing_with_feeder, CompletedJob, JobVerdict, TaggedJob};
 use sem_accel::{Backend, PerfSource, SemSystem};
 use sem_mesh::ElementField;
 use sem_obs::{recorder, DriftSample, Scope, SpanEvent, SpanKind, WallTimer};
@@ -103,10 +103,12 @@ pub struct RequestOutcome {
     pub device_label: String,
     /// Size of the batch job the request rode in.
     pub batch: usize,
-    /// Modelled session start of its job (seconds from submission).
+    /// Modelled arrival of the request (0 on the batch hosts, where every
+    /// request arrives at time zero).
+    pub arrival_seconds: f64,
+    /// Modelled session start of its job.
     pub started_seconds: f64,
-    /// Modelled completion time — the request's latency, since all requests
-    /// arrive at time zero.
+    /// Modelled completion of its job's session.
     pub completed_seconds: f64,
     /// CG iterations of the solve.
     pub iterations: usize,
@@ -117,8 +119,8 @@ pub struct RequestOutcome {
     /// Whether CG converged.
     pub converged: bool,
     /// The device fault that aborted the solve, if any (`None` on the
-    /// plain hosts unless faults were injected with
-    /// [`Server::inject_faults`]; the chaos host retries such outcomes
+    /// batch hosts unless faults were injected with
+    /// [`Server::inject_faults`]; the streaming host retries such outcomes
     /// instead of releasing them).
     pub fault: Option<sem_solver::SolveFault>,
     /// Max-norm error against the manufactured solution (`NaN` for seeded
@@ -141,10 +143,10 @@ pub struct RequestOutcome {
 }
 
 impl RequestOutcome {
-    /// Request latency (arrival is time zero for every request).
+    /// Arrival-relative latency in modelled seconds.
     #[must_use]
     pub fn latency_seconds(&self) -> f64 {
-        self.completed_seconds
+        self.completed_seconds - self.arrival_seconds
     }
 }
 
@@ -378,10 +380,10 @@ pub struct ServeSummary {
 /// (sequential and work-stealing) produce per job.
 pub(crate) struct ExecutedJob {
     job: BatchJob,
-    pub(crate) device: usize,
+    device: usize,
     hinted_device: Option<usize>,
     timeline: PipelineTimeline,
-    pub(crate) outcomes: Vec<RequestOutcome>,
+    outcomes: Vec<RequestOutcome>,
     /// Whether the job's stage costs come from a cycle model (simulated
     /// backend) rather than host measurement — which decides whether its
     /// spans survive a modelled-clock trace export.
@@ -538,8 +540,24 @@ impl Server {
                 hint: (!floating).then_some(device),
             })
             .collect();
-        let (executed, wall_stats) = self.run_pool(seeded, None, requests);
-        let executed = executed.into_iter().map(|((), job)| job).collect();
+        let (completed, _, wall_stats) =
+            self.run_pool(seeded, None, |server, worker, system, (), job| {
+                JobVerdict::Done((server.execute_job_on(system, worker, &job, requests), job))
+            });
+        let executed = completed
+            .into_iter()
+            .map(|done| {
+                let ((timeline, outcomes, modeled), job) = done.result;
+                ExecutedJob {
+                    job,
+                    device: done.worker,
+                    hinted_device: done.hint,
+                    timeline,
+                    outcomes,
+                    modeled,
+                }
+            })
+            .collect();
         self.assemble(
             policy.name(),
             true,
@@ -557,16 +575,24 @@ impl Server {
     /// any session it lacks, and hands them back for reuse when the pool
     /// drains.  `seeded` jobs are queued up front; `fed` jobs, when given,
     /// are pushed (unhinted) by a live feeder while the workers already run.
-    /// Returns every executed job with its key, in completion order, plus
-    /// each worker's `(busy wall seconds, steals)`.
-    pub(crate) fn run_pool<K: Send>(
+    /// `execute` runs one job on the worker's session for its shape and
+    /// resolves it with a [`JobVerdict`].  Returns the delivered results in
+    /// completion order, the jobs left unfinished (only when every worker
+    /// died), and each worker's `(busy wall seconds, steals)`.
+    pub(crate) fn run_pool<K, R, F>(
         &mut self,
         seeded: Vec<TaggedJob<(K, BatchJob)>>,
         fed: Option<Vec<(K, BatchJob)>>,
-        requests: &[ServeRequest],
-    ) -> (Vec<(K, ExecutedJob)>, WallStats) {
+        execute: F,
+    ) -> (Vec<CompletedJob<R>>, Vec<(K, BatchJob)>, WallStats)
+    where
+        K: Send,
+        R: Send,
+        F: Fn(&Self, usize, &SemSystem, K, BatchJob) -> JobVerdict<(K, BatchJob), R> + Sync,
+    {
         let states: Vec<HashMap<ProblemSpec, SemSystem>> =
             self.systems.iter_mut().map(std::mem::take).collect();
+        let server = &*self;
         // lint: no-panic (this closure runs on worker threads; a panic would
         // strand sibling deques mid-run)
         let execute = |worker: usize,
@@ -574,14 +600,13 @@ impl Server {
                        (key, job): (K, BatchJob)| {
             let system = systems.entry(job.spec).or_insert_with(|| {
                 Self::build_system(
-                    &self.slots[worker].config,
+                    &server.slots[worker].config,
                     job.spec,
-                    self.options.precond,
-                    self.fault_states[worker].clone(),
+                    server.options.precond,
+                    server.fault_states[worker].clone(),
                 )
             });
-            let (timeline, outcomes, modeled) = self.execute_job_on(system, worker, &job, requests);
-            JobVerdict::Done((key, job, timeline, outcomes, modeled))
+            execute(server, worker, system, key, job)
         };
         let run = match fed {
             Some(fed) => run_stealing_with_feeder(
@@ -602,23 +627,7 @@ impl Server {
             wall_stats.push((ledger.busy_wall_seconds, ledger.steals));
             *slot = ledger.state;
         }
-        let executed = run
-            .completed
-            .into_iter()
-            .map(|completed| {
-                let (key, job, timeline, outcomes, modeled) = completed.result;
-                let executed = ExecutedJob {
-                    job,
-                    device: completed.worker,
-                    hinted_device: completed.hint,
-                    timeline,
-                    outcomes,
-                    modeled,
-                };
-                (key, executed)
-            })
-            .collect();
-        (executed, wall_stats)
+        (run.completed, run.unfinished, wall_stats)
     }
 
     /// The shared front half of both hosts: pack the requests, admit jobs
@@ -932,6 +941,7 @@ impl Server {
                     device,
                     device_label: self.slots[device].label.clone(),
                     batch: job.batch_size(),
+                    arrival_seconds: 0.0,
                     started_seconds: 0.0,
                     completed_seconds: 0.0,
                     iterations: report.iterations(),
@@ -1043,7 +1053,12 @@ impl Server {
     /// application, so a stronger preconditioner shows up as a genuinely
     /// cheaper predicted completion.  Requires the system to exist.
     pub(crate) fn predict_job_seconds(&self, device: usize, job: &BatchJob) -> f64 {
-        let system = self.system(device, job.spec);
+        self.predict_on(self.system(device, job.spec), device, job)
+    }
+
+    /// [`Server::predict_job_seconds`] on a session the caller holds (a
+    /// pool worker's own).
+    pub(crate) fn predict_on(&self, system: &SemSystem, device: usize, job: &BatchJob) -> f64 {
         let applications = self.options.applications_hint.max(1);
         let precond = self.slot_precond(device);
         let precond_per_application = system

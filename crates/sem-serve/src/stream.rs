@@ -1,55 +1,39 @@
 //! Live-traffic serving: timestamped arrival streams, windowed admission in
-//! virtual time, and the streaming execution host.
+//! virtual time, and the one fault-tolerant streaming host.
 //!
-//! The batch API ([`crate::Server::serve`]) answers a request set that all
-//! arrives at time zero.  This module serves an *open-loop* workload: an
-//! [`ArrivalStream`] of requests stamped with modelled arrival seconds
-//! (typically drawn from `perf_model::workload` — Poisson, bursty or
-//! diurnal, deterministic under a seed), coalesced into batch jobs by a
-//! short batching window, priced against a per-device backlog and an
-//! arrival-relative deadline, and executed as they are admitted.
+//! An [`ArrivalStream`] holds requests stamped with modelled arrival
+//! seconds: a seeded open-loop trace from `perf_model::workload`, or a
+//! closed set at t = 0.  Same-shape arrivals within a batching window
+//! coalesce into jobs, each priced against a per-device backlog and an
+//! arrival-relative deadline.  One admission loop feeds two executors:
 //!
-//! Two hosts share one admission loop:
+//! * [`Server::serve_stream`] runs each admitted job inline on the device
+//!   it was priced for, charges the backlog the actual session, and teaches
+//!   a [`StageDriftCorrector`] that re-prices later admissions.
+//! * [`Server::serve_stream_async`] admits against corrected *predicted*
+//!   backlog, then feeds every admitted job into the work-stealing pool
+//!   while it drains.  On a homogeneous pool its answers are bitwise those
+//!   of the closed-batch path.
 //!
-//! * [`Server::serve_stream`] — the synchronous reference host.  Each
-//!   admitted job executes inline on the device it was priced for, the
-//!   device's backlog advances by the job's *actual* modelled makespan (the
-//!   same figure the worker ledger would charge), and every
-//!   prediction/actual pair feeds the whole-session slot of a
-//!   [`StageDriftCorrector`] so later admissions are re-priced by measured
-//!   drift (per-stage slots carry upload/compute/download drift for the
-//!   fault-tolerant hosts' timeout budgets).  Fully deterministic.
-//! * [`Server::serve_stream_async`] — the streaming work-stealing host.
-//!   Admission runs first in virtual time against *drift-corrected
-//!   predicted* backlog (all a causal host can know at admission time),
-//!   then every admitted job is fed through the shared injector of
-//!   [`crate::steal::run_stealing_with_feeder`] *while the worker pool is
-//!   already draining* (via `Server::run_pool`), so workers stay up until
-//!   the feeder is done and no job is outstanding.  Answers are
-//!   re-sequenced by request index; on a homogeneous pool the solution bits
-//!   are identical to the closed-batch path on the same admitted set,
-//!   whichever worker took each job.
-//!
-//! Windowed statistics drive elasticity: the stream is cut into fixed
-//! observation windows, each closed with admitted/rejected counts and a
-//! nearest-rank p99 over the window's latencies — `None`, not a fabricated
-//! `0.0`, when the window admitted nothing — and an optional
-//! [`Autoscaler`] digests each closed window to grow or shrink the active
-//! device mask before the next window's admissions are priced.
-//!
-//! Every second in this module is *modelled* time (arrival stamps, backlog,
-//! deadlines, window boundaries); wall clocks never influence admission, so
-//! a run is reproducible on any host however loaded.
+//! Both release only verified answers (see [`crate::chaos`]).  The stream
+//! is cut into observation windows, each closed with admitted/rejected
+//! counts and a p99 (`None` when nothing was admitted); an optional
+//! [`Autoscaler`] reads each closed window to resize the active pool.
+//! Every second here is modelled time, so admission never depends on host
+//! load.
 
 use crate::autoscaler::{Autoscaler, ScaleEvent};
+use crate::chaos::FaultEvent;
+use crate::fault::{BreakerState, CircuitBreaker, FaultReason, FaultToleranceOptions, RetryLedger};
 use crate::queue::BatchJob;
 use crate::request::{ProblemSpec, ServeRequest};
-use crate::server::Server;
+use crate::server::{RequestOutcome, Server};
+use crate::steal::JobVerdict;
 use perf_model::{arrival_times, StageDriftCorrector, WorkloadKind};
-use sem_mesh::ElementField;
-use sem_obs::recorder;
+use sem_obs::{recorder, WallTimer};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
+use std::sync::{Mutex, PoisonError};
 
 /// One timestamped request of an open-loop workload.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -110,6 +94,21 @@ impl ArrivalStream {
         Self::new(arrivals)
     }
 
+    /// A closed request set: every request arrives at t = 0, in order, so
+    /// request ids are indices into `requests`.
+    #[must_use]
+    pub fn closed(requests: &[ServeRequest]) -> Self {
+        Self::new(
+            requests
+                .iter()
+                .map(|&request| TimedRequest {
+                    arrival_seconds: 0.0,
+                    request,
+                })
+                .collect(),
+        )
+    }
+
     /// The sorted arrivals.
     #[must_use]
     pub fn arrivals(&self) -> &[TimedRequest] {
@@ -138,7 +137,7 @@ pub struct LiveOptions {
     pub deadline_seconds: f64,
     /// Same-shape arrivals within this window of the batch's first member
     /// coalesce into one job (up to the server's `max_batch`).  Zero
-    /// batches nothing.
+    /// batches only simultaneous arrivals.
     pub batch_window_seconds: f64,
     /// Width of one observation window: statistics, pool-size traces and
     /// autoscaler decisions are per window.
@@ -147,6 +146,9 @@ pub struct LiveOptions {
     /// (mirrors [`crate::AdmissionPolicy::DownBatch`]) instead of rejected
     /// whole.
     pub down_batch: bool,
+    /// Detection thresholds, retry policy and quarantine cooldown of the
+    /// fault-tolerant host.
+    pub fault: FaultToleranceOptions,
 }
 
 impl Default for LiveOptions {
@@ -156,46 +158,22 @@ impl Default for LiveOptions {
             batch_window_seconds: 0.05,
             window_seconds: 10.0,
             down_batch: true,
+            fault: FaultToleranceOptions::default(),
         }
     }
 }
 
-/// The answer to one live request.
-#[derive(Debug, Clone)]
-pub struct LiveOutcome {
-    /// Request id (index into the sorted [`ArrivalStream`]).
-    pub request: usize,
-    /// When the request arrived (modelled seconds).
-    pub arrival_seconds: f64,
-    /// Pool index of the device the job was priced for (synchronous host)
-    /// or of the worker that actually solved it (streaming host).
-    pub device: usize,
-    /// Display label of that device.
-    pub device_label: String,
-    /// Size of the batch job the request rode in.
-    pub batch: usize,
-    /// Modelled start of its job's session.
-    pub started_seconds: f64,
-    /// Modelled completion of its job's session.
-    pub completed_seconds: f64,
-    /// CG iterations of the solve.
-    pub iterations: usize,
-    /// Whether CG converged.
-    pub converged: bool,
-    /// The solution field — bitwise identical to a direct batched solve on
-    /// the same backend.
-    pub solution: ElementField,
+/// Why the live host turned a request away.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub enum RejectionReason {
+    /// The admission model priced its job over the deadline.
+    Deadline,
+    /// Its problem spec cannot be meshed (zero degree or a zero element
+    /// count), so no device could ever serve it.
+    InvalidSpec,
 }
 
-impl LiveOutcome {
-    /// Arrival-relative latency in modelled seconds.
-    #[must_use]
-    pub fn latency_seconds(&self) -> f64 {
-        self.completed_seconds - self.arrival_seconds
-    }
-}
-
-/// One request the live admission model turned away.
+/// One request the live host turned away.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct LiveRejection {
     /// Request id (index into the sorted [`ArrivalStream`]).
@@ -203,10 +181,13 @@ pub struct LiveRejection {
     /// When it arrived.
     pub arrival_seconds: f64,
     /// The arrival-relative latency the model predicted on the best active
-    /// device at pricing time.
+    /// device at pricing time (infinite for an invalid spec, which is never
+    /// priced).
     pub predicted_latency_seconds: f64,
-    /// The deadline it overshot.
+    /// The deadline it was priced against.
     pub deadline_seconds: f64,
+    /// Why it was rejected.
+    pub reason: RejectionReason,
 }
 
 /// Aggregates of one closed observation window — what the autoscaler sees.
@@ -229,12 +210,27 @@ pub struct WindowStats {
 }
 
 /// The result of serving one arrival stream.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct LiveReport {
-    /// One outcome per admitted request, sorted by request id.
-    pub outcomes: Vec<LiveOutcome>,
-    /// Requests priced over the deadline, sorted by request id.
+    /// One verified outcome per served request, sorted by request id.
+    pub outcomes: Vec<RequestOutcome>,
+    /// Requests turned away at admission, sorted by request id.
     pub rejections: Vec<LiveRejection>,
+    /// Admitted requests that could not be completed — non-empty only when
+    /// every device able to serve them is dead.  Never silently dropped.
+    pub unserved: Vec<usize>,
+    /// Per-request retry history.
+    pub ledger: RetryLedger,
+    /// Final per-device breaker states.
+    pub breakers: Vec<CircuitBreaker>,
+    /// Every detected fault, in detection order.
+    pub fault_events: Vec<FaultEvent>,
+    /// Jobs that exhausted their retries and ran on the fallback device.
+    pub fallback_jobs: usize,
+    /// Probe jobs offered to quarantined devices.
+    pub probes: usize,
+    /// Requests that completed after at least one failed attempt.
+    pub recovered_requests: usize,
     /// One entry per closed observation window, in order.
     pub windows: Vec<WindowStats>,
     /// Pool indices of the devices active during each window (parallel to
@@ -245,15 +241,20 @@ pub struct LiveReport {
     /// Width of one observation window.
     pub window_seconds: f64,
     /// The drift corrector's final multiplicative correction (1.0 means the
-    /// perf model priced sessions exactly; the streaming host reports its
-    /// admission-time factor).
+    /// perf model priced sessions exactly; the threaded executor reports
+    /// its admission-time factor).
     pub drift_correction: f64,
-    /// Whether the run used the streaming work-stealing host.
+    /// Modelled end-to-end seconds: the latest device backlog, backoff
+    /// waits included.
+    pub makespan_seconds: f64,
+    /// Measured wall-clock seconds of the whole call on this host.
+    pub wall_seconds: f64,
+    /// Whether the run used the threaded executor.
     pub asynchronous: bool,
 }
 
 impl LiveReport {
-    /// Requests admitted.
+    /// Requests admitted and answered.
     #[must_use]
     pub fn admitted(&self) -> usize {
         self.outcomes.len()
@@ -265,14 +266,14 @@ impl LiveReport {
         self.rejections.len()
     }
 
-    /// Arrival-relative latency at percentile `p` over every admitted
-    /// request (`None` when nothing was admitted).
+    /// Arrival-relative latency at percentile `p` over every answered
+    /// request (`None` when nothing was answered).
     #[must_use]
     pub fn latency_percentile_seconds(&self, p: f64) -> Option<f64> {
         let latencies: Vec<f64> = self
             .outcomes
             .iter()
-            .map(LiveOutcome::latency_seconds)
+            .map(RequestOutcome::latency_seconds)
             .collect();
         perf_model::nearest_rank_percentile(&latencies, p)
     }
@@ -319,18 +320,33 @@ impl LiveReport {
     }
 }
 
-/// One batch job of the live trace, stamped with the arrival of its last
-/// member (a job cannot dispatch before it is complete).
+/// One batch job of the live trace waiting its turn in virtual time.
 struct LiveJob {
     job: BatchJob,
+    /// Arrival of its last member (a job cannot dispatch before it is
+    /// complete): the deadline and latencies count from here.
     arrival_seconds: f64,
+    /// Earliest modelled dispatch: the arrival, a retry's backoff expiry,
+    /// or the moment a quarantined device's probe falls due.
+    not_before_seconds: f64,
+    /// Failed attempts so far.
+    attempts: usize,
+    /// Whether admission already accepted it (a retry is never re-priced
+    /// against the deadline: admitted work completes).
+    admitted: bool,
 }
 
-/// One admitted job of the streaming host's virtual-time plan.
-struct PlannedJob {
-    job: BatchJob,
-    started_seconds: f64,
-    completed_seconds: f64,
+impl LiveJob {
+    /// A job fresh off the coalescer.
+    fn arrived(job: BatchJob, arrival_seconds: f64) -> Self {
+        Self {
+            job,
+            arrival_seconds,
+            not_before_seconds: arrival_seconds,
+            attempts: 0,
+            admitted: false,
+        }
+    }
 }
 
 /// Window bookkeeping of the live loop: accumulates one window's counts and
@@ -419,11 +435,7 @@ fn coalesce(stream: &ArrivalStream, max_batch: usize, batch_window: f64) -> VecD
                 *last = timed.arrival_seconds;
                 continue;
             }
-            let flushed = LiveJob {
-                job: job.clone(),
-                arrival_seconds: *last,
-            };
-            jobs.push_back(flushed);
+            jobs.push_back(LiveJob::arrived(job.clone(), *last));
         }
         open = Some((
             BatchJob {
@@ -435,19 +447,75 @@ fn coalesce(stream: &ArrivalStream, max_batch: usize, batch_window: f64) -> VecD
         ));
     }
     if let Some((job, _, last)) = open {
-        jobs.push_back(LiveJob {
-            job,
-            arrival_seconds: last,
-        });
+        jobs.push_back(LiveJob::arrived(job, last));
     }
     jobs
 }
 
+/// Queue `job` in dispatch order: by `not_before_seconds`, behind every job
+/// already due at the same instant — a deterministic total order however
+/// retries interleave with arrivals.
+fn enqueue(queue: &mut VecDeque<LiveJob>, job: LiveJob) {
+    let at = queue.partition_point(|queued| {
+        queued
+            .not_before_seconds
+            .total_cmp(&job.not_before_seconds)
+            .is_le()
+    });
+    queue.insert(at, job);
+}
+
+/// The mutable state of one streaming serve.
+struct LiveRun<'a> {
+    live: &'a LiveOptions,
+    arrivals: &'a [TimedRequest],
+    requests: Vec<ServeRequest>,
+    scaler: Option<&'a mut Autoscaler>,
+    active: Vec<bool>,
+    /// Modelled instant each device's backlog clears.
+    free_at: Vec<f64>,
+    corrector: StageDriftCorrector,
+    tracker: WindowTracker,
+    /// The threaded executor's plan: each admitted job, due again at its
+    /// predicted completion, beside its predicted start.
+    planned: Vec<(LiveJob, f64)>,
+    /// Answers, rejections and the recovery record accumulate here.
+    report: LiveReport,
+}
+
+impl LiveRun<'_> {
+    fn reject(&mut self, job: &BatchJob, reason: RejectionReason, predicted_latency_seconds: f64) {
+        self.tracker.rejected += job.batch_size();
+        for &request in &job.requests {
+            self.report.rejections.push(LiveRejection {
+                request,
+                arrival_seconds: self.arrivals[request].arrival_seconds,
+                predicted_latency_seconds,
+                deadline_seconds: self.live.deadline_seconds,
+                reason,
+            });
+        }
+    }
+
+    /// Release verified outcomes on the modelled interval `[started,
+    /// completed]`, stamping each with its arrival.
+    fn release(&mut self, outcomes: Vec<RequestOutcome>, started: f64, completed: f64) {
+        for mut outcome in outcomes {
+            outcome.arrival_seconds = self.arrivals[outcome.request].arrival_seconds;
+            outcome.started_seconds = started;
+            outcome.completed_seconds = completed;
+            self.tracker.latencies.push(outcome.latency_seconds());
+            self.report.outcomes.push(outcome);
+        }
+    }
+}
+
 impl Server {
-    /// Serve an arrival stream on the synchronous reference host: admitted
-    /// jobs execute inline on the device they were priced for, backlog
-    /// advances by actual modelled makespans, and the drift corrector
-    /// re-prices every later admission by measured prediction drift.
+    /// Serve an arrival stream on the synchronous executor: admitted jobs
+    /// execute inline on the device they were priced for, backlog advances
+    /// by actual modelled makespans, the drift corrector re-prices every
+    /// later admission by measured prediction drift, and failed attempts
+    /// are retried in virtual time (see [`crate::chaos`]).
     ///
     /// With a `scaler`, the active device mask is re-evaluated at every
     /// window boundary; without one the whole pool stays active.
@@ -464,16 +532,13 @@ impl Server {
         self.serve_stream_host(stream, live, scaler, false)
     }
 
-    /// Serve an arrival stream on the streaming work-stealing host:
-    /// admission runs in virtual time against drift-corrected *predicted*
-    /// backlog (what a causal host knows at admission time), then every
-    /// admitted job is pushed through the shared injector by a live feeder
-    /// while the worker pool drains — no job carries a placement hint, so
-    /// whichever worker frees up first takes it.
-    ///
-    /// Outcomes carry the plan's virtual times and the executing worker's
-    /// identity; on a homogeneous pool the solution bits are identical to
-    /// [`Server::serve`] on the same admitted set.
+    /// Serve an arrival stream on the threaded executor: admission prices
+    /// against corrected *predicted* backlog, then a live feeder pushes
+    /// every admitted job (unhinted) into the shared injector while the
+    /// worker pool drains.  Outcomes carry the plan's virtual times and the
+    /// executing worker; on a homogeneous pool the solution bits are those
+    /// of [`Server::serve`] on the same admitted set.  Faults are handled
+    /// as [`crate::chaos`] describes.
     ///
     /// # Panics
     /// Panics if an option is non-positive (`batch_window_seconds` may be
@@ -491,7 +556,7 @@ impl Server {
         &mut self,
         stream: &ArrivalStream,
         live: &LiveOptions,
-        mut scaler: Option<&mut Autoscaler>,
+        scaler: Option<&mut Autoscaler>,
         asynchronous: bool,
     ) -> LiveReport {
         assert!(live.deadline_seconds > 0.0, "deadline must be positive");
@@ -500,6 +565,7 @@ impl Server {
             live.batch_window_seconds >= 0.0,
             "batch window must be non-negative"
         );
+        let wall = WallTimer::start();
         let pool = self.slots.len();
         if let Some(scaler) = &scaler {
             assert_eq!(
@@ -509,179 +575,342 @@ impl Server {
             );
         }
 
-        let requests: Vec<ServeRequest> = stream.arrivals().iter().map(|t| t.request).collect();
-        let mut queue = coalesce(stream, self.options.max_batch, live.batch_window_seconds);
-        let mut active: Vec<bool> = scaler
-            .as_ref()
-            .map_or_else(|| vec![true; pool], |s| s.active_mask().to_vec());
-        let mut free_at = vec![0.0_f64; pool];
-        let mut corrector = StageDriftCorrector::new();
-        let mut tracker = WindowTracker::new(live.window_seconds);
-        let mut outcomes: Vec<LiveOutcome> = Vec::new();
-        let mut rejections: Vec<LiveRejection> = Vec::new();
-        let mut planned: Vec<PlannedJob> = Vec::new();
-        let mut served_any = false;
-
-        while let Some(LiveJob {
-            job,
-            arrival_seconds,
-        }) = queue.pop_front()
-        {
-            served_any = true;
-            tracker.advance_to(arrival_seconds, &mut active, &mut scaler);
-            // Price the job on every *active* device: earliest corrected
-            // completion wins (min_devices >= 1 keeps the mask non-empty).
-            let active_devices: Vec<usize> = (0..pool).filter(|&d| active[d]).collect();
-            for &device in &active_devices {
-                self.ensure_system(device, job.spec);
-            }
-            let (best, raw_predicted) = active_devices
-                .iter()
-                .map(|&device| (device, self.predict_job_seconds(device, &job)))
-                .min_by(|a, b| {
-                    let ca =
-                        free_at[a.0].max(arrival_seconds) + corrector.corrected("session", a.1);
-                    let cb =
-                        free_at[b.0].max(arrival_seconds) + corrector.corrected("session", b.1);
-                    ca.total_cmp(&cb).then(a.0.cmp(&b.0))
-                })
-                .expect("active pool is never empty");
-            let started = free_at[best].max(arrival_seconds);
-            let predicted_completion = started + corrector.corrected("session", raw_predicted);
-            let predicted_latency = predicted_completion - arrival_seconds;
-
-            if predicted_latency <= live.deadline_seconds {
-                tracker.admitted += job.batch_size();
-                if asynchronous {
-                    // Causal host: backlog advances by the corrected
-                    // prediction; execution happens later on the pool.
-                    free_at[best] = predicted_completion;
-                    for &request in &job.requests {
-                        tracker.latencies.push(
-                            predicted_completion - stream.arrivals()[request].arrival_seconds,
-                        );
-                    }
-                    planned.push(PlannedJob {
-                        job,
-                        started_seconds: started,
-                        completed_seconds: predicted_completion,
-                    });
-                } else {
-                    // Reference host: execute now, charge the backlog what
-                    // the session actually cost, teach the corrector.
-                    let (timeline, outs, _modeled) =
-                        self.execute_job_on(self.system(best, job.spec), best, &job, &requests);
-                    let actual = timeline.makespan_seconds;
-                    corrector.record("session", raw_predicted, actual);
-                    let completed = started + actual;
-                    free_at[best] = completed;
-                    for outcome in outs {
-                        let arrival = stream.arrivals()[outcome.request].arrival_seconds;
-                        tracker.latencies.push(completed - arrival);
-                        outcomes.push(LiveOutcome {
-                            request: outcome.request,
-                            arrival_seconds: arrival,
-                            device: best,
-                            device_label: outcome.device_label,
-                            batch: outcome.batch,
-                            started_seconds: started,
-                            completed_seconds: completed,
-                            iterations: outcome.iterations,
-                            converged: outcome.converged,
-                            solution: outcome.solution,
-                        });
-                    }
-                }
-            } else if live.down_batch && job.batch_size() >= 2 {
-                // Down-batch: halve and re-price both pieces before later
-                // arrivals (they keep the whole job's arrival stamp — the
-                // split decision is made at that point in virtual time).
-                let (front, back) = job.split();
-                queue.push_front(LiveJob {
-                    job: back,
-                    arrival_seconds,
-                });
-                queue.push_front(LiveJob {
-                    job: front,
-                    arrival_seconds,
-                });
-            } else {
-                tracker.rejected += job.batch_size();
-                for &request in &job.requests {
-                    rejections.push(LiveRejection {
-                        request,
-                        arrival_seconds: stream.arrivals()[request].arrival_seconds,
-                        predicted_latency_seconds: predicted_latency,
-                        deadline_seconds: live.deadline_seconds,
-                    });
-                }
-            }
+        let mut run = LiveRun {
+            live,
+            arrivals: stream.arrivals(),
+            requests: stream.arrivals().iter().map(|t| t.request).collect(),
+            active: scaler
+                .as_ref()
+                .map_or_else(|| vec![true; pool], |s| s.active_mask().to_vec()),
+            scaler,
+            free_at: vec![0.0; pool],
+            corrector: StageDriftCorrector::new(),
+            tracker: WindowTracker::new(live.window_seconds),
+            planned: Vec::new(),
+            report: LiveReport {
+                breakers: vec![CircuitBreaker::new(); pool],
+                window_seconds: live.window_seconds,
+                asynchronous,
+                ..LiveReport::default()
+            },
+        };
+        let queue = coalesce(stream, self.options.max_batch, live.batch_window_seconds);
+        self.drain(&mut run, queue, asynchronous);
+        if !stream.is_empty() {
+            run.tracker.close(&mut run.active, &mut run.scaler);
         }
-        if served_any {
-            tracker.close(&mut active, &mut scaler);
+        if asynchronous && !run.planned.is_empty() {
+            let leftovers = self.execute_plan(&mut run);
+            self.drain(&mut run, leftovers, false);
         }
 
-        if asynchronous && !planned.is_empty() {
-            self.execute_plan(&planned, stream, &requests, &mut outcomes);
-        }
-
-        outcomes.sort_by_key(|o| o.request);
-        rejections.sort_by_key(|r| r.request);
+        let mut report = run.report;
+        report.outcomes.sort_by_key(|o| o.request);
+        report.rejections.sort_by_key(|r| r.request);
+        report.unserved.sort_unstable();
+        assert_eq!(
+            report.outcomes.len() + report.rejections.len() + report.unserved.len(),
+            stream.len(),
+            "every request is answered, rejected or reported unserved exactly once"
+        );
         let obs = recorder();
         if obs.is_enabled() {
-            obs.counter_add("sem_serve_live_admitted_total", &[], outcomes.len() as u64);
+            obs.counter_add(
+                "sem_serve_live_admitted_total",
+                &[],
+                report.admitted() as u64,
+            );
             obs.counter_add(
                 "sem_serve_live_rejected_total",
                 &[],
-                rejections.len() as u64,
+                report.rejected() as u64,
             );
         }
-        LiveReport {
-            outcomes,
-            rejections,
-            windows: tracker.windows,
-            active_trace: tracker.active_trace,
-            scale_events: scaler.map(|s| s.events().to_vec()).unwrap_or_default(),
-            window_seconds: live.window_seconds,
-            drift_correction: corrector.correction("session"),
-            asynchronous,
+        report.windows = run.tracker.windows;
+        report.active_trace = run.tracker.active_trace;
+        report.scale_events = run.scaler.map(|s| s.events().to_vec()).unwrap_or_default();
+        report.drift_correction = run.corrector.correction("session");
+        report.makespan_seconds = run.free_at.into_iter().fold(0.0, f64::max);
+        report.wall_seconds = wall.elapsed_wall_seconds();
+        report
+    }
+
+    /// The one admission-and-recovery loop.  A job not yet admitted is
+    /// validated, placed and priced against the deadline; once admitted it
+    /// joins the threaded executor's plan (`plan_only`) or runs inline, and
+    /// a failed attempt re-enters the queue after its backoff — on the
+    /// fallback device once its retries are spent.
+    fn drain(&mut self, run: &mut LiveRun<'_>, mut queue: VecDeque<LiveJob>, plan_only: bool) {
+        let fault = run.live.fault;
+        // Backstop far beyond any plan the retry/fallback ladder can hit:
+        // only an all-dead pool reaches it, and those jobs land in
+        // `unserved` rather than looping forever.
+        let attempt_ceiling = fault.max_retries + self.slots.len() + 2;
+        while let Some(entry) = queue.pop_front() {
+            let (job, arrival_seconds) = (&entry.job, entry.arrival_seconds);
+            let (not_before_seconds, attempts, admitted) =
+                (entry.not_before_seconds, entry.attempts, entry.admitted);
+            let (device, raw_predicted) = if attempts > fault.max_retries {
+                let Some(device) = self.fallback_device(attempts, attempt_ceiling) else {
+                    run.report.unserved.extend(&job.requests);
+                    continue;
+                };
+                self.ensure_system(device, job.spec);
+                (device, self.predict_job_seconds(device, job))
+            } else {
+                if !admitted {
+                    run.tracker
+                        .advance_to(not_before_seconds, &mut run.active, &mut run.scaler);
+                    if !job.spec.is_valid() {
+                        run.reject(job, RejectionReason::InvalidSpec, f64::INFINITY);
+                        continue;
+                    }
+                }
+                match self.place(job, run, not_before_seconds) {
+                    Ok(placed) => placed,
+                    Err(probe_due_seconds) => {
+                        let entry = LiveJob {
+                            not_before_seconds: probe_due_seconds,
+                            ..entry
+                        };
+                        enqueue(&mut queue, entry);
+                        continue;
+                    }
+                }
+            };
+            let start = run.free_at[device].max(not_before_seconds);
+            let predicted = run.corrector.corrected("session", raw_predicted);
+
+            if !admitted {
+                let predicted_completion = start + predicted;
+                let predicted_latency = predicted_completion - arrival_seconds;
+                if predicted_latency > run.live.deadline_seconds {
+                    if run.live.down_batch && job.batch_size() >= 2 {
+                        // Down-batch: halve and re-price both pieces before
+                        // later arrivals (they keep the whole job's arrival
+                        // stamp — the split is decided at that instant).
+                        let (front, back) = job.split();
+                        queue.push_front(LiveJob::arrived(back, arrival_seconds));
+                        queue.push_front(LiveJob::arrived(front, arrival_seconds));
+                    } else {
+                        run.reject(job, RejectionReason::Deadline, predicted_latency);
+                    }
+                    continue;
+                }
+                run.tracker.admitted += job.batch_size();
+                if plan_only {
+                    // Causal host: backlog advances by the corrected
+                    // prediction; execution happens later on the pool.
+                    run.free_at[device] = predicted_completion;
+                    for &request in &job.requests {
+                        run.tracker
+                            .latencies
+                            .push(predicted_completion - run.arrivals[request].arrival_seconds);
+                    }
+                    let entry = LiveJob {
+                        not_before_seconds: predicted_completion,
+                        admitted: true,
+                        ..entry
+                    };
+                    run.planned.push((entry, start));
+                    continue;
+                }
+            }
+
+            // Synchronous executor: run now, charge the backlog what the
+            // session actually cost, judge the answers.
+            if run.report.breakers[device].is_quarantined() {
+                run.report.probes += 1;
+            }
+            let (timeline, outcomes, verdict) = self.attempt(
+                self.system(device, job.spec),
+                device,
+                job,
+                &run.requests,
+                &fault,
+                fault.timeout_factor * predicted,
+            );
+            let makespan = timeline.makespan_seconds;
+            let end = start + makespan;
+            run.free_at[device] = end;
+            match verdict {
+                None => {
+                    run.report.on_verified(device, job.batch_size(), attempts);
+                    if attempts > fault.max_retries {
+                        run.report.fallback_jobs += 1;
+                    }
+                    // A mixed pool's `cpu:*` reserve runs on another clock
+                    // than the placement set and does not teach the corrector.
+                    if self.placement_set(&run.active).contains(&device) {
+                        run.corrector.record("session", raw_predicted, makespan);
+                    }
+                    run.release(outcomes, start, end);
+                }
+                Some(reason) => {
+                    let attempts = attempts + 1;
+                    let backoff = fault.backoff_seconds(attempts);
+                    run.report
+                        .on_fault(device, reason, end, job, attempts, backoff);
+                    let obs = recorder();
+                    if obs.is_enabled() {
+                        obs.counter_add("sem_serve_retries_total", &[], 1);
+                    }
+                    if attempts >= attempt_ceiling {
+                        run.report.unserved.extend(&job.requests);
+                    } else {
+                        let entry = LiveJob {
+                            not_before_seconds: end + backoff,
+                            attempts,
+                            admitted: true,
+                            ..entry
+                        };
+                        enqueue(&mut queue, entry);
+                    }
+                }
+            }
         }
     }
 
-    /// Execute the streaming host's admitted plan: a live feeder pushes
-    /// every planned job (unhinted) into the shared injector while the
-    /// worker pool — one thread per device slot, each owning its sessions —
-    /// is already draining, then answers are spliced back onto the plan's
-    /// virtual times.
-    fn execute_plan(
+    /// The active devices minus a mixed pool's `cpu:*` reserve.
+    fn placement_set(&self, active: &[bool]) -> Vec<usize> {
+        let active: Vec<usize> = (0..self.slots.len()).filter(|&d| active[d]).collect();
+        let accelerators: Vec<usize> = active
+            .iter()
+            .copied()
+            .filter(|&d| !self.slots[d].label.starts_with("cpu"))
+            .collect();
+        if accelerators.is_empty() {
+            active
+        } else {
+            accelerators
+        }
+    }
+
+    /// Earliest-corrected-completion placement over the placement set, ties
+    /// to the lowest pool index.  A quarantined device is a candidate only
+    /// once its probe is due.  Returns the device and its raw predicted
+    /// seconds, or — when every candidate sits in quarantine — when the
+    /// earliest probe falls due.
+    fn place(
         &mut self,
-        planned: &[PlannedJob],
-        stream: &ArrivalStream,
-        requests: &[ServeRequest],
-        outcomes: &mut Vec<LiveOutcome>,
-    ) {
+        job: &BatchJob,
+        run: &LiveRun<'_>,
+        not_before_seconds: f64,
+    ) -> Result<(usize, f64), f64> {
+        let candidates = self.placement_set(&run.active);
+        let cooldown = run.live.fault.probe_cooldown_seconds;
+        let breakers = &run.report.breakers;
+        let mut best: Option<(f64, usize, f64)> = None;
+        for &device in &candidates {
+            let start = run.free_at[device].max(not_before_seconds);
+            let breaker = &breakers[device];
+            if breaker.is_quarantined() && !breaker.probe_due(start, cooldown) {
+                continue;
+            }
+            self.ensure_system(device, job.spec);
+            let raw = self.predict_job_seconds(device, job);
+            let completion = start + run.corrector.corrected("session", raw);
+            if best.is_none_or(|(incumbent, _, _)| completion < incumbent) {
+                best = Some((completion, device, raw));
+            }
+        }
+        if let Some((_, device, raw)) = best {
+            return Ok((device, raw));
+        }
+        let probe_due = candidates
+            .iter()
+            .filter_map(|&device| match breakers[device].state() {
+                BreakerState::Quarantined { since_seconds } => {
+                    Some(run.free_at[device].max(since_seconds + cooldown))
+                }
+                _ => None,
+            })
+            .fold(f64::INFINITY, f64::min);
+        assert!(probe_due.is_finite(), "active pool is never empty");
+        Err(probe_due.max(not_before_seconds))
+    }
+
+    /// The threaded executor: a live feeder pushes every planned job
+    /// (unhinted) into the shared injector while the worker pool drains.
+    /// Each worker judges its own attempts with the one detection step: a
+    /// dead device retires its worker (`Fatal`), any other fault requeues
+    /// the job (`Retry`).  Verified answers land on the plan's virtual
+    /// times; the jobs the pool could not finish (retries exhausted, or
+    /// every worker dead) are returned for the fallback device.
+    fn execute_plan(&mut self, run: &mut LiveRun<'_>) -> VecDeque<LiveJob> {
+        let planned = std::mem::take(&mut run.planned);
+        let log = Mutex::new(std::mem::take(&mut run.report));
+        let fault = run.live.fault;
+        let corrector = &run.corrector;
+        let requests = &run.requests;
         let fed = planned
             .iter()
             .enumerate()
-            .map(|(plan_index, plan)| (plan_index, plan.job.clone()))
+            .map(|(index, (plan, _))| ((index, 0), plan.job.clone()))
             .collect();
-        let (executed, _wall_stats) = self.run_pool(Vec::new(), Some(fed), requests);
-        for (plan_index, executed) in executed {
-            let plan = &planned[plan_index];
-            for outcome in executed.outcomes {
-                outcomes.push(LiveOutcome {
-                    request: outcome.request,
-                    arrival_seconds: stream.arrivals()[outcome.request].arrival_seconds,
-                    device: executed.device,
-                    device_label: outcome.device_label,
-                    batch: outcome.batch,
-                    started_seconds: plan.started_seconds,
-                    completed_seconds: plan.completed_seconds,
-                    iterations: outcome.iterations,
-                    converged: outcome.converged,
-                    solution: outcome.solution,
-                });
+        let (completed, unfinished, _wall_stats) = self.run_pool(
+            Vec::new(),
+            Some(fed),
+            // lint: no-panic (runs on the pool's worker threads)
+            |server, worker, system, (index, attempts): (usize, usize), job| {
+                if attempts > fault.max_retries {
+                    return JobVerdict::Done(Err(((index, attempts), job)));
+                }
+                let predicted =
+                    corrector.corrected("session", server.predict_on(system, worker, &job));
+                let (timeline, outcomes, verdict) = server.attempt(
+                    system,
+                    worker,
+                    &job,
+                    requests,
+                    &fault,
+                    fault.timeout_factor * predicted,
+                );
+                // Only a worker panic poisons the lock, and the pool
+                // re-raises it at join, so a poisoned log is never reported.
+                let mut log = log.lock().unwrap_or_else(PoisonError::into_inner);
+                let Some(reason) = verdict else {
+                    log.on_verified(worker, job.batch_size(), attempts);
+                    return JobVerdict::Done(Ok((index, outcomes)));
+                };
+                // No backoff wait: the injector hands the job to the next
+                // free worker at once.
+                let at = planned[index].1 + timeline.makespan_seconds;
+                log.on_fault(worker, reason, at, &job, attempts + 1, 0.0);
+                let next = ((index, attempts + 1), job);
+                if reason == FaultReason::DeviceDead {
+                    JobVerdict::Fatal(next)
+                } else {
+                    JobVerdict::Retry(next)
+                }
+            },
+        );
+        run.report = log.into_inner().unwrap_or_else(PoisonError::into_inner);
+
+        let mut exhausted = Vec::new();
+        for done in completed {
+            match done.result {
+                Ok((index, outcomes)) => {
+                    let (plan, started) = &planned[index];
+                    run.release(outcomes, *started, plan.not_before_seconds);
+                }
+                Err(unfinished) => exhausted.push(unfinished),
             }
         }
+        // What the pool could not finish goes back to the synchronous loop
+        // for the fallback device, due when the plan expected it done.
+        let mut leftovers = VecDeque::new();
+        for ((index, attempts), job) in exhausted.into_iter().chain(unfinished) {
+            let attempts = attempts.max(fault.max_retries + 1);
+            enqueue(
+                &mut leftovers,
+                LiveJob {
+                    job,
+                    attempts,
+                    ..planned[index].0
+                },
+            );
+        }
+        leftovers
     }
 }

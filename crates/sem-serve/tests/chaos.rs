@@ -1,7 +1,8 @@
 //! Chaos conservation battery: seeded fault mixes through the
-//! work-stealing pool and the end-to-end chaos server, proving **no job is
-//! ever lost** — every run delivers results that are exactly `0..n`, or
-//! hands the remainder back explicitly when the whole pool dies.
+//! work-stealing pool and the fault-tolerant streaming host, proving **no
+//! job is ever lost** — every run delivers results that are exactly `0..n`,
+//! or hands the remainder back explicitly when the whole pool dies.  Each
+//! end-to-end test runs on both executors of the streaming host.
 //!
 //! Lives in its own integration-test binary (like `tests/explore.rs`) so
 //! the threaded runs here never share a process with the schedule
@@ -11,8 +12,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use fpga_sim::{FaultKind, FaultPlan, ScheduledFault};
 use sem_serve::{
-    run_stealing, run_stealing_with_feeder, FaultToleranceOptions, JobVerdict, ProblemSpec,
-    ServeOptions, ServeRequest, Server, StealRun, TaggedJob,
+    run_stealing, run_stealing_with_feeder, ArrivalStream, JobVerdict, LiveOptions, LiveReport,
+    ProblemSpec, ServeOptions, ServeRequest, Server, StealRun, TaggedJob,
 };
 
 /// splitmix64: the deterministic seed expander used across the repo's
@@ -260,6 +261,15 @@ fn seeded_death_and_retry_storms_conserve_jobs() {
 /// The accelerator the end-to-end battery serves on.
 const FPGA: &str = "fpga:stratix10-gx2800";
 
+/// Seeded cases of the threaded runs (CI's stress job raises this via
+/// `SEM_STRESS_ITERS`).
+fn stress_iters() -> usize {
+    std::env::var("SEM_STRESS_ITERS")
+        .ok()
+        .and_then(|value| value.parse().ok())
+        .unwrap_or(100)
+}
+
 /// Seeded requests on a small cube, shared by the end-to-end tests.
 fn seeded_requests(n: usize, seed: u64) -> Vec<ServeRequest> {
     let spec = ProblemSpec::cube(3, 2);
@@ -268,9 +278,11 @@ fn seeded_requests(n: usize, seed: u64) -> Vec<ServeRequest> {
         .collect()
 }
 
-fn small_pool() -> Server {
+/// A pool of `names`; the end-to-end tests pair two boards with a cpu
+/// reserve, or use three identical boards.
+fn pool(names: &[&str]) -> Server {
     Server::from_registry_names(
-        &[FPGA, FPGA, "cpu:optimized"],
+        names,
         ServeOptions {
             max_batch: 2,
             ..ServeOptions::default()
@@ -278,127 +290,147 @@ fn small_pool() -> Server {
     )
 }
 
+/// A plan of `(at_op, kind)` faults.
+fn plan(faults: &[(u64, FaultKind)]) -> FaultPlan {
+    FaultPlan::new(
+        faults
+            .iter()
+            .map(|&(at_op, kind)| ScheduledFault { at_op, kind })
+            .collect(),
+    )
+}
+
+/// Serve `requests` as a closed stream (every arrival at t = 0, no
+/// deadline) on the threaded executor when `asynchronous`, else inline.
+fn serve(server: &mut Server, requests: &[ServeRequest], asynchronous: bool) -> LiveReport {
+    let stream = ArrivalStream::closed(requests);
+    let live = LiveOptions {
+        deadline_seconds: f64::INFINITY,
+        ..LiveOptions::default()
+    };
+    if asynchronous {
+        server.serve_stream_async(&stream, &live, None)
+    } else {
+        server.serve_stream(&stream, &live, None)
+    }
+}
+
+/// Every one of `n` requests answered exactly once, converged, with no
+/// poisoned solve released.
+fn assert_all_served_verified(report: &LiveReport, n: usize) {
+    let executor = if report.asynchronous {
+        "threaded"
+    } else {
+        "sync"
+    };
+    assert!(report.unserved.is_empty(), "{executor}: a request was lost");
+    let served: Vec<usize> = report.outcomes.iter().map(|o| o.request).collect();
+    assert_eq!(served, (0..n).collect::<Vec<usize>>(), "{executor}");
+    assert!(
+        report
+            .outcomes
+            .iter()
+            .all(|o| o.converged && o.fault.is_none()),
+        "{executor}: an unverified or poisoned solve was released"
+    );
+}
+
 #[test]
-fn chaos_serve_completes_every_request_verified_under_a_mixed_fault_plan() {
+fn live_serves_complete_every_request_verified_under_a_mixed_fault_plan() {
     // Transients + a hang on device 0, a hard death on device 1: every
     // request must still complete verified, the outcome set must cover the
     // request indices exactly, and recovery must be visible in the ledger.
+    // Which jobs a worker takes is up to the schedule on the threaded
+    // executor, so only the synchronous one must observe every fault.
     let requests = seeded_requests(10, 42);
-    let mut server = small_pool();
-    server.inject_faults(
-        0,
-        FaultPlan::new(vec![
-            ScheduledFault {
-                at_op: 2,
-                kind: FaultKind::Transient,
-            },
-            ScheduledFault {
-                at_op: 40,
-                kind: FaultKind::Hang,
-            },
-        ]),
-    );
-    server.inject_faults(
-        1,
-        FaultPlan::new(vec![ScheduledFault {
-            at_op: 10,
-            kind: FaultKind::Death,
-        }]),
-    );
+    for asynchronous in [false, true] {
+        let mut server = pool(&[FPGA, FPGA, "cpu:optimized"]);
+        server.inject_faults(0, plan(&[(2, FaultKind::Transient), (40, FaultKind::Hang)]));
+        server.inject_faults(1, plan(&[(10, FaultKind::Death)]));
 
-    let report = server.serve_chaos(&requests, FaultToleranceOptions::default());
+        let report = serve(&mut server, &requests, asynchronous);
 
-    assert!(
-        report.unserved.is_empty(),
-        "no admitted request may be lost"
-    );
-    let mut served: Vec<usize> = report.outcomes.iter().map(|o| o.request).collect();
-    served.sort_unstable();
-    assert_eq!(
-        served,
-        (0..requests.len()).collect::<Vec<usize>>(),
-        "outcomes must cover the request indices exactly"
-    );
-    for outcome in &report.outcomes {
-        assert!(
-            outcome.converged,
-            "request {} released unverified",
-            outcome.request
-        );
-        assert!(outcome.fault.is_none(), "a poisoned solve was released");
+        assert_all_served_verified(&report, requests.len());
+        if !asynchronous {
+            assert!(
+                report.ledger.total_retries() >= 1,
+                "faults must be detected"
+            );
+            assert!(report.recovered_requests >= 1);
+            assert!(
+                report.fault_events.iter().any(|e| e.device == 1),
+                "the death on device 1 must be observed"
+            );
+        }
     }
-    assert!(
-        report.ledger.total_retries() >= 1,
-        "faults must be detected"
-    );
-    assert!(report.recovered_requests >= 1);
-    assert!(
-        report.fault_events.iter().any(|e| e.device == 1),
-        "the death on device 1 must be observed"
-    );
 }
 
 #[test]
-fn chaos_serve_matches_the_fault_free_bits_when_retries_stay_on_peers() {
-    // Two identical boards: a death on one forces every retry onto the
-    // equivalent peer, so released solutions must match the fault-free run
-    // bit for bit.
+fn live_serves_match_the_fault_free_bits_when_retries_stay_on_peers() {
+    // Three identical boards under a death, a transient and a hang: every
+    // retry lands on an equivalent board, so released solutions must match
+    // the fault-free run bit for bit, and nothing may be left unserved.
+    // The threaded executor repeats the run across schedules.
     let requests = seeded_requests(8, 7);
-    let chaos = FaultToleranceOptions::default();
+    let boards = [FPGA, FPGA, FPGA];
+    let baseline = serve(&mut pool(&boards), &requests, false);
+    assert_all_served_verified(&baseline, requests.len());
 
-    let baseline = small_pool().serve_chaos(&requests, chaos);
-    assert!(baseline.unserved.is_empty());
+    for asynchronous in [false, true] {
+        let runs = if asynchronous {
+            (stress_iters() / 10).max(1)
+        } else {
+            1
+        };
+        for _ in 0..runs {
+            let mut server = pool(&boards);
+            server.inject_faults(0, plan(&[(5, FaultKind::Death)]));
+            server.inject_faults(1, plan(&[(3, FaultKind::Transient)]));
+            server.inject_faults(2, plan(&[(4, FaultKind::Hang)]));
+            let faulted = serve(&mut server, &requests, asynchronous);
 
-    let mut server = small_pool();
-    server.inject_faults(
-        0,
-        FaultPlan::new(vec![ScheduledFault {
-            at_op: 5,
-            kind: FaultKind::Death,
-        }]),
-    );
-    let faulted = server.serve_chaos(&requests, chaos);
-
-    assert!(faulted.unserved.is_empty());
-    assert_eq!(baseline.outcomes.len(), faulted.outcomes.len());
-    for (a, b) in baseline.outcomes.iter().zip(&faulted.outcomes) {
-        assert_eq!(a.request, b.request);
-        assert_eq!(
-            a.solution.as_slice(),
-            b.solution.as_slice(),
-            "request {} drifted from the fault-free bits",
-            a.request
-        );
+            assert_all_served_verified(&faulted, requests.len());
+            for (a, b) in baseline.outcomes.iter().zip(&faulted.outcomes) {
+                assert_eq!(
+                    a.solution.as_slice(),
+                    b.solution.as_slice(),
+                    "async {asynchronous}: request {} drifted from the fault-free bits",
+                    a.request
+                );
+            }
+            assert_eq!(
+                faulted.fallback_jobs, 0,
+                "async {asynchronous}: no job needed the fallback device"
+            );
+        }
     }
-    assert_eq!(faulted.fallback_jobs, 0, "the cpu reserve was not needed");
 }
 
 #[test]
-fn chaos_serve_degrades_to_the_cpu_reserve_when_every_accelerator_dies() {
+fn live_serves_degrade_to_the_cpu_reserve_when_every_accelerator_dies() {
     // Both boards die almost immediately: the host must degrade onto the
     // cpu reserve and still complete every request rather than dropping
-    // any.
+    // any.  The synchronous executor reaches it through the fallback; on
+    // the threaded one the cpu worker is simply the last one standing.
     let requests = seeded_requests(6, 11);
-    let mut server = small_pool();
-    for device in 0..2 {
-        server.inject_faults(
-            device,
-            FaultPlan::new(vec![ScheduledFault {
-                at_op: 1,
-                kind: FaultKind::Death,
-            }]),
+    for asynchronous in [false, true] {
+        let mut server = pool(&[FPGA, FPGA, "cpu:optimized"]);
+        for device in 0..2 {
+            server.inject_faults(device, plan(&[(1, FaultKind::Death)]));
+        }
+
+        let report = serve(&mut server, &requests, asynchronous);
+
+        assert_all_served_verified(&report, requests.len());
+        assert!(
+            report.outcomes.iter().all(|o| o.device == 2),
+            "async {asynchronous}: only the cpu reserve can answer"
         );
+        if !asynchronous {
+            assert!(
+                report.fallback_jobs >= 1,
+                "with every accelerator dark, work must land on the reserve"
+            );
+        }
     }
-
-    let report = server.serve_chaos(&requests, FaultToleranceOptions::default());
-
-    assert!(report.unserved.is_empty(), "degradation must not lose jobs");
-    let mut served: Vec<usize> = report.outcomes.iter().map(|o| o.request).collect();
-    served.sort_unstable();
-    assert_eq!(served, (0..requests.len()).collect::<Vec<usize>>());
-    assert!(report.outcomes.iter().all(|o| o.converged));
-    assert!(
-        report.fallback_jobs >= 1,
-        "with every accelerator dark, work must land on the reserve"
-    );
 }

@@ -11,8 +11,8 @@
 use perf_model::WorkloadKind;
 use sem_serve::autoscaler::{Autoscaler, AutoscalerPolicy, ScaleDirection};
 use sem_serve::{
-    ArrivalStream, LiveOptions, ProblemSpec, RoundRobin, ServeOptions, ServeRequest, Server,
-    TimedRequest,
+    ArrivalStream, LiveOptions, ProblemSpec, RejectionReason, RoundRobin, ServeOptions,
+    ServeRequest, Server, TimedRequest,
 };
 use sem_solver::CgOptions;
 
@@ -46,6 +46,7 @@ fn generous() -> LiveOptions {
         batch_window_seconds: 0.5,
         window_seconds: 2.0,
         down_batch: true,
+        ..LiveOptions::default()
     }
 }
 
@@ -96,6 +97,9 @@ fn streaming_arrivals_answer_identical_to_the_closed_batch_path() {
         );
         assert_eq!(batch.iterations, live_async.iterations);
     }
+    // Measured cpu sessions are this pool's own clock, so they re-price
+    // later admissions like modelled ones do.
+    assert_ne!(sync.drift_correction, 1.0, "a cpu-only pool learns drift");
     // Latency accounting stays arrival-relative and ordered.
     for outcome in &sync.outcomes {
         assert!(outcome.latency_seconds() >= 0.0);
@@ -165,7 +169,48 @@ fn total_overload_rejects_everything_without_fabricating_a_tail() {
         assert_eq!(window.p99_latency_seconds, None);
     }
     for rejection in &report.rejections {
+        assert_eq!(rejection.reason, RejectionReason::Deadline);
         assert!(rejection.predicted_latency_seconds > rejection.deadline_seconds);
+    }
+}
+
+#[test]
+fn invalid_specs_are_rejected_with_their_reason_while_valid_ones_are_answered() {
+    // A zero degree or a zero element count cannot be meshed.  Such a
+    // request used to reach the mesh's asserts and take the whole call's
+    // answers down with it; now it is a typed rejection on both executors.
+    let specs = [
+        ProblemSpec::cube(3, 2),
+        ProblemSpec::cube(0, 2),
+        ProblemSpec {
+            degree: 3,
+            elements: [2, 0, 2],
+        },
+    ];
+    let stream = ArrivalStream::new(
+        (0..9)
+            .map(|i| TimedRequest {
+                arrival_seconds: i as f64 * 0.1,
+                request: ServeRequest::seeded(specs[i % 3], i as u64),
+            })
+            .collect(),
+    );
+    for asynchronous in [false, true] {
+        let mut server = Server::from_registry_names(&["fpga:stratix10-gx2800"], options(4));
+        let report = if asynchronous {
+            server.serve_stream_async(&stream, &generous(), None)
+        } else {
+            server.serve_stream(&stream, &generous(), None)
+        };
+        let answered: Vec<usize> = report.outcomes.iter().map(|o| o.request).collect();
+        assert_eq!(answered, [0, 3, 6], "async {asynchronous}");
+        let rejected: Vec<_> = report
+            .rejections
+            .iter()
+            .map(|r| (r.request, r.reason))
+            .collect();
+        let invalid = [1, 2, 4, 5, 7, 8].map(|i| (i, RejectionReason::InvalidSpec));
+        assert_eq!(rejected, invalid, "async {asynchronous}");
     }
 }
 
@@ -216,6 +261,7 @@ fn the_autoscaler_grows_under_load_shrinks_after_it_and_holds_when_idle() {
         batch_window_seconds: 0.01 * l,
         window_seconds: 6.0 * l,
         down_batch: true,
+        ..LiveOptions::default()
     };
     let report = server.serve_stream(&stream, &live, Some(&mut scaler));
 
@@ -273,6 +319,7 @@ fn an_fpga_catalogue_pool_serves_a_live_trace_end_to_end() {
         batch_window_seconds: 0.1,
         window_seconds: 1.0,
         down_batch: true,
+        ..LiveOptions::default()
     };
     let report = server.serve_stream(&stream, &live, Some(&mut scaler));
     assert_eq!(report.admitted() + report.rejected(), stream.len());
