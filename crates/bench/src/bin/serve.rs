@@ -1,5 +1,5 @@
 //! Pipelined serving benchmark: the overlap win per backend and the
-//! scheduling-policy ranking on a heterogeneous pool.
+//! serving host end to end on a heterogeneous pool.
 //!
 //! Part 1 — for every simulated registry backend, serve a batch of
 //! right-hand sides through `sem-serve`'s three-stage offload pipeline and
@@ -7,16 +7,19 @@
 //! accounting (one number per backend and batch size, plus the kernel
 //! launch/work split from the stage-timing hook).
 //!
-//! Part 2 — serve a mixed workload over a heterogeneous pool (host CPU +
-//! real FPGA + a Section V-D projected device) under each scheduling policy
-//! and record throughput, p50/p99 latency and per-device utilisation.
+//! Part 2 — serve a closed request set over a heterogeneous pool (the host
+//! CPU, a real FPGA and a Section V-D projected device) through the serving
+//! host, which places each job on the device with the earliest predicted
+//! completion and holds a mixed pool's `cpu:*` slots in reserve, and record
+//! throughput, p50/p99 latency and the requests each device served.
 //!
-//! Part 3 — the async host: serve the same stream synchronously and through
-//! `Server::serve_async` on a multi-slot CPU pool (real worker threads, so
-//! the wall-clock makespan actually shrinks) and on a pinned pool where the
-//! idle slots must steal every job they serve.
+//! Part 3 — the threaded executor: serve one closed set through
+//! `Server::serve_stream` and `Server::serve_stream_async` on a multi-slot
+//! CPU pool (real worker threads, so the wall-clock makespan actually
+//! shrinks), bracketed by a trivially parallel probe that measures how
+//! much parallelism the host offers right now.
 //!
-//! Part 4 — the preconditioner's serving win: the same request stream on the
+//! Part 4 — the preconditioner's serving win: the same request set on the
 //! evaluated board under identity / Jacobi / FDM, where the FDM
 //! preconditioner collapses the iteration count (and therefore the modelled
 //! makespan) while its on-device pass and table upload are fully priced.
@@ -26,34 +29,43 @@
 //!
 //! Run with `cargo run --release -p bench --bin serve -- [degree] [elements_per_side] [requests]`
 //! (CI runs a tiny smoke size: `-- 3 2 6`).  Passing `--async` makes the
-//! Part 3 acceptance criterion a hard assertion (async wall-clock makespan
-//! < 0.75x the synchronous path on the multi-slot CPU pool).  Passing
-//! `--trace` adds Part 5: one serve of the same workload on the evaluated
-//! board under a modelled-clock sem-obs recorder, exporting the Chrome
-//! trace (`OBS_trace.json`), the Prometheus snapshot (`OBS_metrics.prom`)
-//! and the model-drift calibration report (`OBS_drift.json`) — the
-//! committed samples sem-lint's obs-schema pass validates.
+//! Part 3 acceptance criterion a hard assertion: the threaded wall-clock
+//! makespan must be < 0.75x the synchronous one on the multi-slot CPU pool.
+//! When the probe measures less than 1.6x parallel speedup the host cannot
+//! show that win, so the gate prints the probe figure and skips loudly,
+//! still asserting bitwise identity and at most 50% threading overhead.
+//! Passing `--trace` adds Part 5: one serve of the same workload on the
+//! evaluated board under a modelled-clock sem-obs recorder, exporting the
+//! Chrome trace (`OBS_trace.json`), the Prometheus snapshot
+//! (`OBS_metrics.prom`) and the model-drift calibration report
+//! (`OBS_drift.json`) — the committed samples sem-lint's obs-schema pass
+//! validates.
 
 use bench::table::{fmt, TableWriter};
 use sem_accel::{Backend, SemSystem};
-use sem_obs::{chrome_trace_json, recorder, DriftReport, ObsConfig, Recorder};
+use sem_obs::{chrome_trace_json, recorder, DriftReport, ObsConfig, Recorder, WallTimer};
 use sem_serve::{
-    policy_by_name, policy_names, Pinned, PipelineConfig, PipelineTimeline, ProblemSpec,
+    ArrivalStream, LiveOptions, LiveReport, PipelineConfig, PipelineTimeline, ProblemSpec,
     ServeOptions, ServeRequest, Server,
 };
 use sem_solver::{CgOptions, PrecondSpec};
 use serde::Serialize;
+use std::hint::black_box;
 
 /// Batch sizes of the per-backend overlap sweep.
 const BATCHES: [usize; 2] = [16, 64];
 
-/// The heterogeneous policy-comparison pool: measured host, evaluated
-/// board, and a model-designed future device, side by side.
-const POLICY_POOL: [&str; 3] = [
+/// The heterogeneous Part 2 pool: measured host, evaluated board, and a
+/// model-designed future device, side by side.
+const MIXED_POOL: [&str; 3] = [
     "cpu:parallel",
     "fpga:stratix10-gx2800",
     "fpga:projected:a100-class",
 ];
+
+/// The parallel speedup below which the `--async` gate skips: under it the
+/// host is too loaded (or too small) to show a worker-thread win.
+const PROBE_FLOOR: f64 = 1.6;
 
 /// One (backend, batch) point of the overlap sweep.
 #[derive(Debug, Clone, Serialize)]
@@ -85,53 +97,44 @@ struct PipelineRow {
     bitwise_identical: bool,
 }
 
-/// One policy of the heterogeneous-pool comparison.
+/// The serving host on the heterogeneous pool (Part 2).
 #[derive(Debug, Clone, Serialize)]
-struct PolicyRow {
-    policy: String,
-    /// Preconditioner every solve ran.
-    precond: String,
-    /// Total CG iterations across the admitted requests.
+struct PlacementRow {
+    /// Total CG iterations across the served requests.
     total_iterations: u64,
-    /// Total preconditioner-apply seconds across the admitted requests.
+    /// Total preconditioner-apply seconds across the served requests.
     precond_apply_seconds: f64,
     requests: usize,
-    jobs: usize,
     makespan_seconds: f64,
-    serial_makespan_seconds: f64,
     throughput_rps: f64,
     p50_latency_seconds: f64,
     p99_latency_seconds: f64,
-    /// `label: requests@utilisation` per device.
+    /// `label: requests served` per device.
     devices: Vec<String>,
 }
 
-/// One sync-vs-async comparison of Part 3.
+/// The sync-vs-threaded comparison of Part 3.
 #[derive(Debug, Clone, Serialize)]
 struct AsyncRow {
     scenario: String,
     pool: Vec<String>,
-    policy: String,
-    /// Preconditioner every solve ran.
-    precond: String,
     requests: usize,
     max_batch: usize,
-    /// Measured wall-clock seconds of the synchronous serve.
+    /// Measured wall-clock seconds of `serve_stream`.
     sync_wall_seconds: f64,
-    /// Measured wall-clock seconds of `serve_async` on the same stream.
+    /// Measured wall-clock seconds of `serve_stream_async` on the same set.
     async_wall_seconds: f64,
     /// `sync_wall / async_wall` — the worker threads' makespan win.
     wall_speedup: f64,
-    /// Busy worker-seconds per wall second of the async run.
-    async_concurrency: f64,
-    /// Jobs executed away from their hinted slot.
-    steals: usize,
-    /// Whether async answers matched the synchronous ones bitwise.
+    /// Whether the threaded answers matched the synchronous ones bitwise.
     bitwise_identical: bool,
-    /// Cores the host actually has: worker threads can only shrink the
-    /// wall-clock makespan when this exceeds one, so the speedup column
-    /// must be read against it.
+    /// Cores the host actually has.
     host_cores: usize,
+    /// Parallel speedup a trivially parallel busy loop reached around the
+    /// pair (one loop per core against one loop; the lower of a probe just
+    /// before and one just after): the speedup column must be read against
+    /// it.
+    probe_parallel_speedup: f64,
 }
 
 /// One preconditioner of the Part 4 serving comparison.
@@ -139,10 +142,9 @@ struct AsyncRow {
 struct PrecondServeRow {
     precond: String,
     requests: usize,
-    jobs: usize,
-    /// Total CG iterations across the stream — what FDM collapses.
+    /// Total CG iterations across the set — what FDM collapses.
     total_iterations: u64,
-    /// Total on-device preconditioner-apply seconds across the stream.
+    /// Total on-device preconditioner-apply seconds across the set.
     precond_apply_seconds: f64,
     makespan_seconds: f64,
     throughput_rps: f64,
@@ -155,13 +157,14 @@ struct PrecondServeRow {
 struct ServeBenchReport {
     degree: usize,
     elements_per_side: usize,
-    policy_requests: usize,
+    /// Requests of the Part 2 and Part 4 sets.
+    requests: usize,
     pool: Vec<String>,
     /// Preconditioner of Parts 1–3 (the serving default).
     precond: String,
     pipeline: Vec<PipelineRow>,
-    policies: Vec<PolicyRow>,
-    async_host: Vec<AsyncRow>,
+    placement: PlacementRow,
+    async_host: AsyncRow,
     /// Part 4: identity vs Jacobi vs FDM on the evaluated board.
     precond_serving: Vec<PrecondServeRow>,
 }
@@ -172,6 +175,59 @@ fn cg() -> CgOptions {
         tolerance: 1e-10,
         record_history: false,
     }
+}
+
+/// Serve `requests` as a closed set (every arrival at t = 0), admitting
+/// everything, on the synchronous or the threaded executor.
+fn serve_closed(server: &mut Server, requests: &[ServeRequest], asynchronous: bool) -> LiveReport {
+    let stream = ArrivalStream::closed(requests);
+    let live = LiveOptions {
+        deadline_seconds: f64::INFINITY,
+        ..LiveOptions::default()
+    };
+    let report = if asynchronous {
+        server.serve_stream_async(&stream, &live, None)
+    } else {
+        server.serve_stream(&stream, &live, None)
+    };
+    assert_eq!(
+        report.outcomes.len(),
+        requests.len(),
+        "every request served"
+    );
+    assert!(report.outcomes.iter().all(|o| o.converged));
+    report
+}
+
+/// `n` seeded requests of shape `degree`, `per_side`³.
+fn seeded_requests(degree: usize, per_side: usize, n: usize) -> Vec<ServeRequest> {
+    let spec = ProblemSpec::cube(degree, per_side);
+    (0..n)
+        .map(|i| ServeRequest::seeded(spec, i as u64))
+        .collect()
+}
+
+fn total_iterations(report: &LiveReport) -> u64 {
+    report.outcomes.iter().map(|o| o.iterations as u64).sum()
+}
+
+fn precond_apply_seconds(report: &LiveReport) -> f64 {
+    report.outcomes.iter().map(|o| o.precond_seconds).sum()
+}
+
+/// Served requests per modelled second.
+fn throughput_rps(report: &LiveReport) -> f64 {
+    report.outcomes.len() as f64 / report.makespan_seconds
+}
+
+/// `(p50, p99)` latency of a run that served requests.
+fn latency_p50_p99(report: &LiveReport) -> (f64, f64) {
+    let p = |q| {
+        report
+            .latency_percentile_seconds(q)
+            .expect("the run serves requests")
+    };
+    (p(50.0), p(99.0))
 }
 
 fn pipeline_sweep(degree: usize, per_side: usize) -> Vec<PipelineRow> {
@@ -217,7 +273,7 @@ fn pipeline_sweep(degree: usize, per_side: usize) -> Vec<PipelineRow> {
         let requests: Vec<ServeRequest> = (0..check_batch)
             .map(|_| ServeRequest::manufactured(spec))
             .collect();
-        let served = server.serve(&requests, &mut sem_serve::RoundRobin::default());
+        let served = serve_closed(&mut server, &requests, false);
         let bitwise_identical = served
             .outcomes
             .iter()
@@ -287,117 +343,52 @@ fn pipeline_sweep(degree: usize, per_side: usize) -> Vec<PipelineRow> {
     rows
 }
 
-fn policy_sweep(degree: usize, per_side: usize, num_requests: usize) -> Vec<PolicyRow> {
-    let spec = ProblemSpec::cube(degree, per_side);
-    let requests: Vec<ServeRequest> = (0..num_requests)
-        .map(|i| ServeRequest::seeded(spec, i as u64))
+fn placement_run(degree: usize, per_side: usize, num_requests: usize) -> PlacementRow {
+    let requests = seeded_requests(degree, per_side, num_requests);
+    let mut server = Server::from_registry_names(
+        &MIXED_POOL,
+        ServeOptions {
+            cg: cg(),
+            max_batch: 4,
+            ..ServeOptions::default()
+        },
+    );
+    let report = serve_closed(&mut server, &requests, false);
+    let (p50, p99) = latency_p50_p99(&report);
+    let devices: Vec<String> = MIXED_POOL
+        .iter()
+        .enumerate()
+        .map(|(device, label)| {
+            let served = report.outcomes.iter().filter(|o| o.device == device);
+            format!("{label}: {}", served.count())
+        })
         .collect();
+    let row = PlacementRow {
+        total_iterations: total_iterations(&report),
+        precond_apply_seconds: precond_apply_seconds(&report),
+        requests: requests.len(),
+        makespan_seconds: report.makespan_seconds,
+        throughput_rps: throughput_rps(&report),
+        p50_latency_seconds: p50,
+        p99_latency_seconds: p99,
+        devices,
+    };
     let mut table = TableWriter::new(vec![
-        "policy",
         "makespan (ms)",
-        "serial (ms)",
         "rps",
         "p50 (ms)",
         "p99 (ms)",
         "placement",
     ]);
-    let mut rows = Vec::new();
-    for name in policy_names() {
-        let mut policy = policy_by_name(name).expect("known policy");
-        let mut server = Server::from_registry_names(
-            &POLICY_POOL,
-            ServeOptions {
-                cg: cg(),
-                max_batch: 4,
-                ..ServeOptions::default()
-            },
-        );
-        let report = server.serve(&requests, policy.as_mut());
-        let summary = report.summary();
-        let p50 = summary
-            .p50_latency_seconds
-            .expect("policy run admits requests");
-        let p99 = summary
-            .p99_latency_seconds
-            .expect("policy run admits requests");
-        let devices: Vec<String> = summary
-            .devices
-            .iter()
-            .map(|d| format!("{}: {}@{:.0}%", d.label, d.requests, d.utilisation * 100.0))
-            .collect();
-        table.row(vec![
-            name.to_string(),
-            fmt(summary.makespan_seconds * 1e3, 3),
-            fmt(summary.serial_makespan_seconds * 1e3, 3),
-            fmt(summary.throughput_rps, 1),
-            fmt(p50 * 1e3, 3),
-            fmt(p99 * 1e3, 3),
-            devices.join(", "),
-        ]);
-        rows.push(PolicyRow {
-            policy: name.to_string(),
-            precond: summary.precond.clone(),
-            total_iterations: summary.total_iterations,
-            precond_apply_seconds: summary.precond_apply_seconds,
-            requests: summary.requests,
-            jobs: summary.jobs,
-            makespan_seconds: summary.makespan_seconds,
-            serial_makespan_seconds: summary.serial_makespan_seconds,
-            throughput_rps: summary.throughput_rps,
-            p50_latency_seconds: p50,
-            p99_latency_seconds: p99,
-            devices,
-        });
-    }
+    table.row(vec![
+        fmt(row.makespan_seconds * 1e3, 3),
+        fmt(row.throughput_rps, 1),
+        fmt(p50 * 1e3, 3),
+        fmt(p99 * 1e3, 3),
+        row.devices.join(", "),
+    ]);
     table.print();
-    rows
-}
-
-/// One Part 3 scenario: run the same stream through both hosts and compare.
-fn async_scenario(
-    scenario: &str,
-    pool: &[&str],
-    policy_name: &str,
-    requests: &[ServeRequest],
-    max_batch: usize,
-) -> AsyncRow {
-    let options = ServeOptions {
-        cg: cg(),
-        max_batch,
-        ..ServeOptions::default()
-    };
-    // A fresh policy per host: stateful policies (round-robin's cursor)
-    // must hand both runs identical placement hints.
-    let make_policy = || -> Box<dyn sem_serve::SchedulingPolicy> {
-        match policy_name {
-            "pinned" => Box::new(Pinned(0)),
-            name => policy_by_name(name).expect("known policy"),
-        }
-    };
-    let mut sync_server = Server::from_registry_names(pool, options);
-    let sync = sync_server.serve(requests, make_policy().as_mut());
-    let mut async_server = Server::from_registry_names(pool, options);
-    let run = async_server.serve_async(requests, make_policy().as_mut());
-    let bitwise_identical = run
-        .outcomes
-        .iter()
-        .zip(&sync.outcomes)
-        .all(|(a, s)| a.solution.as_slice() == s.solution.as_slice());
-    AsyncRow {
-        scenario: scenario.to_string(),
-        pool: pool.iter().map(ToString::to_string).collect(),
-        policy: policy_name.to_string(),
-        precond: run.precond.clone(),
-        requests: requests.len(),
-        max_batch,
-        sync_wall_seconds: sync.wall_seconds,
-        async_wall_seconds: run.wall_seconds,
-        wall_speedup: sync.wall_seconds / run.wall_seconds,
-        async_concurrency: run.measured_concurrency(),
-        steals: run.total_steals(),
-        bitwise_identical,
-        host_cores: host_cores(),
-    }
+    row
 }
 
 /// Cores available to this process.
@@ -405,61 +396,98 @@ fn host_cores() -> usize {
     std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
 }
 
-fn async_sweep(degree: usize, per_side: usize, num_requests: usize) -> Vec<AsyncRow> {
+/// How much parallelism the host offers right now: the wall time of one
+/// busy loop on one thread against one such loop per core, all at once,
+/// as `cores × t_one / t_all` (≈ the core count on an idle host, 1 on a
+/// single core or a saturated one).
+fn parallel_probe() -> f64 {
+    fn spin() -> u64 {
+        let mut x = 0_u64;
+        for i in 0..40_000_000_u64 {
+            x = black_box(x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(i));
+        }
+        x
+    }
+    let cores = host_cores();
+    let timer = WallTimer::start();
+    black_box(spin());
+    let one = timer.elapsed_wall_seconds();
+    let timer = WallTimer::start();
+    std::thread::scope(|scope| {
+        for _ in 0..cores {
+            scope.spawn(|| black_box(spin()));
+        }
+    });
+    cores as f64 * one / timer.elapsed_wall_seconds()
+}
+
+fn async_run(degree: usize, per_side: usize, num_requests: usize) -> AsyncRow {
     // Wall-clock parallelism only shows once a job outweighs the thread and
-    // queue overheads, so the async comparison floors the problem size:
+    // queue overheads, so the comparison floors the problem size:
     // sub-millisecond smoke jobs would measure scheduling noise, not the
     // host.  (The solves themselves stay bitwise-checked at every size.)
-    let spec = ProblemSpec::cube(degree.max(6), per_side.max(2));
-    let num_requests = num_requests.max(8);
-    let requests: Vec<ServeRequest> = (0..num_requests)
-        .map(|i| ServeRequest::seeded(spec, i as u64))
-        .collect();
+    let requests = seeded_requests(degree.max(6), per_side.max(2), num_requests.max(8));
     // Single-request jobs on single-threaded CPU slots: the synchronous
-    // host leaves three of four cores idle, the async host does not.
-    let cpu_pool = [
-        "cpu:optimized",
-        "cpu:optimized",
-        "cpu:optimized",
-        "cpu:optimized",
-    ];
-    let rows = vec![
-        async_scenario("cpu-pool", &cpu_pool, "round-robin", &requests, 1),
-        // Everything hinted to slot 0: the other slots only serve by
-        // stealing, which is the whole point of the deque host.
-        async_scenario("steal-rebalance", &cpu_pool, "pinned", &requests, 1),
-    ];
+    // executor leaves three of four cores idle, the threaded one does not.
+    let pool = ["cpu:optimized"; 4];
+    let options = ServeOptions {
+        cg: cg(),
+        max_batch: 1,
+        ..ServeOptions::default()
+    };
+    let probe_before = parallel_probe();
+    let sync = serve_closed(
+        &mut Server::from_registry_names(&pool, options),
+        &requests,
+        false,
+    );
+    let run = serve_closed(
+        &mut Server::from_registry_names(&pool, options),
+        &requests,
+        true,
+    );
+    // Other load can come and go while the pair runs: the slower of the
+    // probes bracketing it is what the pair could count on.
+    let probe_parallel_speedup = probe_before.min(parallel_probe());
+    let bitwise_identical = run
+        .outcomes
+        .iter()
+        .zip(&sync.outcomes)
+        .all(|(a, s)| a.solution.as_slice() == s.solution.as_slice());
+    let row = AsyncRow {
+        scenario: "cpu-pool".to_string(),
+        pool: pool.iter().map(ToString::to_string).collect(),
+        requests: requests.len(),
+        max_batch: options.max_batch,
+        sync_wall_seconds: sync.wall_seconds,
+        async_wall_seconds: run.wall_seconds,
+        wall_speedup: sync.wall_seconds / run.wall_seconds,
+        bitwise_identical,
+        host_cores: host_cores(),
+        probe_parallel_speedup,
+    };
     let mut table = TableWriter::new(vec![
         "scenario",
-        "policy",
+        "probe",
         "sync wall (ms)",
         "async wall (ms)",
         "speedup",
-        "concurrency",
-        "steals",
         "bitwise",
     ]);
-    for row in &rows {
-        table.row(vec![
-            row.scenario.clone(),
-            row.policy.clone(),
-            fmt(row.sync_wall_seconds * 1e3, 3),
-            fmt(row.async_wall_seconds * 1e3, 3),
-            format!("{:.2}x", row.wall_speedup),
-            format!("{:.2}", row.async_concurrency),
-            row.steals.to_string(),
-            row.bitwise_identical.to_string(),
-        ]);
-    }
+    table.row(vec![
+        row.scenario.clone(),
+        format!("{:.2}x", row.probe_parallel_speedup),
+        fmt(row.sync_wall_seconds * 1e3, 3),
+        fmt(row.async_wall_seconds * 1e3, 3),
+        format!("{:.2}x", row.wall_speedup),
+        row.bitwise_identical.to_string(),
+    ]);
     table.print();
-    rows
+    row
 }
 
 fn precond_sweep(degree: usize, per_side: usize, num_requests: usize) -> Vec<PrecondServeRow> {
-    let spec = ProblemSpec::cube(degree, per_side);
-    let requests: Vec<ServeRequest> = (0..num_requests)
-        .map(|i| ServeRequest::seeded(spec, i as u64))
-        .collect();
+    let requests = seeded_requests(degree, per_side, num_requests);
     let mut table = TableWriter::new(vec![
         "precond",
         "iters (total)",
@@ -477,35 +505,27 @@ fn precond_sweep(degree: usize, per_side: usize, num_requests: usize) -> Vec<Pre
         }
         .with_precond(precond);
         let mut server = Server::from_registry_names(&["fpga:stratix10-gx2800"], options);
-        let mut policy = policy_by_name("model-optimal").expect("known policy");
-        let report = server.serve(&requests, policy.as_mut());
-        assert!(report.outcomes.iter().all(|o| o.converged));
-        let summary = report.summary();
-        let p50 = summary
-            .p50_latency_seconds
-            .expect("precond run admits requests");
-        let p99 = summary
-            .p99_latency_seconds
-            .expect("precond run admits requests");
-        table.row(vec![
-            summary.precond.clone(),
-            summary.total_iterations.to_string(),
-            fmt(summary.precond_apply_seconds * 1e3, 3),
-            fmt(summary.makespan_seconds * 1e3, 3),
-            fmt(summary.throughput_rps, 1),
-            fmt(p99 * 1e3, 3),
-        ]);
-        rows.push(PrecondServeRow {
-            precond: summary.precond,
-            requests: summary.requests,
-            jobs: summary.jobs,
-            total_iterations: summary.total_iterations,
-            precond_apply_seconds: summary.precond_apply_seconds,
-            makespan_seconds: summary.makespan_seconds,
-            throughput_rps: summary.throughput_rps,
+        let report = serve_closed(&mut server, &requests, false);
+        let (p50, p99) = latency_p50_p99(&report);
+        let row = PrecondServeRow {
+            precond: precond.label().to_string(),
+            requests: requests.len(),
+            total_iterations: total_iterations(&report),
+            precond_apply_seconds: precond_apply_seconds(&report),
+            makespan_seconds: report.makespan_seconds,
+            throughput_rps: throughput_rps(&report),
             p50_latency_seconds: p50,
             p99_latency_seconds: p99,
-        });
+        };
+        table.row(vec![
+            row.precond.clone(),
+            row.total_iterations.to_string(),
+            fmt(row.precond_apply_seconds * 1e3, 3),
+            fmt(row.makespan_seconds * 1e3, 3),
+            fmt(row.throughput_rps, 1),
+            fmt(p99 * 1e3, 3),
+        ]);
+        rows.push(row);
     }
     table.print();
     rows
@@ -515,10 +535,7 @@ fn precond_sweep(degree: usize, per_side: usize, num_requests: usize) -> Vec<Pre
 /// under a modelled-clock recorder and export the three OBS artifacts.
 fn observability_export(degree: usize, per_side: usize, num_requests: usize) {
     Recorder::install(ObsConfig::default());
-    let spec = ProblemSpec::cube(degree, per_side);
-    let requests: Vec<ServeRequest> = (0..num_requests)
-        .map(|i| ServeRequest::seeded(spec, i as u64))
-        .collect();
+    let requests = seeded_requests(degree, per_side, num_requests);
     let mut server = Server::from_registry_names(
         &["fpga:stratix10-gx2800"],
         ServeOptions {
@@ -527,9 +544,7 @@ fn observability_export(degree: usize, per_side: usize, num_requests: usize) {
             ..ServeOptions::default()
         },
     );
-    let mut policy = policy_by_name("model-optimal").expect("known policy");
-    let report = server.serve(&requests, policy.as_mut());
-    assert!(report.outcomes.iter().all(|o| o.converged));
+    serve_closed(&mut server, &requests, false);
 
     let obs = recorder();
     let snapshot = obs.trace_snapshot();
@@ -586,73 +601,58 @@ fn main() {
     );
 
     println!(
-        "\nPart 2 — scheduling policies over {POLICY_POOL:?} ({num_requests} requests, \
-         max batch 4):\n"
+        "\nPart 2 — the serving host over {MIXED_POOL:?} ({num_requests} requests, \
+         max batch 4; the cpu:* slot is held in reserve):\n"
     );
-    let policies = policy_sweep(degree, per_side, num_requests);
+    let placement = placement_run(degree, per_side, num_requests);
 
-    println!(
-        "\nPart 3 — async host vs synchronous serve ({num_requests} requests, \
-         4x cpu:optimized, max batch 1):\n"
-    );
-    let async_host = async_sweep(degree, per_side, num_requests);
+    println!("\nPart 3 — threaded vs synchronous executor (4x cpu:optimized, max batch 1):\n");
+    let async_host = async_run(degree, per_side, num_requests);
     assert!(
-        async_host.iter().all(|row| row.bitwise_identical),
-        "async answers must be bitwise identical to the synchronous host"
+        async_host.bitwise_identical,
+        "threaded answers must be bitwise identical to the synchronous executor"
     );
-    // The pinned pool virtually always exhibits stealing, but whether a
-    // sibling wakes before the hinted worker drains its deque is ultimately
-    // an OS scheduling race — report, don't abort (the deterministic steal
-    // guarantees live in the sem-serve test battery).
-    if !async_host
-        .iter()
-        .any(|row| row.scenario == "steal-rebalance" && row.steals > 0)
-    {
-        println!(
-            "\nnote: the pinned pool recorded no steals this run (the hinted worker \
-             outran its siblings); see sem-serve/tests/async_serving.rs for the \
-             structural guarantee."
-        );
-    }
     if strict_async {
-        let cpu = async_host
-            .iter()
-            .find(|row| row.scenario == "cpu-pool")
-            .expect("cpu-pool row");
-        if host_cores() >= 2 {
+        let (sync_ms, async_ms) = (
+            async_host.sync_wall_seconds * 1e3,
+            async_host.async_wall_seconds * 1e3,
+        );
+        if async_host.probe_parallel_speedup >= PROBE_FLOOR {
             assert!(
-                cpu.async_wall_seconds < 0.75 * cpu.sync_wall_seconds,
-                "--async acceptance: async wall {:.3} ms must be < 0.75x sync wall {:.3} ms",
-                cpu.async_wall_seconds * 1e3,
-                cpu.sync_wall_seconds * 1e3
+                async_host.async_wall_seconds < 0.75 * async_host.sync_wall_seconds,
+                "--async acceptance: async wall {async_ms:.3} ms must be < 0.75x sync wall \
+                 {sync_ms:.3} ms (probe {:.2}x)",
+                async_host.probe_parallel_speedup
             );
             println!(
-                "\n--async acceptance held: {:.2}x wall-clock speedup on the CPU pool.",
-                cpu.sync_wall_seconds / cpu.async_wall_seconds
+                "\n--async acceptance held: {:.2}x wall-clock speedup on the CPU pool \
+                 (probe {:.2}x).",
+                async_host.wall_speedup, async_host.probe_parallel_speedup
             );
         } else {
-            // One core: worker threads cannot shrink the makespan, only
-            // interleave.  The criterion degrades to "the async host costs
-            // almost nothing and still answers bitwise" — the speedup
-            // assertion runs on multi-core CI.
+            // Without spare cores worker threads cannot shrink the
+            // makespan, only interleave: the criterion degrades to "the
+            // threaded executor costs little and still answers bitwise".
             assert!(
-                cpu.async_wall_seconds < 1.5 * cpu.sync_wall_seconds,
-                "--async on one core: the work-stealing host may cost at most 50% overhead, \
-                 got {:.3} ms vs {:.3} ms",
-                cpu.async_wall_seconds * 1e3,
-                cpu.sync_wall_seconds * 1e3
+                async_host.async_wall_seconds < 1.5 * async_host.sync_wall_seconds,
+                "--async: the threaded executor may cost at most 50% overhead, got \
+                 {async_ms:.3} ms vs {sync_ms:.3} ms"
             );
             println!(
-                "\n--async acceptance (single-core host): no parallel speedup is physically \
-                 available; verified bitwise identity and {:.1}% host overhead instead.",
-                (cpu.async_wall_seconds / cpu.sync_wall_seconds - 1.0) * 100.0
+                "\n*** --async speedup gate SKIPPED: the parallel probe reached only {:.2}x \
+                 on {} cores (< {PROBE_FLOOR}x), so this host cannot show a worker-thread \
+                 win right now.  Verified bitwise identity and {:.1}% threading overhead \
+                 instead. ***",
+                async_host.probe_parallel_speedup,
+                async_host.host_cores,
+                (async_host.async_wall_seconds / async_host.sync_wall_seconds - 1.0) * 100.0
             );
         }
     }
 
     println!(
         "\nPart 4 — preconditioner serving win on fpga:stratix10-gx2800 \
-         ({num_requests} requests, model-optimal):\n"
+         ({num_requests} requests):\n"
     );
     let precond_serving = precond_sweep(degree, per_side, num_requests);
     {
@@ -677,26 +677,24 @@ fn main() {
     let report = ServeBenchReport {
         degree,
         elements_per_side: per_side,
-        policy_requests: num_requests,
-        pool: POLICY_POOL.iter().map(ToString::to_string).collect(),
+        requests: num_requests,
+        pool: MIXED_POOL.iter().map(ToString::to_string).collect(),
         precond: PrecondSpec::default().label().to_string(),
         pipeline,
-        policies,
+        placement,
         async_host,
         precond_serving,
     };
     let json = serde::json::to_string(&report);
     std::fs::write("BENCH_serve.json", &json).expect("write BENCH_serve.json");
     println!(
-        "\nWrote BENCH_serve.json ({} pipeline rows, {} policies, {} async rows, \
+        "\nWrote BENCH_serve.json ({} pipeline rows, 1 placement row, 1 async row, \
          {} precond rows).\n\
-         Overlap rows pipeline upload(i+1) / solve(i) / download(i-1); policy rows\n\
-         serve the heterogeneous CPU + FPGA + projected-device pool; async rows\n\
-         compare the work-stealing worker-thread host against the synchronous path;\n\
+         Overlap rows pipeline upload(i+1) / solve(i) / download(i-1); the placement row\n\
+         serves the heterogeneous CPU + FPGA + projected-device pool; the async row\n\
+         compares the threaded work-stealing executor against the synchronous one;\n\
          precond rows price identity vs Jacobi vs FDM end to end on the evaluated board.",
         report.pipeline.len(),
-        report.policies.len(),
-        report.async_host.len(),
         report.precond_serving.len()
     );
 }

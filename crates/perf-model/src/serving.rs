@@ -1,5 +1,6 @@
 //! Analytic serving-cost models: the three-stage offload pipeline and the
-//! host roofline cost the scheduler's model-optimal policy runs on.
+//! host roofline cost the serving host's placement prices measured devices
+//! with.
 //!
 //! A batched accelerator session moves data in three stages — H2D upload,
 //! kernel compute, D2H download — over a full-duplex host link.  With double
@@ -18,16 +19,13 @@
 //! from an explicit schedule and `sem-accel`'s `SolveReport` uses the closed
 //! form for its pipelined-vs-serial transfer accounting.
 //!
-//! [`DeadlineModel`] prices predicted completion times for admission
-//! control: a request whose model-predicted completion overshoots the
-//! deadline gets an [`AdmissionVerdict::Reject`] carrying the overshoot, and
-//! admitting only under-deadline requests bounds the predicted p99 (see
-//! [`nearest_rank_percentile`]) by the target.
+//! [`nearest_rank_percentile`] reads latency tails the way the serving
+//! host's windows and reports do, with no fabricated tail for an empty set.
 //!
-//! [`HostCostModel`] is the other half of policy costing: a roofline-derated
-//! estimate of what one operator application costs on a *measured* (CPU)
-//! backend, for which no simulator model exists.  It only has to rank hosts
-//! against accelerators, not predict wall-clocks exactly.
+//! [`HostCostModel`] is the other half of placement pricing: a
+//! roofline-derated estimate of what one operator application costs on a
+//! *measured* (CPU) backend, for which no simulator model exists.  It only
+//! has to rank hosts against accelerators, not predict wall-clocks exactly.
 
 use crate::cost::{dofs_per_element, flops_per_dof, operational_intensity};
 use crate::roofline::roofline_gflops;
@@ -116,68 +114,6 @@ impl PipelineCost {
     #[must_use]
     pub fn overlap_win_seconds(&self, batch: usize) -> f64 {
         (self.serial_session_seconds(batch) - self.overlapped_session_seconds(batch)).max(0.0)
-    }
-}
-
-/// The verdict of pricing one predicted completion time against a deadline.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub enum AdmissionVerdict {
-    /// The model predicts the request completes within the deadline.
-    Admit,
-    /// The model prices the request over the deadline.
-    Reject {
-        /// Seconds by which the predicted completion overshoots the deadline.
-        over_seconds: f64,
-    },
-}
-
-impl AdmissionVerdict {
-    /// Whether the verdict admits the request.
-    #[must_use]
-    pub fn is_admit(&self) -> bool {
-        matches!(self, AdmissionVerdict::Admit)
-    }
-}
-
-/// Deadline-based admission pricing over model-predicted completion times.
-///
-/// Admission control asks one question per request: *if this request joins
-/// the predicted backlog, does the model still complete it by the deadline?*
-/// Admitting only requests the model prices under the deadline bounds every
-/// predicted completion — and therefore the predicted p99 — by the target,
-/// which is the serving-level guarantee `sem-serve`'s `AdmissionPolicy`
-/// enforces.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct DeadlineModel {
-    /// The completion-time target in seconds (from submission, which is
-    /// time zero for every request in a batch-arrival serve).
-    pub deadline_seconds: f64,
-}
-
-impl DeadlineModel {
-    /// A model with the given completion-time target.
-    #[must_use]
-    pub fn new(deadline_seconds: f64) -> Self {
-        Self { deadline_seconds }
-    }
-
-    /// Price one predicted completion time against the deadline.
-    #[must_use]
-    pub fn verdict(&self, predicted_completion_seconds: f64) -> AdmissionVerdict {
-        if predicted_completion_seconds <= self.deadline_seconds {
-            AdmissionVerdict::Admit
-        } else {
-            AdmissionVerdict::Reject {
-                over_seconds: predicted_completion_seconds - self.deadline_seconds,
-            }
-        }
-    }
-
-    /// Whether the model admits a request predicted to complete at
-    /// `predicted_completion_seconds`.
-    #[must_use]
-    pub fn admits(&self, predicted_completion_seconds: f64) -> bool {
-        self.verdict(predicted_completion_seconds).is_admit()
     }
 }
 
@@ -337,35 +273,6 @@ mod tests {
                 .abs()
                 < 1e-12
         );
-    }
-
-    #[test]
-    fn deadline_model_prices_exactly_at_the_boundary() {
-        let model = DeadlineModel::new(2.0);
-        assert!(model.admits(0.0));
-        assert!(model.admits(2.0), "the deadline itself is admissible");
-        assert_eq!(model.verdict(1.5), AdmissionVerdict::Admit);
-        match model.verdict(3.25) {
-            AdmissionVerdict::Reject { over_seconds } => {
-                assert!((over_seconds - 1.25).abs() < 1e-15);
-            }
-            AdmissionVerdict::Admit => panic!("3.25 s must be priced over a 2 s deadline"),
-        }
-    }
-
-    #[test]
-    fn admitting_under_deadline_completions_bounds_the_predicted_p99() {
-        let model = DeadlineModel::new(1.0);
-        let predicted = [0.2, 0.5, 0.9, 1.0, 1.4, 2.0];
-        let admitted: Vec<f64> = predicted
-            .iter()
-            .copied()
-            .filter(|&s| model.admits(s))
-            .collect();
-        assert_eq!(admitted.len(), 4);
-        assert!(nearest_rank_percentile(&admitted, 99.0).unwrap() <= model.deadline_seconds);
-        // The unfiltered stream overshoots.
-        assert!(nearest_rank_percentile(&predicted, 99.0).unwrap() > model.deadline_seconds);
     }
 
     #[test]

@@ -14,7 +14,8 @@
 /// One predicted-vs-actual pair for one stage of one request.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DriftSample {
-    /// Stable request id (joins against `ServeReport` and the trace).
+    /// Stable request id (joins against the serve report's outcomes and the
+    /// trace).
     pub request: u64,
     /// Stage name (`shared_upload`, `upload`, `compute`, `residual_stream`,
     /// `download`, `total`).

@@ -33,7 +33,7 @@ fn stable_order(a: &SpanEvent, b: &SpanEvent) -> std::cmp::Ordering {
 /// Events become `ph:"X"` complete events with microsecond `ts`/`dur`;
 /// each [`crate::event::SpanKind`] gets its own named track (`tid` = kind
 /// rank, with `thread_name` metadata), and request/job/index/label ride in
-/// `args` so rows join against `ServeReport` by `request`.
+/// `args` so rows join against the serve report's outcomes by `request`.
 #[must_use]
 pub fn chrome_trace_json(snapshot: &TraceSnapshot) -> String {
     let mut events: Vec<&SpanEvent> = snapshot

@@ -170,11 +170,21 @@ impl LiveReport {
     }
 }
 
+/// One judged attempt of a job: what [`Server::attempt`] returns.
+pub(crate) struct Attempt {
+    /// The session's timeline.
+    pub timeline: PipelineTimeline,
+    /// The candidate outcomes, released only when `verdict` is `None`.
+    pub outcomes: Vec<RequestOutcome>,
+    /// The fault detected, if any.
+    pub verdict: Option<FaultReason>,
+    /// Whether the session ran on the modelled clock.
+    pub modeled: bool,
+}
+
 impl Server {
     /// Run one attempt of `job` on `system` and judge it: the one
     /// detection step both executors share (see the [module docs](self)).
-    /// Returns the session's timeline, its candidate outcomes and the fault
-    /// detected, if any.
     pub(crate) fn attempt(
         &self,
         system: &SemSystem,
@@ -183,7 +193,7 @@ impl Server {
         requests: &[ServeRequest],
         fault: &FaultToleranceOptions,
         budget_seconds: f64,
-    ) -> (PipelineTimeline, Vec<RequestOutcome>, Option<FaultReason>) {
+    ) -> Attempt {
         let (timeline, outcomes, modeled) = self.execute_job_on(system, device, job, requests);
         let verdict = outcomes
             .iter()
@@ -203,7 +213,12 @@ impl Server {
                 (modeled && timeline.makespan_seconds > budget_seconds)
                     .then_some(FaultReason::TimeoutExceeded)
             });
-        (timeline, outcomes, verdict)
+        Attempt {
+            timeline,
+            outcomes,
+            verdict,
+            modeled,
+        }
     }
 
     /// The device a retry-exhausted job is pinned to: the lowest-index
@@ -234,7 +249,6 @@ mod tests {
     use super::*;
     use crate::fault::BreakerState;
     use crate::request::ProblemSpec;
-    use crate::scheduler::Pinned;
     use crate::server::ServeOptions;
     use crate::stream::{ArrivalStream, LiveOptions};
     use fpga_sim::{FaultKind, FaultPlan, ScheduledFault};
@@ -309,14 +323,23 @@ mod tests {
             .all(|b| b.state() == BreakerState::Healthy));
         // cpu reserve never drafted into normal placement.
         assert!(report.outcomes.iter().all(|o| o.device != 2));
-        // A plain batch serve on one of the same boards answers bit for bit
-        // the same, in request order.
-        let plain = server(&pool).serve(&requests(6), &mut Pinned(0));
-        assert_eq!(plain.outcomes.len(), 6);
-        for (live, batch) in report.outcomes.iter().zip(&plain.outcomes) {
-            assert_eq!(live.request, batch.request);
-            assert_eq!(live.iterations, batch.iterations);
-            assert_eq!(live.solution.as_slice(), batch.solution.as_slice());
+        // A plain batched solve on one of the same boards answers bit for
+        // bit the same, in request order.
+        let spec = ProblemSpec::cube(3, 2);
+        let system = SemSystem::builder()
+            .degree(spec.degree)
+            .elements(spec.elements)
+            .backend_named(FPGA)
+            .build();
+        let rhss: Vec<_> = requests(6)
+            .iter()
+            .map(|r| r.assemble_rhs(&system))
+            .collect();
+        let plain = system.solve_many(&rhss, ServeOptions::default().cg);
+        for (i, (live, batch)) in report.outcomes.iter().zip(&plain).enumerate() {
+            assert_eq!(live.request, i);
+            assert_eq!(live.iterations, batch.iterations());
+            assert_eq!(live.solution.as_slice(), batch.solution.solution.as_slice());
         }
     }
 

@@ -267,8 +267,8 @@ impl PipelineTimeline {
     /// *Predict* the session of a `batch`-request job on `backend` before
     /// running it: every request is priced by [`RequestStages::predict`]
     /// (simulated kernel model where one exists, `fallback_compute_seconds`
-    /// otherwise).  This is what the model-optimal scheduling policy costs
-    /// candidate devices with.
+    /// otherwise).  This is what the serving host's placement and deadline
+    /// admission price candidate devices with.
     #[must_use]
     pub fn predict(
         backend: &dyn AxBackend,

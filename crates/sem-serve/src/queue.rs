@@ -1,13 +1,11 @@
-//! The solve queue: accepted requests, packed into batch jobs.
+//! Batch jobs: same-shape requests scheduled as one device session (one
+//! shared upload, one batched submission).
 //!
-//! Requests arrive in submission order and may mix problem shapes.  The
-//! queue groups them by [`ProblemSpec`] (requests of one shape can share a
-//! device session — one shared upload, one batched submission) and chunks
-//! each group at the configured maximum batch size.  Packing never reorders
-//! *results*: each job remembers the original request indices, and the
-//! server writes every answer back to its request's slot.
+//! [`crate::ArrivalStream::coalesce`] builds them from an arrival stream.
+//! A job never reorders *results*: it remembers its requests' ids, and the
+//! host writes every answer back to its request's slot.
 
-use crate::request::{ProblemSpec, ServeRequest};
+use crate::request::ProblemSpec;
 use serde::{Deserialize, Serialize};
 
 /// A packed batch: requests of one shape scheduled as one device session.
@@ -49,117 +47,9 @@ impl BatchJob {
     }
 }
 
-/// An accumulating queue of solve requests.
-#[derive(Debug, Clone, Default)]
-pub struct SolveQueue {
-    requests: Vec<ServeRequest>,
-}
-
-impl SolveQueue {
-    /// An empty queue.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// A queue holding `requests` in submission order.
-    #[must_use]
-    pub fn from_requests(requests: &[ServeRequest]) -> Self {
-        Self {
-            requests: requests.to_vec(),
-        }
-    }
-
-    /// Accept a request; returns its id (the index its answer will occupy).
-    pub fn push(&mut self, request: ServeRequest) -> usize {
-        self.requests.push(request);
-        self.requests.len() - 1
-    }
-
-    /// Number of queued requests.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.requests.len()
-    }
-
-    /// Whether the queue is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.requests.is_empty()
-    }
-
-    /// The queued requests.
-    #[must_use]
-    pub fn requests(&self) -> &[ServeRequest] {
-        &self.requests
-    }
-
-    /// Pack the queue into batch jobs of at most `max_batch` requests each:
-    /// group by spec (first-seen order), preserve submission order within a
-    /// group, chunk at `max_batch`.
-    ///
-    /// # Panics
-    /// Panics if `max_batch` is zero.
-    #[must_use]
-    pub fn pack(&self, max_batch: usize) -> Vec<BatchJob> {
-        assert!(max_batch > 0, "need room for at least one request per job");
-        // First-seen group order keeps packing deterministic without
-        // requiring ProblemSpec: Ord.
-        let mut groups: Vec<(ProblemSpec, Vec<usize>)> = Vec::new();
-        for (i, request) in self.requests.iter().enumerate() {
-            match groups.iter_mut().find(|(spec, _)| *spec == request.spec) {
-                Some((_, indices)) => indices.push(i),
-                None => groups.push((request.spec, vec![i])),
-            }
-        }
-        groups
-            .into_iter()
-            .flat_map(|(spec, indices)| {
-                indices
-                    .chunks(max_batch)
-                    .map(|chunk| BatchJob {
-                        spec,
-                        requests: chunk.to_vec(),
-                    })
-                    .collect::<Vec<_>>()
-            })
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn packing_groups_by_spec_and_chunks_at_max_batch() {
-        let small = ProblemSpec::cube(3, 2);
-        let large = ProblemSpec::cube(5, 2);
-        let mut queue = SolveQueue::new();
-        for i in 0..5 {
-            queue.push(ServeRequest::seeded(small, i));
-            queue.push(ServeRequest::seeded(large, i));
-        }
-        assert_eq!(queue.len(), 10);
-        let jobs = queue.pack(4);
-        // 5 + 5 requests at max_batch 4 -> 2 jobs per spec.
-        assert_eq!(jobs.len(), 4);
-        assert_eq!(jobs[0].spec, small);
-        assert_eq!(jobs[0].requests, vec![0, 2, 4, 6]);
-        assert_eq!(jobs[1].requests, vec![8]);
-        assert_eq!(jobs[2].spec, large);
-        assert_eq!(jobs[2].requests, vec![1, 3, 5, 7]);
-        assert_eq!(jobs[3].requests, vec![9]);
-        // Every request is packed exactly once.
-        let mut seen: Vec<usize> = jobs.iter().flat_map(|j| j.requests.clone()).collect();
-        seen.sort_unstable();
-        assert_eq!(seen, (0..10).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn empty_queue_packs_to_no_jobs() {
-        assert!(SolveQueue::new().pack(8).is_empty());
-    }
 
     #[test]
     fn split_halves_preserve_order_and_conserve_requests() {

@@ -1,22 +1,12 @@
-//! Scheduling policies: which device of a heterogeneous pool gets the next
-//! batch job.
+//! The device pool: one [`DeviceSlot`] per device a server places jobs on.
 //!
-//! Policies are pluggable ([`SchedulingPolicy`] is object-safe) and see a
-//! uniform [`DeviceStatus`] snapshot per candidate device: the modelled
-//! backlog committed so far and what the candidate would charge for the job
-//! at hand (priced by the offload-pipeline model — simulated kernel seconds
-//! where a simulator exists, a `perf-model` roofline estimate for measured
-//! hosts).  Four policies ship: round-robin, least-loaded, model-optimal
-//! (earliest predicted completion) and pinned (everything to one slot).
-//!
-//! A policy's choice is an **admission-time hint**, not a fixed placement:
-//! the synchronous `Server::serve` executes each job exactly where it was
-//! hinted, while the async host (`Server::serve_async`) seeds the hinted
-//! worker's deque and lets idle devices steal jobs queued behind busy ones.
-//! Because every figure a policy sees is *modelled* (never a measured wall
-//! clock), placement decisions are deterministic under any CI load.
+//! Placement itself lives in the serving host ([`crate::stream`]): each job
+//! goes to the device with the earliest corrected predicted completion,
+//! priced by the offload-pipeline model — simulated kernel seconds where a
+//! simulator exists, the slot's `perf-model` roofline estimate for measured
+//! hosts.  Every figure is modelled, never a wall clock, so placement is
+//! deterministic under any CI load.
 
-use crate::queue::BatchJob;
 use perf_model::HostCostModel;
 use sem_accel::Backend;
 use serde::{Deserialize, Serialize};
@@ -29,8 +19,8 @@ pub struct DeviceSlot {
     pub label: String,
     /// The backend this slot instantiates per problem shape.
     pub config: Backend,
-    /// Roofline cost model for measured (host) execution, used by
-    /// model-based policies when the backend reports no simulated seconds.
+    /// Roofline cost model for measured (host) execution, used to price
+    /// the slot when the backend reports no simulated seconds.
     pub host_model: HostCostModel,
 }
 
@@ -48,201 +38,9 @@ impl DeviceSlot {
     }
 }
 
-/// What a policy sees about one candidate device when placing a job.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct DeviceStatus {
-    /// Index of the device in the pool.
-    pub index: usize,
-    /// Display label.
-    pub label: String,
-    /// Modelled seconds of work already *hinted* to this device (the sum of
-    /// its assigned jobs' predicted session seconds).  Deliberately a model
-    /// figure, not a measured wall clock, so placements are deterministic
-    /// under CI load.
-    pub busy_seconds: f64,
-    /// Requests already assigned.
-    pub assigned_requests: usize,
-    /// Predicted session seconds of the job being placed, were it assigned
-    /// here (offload-pipeline model, overlap-aware).  Only populated when
-    /// the policy opts into costing via
-    /// [`SchedulingPolicy::needs_cost_model`]; zero otherwise — pricing a
-    /// job instantiates a backend per candidate device, which cost-blind
-    /// policies should not pay for.
-    pub predicted_job_seconds: f64,
-}
-
-/// A pluggable placement policy.
-pub trait SchedulingPolicy: Send {
-    /// Short policy name (used in reports and benches).
-    fn name(&self) -> &'static str;
-
-    /// Whether [`DeviceStatus::predicted_job_seconds`] must be populated
-    /// before [`SchedulingPolicy::assign`] is called.  Defaults to `false`;
-    /// policies that read the prediction must override this, or they will
-    /// see zeros.
-    fn needs_cost_model(&self) -> bool {
-        false
-    }
-
-    /// Choose the device index for `job` given the pool snapshot.
-    /// `devices` is never empty.
-    fn assign(&mut self, job: &BatchJob, devices: &[DeviceStatus]) -> usize;
-}
-
-/// Cycle through the pool in order, ignoring load and cost.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct RoundRobin {
-    next: usize,
-}
-
-impl SchedulingPolicy for RoundRobin {
-    fn name(&self) -> &'static str {
-        "round-robin"
-    }
-
-    fn assign(&mut self, _job: &BatchJob, devices: &[DeviceStatus]) -> usize {
-        let index = self.next % devices.len();
-        self.next = self.next.wrapping_add(1);
-        devices[index].index
-    }
-}
-
-/// Place every job on the device with the least committed work.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct LeastLoaded;
-
-impl SchedulingPolicy for LeastLoaded {
-    fn name(&self) -> &'static str {
-        "least-loaded"
-    }
-
-    fn assign(&mut self, _job: &BatchJob, devices: &[DeviceStatus]) -> usize {
-        devices
-            .iter()
-            .min_by(|a, b| a.busy_seconds.total_cmp(&b.busy_seconds))
-            .expect("non-empty pool")
-            .index
-    }
-}
-
-/// Place every job where the *predicted completion time* (committed backlog
-/// plus the job's modelled session seconds) is earliest — the policy that
-/// actually looks at the performance model, so a slow host in a
-/// heterogeneous pool only gets work when the accelerators are saturated.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ModelOptimal;
-
-impl SchedulingPolicy for ModelOptimal {
-    fn name(&self) -> &'static str {
-        "model-optimal"
-    }
-
-    fn needs_cost_model(&self) -> bool {
-        true
-    }
-
-    fn assign(&mut self, _job: &BatchJob, devices: &[DeviceStatus]) -> usize {
-        devices
-            .iter()
-            .min_by(|a, b| {
-                (a.busy_seconds + a.predicted_job_seconds)
-                    .total_cmp(&(b.busy_seconds + b.predicted_job_seconds))
-            })
-            .expect("non-empty pool")
-            .index
-    }
-}
-
-/// Hint every job to one fixed slot.  Useless on its own, and exactly what
-/// the work-stealing host needs to demonstrate (and stress-test) stealing:
-/// all jobs queue behind one device and idle slots drain them.
-#[derive(Debug, Clone, Copy)]
-pub struct Pinned(
-    /// The pool index every job is hinted to.
-    pub usize,
-);
-
-impl SchedulingPolicy for Pinned {
-    fn name(&self) -> &'static str {
-        "pinned"
-    }
-
-    fn assign(&mut self, _job: &BatchJob, devices: &[DeviceStatus]) -> usize {
-        devices[self.0 % devices.len()].index
-    }
-}
-
-/// Resolve a policy by name (`round-robin`, `least-loaded`,
-/// `model-optimal`).
-#[must_use]
-pub fn policy_by_name(name: &str) -> Option<Box<dyn SchedulingPolicy>> {
-    match name {
-        "round-robin" => Some(Box::new(RoundRobin::default())),
-        "least-loaded" => Some(Box::new(LeastLoaded)),
-        "model-optimal" => Some(Box::new(ModelOptimal)),
-        _ => None,
-    }
-}
-
-/// The names [`policy_by_name`] resolves, in presentation order.
-#[must_use]
-pub fn policy_names() -> Vec<&'static str> {
-    vec!["round-robin", "least-loaded", "model-optimal"]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::request::ProblemSpec;
-
-    fn job() -> BatchJob {
-        BatchJob {
-            spec: ProblemSpec::cube(3, 2),
-            requests: vec![0, 1],
-        }
-    }
-
-    fn pool() -> Vec<DeviceStatus> {
-        vec![
-            DeviceStatus {
-                index: 0,
-                label: "slow-but-idle".into(),
-                busy_seconds: 0.0,
-                assigned_requests: 0,
-                predicted_job_seconds: 10.0,
-            },
-            DeviceStatus {
-                index: 1,
-                label: "fast-but-busy".into(),
-                busy_seconds: 3.0,
-                assigned_requests: 4,
-                predicted_job_seconds: 1.0,
-            },
-        ]
-    }
-
-    #[test]
-    fn round_robin_cycles() {
-        let mut rr = RoundRobin::default();
-        let picks: Vec<usize> = (0..4).map(|_| rr.assign(&job(), &pool())).collect();
-        assert_eq!(picks, vec![0, 1, 0, 1]);
-    }
-
-    #[test]
-    fn least_loaded_ignores_cost_and_model_optimal_uses_it() {
-        assert_eq!(LeastLoaded.assign(&job(), &pool()), 0, "idle wins on load");
-        // 0 + 10 vs 3 + 1: the model sees through the idleness.
-        assert_eq!(ModelOptimal.assign(&job(), &pool()), 1);
-    }
-
-    #[test]
-    fn policies_resolve_by_name() {
-        for name in policy_names() {
-            assert_eq!(policy_by_name(name).unwrap().name(), name);
-        }
-        assert!(policy_by_name("random").is_none());
-    }
-
     #[test]
     fn registry_slots_resolve() {
         let slot = DeviceSlot::from_registry_name("fpga:stratix10-gx2800").unwrap();

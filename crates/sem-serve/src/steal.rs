@@ -1,21 +1,21 @@
-//! The work-stealing execution core of the threaded serving hosts: one
+//! The work-stealing execution core of the threaded serving executor: one
 //! worker thread per device slot, fed by per-worker deques plus a shared
 //! injector.
 //!
 //! [`run_stealing`] is deliberately generic over the job payload, the
 //! per-worker owned state, and the result type, so the exact machinery that
-//! runs device sessions in [`crate::Server::serve_async`] and
-//! [`crate::Server::serve_stream_async`] can also be stress-tested with
-//! thousands of cheap synthetic jobs (see `tests/stress.rs`) and explored
-//! schedule by schedule (see [`crate::explore`]).
+//! runs device sessions in [`crate::Server::serve_stream_async`] can also
+//! be stress-tested with thousands of cheap synthetic jobs (see
+//! `tests/stress.rs`) and explored schedule by schedule (see
+//! [`crate::explore`]).
 //!
 //! ## Seeding and stealing discipline
 //!
-//! Every job carries an optional *hint* — the worker a scheduling policy
-//! picked for it at admission time.  Hinted jobs are seeded onto the hinted
-//! worker's deque in submission order; hint-less jobs (e.g. deadline-marginal
-//! sub-jobs produced by down-batching admission) go to the shared
-//! [`Injector`] where the first free worker takes them.  Each worker then
+//! Every job carries an optional *hint* — the worker it was placed on up
+//! front.  Hinted jobs are seeded onto the hinted worker's deque in
+//! submission order; hint-less jobs (everything the serving host's live
+//! feeder pushes) go to the shared [`Injector`] where the first free worker
+//! takes them.  Each worker then
 //! loops:
 //!
 //! 1. pop its own deque (FIFO — the jobs it was hinted, oldest first);
@@ -63,8 +63,8 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 pub struct TaggedJob<T> {
     /// The work itself.
     pub payload: T,
-    /// The worker a policy hinted this job to at admission time, or `None`
-    /// for floating jobs any worker may take from the injector.
+    /// The worker this job was placed on up front, or `None` for floating
+    /// jobs any worker may take from the injector.
     pub hint: Option<usize>,
 }
 

@@ -1,11 +1,14 @@
-//! Live-traffic serving: timestamped arrival streams, windowed admission in
-//! virtual time, and the one fault-tolerant streaming host.
+//! The one serving host: timestamped arrival streams, windowed admission
+//! in virtual time, and fault-tolerant execution.
 //!
 //! An [`ArrivalStream`] holds requests stamped with modelled arrival
 //! seconds: a seeded open-loop trace from `perf_model::workload`, or a
-//! closed set at t = 0.  Same-shape arrivals within a batching window
-//! coalesce into jobs, each priced against a per-device backlog and an
-//! arrival-relative deadline.  One admission loop feeds two executors:
+//! closed set at t = 0 ([`ArrivalStream::closed`]).  Same-shape arrivals
+//! within a batching window coalesce into jobs
+//! ([`ArrivalStream::coalesce`]), each placed on the device with the
+//! earliest corrected predicted completion and priced against an
+//! arrival-relative deadline (`f64::INFINITY` admits everything).  One
+//! admission loop feeds two executors:
 //!
 //! * [`Server::serve_stream`] runs each admitted job inline on the device
 //!   it was priced for, charges the backlog the actual session, and teaches
@@ -13,24 +16,28 @@
 //! * [`Server::serve_stream_async`] admits against corrected *predicted*
 //!   backlog, then feeds every admitted job into the work-stealing pool
 //!   while it drains.  On a homogeneous pool its answers are bitwise those
-//!   of the closed-batch path.
+//!   of `SemSystem::solve_many`, whichever worker ran them.
 //!
 //! Both release only verified answers (see [`crate::chaos`]).  The stream
 //! is cut into observation windows, each closed with admitted/rejected
 //! counts and a p99 (`None` when nothing was admitted); an optional
 //! [`Autoscaler`] reads each closed window to resize the active pool.
 //! Every second here is modelled time, so admission never depends on host
-//! load.
+//! load.  With the `sem-obs` recorder enabled the host records admission
+//! verdict spans at their pricing instants and every session's pipeline
+//! spans — deterministic for modelled sessions of the synchronous executor,
+//! schedule-dependent otherwise.
 
 use crate::autoscaler::{Autoscaler, ScaleEvent};
-use crate::chaos::FaultEvent;
+use crate::chaos::{Attempt, FaultEvent};
 use crate::fault::{BreakerState, CircuitBreaker, FaultReason, FaultToleranceOptions, RetryLedger};
+use crate::pipeline::{PipelineTimeline, Stage};
 use crate::queue::BatchJob;
 use crate::request::{ProblemSpec, ServeRequest};
 use crate::server::{RequestOutcome, Server};
 use crate::steal::JobVerdict;
 use perf_model::{arrival_times, StageDriftCorrector, WorkloadKind};
-use sem_obs::{recorder, WallTimer};
+use sem_obs::{recorder, Scope, SpanEvent, SpanKind, WallTimer};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::sync::{Mutex, PoisonError};
@@ -126,6 +133,43 @@ impl ArrivalStream {
     pub fn is_empty(&self) -> bool {
         self.arrivals.is_empty()
     }
+
+    /// Coalesce the arrivals into batch jobs: same-shape arrivals within
+    /// `batch_window_seconds` of the open batch's first member join it (up
+    /// to `max_batch`); a shape change, a full batch or a stale window
+    /// flushes.  Each job is returned with its last member's arrival, so
+    /// the stamps are nondecreasing, and within a shape request ids stay in
+    /// arrival order.
+    #[must_use]
+    pub fn coalesce(&self, max_batch: usize, batch_window_seconds: f64) -> Vec<(BatchJob, f64)> {
+        let mut jobs = Vec::new();
+        let mut open: Option<(BatchJob, f64, f64)> = None; // (job, first_arrival, last_arrival)
+        for (id, timed) in self.arrivals.iter().enumerate() {
+            if let Some((job, first, last)) = &mut open {
+                if job.spec == timed.request.spec
+                    && timed.arrival_seconds - *first <= batch_window_seconds
+                    && job.batch_size() < max_batch
+                {
+                    job.requests.push(id);
+                    *last = timed.arrival_seconds;
+                    continue;
+                }
+                jobs.push((job.clone(), *last));
+            }
+            open = Some((
+                BatchJob {
+                    spec: timed.request.spec,
+                    requests: vec![id],
+                },
+                timed.arrival_seconds,
+                timed.arrival_seconds,
+            ));
+        }
+        if let Some((job, _, last)) = open {
+            jobs.push((job, last));
+        }
+        jobs
+    }
 }
 
 /// Knobs of the live serving loop.
@@ -133,7 +177,7 @@ impl ArrivalStream {
 pub struct LiveOptions {
     /// Arrival-relative latency target: a job is admitted only if its
     /// predicted completion sits within this many modelled seconds of its
-    /// arrival.
+    /// arrival (`f64::INFINITY` admits everything).
     pub deadline_seconds: f64,
     /// Same-shape arrivals within this window of the batch's first member
     /// coalesce into one job (up to the server's `max_batch`).  Zero
@@ -142,9 +186,9 @@ pub struct LiveOptions {
     /// Width of one observation window: statistics, pool-size traces and
     /// autoscaler decisions are per window.
     pub window_seconds: f64,
-    /// Whether an over-deadline job is split and its halves re-priced
-    /// (mirrors [`crate::AdmissionPolicy::DownBatch`]) instead of rejected
-    /// whole.
+    /// Whether an over-deadline job is split in half and both halves
+    /// re-priced (a smaller batch has a shorter session, so a leading piece
+    /// often fits) instead of rejected whole.
     pub down_batch: bool,
     /// Detection thresholds, retry policy and quarantine cooldown of the
     /// fault-tolerant host.
@@ -331,9 +375,10 @@ struct LiveJob {
     not_before_seconds: f64,
     /// Failed attempts so far.
     attempts: usize,
-    /// Whether admission already accepted it (a retry is never re-priced
-    /// against the deadline: admitted work completes).
-    admitted: bool,
+    /// Its admission ordinal — the job id its spans carry — once admission
+    /// accepted it (a retry is never re-priced against the deadline:
+    /// admitted work completes).
+    admitted: Option<usize>,
 }
 
 impl LiveJob {
@@ -344,7 +389,7 @@ impl LiveJob {
             arrival_seconds,
             not_before_seconds: arrival_seconds,
             attempts: 0,
-            admitted: false,
+            admitted: None,
         }
     }
 }
@@ -418,38 +463,32 @@ impl WindowTracker {
     }
 }
 
-/// Coalesce sorted arrivals into batch jobs: same-shape arrivals within
-/// `batch_window` seconds of the open batch's first member join it (up to
-/// `max_batch`); a shape change, a full batch or a stale window flushes.
-/// Jobs emerge stamped with their last member's arrival, nondecreasing.
-fn coalesce(stream: &ArrivalStream, max_batch: usize, batch_window: f64) -> VecDeque<LiveJob> {
-    let mut jobs = VecDeque::new();
-    let mut open: Option<(BatchJob, f64, f64)> = None; // (job, first_arrival, last_arrival)
-    for (id, timed) in stream.arrivals().iter().enumerate() {
-        if let Some((job, first, last)) = &mut open {
-            if job.spec == timed.request.spec
-                && timed.arrival_seconds - *first <= batch_window
-                && job.batch_size() < max_batch
-            {
-                job.requests.push(id);
-                *last = timed.arrival_seconds;
-                continue;
-            }
-            jobs.push_back(LiveJob::arrived(job.clone(), *last));
-        }
-        open = Some((
-            BatchJob {
-                spec: timed.request.spec,
-                requests: vec![id],
-            },
-            timed.arrival_seconds,
-            timed.arrival_seconds,
-        ));
+/// Record one admission-verdict span per request of `job` on the modelled
+/// interval it was priced over (its device's backlog → its predicted
+/// completion).
+fn record_verdict(
+    kind: SpanKind,
+    scope: Scope,
+    job: &BatchJob,
+    start_seconds: f64,
+    end_seconds: f64,
+) {
+    let obs = recorder();
+    let (start, end) = (obs.stamp(start_seconds), obs.stamp(end_seconds));
+    for &request in &job.requests {
+        obs.record(SpanEvent::new(kind, scope, start, end).with_request(request as u64));
     }
-    if let Some((job, _, last)) = open {
-        jobs.push_back(LiveJob::arrived(job, last));
+}
+
+/// Scope of one session's pipeline spans: a modelled session in the
+/// synchronous executor's deterministic dispatch order is reproducible; a
+/// measured one, or any session of a threaded run, is not.
+fn session_scope(modeled: bool, asynchronous: bool) -> Scope {
+    if modeled && !asynchronous {
+        Scope::Deterministic
+    } else {
+        Scope::ScheduleDependent
     }
-    jobs
 }
 
 /// Queue `job` in dispatch order: by `not_before_seconds`, behind every job
@@ -477,15 +516,50 @@ struct LiveRun<'a> {
     corrector: StageDriftCorrector,
     tracker: WindowTracker,
     /// The threaded executor's plan: each admitted job, due again at its
-    /// predicted completion, beside its predicted start.
+    /// predicted completion, beside its predicted start.  A job's index
+    /// here is its admission ordinal.
     planned: Vec<(LiveJob, f64)>,
+    /// Jobs admitted so far (the next job id).
+    admitted_jobs: usize,
+    /// Scope of the admission-verdict spans: admission runs on the caller's
+    /// thread on modelled predictions, so its verdicts are deterministic
+    /// unless the synchronous executor charges backlogs measured sessions.
+    verdict_scope: Scope,
     /// Answers, rejections and the recovery record accumulate here.
     report: LiveReport,
 }
 
 impl LiveRun<'_> {
+    /// Admit `job`, priced on the modelled interval `[start, completion]`;
+    /// returns its job id.
+    fn admit(&mut self, job: &BatchJob, start: f64, completion: f64) -> usize {
+        self.tracker.admitted += job.batch_size();
+        let obs = recorder();
+        if obs.is_enabled() {
+            let scope = self.verdict_scope;
+            record_verdict(SpanKind::AdmissionAdmit, scope, job, start, completion);
+            obs.counter_add(
+                "sem_serve_admitted_requests_total",
+                &[],
+                job.batch_size() as u64,
+            );
+            obs.counter_add("sem_serve_jobs_total", &[], 1);
+        }
+        let job_id = self.admitted_jobs;
+        self.admitted_jobs += 1;
+        job_id
+    }
+
     fn reject(&mut self, job: &BatchJob, reason: RejectionReason, predicted_latency_seconds: f64) {
         self.tracker.rejected += job.batch_size();
+        let obs = recorder();
+        if obs.is_enabled() {
+            obs.counter_add(
+                "sem_serve_rejected_requests_total",
+                &[],
+                job.batch_size() as u64,
+            );
+        }
         for &request in &job.requests {
             self.report.rejections.push(LiveRejection {
                 request,
@@ -537,8 +611,8 @@ impl Server {
     /// every admitted job (unhinted) into the shared injector while the
     /// worker pool drains.  Outcomes carry the plan's virtual times and the
     /// executing worker; on a homogeneous pool the solution bits are those
-    /// of [`Server::serve`] on the same admitted set.  Faults are handled
-    /// as [`crate::chaos`] describes.
+    /// of `SemSystem::solve_many` on the same right-hand sides.  Faults are
+    /// handled as [`crate::chaos`] describes.
     ///
     /// # Panics
     /// Panics if an option is non-positive (`batch_window_seconds` may be
@@ -587,6 +661,12 @@ impl Server {
             corrector: StageDriftCorrector::new(),
             tracker: WindowTracker::new(live.window_seconds),
             planned: Vec::new(),
+            admitted_jobs: 0,
+            verdict_scope: if asynchronous || self.slots.iter().all(|s| s.config.is_simulated()) {
+                Scope::Deterministic
+            } else {
+                Scope::ScheduleDependent
+            },
             report: LiveReport {
                 breakers: vec![CircuitBreaker::new(); pool],
                 window_seconds: live.window_seconds,
@@ -594,7 +674,11 @@ impl Server {
                 ..LiveReport::default()
             },
         };
-        let queue = coalesce(stream, self.options.max_batch, live.batch_window_seconds);
+        let queue = stream
+            .coalesce(self.options.max_batch, live.batch_window_seconds)
+            .into_iter()
+            .map(|(job, arrival_seconds)| LiveJob::arrived(job, arrival_seconds))
+            .collect();
         self.drain(&mut run, queue, asynchronous);
         if !stream.is_empty() {
             run.tracker.close(&mut run.active, &mut run.scaler);
@@ -613,24 +697,23 @@ impl Server {
             stream.len(),
             "every request is answered, rejected or reported unserved exactly once"
         );
+        report.makespan_seconds = run.free_at.into_iter().fold(0.0, f64::max);
         let obs = recorder();
         if obs.is_enabled() {
-            obs.counter_add(
-                "sem_serve_live_admitted_total",
-                &[],
-                report.admitted() as u64,
-            );
-            obs.counter_add(
-                "sem_serve_live_rejected_total",
-                &[],
-                report.rejected() as u64,
-            );
+            obs.counter_add("sem_serve_requests_total", &[], report.admitted() as u64);
+            obs.gauge_set("sem_serve_makespan_seconds", &[], report.makespan_seconds);
+            for outcome in &report.outcomes {
+                obs.observe(
+                    "sem_serve_request_latency_seconds",
+                    &[("device", outcome.device_label.as_str())],
+                    outcome.latency_seconds(),
+                );
+            }
         }
         report.windows = run.tracker.windows;
         report.active_trace = run.tracker.active_trace;
         report.scale_events = run.scaler.map(|s| s.events().to_vec()).unwrap_or_default();
         report.drift_correction = run.corrector.correction("session");
-        report.makespan_seconds = run.free_at.into_iter().fold(0.0, f64::max);
         report.wall_seconds = wall.elapsed_wall_seconds();
         report
     }
@@ -658,7 +741,7 @@ impl Server {
                 self.ensure_system(device, job.spec);
                 (device, self.predict_job_seconds(device, job))
             } else {
-                if !admitted {
+                if admitted.is_none() {
                     run.tracker
                         .advance_to(not_before_seconds, &mut run.active, &mut run.scaler);
                     if !job.spec.is_valid() {
@@ -681,11 +764,24 @@ impl Server {
             let start = run.free_at[device].max(not_before_seconds);
             let predicted = run.corrector.corrected("session", raw_predicted);
 
-            if !admitted {
+            let job_id = if let Some(job_id) = admitted {
+                job_id
+            } else {
                 let predicted_completion = start + predicted;
                 let predicted_latency = predicted_completion - arrival_seconds;
                 if predicted_latency > run.live.deadline_seconds {
-                    if run.live.down_batch && job.batch_size() >= 2 {
+                    let split = run.live.down_batch && job.batch_size() >= 2;
+                    let obs = recorder();
+                    if obs.is_enabled() {
+                        let kind = if split {
+                            obs.counter_add("sem_serve_downbatch_splits_total", &[], 1);
+                            SpanKind::DownBatchSplit
+                        } else {
+                            SpanKind::AdmissionReject
+                        };
+                        record_verdict(kind, run.verdict_scope, job, start, predicted_completion);
+                    }
+                    if split {
                         // Down-batch: halve and re-price both pieces before
                         // later arrivals (they keep the whole job's arrival
                         // stamp — the split is decided at that instant).
@@ -697,7 +793,7 @@ impl Server {
                     }
                     continue;
                 }
-                run.tracker.admitted += job.batch_size();
+                let job_id = run.admit(job, start, predicted_completion);
                 if plan_only {
                     // Causal host: backlog advances by the corrected
                     // prediction; execution happens later on the pool.
@@ -709,20 +805,26 @@ impl Server {
                     }
                     let entry = LiveJob {
                         not_before_seconds: predicted_completion,
-                        admitted: true,
+                        admitted: Some(job_id),
                         ..entry
                     };
                     run.planned.push((entry, start));
                     continue;
                 }
-            }
+                job_id
+            };
 
             // Synchronous executor: run now, charge the backlog what the
             // session actually cost, judge the answers.
             if run.report.breakers[device].is_quarantined() {
                 run.report.probes += 1;
             }
-            let (timeline, outcomes, verdict) = self.attempt(
+            let Attempt {
+                timeline,
+                outcomes,
+                verdict,
+                modeled,
+            } = self.attempt(
                 self.system(device, job.spec),
                 device,
                 job,
@@ -733,6 +835,10 @@ impl Server {
             let makespan = timeline.makespan_seconds;
             let end = start + makespan;
             run.free_at[device] = end;
+            if recorder().is_enabled() {
+                let scope = session_scope(modeled, run.report.asynchronous);
+                self.record_session(job_id, device, job, &timeline, start, scope);
+            }
             match verdict {
                 None => {
                     run.report.on_verified(device, job.batch_size(), attempts);
@@ -761,13 +867,64 @@ impl Server {
                         let entry = LiveJob {
                             not_before_seconds: end + backoff,
                             attempts,
-                            admitted: true,
+                            admitted: Some(job_id),
                             ..entry
                         };
                         enqueue(&mut queue, entry);
                     }
                 }
             }
+        }
+    }
+
+    /// Record one session's pipeline spans on the modelled clock, anchored
+    /// at its start: every timeline stage interval (shared upload, operand
+    /// uploads, kernel computes, residual streams, result downloads), plus
+    /// one [`SpanKind::PipelineSlot`] span per request covering the whole
+    /// session.  Every span carries the job id and the device label.
+    fn record_session(
+        &self,
+        job_id: usize,
+        device: usize,
+        job: &BatchJob,
+        timeline: &PipelineTimeline,
+        started: f64,
+        scope: Scope,
+    ) {
+        let obs = recorder();
+        let label = obs.intern(&self.slots[device].label);
+        for event in &timeline.events {
+            let kind = match event.stage {
+                Stage::SharedUpload => SpanKind::SharedUpload,
+                Stage::Upload => SpanKind::Upload,
+                Stage::Compute => SpanKind::Compute,
+                Stage::ResidualStream => SpanKind::ResidualStream,
+                Stage::Download => SpanKind::Download,
+            };
+            let mut span = SpanEvent::new(
+                kind,
+                scope,
+                obs.stamp(started + event.start_seconds),
+                obs.stamp(started + event.end_seconds),
+            )
+            .with_job(job_id as u64)
+            .with_label(label);
+            if let Some(i) = event.request {
+                span = span.with_request(job.requests[i] as u64);
+            }
+            obs.record(span);
+        }
+        let (start, end) = (
+            obs.stamp(started),
+            obs.stamp(started + timeline.makespan_seconds),
+        );
+        for &request in &job.requests {
+            obs.record(
+                SpanEvent::new(SpanKind::PipelineSlot, scope, start, end)
+                    .with_request(request as u64)
+                    .with_job(job_id as u64)
+                    .with_label(label),
+            );
         }
     }
 
@@ -848,9 +1005,8 @@ impl Server {
             .enumerate()
             .map(|(index, (plan, _))| ((index, 0), plan.job.clone()))
             .collect();
-        let (completed, unfinished, _wall_stats) = self.run_pool(
-            Vec::new(),
-            Some(fed),
+        let (completed, unfinished) = self.run_pool(
+            fed,
             // lint: no-panic (runs on the pool's worker threads)
             |server, worker, system, (index, attempts): (usize, usize), job| {
                 if attempts > fault.max_retries {
@@ -858,7 +1014,12 @@ impl Server {
                 }
                 let predicted =
                     corrector.corrected("session", server.predict_on(system, worker, &job));
-                let (timeline, outcomes, verdict) = server.attempt(
+                let Attempt {
+                    timeline,
+                    outcomes,
+                    verdict,
+                    modeled,
+                } = server.attempt(
                     system,
                     worker,
                     &job,
@@ -866,6 +1027,12 @@ impl Server {
                     &fault,
                     fault.timeout_factor * predicted,
                 );
+                if recorder().is_enabled() {
+                    // A plan index is its job's admission ordinal.
+                    let started = planned[index].1;
+                    let scope = session_scope(modeled, true);
+                    server.record_session(index, worker, &job, &timeline, started, scope);
+                }
                 // Only a worker panic poisons the lock, and the pool
                 // re-raises it at join, so a poisoned log is never reported.
                 let mut log = log.lock().unwrap_or_else(PoisonError::into_inner);

@@ -1,29 +1,58 @@
-//! The async-host concurrency battery: `serve_async` must answer exactly
-//! like `serve` — bitwise, in request order — while actually running device
-//! sessions on worker threads with work stealing.
+//! The threaded-executor concurrency battery: `serve_stream_async` must
+//! answer exactly like `serve_stream` and a direct `SemSystem::solve_many`
+//! — bitwise, in request order — while actually running device sessions on
+//! worker threads with work stealing.
 //!
 //! Every assertion here is on *modelled* seconds, bit patterns, or
-//! structural invariants (conservation, ordering, steal accounting) — never
-//! on measured wall-clock comparisons, so the battery is deterministic under
-//! arbitrary CI load.
+//! structural invariants (conservation, ordering) — never on measured
+//! wall-clock comparisons, so the battery is deterministic under arbitrary
+//! CI load.
 
-use sem_accel::Backend;
+use sem_accel::{Backend, SemSystem};
 use sem_serve::{
-    AdmissionPolicy, ModelOptimal, Pinned, ProblemSpec, RoundRobin, ServeOptions, ServeRequest,
-    Server,
+    ArrivalStream, LiveOptions, LiveReport, ProblemSpec, ServeOptions, ServeRequest, Server,
 };
 use sem_solver::CgOptions;
 
+fn cg() -> CgOptions {
+    CgOptions {
+        max_iterations: 1000,
+        tolerance: 1e-10,
+        record_history: false,
+    }
+}
+
 fn options(max_batch: usize) -> ServeOptions {
     ServeOptions {
-        cg: CgOptions {
-            max_iterations: 1000,
-            tolerance: 1e-10,
-            record_history: false,
-        },
+        cg: cg(),
         max_batch,
         ..ServeOptions::default()
     }
+}
+
+/// Serve `requests` as a closed set against `deadline_seconds` on the
+/// synchronous or the threaded executor.
+fn serve_with(
+    server: &mut Server,
+    requests: &[ServeRequest],
+    deadline_seconds: f64,
+    asynchronous: bool,
+) -> LiveReport {
+    let stream = ArrivalStream::closed(requests);
+    let live = LiveOptions {
+        deadline_seconds,
+        ..LiveOptions::default()
+    };
+    if asynchronous {
+        server.serve_stream_async(&stream, &live, None)
+    } else {
+        server.serve_stream(&stream, &live, None)
+    }
+}
+
+/// Serve `requests` as a closed set, admitting everything.
+fn serve(server: &mut Server, requests: &[ServeRequest], asynchronous: bool) -> LiveReport {
+    serve_with(server, requests, f64::INFINITY, asynchronous)
 }
 
 /// Mixed-shape, mixed-RHS request stream shared by the parity tests.
@@ -40,49 +69,66 @@ fn mixed_requests() -> Vec<ServeRequest> {
 }
 
 #[test]
-fn async_answers_match_serve_bitwise_for_every_registry_backend() {
+fn both_executors_answer_like_solve_many_bitwise_for_every_registry_backend() {
+    const MAX_BATCH: usize = 2;
     let requests = mixed_requests();
     for name in Backend::registry_names() {
         let simulated = Backend::from_name(&name)
             .expect("registry name")
             .is_simulated();
-        let mut sync_server = Server::from_registry_names(&[name.as_str()], options(2));
-        let sync = sync_server.serve(&requests, &mut RoundRobin::default());
-        let mut async_server = Server::from_registry_names(&[name.as_str()], options(2));
-        let run = async_server.serve_async(&requests, &mut RoundRobin::default());
-
-        assert!(run.asynchronous && !sync.asynchronous);
-        assert_eq!(run.outcomes.len(), requests.len(), "{name}");
-        for (i, (a, s)) in run.outcomes.iter().zip(&sync.outcomes).enumerate() {
-            assert_eq!(a.request, i, "{name}: answers arrive in request order");
-            assert_eq!(s.request, i, "{name}");
-            assert_eq!(
-                a.solution.as_slice(),
-                s.solution.as_slice(),
-                "{name}: request {i} must be bitwise identical across hosts"
-            );
-            assert_eq!(a.iterations, s.iterations, "{name}");
-            assert_eq!(a.converged, s.converged, "{name}");
-            if simulated {
-                // Simulated accounting is a pure model figure; measured
-                // (CPU) backends re-time each run, so only the bits of the
-                // *solution*, not the clock, are comparable there.
-                assert_eq!(
-                    a.serial_modeled_seconds.to_bits(),
-                    s.serial_modeled_seconds.to_bits(),
-                    "{name}: modelled accounting is schedule-independent"
-                );
-            }
+        // The reference: each request's right-hand side through a direct
+        // batched solve on an identically configured session, batched as the
+        // host coalesces a closed set — runs of consecutive same-shape
+        // arrivals, cut at `max_batch` — so the per-RHS share of the session
+        // upload, and with it the modelled accounting, is comparable.
+        let mut reference = Vec::with_capacity(requests.len());
+        let mut start = 0;
+        while start < requests.len() {
+            let spec = requests[start].spec;
+            let end = (start..requests.len())
+                .take(MAX_BATCH)
+                .take_while(|&i| requests[i].spec == spec)
+                .last()
+                .map_or(start, |last| last + 1);
+            let system = SemSystem::builder()
+                .degree(spec.degree)
+                .elements(spec.elements)
+                .backend_named(&name)
+                .build();
+            let rhss: Vec<_> = requests[start..end]
+                .iter()
+                .map(|request| request.assemble_rhs(&system))
+                .collect();
+            reference.extend(system.solve_many(&rhss, cg()));
+            start = end;
         }
-        // One slot: nothing to steal from, and for simulated backends the
-        // modelled schedule is the sync schedule exactly.
-        assert_eq!(run.total_steals(), 0, "{name}");
-        if simulated {
-            assert_eq!(
-                run.makespan_seconds.to_bits(),
-                sync.makespan_seconds.to_bits(),
-                "{name}: single-slot modelled makespan must not depend on the host"
-            );
+        for asynchronous in [false, true] {
+            let mut server = Server::from_registry_names(&[name.as_str()], options(MAX_BATCH));
+            let run = serve(&mut server, &requests, asynchronous);
+            assert_eq!(run.asynchronous, asynchronous);
+            assert_eq!(run.outcomes.len(), requests.len(), "{name}");
+            assert_eq!(run.ledger.total_retries(), 0, "{name}: fault-free");
+            for (i, (a, r)) in run.outcomes.iter().zip(&reference).enumerate() {
+                assert_eq!(a.request, i, "{name}: answers arrive in request order");
+                assert_eq!(
+                    a.solution.as_slice(),
+                    r.solution.solution.as_slice(),
+                    "{name} (async {asynchronous}): request {i} must be bitwise solve_many's"
+                );
+                assert_eq!(a.iterations, r.iterations(), "{name}");
+                assert_eq!(a.converged, r.converged(), "{name}");
+                if simulated {
+                    // Simulated accounting is a pure model figure; measured
+                    // (CPU) backends re-time each run, so only the bits of
+                    // the *solution*, not the clock, are comparable there.
+                    assert_eq!(
+                        a.serial_modeled_seconds.to_bits(),
+                        r.modeled_seconds().to_bits(),
+                        "{name} (async {asynchronous}): modelled accounting is \
+                         schedule-independent"
+                    );
+                }
+            }
         }
     }
 }
@@ -94,60 +140,24 @@ fn async_on_a_homogeneous_pool_stays_bitwise_whoever_steals() {
     // synchronous single-slot reference.
     let requests = mixed_requests();
     let mut reference_server = Server::from_registry_names(&["cpu:optimized"], options(2));
-    let reference = reference_server.serve(&requests, &mut RoundRobin::default());
+    let reference = serve(&mut reference_server, &requests, false);
 
     let pool = ["cpu:optimized", "cpu:optimized", "cpu:optimized"];
     let mut server = Server::from_registry_names(&pool, options(2));
-    let run = server.serve_async(&requests, &mut RoundRobin::default());
+    let run = serve(&mut server, &requests, true);
 
     assert_eq!(run.outcomes.len(), requests.len());
     for (i, (a, r)) in run.outcomes.iter().zip(&reference.outcomes).enumerate() {
         assert_eq!(a.request, i);
+        assert!(a.device < pool.len());
         assert_eq!(
             a.solution.as_slice(),
             r.solution.as_slice(),
             "request {i}: homogeneous pools are bitwise host-independent"
         );
     }
-    // Conservation: every request served exactly once, across all devices.
-    let served: usize = run.devices.iter().map(|d| d.requests).sum();
-    assert_eq!(served, requests.len());
-    let executed: usize = run.devices.iter().map(|d| d.jobs).sum();
-    assert_eq!(executed, run.jobs.len());
-}
-
-#[test]
-fn pinning_everything_to_one_slot_forces_real_steals() {
-    // All jobs hinted to slot 0 of a four-slot pool: the only way the other
-    // slots serve anything is by stealing, and the steal accounting must
-    // agree between the per-device ledger and the per-job traces.  The jobs
-    // must be heavy enough that slot 0 cannot drain its whole deque inside
-    // one scheduler timeslice on a single-core host — with tiny solves the
-    // siblings can lose the race to even one steal.
-    let spec = ProblemSpec::cube(7, 2);
-    let requests: Vec<ServeRequest> = (0..12).map(|i| ServeRequest::seeded(spec, i)).collect();
-    let pool = ["cpu:optimized"; 4];
-    let mut server = Server::from_registry_names(&pool, options(1));
-    let run = server.serve_async(&requests, &mut Pinned(0));
-
-    assert_eq!(run.outcomes.len(), 12);
-    assert!(
-        run.total_steals() > 0,
-        "12 single-request jobs behind one slot of four must get stolen"
-    );
-    assert_eq!(run.devices[0].steals, 0, "the hinted slot cannot steal");
-    let stolen_traces = run.jobs.iter().filter(|job| job.stolen()).count();
-    assert_eq!(run.total_steals(), stolen_traces);
-    for job in &run.jobs {
-        assert_eq!(job.hinted_device, Some(0), "pinned hints");
-    }
-    // Bitwise identity still holds against the synchronous pinned run.
-    let mut sync_server = Server::from_registry_names(&pool, options(1));
-    let sync = sync_server.serve(&requests, &mut Pinned(0));
-    for (a, s) in run.outcomes.iter().zip(&sync.outcomes) {
-        assert_eq!(a.solution.as_slice(), s.solution.as_slice());
-    }
-    assert_eq!(sync.total_steals(), 0, "the sync host executes on the hint");
+    // Conservation: every request served exactly once, nothing unserved.
+    assert!(run.unserved.is_empty() && run.rejections.is_empty());
 }
 
 #[test]
@@ -155,7 +165,7 @@ fn heterogeneous_pools_serve_in_order_with_correct_shapes() {
     let requests = mixed_requests();
     let pool = ["cpu:optimized", "fpga:stratix10-gx2800"];
     let mut server = Server::from_registry_names(&pool, options(2));
-    let run = server.serve_async(&requests, &mut ModelOptimal);
+    let run = serve(&mut server, &requests, true);
     assert_eq!(run.outcomes.len(), requests.len());
     for (i, outcome) in run.outcomes.iter().enumerate() {
         assert_eq!(outcome.request, i);
@@ -169,42 +179,38 @@ fn heterogeneous_pools_serve_in_order_with_correct_shapes() {
         }
         assert!(outcome.device < pool.len());
     }
-    // Wall-clock figures exist but are only sanity-bounded (they are
-    // measured; comparisons live in the bench, not the test suite).
+    // The wall clock exists but is only sanity-bounded (it is measured;
+    // comparisons live in the bench, not the test suite).
     assert!(run.wall_seconds > 0.0);
-    assert!(run.busy_wall_seconds() > 0.0);
-    assert!(run.measured_concurrency() > 0.0);
-    let summary = run.summary();
-    assert!(summary.asynchronous);
-    assert_eq!(summary.steals, run.total_steals());
-    assert_eq!(summary.admitted, requests.len());
+    assert!(run.makespan_seconds > 0.0);
 }
 
 #[test]
-fn empty_request_sets_produce_empty_reports_on_both_hosts() {
+fn empty_request_sets_produce_empty_reports_on_both_executors() {
     let mut server = Server::from_registry_names(&["cpu:optimized", "cpu:optimized"], options(4));
-    let sync = server.serve(&[], &mut RoundRobin::default());
-    let run = server.serve_async(&[], &mut RoundRobin::default());
-    for report in [&sync, &run] {
+    for asynchronous in [false, true] {
+        let report = serve(&mut server, &[], asynchronous);
         assert!(report.outcomes.is_empty());
-        assert!(report.jobs.is_empty());
+        assert!(report.rejections.is_empty() && report.unserved.is_empty());
+        assert!(report.windows.is_empty());
         assert_eq!(report.makespan_seconds, 0.0);
-        assert_eq!(report.throughput_rps(), 0.0);
         assert_eq!(report.latency_percentile_seconds(99.0), None);
     }
 }
 
 #[test]
-fn sessions_survive_across_serve_calls_on_both_hosts() {
-    // The worker-owned sessions are handed back after an async run: a
+fn sessions_survive_across_serve_calls_on_both_executors() {
+    // The worker-owned sessions are handed back after a threaded run: a
     // second serve on the same server must reuse them and answer bitwise
     // identically (same backends, same systems).
-    let spec = ProblemSpec::cube(3, 2);
-    let requests: Vec<ServeRequest> = (0..4).map(|i| ServeRequest::seeded(spec, i)).collect();
+    let requests: Vec<ServeRequest> = (0..4)
+        .map(|i| ServeRequest::seeded(ProblemSpec::cube(3, 2), i))
+        .collect();
     let mut server = Server::from_registry_names(&["cpu:optimized", "cpu:optimized"], options(2));
-    let first = server.serve_async(&requests, &mut RoundRobin::default());
-    let second = server.serve_async(&requests, &mut RoundRobin::default());
-    let third = server.serve(&requests, &mut RoundRobin::default());
+    let first = serve(&mut server, &requests, true);
+    let second = serve(&mut server, &requests, true);
+    let third = serve(&mut server, &requests, false);
+    assert_eq!(first.outcomes.len(), requests.len());
     for ((a, b), c) in first
         .outcomes
         .iter()
@@ -217,46 +223,44 @@ fn sessions_survive_across_serve_calls_on_both_hosts() {
 }
 
 #[test]
-fn async_admission_rejects_and_the_hosts_agree_on_the_verdicts() {
+fn admission_binds_on_both_executors_and_never_changes_the_bits() {
     // Simulated backend → deterministic session predictions.  A tight
-    // deadline must reject the same requests on both hosts, and the served
-    // remainder must stay bitwise identical.
+    // deadline must reject some but not all requests on each executor,
+    // reproducibly, and the served remainder must stay bitwise the
+    // admit-everything answers.  (The executors price against different
+    // backlogs — actual sessions inline, predicted ones for the pool — so
+    // their verdicts need not coincide.)
     let spec = ProblemSpec::cube(4, 2);
     let requests: Vec<ServeRequest> = (0..8).map(|i| ServeRequest::seeded(spec, i)).collect();
     let pool = ["fpga:stratix10-gx2800"];
 
     // Price one job to find a deadline that admits some but not all.
     let mut probe = Server::from_registry_names(&pool, options(2));
-    let full = probe.serve(&requests, &mut RoundRobin::default());
-    let per_job = full.makespan_seconds / full.jobs.len() as f64;
-    let admission = AdmissionPolicy::Reject {
-        deadline_seconds: per_job * 2.5,
-    };
+    let full = serve(&mut probe, &requests, false);
+    let per_job = full.makespan_seconds / (requests.len() / 2) as f64;
+    let deadline_seconds = per_job * 2.5;
 
-    let opts = ServeOptions {
-        admission,
-        ..options(2)
-    };
-    let mut sync_server = Server::from_registry_names(&pool, opts);
-    let sync = sync_server.serve(&requests, &mut RoundRobin::default());
-    let mut async_server = Server::from_registry_names(&pool, opts);
-    let run = async_server.serve_async(&requests, &mut RoundRobin::default());
-
-    assert!(!sync.rejections.is_empty(), "the deadline must bind");
-    assert!(!sync.outcomes.is_empty(), "but not reject everything");
-    assert_eq!(
-        sync.rejections
-            .iter()
-            .map(|r| r.request)
-            .collect::<Vec<_>>(),
-        run.rejections.iter().map(|r| r.request).collect::<Vec<_>>(),
-        "admission verdicts are host-independent"
-    );
-    for (a, s) in run.outcomes.iter().zip(&sync.outcomes) {
-        assert_eq!(a.request, s.request);
-        assert_eq!(a.solution.as_slice(), s.solution.as_slice());
+    for asynchronous in [false, true] {
+        let run =
+            |server: &mut Server| serve_with(server, &requests, deadline_seconds, asynchronous);
+        let report = run(&mut Server::from_registry_names(&pool, options(2)));
+        assert!(
+            !report.rejections.is_empty(),
+            "async {asynchronous}: the deadline must bind"
+        );
+        assert!(
+            !report.outcomes.is_empty(),
+            "async {asynchronous}: but not reject everything"
+        );
+        assert_eq!(report.admitted() + report.rejected(), 8);
+        let verdicts = |r: &LiveReport| r.rejections.iter().map(|r| r.request).collect::<Vec<_>>();
+        let repeat = run(&mut Server::from_registry_names(&pool, options(2)));
+        assert_eq!(verdicts(&report), verdicts(&repeat), "async {asynchronous}");
+        for outcome in &report.outcomes {
+            assert_eq!(
+                outcome.solution.as_slice(),
+                full.outcomes[outcome.request].solution.as_slice()
+            );
+        }
     }
-    let summary = run.summary();
-    assert_eq!(summary.requests, 8);
-    assert_eq!(summary.admitted + summary.rejected, 8);
 }

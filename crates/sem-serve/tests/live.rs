@@ -11,8 +11,8 @@
 use perf_model::WorkloadKind;
 use sem_serve::autoscaler::{Autoscaler, AutoscalerPolicy, ScaleDirection};
 use sem_serve::{
-    ArrivalStream, LiveOptions, ProblemSpec, RejectionReason, RoundRobin, ServeOptions,
-    ServeRequest, Server, TimedRequest,
+    ArrivalStream, LiveOptions, ProblemSpec, RejectionReason, ServeOptions, ServeRequest, Server,
+    TimedRequest,
 };
 use sem_solver::CgOptions;
 
@@ -54,15 +54,23 @@ fn generous() -> LiveOptions {
 fn streaming_arrivals_answer_identical_to_the_closed_batch_path() {
     // The tentpole contract: on a homogeneous pool, the same admitted set
     // produces bitwise-identical solution vectors whether requests arrive
-    // all at once (closed batch), stream through the synchronous reference
-    // host, or ride the live feeder into the work-stealing pool.
+    // all at once (a closed set, batched as deep as `max_batch` allows),
+    // stream through the synchronous executor, or ride the live feeder into
+    // the work-stealing pool.
     let spec = ProblemSpec::cube(3, 2);
     let names = ["cpu:optimized", "cpu:optimized"];
     let stream = paced_stream(spec, 8, 0.3);
     let requests: Vec<ServeRequest> = stream.arrivals().iter().map(|t| t.request).collect();
 
-    let closed = Server::from_registry_names(&names, options(4))
-        .serve(&requests, &mut RoundRobin::default());
+    let admit_all = LiveOptions {
+        deadline_seconds: f64::INFINITY,
+        ..generous()
+    };
+    let closed = Server::from_registry_names(&names, options(4)).serve_stream(
+        &ArrivalStream::closed(&requests),
+        &admit_all,
+        None,
+    );
     let sync =
         Server::from_registry_names(&names, options(4)).serve_stream(&stream, &generous(), None);
     let streamed = Server::from_registry_names(&names, options(4)).serve_stream_async(
@@ -71,7 +79,11 @@ fn streaming_arrivals_answer_identical_to_the_closed_batch_path() {
         None,
     );
 
-    assert_eq!(closed.outcomes.len(), 8);
+    assert_eq!(closed.admitted(), 8);
+    assert!(
+        closed.outcomes.iter().all(|o| o.batch == 4),
+        "closed sets batch deep"
+    );
     assert_eq!(sync.admitted(), 8);
     assert_eq!(streamed.admitted(), 8);
     assert!(sync.rejections.is_empty() && streamed.rejections.is_empty());

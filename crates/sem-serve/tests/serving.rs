@@ -1,23 +1,21 @@
 //! Cross-layer serving invariants: pipeline bounds, serial bitwise
 //! degeneration, result ordering, solve parity with `SemSystem::solve_many`,
-//! the policy ranking the ROADMAP's overlap item promises, and the
-//! deadline-admission guarantees.
+//! and the deadline-admission guarantees, on closed request sets
+//! (`ArrivalStream::closed`: every request at t = 0).
 //!
 //! Timing-discipline note (the suite must be deterministic under CI load):
 //! every comparative assertion here is on *modelled* seconds — simulated
 //! kernel time, pipeline closed forms, roofline pricing.  Measured
 //! wall-clock figures (CPU backends re-time every run) are only ever
-//! sanity-bounded, never compared between runs; strict cross-policy
-//! comparisons run on all-simulated pools where the figures are bitwise
-//! reproducible.  Placement itself is deterministic too: policies see
-//! modelled hint backlogs, not wall clocks.
+//! sanity-bounded, never compared between runs.  Placement and admission
+//! are deterministic too: they price modelled backlogs, not wall clocks.
 
 use sem_accel::{Backend, SemSystem, SolveReport};
 use sem_serve::{
-    LeastLoaded, ModelOptimal, PipelineConfig, PipelineTimeline, ProblemSpec, RoundRobin,
-    ServeOptions, ServeRequest, Server, Stage,
+    ArrivalStream, LiveOptions, LiveReport, PipelineConfig, PipelineTimeline, ProblemSpec,
+    RejectionReason, ServeOptions, ServeRequest, Server, Stage,
 };
-use sem_solver::CgOptions;
+use sem_solver::{CgOptions, PrecondSpec};
 
 fn cg() -> CgOptions {
     CgOptions {
@@ -33,6 +31,60 @@ fn options(max_batch: usize) -> ServeOptions {
         max_batch,
         ..ServeOptions::default()
     }
+}
+
+/// Admission against `deadline_seconds`, splitting over-deadline jobs when
+/// `down_batch`.
+fn admission(deadline_seconds: f64, down_batch: bool) -> LiveOptions {
+    LiveOptions {
+        deadline_seconds,
+        down_batch,
+        ..LiveOptions::default()
+    }
+}
+
+/// Admit everything.
+fn open() -> LiveOptions {
+    admission(f64::INFINITY, false)
+}
+
+/// Serve `requests` as a closed set on the synchronous or the threaded
+/// executor.
+fn serve(
+    server: &mut Server,
+    requests: &[ServeRequest],
+    live: &LiveOptions,
+    asynchronous: bool,
+) -> LiveReport {
+    let stream = ArrivalStream::closed(requests);
+    if asynchronous {
+        server.serve_stream_async(&stream, live, None)
+    } else {
+        server.serve_stream(&stream, live, None)
+    }
+}
+
+fn requests_of(spec: ProblemSpec, n: u64) -> Vec<ServeRequest> {
+    (0..n).map(|i| ServeRequest::seeded(spec, i)).collect()
+}
+
+fn ids(report: &LiveReport) -> (Vec<usize>, Vec<usize>) {
+    (
+        report.outcomes.iter().map(|o| o.request).collect(),
+        report.rejections.iter().map(|r| r.request).collect(),
+    )
+}
+
+/// A direct batched solve of `requests` (one shape) on `backend`.
+fn direct(backend: &str, requests: &[ServeRequest]) -> Vec<SolveReport> {
+    let spec = requests[0].spec;
+    let system = SemSystem::builder()
+        .degree(spec.degree)
+        .elements(spec.elements)
+        .backend_named(backend)
+        .build();
+    let rhss: Vec<_> = requests.iter().map(|r| r.assemble_rhs(&system)).collect();
+    system.solve_many(&rhss, cg())
 }
 
 #[test]
@@ -124,22 +176,15 @@ fn overlap_disabled_timeline_bitwise_matches_solve_report_accounting() {
 #[test]
 fn serve_never_reorders_results_and_matches_solve_many_bitwise() {
     let spec = ProblemSpec::cube(3, 2);
-    let requests: Vec<ServeRequest> = (0..5).map(|i| ServeRequest::seeded(spec, i)).collect();
+    let requests = requests_of(spec, 5);
     for name in Backend::registry_names() {
         let mut server = Server::from_registry_names(&[name.as_str()], options(2));
-        let report = server.serve(&requests, &mut RoundRobin::default());
+        let report = serve(&mut server, &requests, &open(), false);
         assert_eq!(report.outcomes.len(), requests.len(), "{name}");
 
         // Reference: the same right-hand sides through the plain batched
         // path on an identically configured system.
-        let system = SemSystem::builder()
-            .degree(spec.degree)
-            .elements(spec.elements)
-            .backend_named(&name)
-            .build();
-        let rhss: Vec<_> = requests.iter().map(|r| r.assemble_rhs(&system)).collect();
-        let direct = system.solve_many(&rhss, cg());
-
+        let direct = direct(&name, &requests);
         for (i, outcome) in report.outcomes.iter().enumerate() {
             assert_eq!(outcome.request, i, "{name}: answer {i} in slot {i}");
             assert_eq!(
@@ -151,7 +196,7 @@ fn serve_never_reorders_results_and_matches_solve_many_bitwise() {
             assert!(outcome.converged, "{name}");
             assert!(outcome.latency_seconds() > 0.0, "{name}");
         }
-        // Latencies are monotone within a device's job sequence.
+        // Latencies are bounded by the makespan of the device sequence.
         let makespan = report.makespan_seconds;
         assert!(report
             .outcomes
@@ -170,9 +215,15 @@ fn mixed_shapes_share_the_pool_without_crosstalk() {
         requests.push(ServeRequest::manufactured(large));
         requests.push(ServeRequest::seeded(large, i));
     }
+    // Every job the host forms is single-shape by construction.
+    for (job, _) in ArrivalStream::closed(&requests).coalesce(4, 0.0) {
+        for &i in &job.requests {
+            assert_eq!(requests[i].spec, job.spec);
+        }
+    }
     let mut server =
         Server::from_registry_names(&["cpu:optimized", "fpga:stratix10-gx2800"], options(4));
-    let report = server.serve(&requests, &mut ModelOptimal);
+    let report = serve(&mut server, &requests, &open(), false);
     assert_eq!(report.outcomes.len(), requests.len());
     for (i, outcome) in report.outcomes.iter().enumerate() {
         assert_eq!(outcome.request, i);
@@ -188,222 +239,88 @@ fn mixed_shapes_share_the_pool_without_crosstalk() {
             sem_serve::RhsSpec::Seeded(_) => assert!(outcome.max_error.is_nan()),
         }
     }
-    // Every job's batch is single-shape by construction.
-    for job in &report.jobs {
-        for &i in &job.requests {
-            assert_eq!(requests[i].spec, job.spec);
-        }
-    }
 }
 
-#[test]
-fn model_optimal_beats_round_robin_on_an_all_simulated_pool() {
-    // Strict cross-policy throughput comparison on a pool whose every
-    // figure is simulated, hence bitwise reproducible under any CI load.
-    // The pool is genuinely heterogeneous (the GX2800 sessions cost ~2.3x
-    // an HBM board's at this size) and the job count (12) is high enough
-    // that list scheduling's speed-weighted balance beats round-robin's
-    // blind equal split.
-    let pool = ["fpga:stratix10-gx2800", "fpga:stratix10m", "fpga:ideal"];
-    let spec = ProblemSpec::cube(5, 2);
-    let requests: Vec<ServeRequest> = (0..24).map(|i| ServeRequest::seeded(spec, i)).collect();
-
-    let mut rr_server = Server::from_registry_names(&pool, options(2));
-    let rr = rr_server.serve(&requests, &mut RoundRobin::default());
-    let mut mo_server = Server::from_registry_names(&pool, options(2));
-    let mo = mo_server.serve(&requests, &mut ModelOptimal);
-
-    assert!(
-        mo.throughput_rps() >= rr.throughput_rps(),
-        "model-optimal {} rps must be at least round-robin {} rps",
-        mo.throughput_rps(),
-        rr.throughput_rps()
-    );
-    assert!(mo.makespan_seconds <= rr.makespan_seconds * (1.0 + 1e-12));
-}
-
-#[test]
-fn model_optimal_routes_work_off_the_host_on_a_heterogeneous_pool() {
-    // CPU + real FPGA + projected future device: the acceptance pool.
-    // Placement is deterministic (policies see modelled hint backlogs, not
-    // measured clocks), so the routing assertions hold under any load; the
-    // measured-infused throughput figures are only sanity-bounded here and
-    // compared strictly on the all-simulated pool above.
-    let pool = [
-        "cpu:reference",
-        "fpga:stratix10-gx2800",
-        "fpga:projected:a100-class",
-    ];
-    let spec = ProblemSpec::cube(5, 2);
-    let requests: Vec<ServeRequest> = (0..12).map(|i| ServeRequest::seeded(spec, i)).collect();
-
-    let mut rr_server = Server::from_registry_names(&pool, options(4));
-    let rr = rr_server.serve(&requests, &mut RoundRobin::default());
-    let mut mo_server = Server::from_registry_names(&pool, options(4));
-    let mo = mo_server.serve(&requests, &mut ModelOptimal);
-    let mut ll_server = Server::from_registry_names(&pool, options(4));
-    let ll = ll_server.serve(&requests, &mut LeastLoaded);
-
-    assert!(rr.throughput_rps() > 0.0 && mo.throughput_rps() > 0.0);
-    // The model routes work away from the measured host: the CPU slot
-    // serves no more requests than under blind round-robin — in fact the
-    // roofline prices the host far above the boards here, so it gets
-    // nothing.
-    let cpu_requests = |r: &sem_serve::ServeReport| {
-        r.devices
-            .iter()
-            .find(|d| d.label.starts_with("cpu"))
-            .map_or(0, |d| d.requests)
-    };
-    assert!(cpu_requests(&mo) <= cpu_requests(&rr));
-    // All three policies answer in identical order and agree numerically
-    // (bitwise identity only holds per backend — a request may land on the
-    // reference CPU kernel under one policy and the FPGA datapath under
-    // another, which differ in rounding).
-    for ((a, b), c) in rr
-        .outcomes
-        .iter()
-        .zip(mo.outcomes.iter())
-        .zip(ll.outcomes.iter())
-    {
-        assert_eq!(a.request, b.request);
-        assert_eq!(a.request, c.request);
-        let scale = a.solution.max_abs();
-        for ((x, y), z) in a
-            .solution
-            .as_slice()
-            .iter()
-            .zip(b.solution.as_slice())
-            .zip(c.solution.as_slice())
-        {
-            assert!((x - y).abs() < 1e-8 * (1.0 + scale), "{x} vs {y}");
-            assert!((x - z).abs() < 1e-8 * (1.0 + scale), "{x} vs {z}");
-        }
-    }
-    // Summaries aggregate and serialise.
-    let summary = mo.summary();
-    assert_eq!(summary.requests, 12);
-    assert!(summary.p50_latency_seconds.unwrap() <= summary.p99_latency_seconds.unwrap());
-    assert!(summary.throughput_rps > 0.0);
-    let json = serde::json::to_string(&summary);
-    assert!(json.contains("model-optimal"));
-}
-
-/// Probe the model's per-job session prediction: with a zero deadline every
-/// job is rejected on an empty backlog, so each rejection carries exactly
-/// the job-level predicted session seconds.
+/// Probe the model's per-job session prediction: with a vanishing deadline
+/// every job is rejected on an empty backlog (rejections never charge it),
+/// so each rejection carries exactly the job-level predicted session
+/// seconds.
 fn probe_job_prediction(pool: &[&str], requests: &[ServeRequest], max_batch: usize) -> f64 {
-    let mut server = Server::from_registry_names(
-        pool,
-        ServeOptions {
-            admission: sem_serve::AdmissionPolicy::Reject {
-                deadline_seconds: 0.0,
-            },
-            ..options(max_batch)
-        },
+    let mut server = Server::from_registry_names(pool, options(max_batch));
+    let report = serve(
+        &mut server,
+        requests,
+        &admission(f64::MIN_POSITIVE, false),
+        false,
     );
-    let report = server.serve(requests, &mut RoundRobin::default());
     assert_eq!(report.rejections.len(), requests.len(), "probe rejects all");
     assert!(report.outcomes.is_empty());
-    let p = report.rejections[0].predicted_completion_seconds;
+    let p = report.rejections[0].predicted_latency_seconds;
     assert!(p > 0.0);
     p
 }
 
 #[test]
 fn admission_on_an_unloaded_pool_admits_everything() {
-    let spec = ProblemSpec::cube(4, 2);
-    let requests: Vec<ServeRequest> = (0..6).map(|i| ServeRequest::seeded(spec, i)).collect();
-    let mut server = Server::from_registry_names(
-        &["fpga:stratix10-gx2800"],
-        ServeOptions {
-            admission: sem_serve::AdmissionPolicy::Reject {
-                deadline_seconds: 1e6,
-            },
-            ..options(2)
-        },
-    );
-    let report = server.serve(&requests, &mut RoundRobin::default());
+    let requests = requests_of(ProblemSpec::cube(4, 2), 6);
+    let mut server = Server::from_registry_names(&["fpga:stratix10-gx2800"], options(2));
+    let report = serve(&mut server, &requests, &admission(1e6, false), false);
     assert!(
         report.rejections.is_empty(),
         "an empty pool admits everything"
     );
-    assert_eq!(report.outcomes.len(), 6);
-    let summary = report.summary();
-    assert_eq!((summary.admitted, summary.rejected), (6, 0));
+    assert_eq!((report.admitted(), report.rejected()), (6, 0));
 }
 
 #[test]
 fn admission_rejects_exactly_the_requests_priced_over_the_deadline() {
     // Single simulated board (deterministic predictions), three jobs of two
     // requests with identical session prediction `p`.  A deadline of 1.5 p
-    // admits the first job (completes at p) and rejects the next two (both
-    // priced at backlog p + session p = 2 p) — exactly requests 2..=5.
+    // admits the first job (completes at p) and rejects the next two.  The
+    // threaded executor prices against predicted backlog, so both land at
+    // exactly backlog p + session p = 2 p; the synchronous one charges the
+    // first session's actual cost and re-prices by the learned drift, which
+    // only pushes them further out.
     let pool = ["fpga:stratix10-gx2800"];
-    let spec = ProblemSpec::cube(4, 2);
-    let requests: Vec<ServeRequest> = (0..6).map(|i| ServeRequest::seeded(spec, i)).collect();
+    let requests = requests_of(ProblemSpec::cube(4, 2), 6);
     let p = probe_job_prediction(&pool, &requests, 2);
-
-    let opts = ServeOptions {
-        admission: sem_serve::AdmissionPolicy::Reject {
-            deadline_seconds: 1.5 * p,
-        },
-        ..options(2)
-    };
-    let mut server = Server::from_registry_names(&pool, opts);
-    let report = server.serve(&requests, &mut RoundRobin::default());
-    assert_eq!(
-        report
-            .outcomes
-            .iter()
-            .map(|o| o.request)
-            .collect::<Vec<_>>(),
-        vec![0, 1],
-        "only the first job fits under the deadline"
-    );
-    assert_eq!(
-        report
-            .rejections
-            .iter()
-            .map(|r| r.request)
-            .collect::<Vec<_>>(),
-        vec![2, 3, 4, 5]
-    );
-    for rejection in &report.rejections {
-        assert!(rejection.predicted_completion_seconds > rejection.deadline_seconds);
+    let live = admission(1.5 * p, false);
+    for asynchronous in [false, true] {
+        let mut server = Server::from_registry_names(&pool, options(2));
+        let report = serve(&mut server, &requests, &live, asynchronous);
         assert_eq!(
-            rejection.predicted_completion_seconds.to_bits(),
-            (2.0 * p).to_bits(),
-            "rejections carry the backlog-aware prediction that priced them out"
+            ids(&report),
+            (vec![0, 1], vec![2, 3, 4, 5]),
+            "async {asynchronous}: only the first job fits under the deadline"
         );
+        for rejection in &report.rejections {
+            assert_eq!(rejection.reason, RejectionReason::Deadline);
+            assert!(rejection.predicted_latency_seconds > rejection.deadline_seconds);
+            if asynchronous {
+                assert_eq!(
+                    rejection.predicted_latency_seconds.to_bits(),
+                    (2.0 * p).to_bits(),
+                    "rejections carry the backlog-aware prediction that priced them out"
+                );
+            }
+        }
+        // Deterministic: a fresh server reproduces the verdicts.
+        let mut again = Server::from_registry_names(&pool, options(2));
+        let repeat = serve(&mut again, &requests, &live, asynchronous);
+        assert_eq!(ids(&repeat), ids(&report), "async {asynchronous}");
     }
-    // Deterministic: a fresh server reproduces the verdicts bitwise.
-    let mut again = Server::from_registry_names(&pool, opts);
-    let repeat = again.serve(&requests, &mut RoundRobin::default());
-    assert_eq!(
-        repeat
-            .rejections
-            .iter()
-            .map(|r| r.request)
-            .collect::<Vec<_>>(),
-        report
-            .rejections
-            .iter()
-            .map(|r| r.request)
-            .collect::<Vec<_>>()
-    );
 }
 
 #[test]
 fn down_batch_admission_degrades_instead_of_rejecting_wholesale() {
     // One batch-4 job against a deadline between the batch-1 and batch-2
-    // session predictions: Reject mode drops all four requests; DownBatch
-    // splits 4 → 2+2 → 1+1+... and salvages exactly the first request
-    // (completes at p1 ≤ D; every later piece lands behind backlog ≥ p1 and
-    // 2·p1 > D because p2 ≤ 2·p1 forces D < 1.5·p1).
+    // session predictions: without down-batching all four requests are
+    // rejected; with it the job splits 4 → 2+2 → 1+1+... and salvages
+    // exactly the first request (completes at p1 ≤ D; every later piece
+    // lands behind backlog ≥ p1 and 2·p1 > D because p2 ≤ 2·p1 forces
+    // D < 1.5·p1).
     let pool = ["fpga:stratix10-gx2800"];
-    let spec = ProblemSpec::cube(4, 2);
-    let requests: Vec<ServeRequest> = (0..4).map(|i| ServeRequest::seeded(spec, i)).collect();
+    let requests = requests_of(ProblemSpec::cube(4, 2), 4);
     let p1 = probe_job_prediction(&pool, &requests, 1);
     let p2 = probe_job_prediction(&pool, &requests, 2);
     assert!(p2 > p1, "session predictions grow with batch size");
@@ -412,58 +329,50 @@ fn down_batch_admission_degrades_instead_of_rejecting_wholesale() {
         "a second RHS cannot cost more than a session"
     );
     let deadline_seconds = (p1 + p2) / 2.0;
+    let mut unsplit = Server::from_registry_names(&pool, options(4));
+    let open_run = serve(&mut unsplit, &requests, &open(), false);
 
-    let mut hard_server = Server::from_registry_names(
-        &pool,
-        ServeOptions {
-            admission: sem_serve::AdmissionPolicy::Reject { deadline_seconds },
-            ..options(4)
-        },
-    );
-    let hard = hard_server.serve(&requests, &mut RoundRobin::default());
-    assert!(
-        hard.outcomes.is_empty(),
-        "the whole batch misses the deadline"
-    );
-    assert_eq!(hard.rejections.len(), 4);
+    for asynchronous in [false, true] {
+        let mut hard_server = Server::from_registry_names(&pool, options(4));
+        let hard = serve(
+            &mut hard_server,
+            &requests,
+            &admission(deadline_seconds, false),
+            asynchronous,
+        );
+        assert_eq!(
+            ids(&hard),
+            (vec![], vec![0, 1, 2, 3]),
+            "async {asynchronous}: the whole batch misses the deadline"
+        );
 
-    let mut soft_server = Server::from_registry_names(
-        &pool,
-        ServeOptions {
-            admission: sem_serve::AdmissionPolicy::DownBatch { deadline_seconds },
-            ..options(4)
-        },
-    );
-    let soft = soft_server.serve(&requests, &mut RoundRobin::default());
-    assert_eq!(
-        soft.outcomes.iter().map(|o| o.request).collect::<Vec<_>>(),
-        vec![0],
-        "down-batching salvages the request the model can still serve in time"
-    );
-    assert_eq!(
-        soft.rejections
-            .iter()
-            .map(|r| r.request)
-            .collect::<Vec<_>>(),
-        vec![1, 2, 3]
-    );
-    assert!(soft.rejections.len() < hard.rejections.len());
-    // The salvaged answer is the same solve it would have been in a full
-    // batch: admission changes scheduling, never numerics.
-    let mut open_server = Server::from_registry_names(&pool, options(4));
-    let open = open_server.serve(&requests, &mut RoundRobin::default());
-    assert_eq!(
-        soft.outcomes[0].solution.as_slice(),
-        open.outcomes[0].solution.as_slice()
-    );
+        let mut soft_server = Server::from_registry_names(&pool, options(4));
+        let soft = serve(
+            &mut soft_server,
+            &requests,
+            &admission(deadline_seconds, true),
+            asynchronous,
+        );
+        assert_eq!(
+            ids(&soft),
+            (vec![0], vec![1, 2, 3]),
+            "async {asynchronous}: down-batching salvages the request the model can \
+             still serve in time"
+        );
+        // The salvaged answer is the same solve it would have been in a
+        // full batch: admission changes scheduling, never numerics.
+        assert_eq!(
+            soft.outcomes[0].solution.as_slice(),
+            open_run.outcomes[0].solution.as_slice()
+        );
+    }
 }
 
 #[test]
 fn overlap_improves_fpga_serving_end_to_end() {
-    let spec = ProblemSpec::cube(5, 2);
-    let requests: Vec<ServeRequest> = (0..16).map(|i| ServeRequest::seeded(spec, i)).collect();
+    let requests = requests_of(ProblemSpec::cube(5, 2), 16);
     let mut overlapped = Server::from_registry_names(&["fpga:stratix10-gx2800"], options(16));
-    let with = overlapped.serve(&requests, &mut RoundRobin::default());
+    let with = serve(&mut overlapped, &requests, &open(), false);
     let mut blocking = Server::from_registry_names(
         &["fpga:stratix10-gx2800"],
         ServeOptions {
@@ -471,50 +380,64 @@ fn overlap_improves_fpga_serving_end_to_end() {
             ..options(16)
         },
     );
-    let without = blocking.serve(&requests, &mut RoundRobin::default());
+    let without = serve(&mut blocking, &requests, &open(), false);
 
     assert!(with.makespan_seconds < without.makespan_seconds);
-    assert!(with.throughput_rps() > without.throughput_rps());
-    assert_eq!(with.serial_makespan_seconds, without.makespan_seconds);
-    // Identical numerics either way.
-    for (a, b) in with.outcomes.iter().zip(without.outcomes.iter()) {
+    // The blocking run's makespan is the overlapped run's serial accounting:
+    // one session at t = 0 whose serial timeline is the sum of its
+    // per-request serial costs, in batch order.
+    let serial_accounting: f64 = with.outcomes.iter().map(|o| o.serial_modeled_seconds).sum();
+    assert_eq!(
+        serial_accounting.to_bits(),
+        without.makespan_seconds.to_bits()
+    );
+    // Identical numerics and serial accounting either way: overlap only
+    // changes the schedule.
+    for (a, b) in with.outcomes.iter().zip(&without.outcomes) {
         assert_eq!(a.solution.as_slice(), b.solution.as_slice());
+        assert_eq!(
+            a.serial_modeled_seconds.to_bits(),
+            b.serial_modeled_seconds.to_bits()
+        );
     }
 }
 
 #[test]
 fn slot_precond_suffixes_are_honoured_and_the_override_wins() {
-    use sem_solver::PrecondSpec;
-    let spec = ProblemSpec::cube(4, 2);
-    let requests: Vec<ServeRequest> = (0..4).map(|i| ServeRequest::seeded(spec, i)).collect();
+    let requests = requests_of(ProblemSpec::cube(4, 2), 4);
+    let fdm_board = "fpga:stratix10-gx2800+fdm";
 
     // A slot whose registry name carries `+fdm` serves with FDM by default
     // (ServeOptions.precond defaults to None = per-slot)...
-    let mut fdm_server = Server::from_registry_names(&["fpga:stratix10-gx2800+fdm"], options(4));
-    let fdm = fdm_server.serve(&requests, &mut RoundRobin::default());
-    assert_eq!(fdm.precond, "fdm");
+    let mut fdm_server = Server::from_registry_names(&[fdm_board], options(4));
+    let fdm = serve(&mut fdm_server, &requests, &open(), false);
     // ...and a pool-wide override replaces it.
-    let mut overridden_server = Server::from_registry_names(
-        &["fpga:stratix10-gx2800+fdm"],
-        options(4).with_precond(PrecondSpec::Jacobi),
-    );
-    let overridden = overridden_server.serve(&requests, &mut RoundRobin::default());
-    assert_eq!(overridden.precond, "jacobi");
+    let mut overridden_server =
+        Server::from_registry_names(&[fdm_board], options(4).with_precond(PrecondSpec::Jacobi));
+    let overridden = serve(&mut overridden_server, &requests, &open(), false);
+    // Each answers bitwise like a direct solve under the preconditioner it
+    // claims to run.
+    for (report, backend) in [
+        (&fdm, fdm_board),
+        (&overridden, "fpga:stratix10-gx2800+jacobi"),
+    ] {
+        for (outcome, reference) in report.outcomes.iter().zip(direct(backend, &requests)) {
+            assert_eq!(outcome.iterations, reference.iterations(), "{backend}");
+            assert_eq!(
+                outcome.solution.as_slice(),
+                reference.solution.solution.as_slice(),
+                "{backend}"
+            );
+        }
+    }
     // The preconditioners genuinely differ: FDM needs fewer total iterations
     // and both streams converge to the same answers.
-    assert!(fdm.total_iterations() < overridden.total_iterations());
+    let total = |r: &LiveReport| r.outcomes.iter().map(|o| o.iterations).sum::<usize>();
+    assert!(total(&fdm) < total(&overridden));
     let scale = 1.0 + fdm.outcomes[0].solution.max_abs();
     for (a, b) in fdm.outcomes.iter().zip(&overridden.outcomes) {
         for (x, y) in a.solution.as_slice().iter().zip(b.solution.as_slice()) {
             assert!((x - y).abs() < 1e-8 * scale);
         }
     }
-
-    // A mixed pool reports "per-slot".
-    let mut mixed = Server::from_registry_names(
-        &["fpga:stratix10-gx2800+fdm", "fpga:stratix10-gx2800"],
-        options(4),
-    );
-    let report = mixed.serve(&requests, &mut RoundRobin::default());
-    assert_eq!(report.precond, "per-slot");
 }

@@ -1,6 +1,6 @@
-//! Seeded stress/property battery for the queue and the work-stealing host:
-//! random request streams (shapes, sizes, arrival bursts) must never drop,
-//! duplicate, or reorder a request, across at least 100 seeded cases.
+//! Seeded stress/property battery for the coalescer and the work-stealing
+//! host: random request streams (shapes, sizes, arrival bursts) must never
+//! drop, duplicate, or reorder a request, across at least 100 seeded cases.
 //!
 //! The case count scales with `SEM_STRESS_ITERS` (default 100) so CI's
 //! release stress job can run the battery harder without code changes.
@@ -9,7 +9,9 @@
 
 use rand::{Rng, SeedableRng, StdRng};
 use sem_serve::steal::{run_stealing, JobVerdict, StealRun, TaggedJob};
-use sem_serve::{ProblemSpec, RoundRobin, ServeOptions, ServeRequest, Server, SolveQueue};
+use sem_serve::{
+    ArrivalStream, LiveOptions, ProblemSpec, ServeOptions, ServeRequest, Server, TimedRequest,
+};
 use sem_solver::CgOptions;
 use std::collections::BTreeSet;
 
@@ -62,18 +64,48 @@ fn packing_conserves_every_request_across_seeded_streams() {
         let mut rng = StdRng::seed_from_u64(seed);
         let requests = random_stream(&mut rng);
         let max_batch = rng.gen_range(1..=8_usize);
-        let jobs = SolveQueue::from_requests(&requests).pack(max_batch);
+        // Random arrival gaps (many simultaneous) and batching window.
+        let mut at = 0.0;
+        let stream = ArrivalStream::new(
+            requests
+                .iter()
+                .map(|&request| {
+                    if rng.gen_range(0..2_u32) == 0 {
+                        at += rng.gen_range(0..4_u32) as f64 * 0.25;
+                    }
+                    TimedRequest {
+                        arrival_seconds: at,
+                        request,
+                    }
+                })
+                .collect(),
+        );
+        let window = rng.gen_range(0..3_u32) as f64 * 0.5;
+        let jobs = stream.coalesce(max_batch, window);
+        let arrivals = stream.arrivals();
 
-        // Conservation: every request index appears in exactly one job.
+        // Conservation: every request id appears in exactly one job.
         let mut seen = Vec::new();
-        for job in &jobs {
+        let mut last_stamp = 0.0;
+        for (job, stamp) in &jobs {
             assert!(
                 job.batch_size() >= 1 && job.batch_size() <= max_batch,
                 "seed {seed}"
             );
             for &request in &job.requests {
-                assert_eq!(requests[request].spec, job.spec, "seed {seed}: shape mix");
+                assert_eq!(
+                    arrivals[request].request.spec, job.spec,
+                    "seed {seed}: shape mix"
+                );
             }
+            // A job is stamped with its last member's arrival, within the
+            // window of its first, and stamps never go back in time.
+            let first = arrivals[job.requests[0]].arrival_seconds;
+            let last = arrivals[*job.requests.last().expect("non-empty")].arrival_seconds;
+            assert_eq!(*stamp, last, "seed {seed}");
+            assert!(last - first <= window, "seed {seed}: window overrun");
+            assert!(*stamp >= last_stamp, "seed {seed}: stamps regress");
+            last_stamp = *stamp;
             seen.extend(job.requests.iter().copied());
         }
         assert_eq!(
@@ -84,9 +116,9 @@ fn packing_conserves_every_request_across_seeded_streams() {
         let unique: BTreeSet<usize> = seen.iter().copied().collect();
         assert_eq!(unique.len(), requests.len(), "seed {seed}");
 
-        // Order: within a shape, requests stay in submission order.
+        // Order: within a shape, requests stay in arrival order.
         let mut shapes_seen: Vec<ProblemSpec> = Vec::new();
-        for job in &jobs {
+        for (job, _) in &jobs {
             if !shapes_seen.contains(&job.spec) {
                 shapes_seen.push(job.spec);
             }
@@ -94,8 +126,8 @@ fn packing_conserves_every_request_across_seeded_streams() {
         for spec in shapes_seen {
             let packed: Vec<usize> = jobs
                 .iter()
-                .filter(|job| job.spec == spec)
-                .flat_map(|job| job.requests.iter().copied())
+                .filter(|(job, _)| job.spec == spec)
+                .flat_map(|(job, _)| job.requests.iter().copied())
                 .collect();
             let mut sorted = packed.clone();
             sorted.sort_unstable();
@@ -189,8 +221,9 @@ fn single_worker_pools_execute_hinted_jobs_in_submission_order() {
 #[test]
 fn end_to_end_async_serves_random_streams_bitwise_like_serve() {
     // Full-stack spot checks: a handful of the seeded streams actually
-    // solve through the async host on a homogeneous pool and must match the
-    // synchronous host bitwise, answer for answer.
+    // solve, as closed sets, through the threaded executor on a homogeneous
+    // pool and must match the synchronous executor bitwise, answer for
+    // answer.
     let cases = (stress_iters() / 20).clamp(3, 10);
     let options = ServeOptions {
         cg: CgOptions {
@@ -209,10 +242,15 @@ fn end_to_end_async_serves_random_streams_bitwise_like_serve() {
             requests.push(ServeRequest::seeded(ProblemSpec::cube(2, 2), seed));
         }
         let pool = ["cpu:optimized", "cpu:optimized"];
+        let stream = ArrivalStream::closed(&requests);
+        let live = LiveOptions {
+            deadline_seconds: f64::INFINITY,
+            ..LiveOptions::default()
+        };
         let mut sync_server = Server::from_registry_names(&pool, options);
-        let sync = sync_server.serve(&requests, &mut RoundRobin::default());
+        let sync = sync_server.serve_stream(&stream, &live, None);
         let mut async_server = Server::from_registry_names(&pool, options);
-        let run = async_server.serve_async(&requests, &mut RoundRobin::default());
+        let run = async_server.serve_stream_async(&stream, &live, None);
 
         assert_eq!(run.outcomes.len(), requests.len(), "seed {seed}");
         for (i, (a, s)) in run.outcomes.iter().zip(&sync.outcomes).enumerate() {

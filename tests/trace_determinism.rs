@@ -1,12 +1,14 @@
 //! Trace determinism: under the modelled clock, the same seed must produce
 //! a byte-identical Chrome trace export — no matter how many worker
-//! threads recorded, on both the synchronous and the work-stealing async
-//! serving paths.  This is the contract that makes committed sample traces
+//! threads recorded, on both the synchronous and the work-stealing
+//! executor of the serving host.  This is the contract that makes committed sample traces
 //! reviewable: a diff in `OBS_trace.json` means the model changed, never
 //! that the host scheduler sneezed.
 
 use semfpga::obs::{chrome_trace_json, recorder, ObsClock, ObsConfig, Recorder};
-use semfpga::serve::{ProblemSpec, RoundRobin, ServeOptions, ServeRequest, Server};
+use semfpga::serve::{
+    ArrivalStream, LiveOptions, LiveReport, ProblemSpec, ServeOptions, ServeRequest, Server,
+};
 use std::sync::Mutex;
 
 /// The recorder is process-global; serialize the tests that install it.
@@ -26,6 +28,23 @@ fn options() -> ServeOptions {
     }
 }
 
+/// Serve a closed set of `n` requests on `pool`, admitting everything.
+fn serve(pool: &[&str], n: usize, asynchronous: bool) -> LiveReport {
+    let mut server = Server::from_registry_names(pool, options());
+    let stream = ArrivalStream::closed(&requests(n));
+    let live = LiveOptions {
+        deadline_seconds: f64::INFINITY,
+        ..LiveOptions::default()
+    };
+    let report = if asynchronous {
+        server.serve_stream_async(&stream, &live, None)
+    } else {
+        server.serve_stream(&stream, &live, None)
+    };
+    assert_eq!(report.outcomes.len(), n);
+    report
+}
+
 /// One full serve under a freshly installed modelled-clock recorder;
 /// returns the Chrome export.
 fn traced_serve(pool: &[&str], asynchronous: bool) -> String {
@@ -33,16 +52,7 @@ fn traced_serve(pool: &[&str], asynchronous: bool) -> String {
         clock: ObsClock::Modeled,
         ..ObsConfig::default()
     });
-    let mut server = Server::from_registry_names(pool, options());
-    let mut policy = RoundRobin::default();
-    let reqs = requests(12);
-    if asynchronous {
-        let report = server.serve_async(&reqs, &mut policy);
-        assert_eq!(report.outcomes.len(), reqs.len());
-    } else {
-        let report = server.serve(&reqs, &mut policy);
-        assert_eq!(report.outcomes.len(), reqs.len());
-    }
+    serve(pool, 12, asynchronous);
     let json = chrome_trace_json(&recorder().trace_snapshot());
     Recorder::uninstall();
     json
@@ -115,10 +125,7 @@ fn drift_samples_cover_every_admitted_request() {
         .lock()
         .unwrap_or_else(std::sync::PoisonError::into_inner);
     Recorder::install(ObsConfig::default());
-    let mut server = Server::from_registry_names(&["fpga:stratix10-gx2800"], options());
-    let reqs = requests(12);
-    let report = server.serve(&reqs, &mut RoundRobin::default());
-    assert_eq!(report.outcomes.len(), reqs.len());
+    let report = serve(&["fpga:stratix10-gx2800"], 12, false);
     let samples = recorder().drift_samples();
     Recorder::uninstall();
     for stage in [
@@ -135,7 +142,7 @@ fn drift_samples_cover_every_admitted_request() {
             .collect();
         assert_eq!(
             covered.len(),
-            reqs.len(),
+            report.outcomes.len(),
             "stage `{stage}` must sample every admitted request"
         );
     }
