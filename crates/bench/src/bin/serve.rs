@@ -16,8 +16,10 @@
 //! Part 3 — the threaded executor: serve one closed set through
 //! `Server::serve_stream` and `Server::serve_stream_async` on a multi-slot
 //! CPU pool (real worker threads, so the wall-clock makespan actually
-//! shrinks), bracketed by a trivially parallel probe that measures how
-//! much parallelism the host offers right now.
+//! shrinks).  Pairs alternate with a trivially parallel probe that
+//! measures how much parallelism the host offers right now (probe, pair,
+//! probe, ...), stopping at the first pair whose two neighbouring probes
+//! both clear the floor; `--async` gates on that pair.
 //!
 //! Part 4 — the preconditioner's serving win: the same request set on the
 //! evaluated board under identity / Jacobi / FDM, where the FDM
@@ -66,6 +68,10 @@ const MIXED_POOL: [&str; 3] = [
 /// The parallel speedup below which the `--async` gate skips: under it the
 /// host is too loaded (or too small) to show a worker-thread win.
 const PROBE_FLOOR: f64 = 1.6;
+
+/// Sync/threaded pairs Part 3 may run, each followed by a probe, looking
+/// for one whose neighbouring probes both clear [`PROBE_FLOOR`].
+const ASYNC_PAIRS: usize = 4;
 
 /// One (backend, batch) point of the overlap sweep.
 #[derive(Debug, Clone, Serialize)]
@@ -131,9 +137,9 @@ struct AsyncRow {
     /// Cores the host actually has.
     host_cores: usize,
     /// Parallel speedup a trivially parallel busy loop reached around the
-    /// pair (one loop per core against one loop; the lower of a probe just
-    /// before and one just after): the speedup column must be read against
-    /// it.
+    /// pair (one loop per core against one loop; the lower of the probes
+    /// just before and just after it): the speedup column must be read
+    /// against it.
     probe_parallel_speedup: f64,
 }
 
@@ -435,54 +441,76 @@ fn async_run(degree: usize, per_side: usize, num_requests: usize) -> AsyncRow {
         max_batch: 1,
         ..ServeOptions::default()
     };
-    let probe_before = parallel_probe();
-    let sync = serve_closed(
-        &mut Server::from_registry_names(&pool, options),
-        &requests,
-        false,
-    );
-    let run = serve_closed(
-        &mut Server::from_registry_names(&pool, options),
-        &requests,
-        true,
-    );
-    // Other load can come and go while the pair runs: the slower of the
-    // probes bracketing it is what the pair could count on.
-    let probe_parallel_speedup = probe_before.min(parallel_probe());
-    let bitwise_identical = run
-        .outcomes
-        .iter()
-        .zip(&sync.outcomes)
-        .all(|(a, s)| a.solution.as_slice() == s.solution.as_slice());
-    let row = AsyncRow {
-        scenario: "cpu-pool".to_string(),
-        pool: pool.iter().map(ToString::to_string).collect(),
-        requests: requests.len(),
-        max_batch: options.max_batch,
-        sync_wall_seconds: sync.wall_seconds,
-        async_wall_seconds: run.wall_seconds,
-        wall_speedup: sync.wall_seconds / run.wall_seconds,
-        bitwise_identical,
-        host_cores: host_cores(),
-        probe_parallel_speedup,
-    };
+    // Probe, pair, probe, pair, ... : load on a shared host comes and goes
+    // within seconds, so each pair is judged by the two probes bracketing
+    // it, and Part 3 stops at the first pair both of them cleared.
+    let mut probe_before = parallel_probe();
+    let mut pairs = Vec::new();
+    for _ in 0..ASYNC_PAIRS {
+        let sync = serve_closed(
+            &mut Server::from_registry_names(&pool, options),
+            &requests,
+            false,
+        );
+        let run = serve_closed(
+            &mut Server::from_registry_names(&pool, options),
+            &requests,
+            true,
+        );
+        let probe_after = parallel_probe();
+        let bitwise = run
+            .outcomes
+            .iter()
+            .zip(&sync.outcomes)
+            .all(|(a, s)| a.solution.as_slice() == s.solution.as_slice());
+        let probe_parallel_speedup = probe_before.min(probe_after);
+        pairs.push((
+            sync.wall_seconds,
+            run.wall_seconds,
+            probe_parallel_speedup,
+            bitwise,
+        ));
+        if probe_parallel_speedup >= PROBE_FLOOR {
+            break;
+        }
+        probe_before = probe_after;
+    }
     let mut table = TableWriter::new(vec![
-        "scenario",
+        "pair",
         "probe",
         "sync wall (ms)",
         "async wall (ms)",
         "speedup",
         "bitwise",
     ]);
-    table.row(vec![
-        row.scenario.clone(),
-        format!("{:.2}x", row.probe_parallel_speedup),
-        fmt(row.sync_wall_seconds * 1e3, 3),
-        fmt(row.async_wall_seconds * 1e3, 3),
-        format!("{:.2}x", row.wall_speedup),
-        row.bitwise_identical.to_string(),
-    ]);
+    for (i, &(sync_wall, async_wall, probe, bitwise)) in pairs.iter().enumerate() {
+        table.row(vec![
+            i.to_string(),
+            format!("{probe:.2}x"),
+            fmt(sync_wall * 1e3, 3),
+            fmt(async_wall * 1e3, 3),
+            format!("{:.2}x", sync_wall / async_wall),
+            bitwise.to_string(),
+        ]);
+    }
     table.print();
+    // The reported pair: the one whose probes cleared the floor, else the
+    // last one run.  Every pair must have answered bitwise.
+    let &(sync_wall_seconds, async_wall_seconds, probe_parallel_speedup, _) =
+        pairs.last().expect("at least one pair runs");
+    let bitwise_identical = pairs.iter().all(|pair| pair.3);
+    let row = AsyncRow {
+        scenario: "cpu-pool".to_string(),
+        pool: pool.iter().map(ToString::to_string).collect(),
+        requests: requests.len(),
+        max_batch: options.max_batch,
+        sync_wall_seconds,
+        async_wall_seconds,
+        wall_speedup: sync_wall_seconds / async_wall_seconds,
+        bitwise_identical,
+        host_cores: host_cores(),
+        probe_parallel_speedup,
+    };
     row
 }
 
@@ -639,10 +667,10 @@ fn main() {
                  {async_ms:.3} ms vs {sync_ms:.3} ms"
             );
             println!(
-                "\n*** --async speedup gate SKIPPED: the parallel probe reached only {:.2}x \
-                 on {} cores (< {PROBE_FLOOR}x), so this host cannot show a worker-thread \
-                 win right now.  Verified bitwise identity and {:.1}% threading overhead \
-                 instead. ***",
+                "\n*** --async speedup gate SKIPPED: no pair of {ASYNC_PAIRS} had both \
+                 neighbouring probes at {PROBE_FLOOR}x (last pair: {:.2}x) on {} cores, so \
+                 this host cannot show a worker-thread win right now.  Verified bitwise \
+                 identity and {:.1}% threading overhead instead. ***",
                 async_host.probe_parallel_speedup,
                 async_host.host_cores,
                 (async_host.async_wall_seconds / async_host.sync_wall_seconds - 1.0) * 100.0
@@ -692,7 +720,7 @@ fn main() {
          {} precond rows).\n\
          Overlap rows pipeline upload(i+1) / solve(i) / download(i-1); the placement row\n\
          serves the heterogeneous CPU + FPGA + projected-device pool; the async row\n\
-         compares the threaded work-stealing executor against the synchronous one;\n\
+         compares the threaded executor against the synchronous one;\n\
          precond rows price identity vs Jacobi vs FDM end to end on the evaluated board.",
         report.pipeline.len(),
         report.precond_serving.len()

@@ -319,8 +319,8 @@ mod tests {
 
     #[test]
     fn race_battery_cases_are_pinned_to_the_case_key_set() {
-        let good = r#"[{"name":"steal-storm","workers":2,"jobs":3,"schedules":10,
-            "exhausted":true,"longest_trace":9,"transitions":["wo>ws"],"violations":[]}]"#;
+        let good = r#"[{"name":"shared-queue","workers":2,"jobs":3,"schedules":10,
+            "exhausted":true,"longest_trace":9,"transitions":["is>cs"],"violations":[]}]"#;
         assert!(check_races("OBS_races.json", good).is_empty());
         let findings = check_races("OBS_races.json", r#"[{"name":"x"}]"#);
         assert_eq!(findings.len(), RACE_CASE_KEYS.len() - 1);

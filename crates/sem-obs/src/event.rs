@@ -48,8 +48,6 @@ pub enum SpanKind {
     AdmissionReject,
     /// Admission split a job to fit a deadline (down-batching).
     DownBatchSplit,
-    /// A worker stole a job hinted at another device (index = thief).
-    Steal,
     /// A worker parked waiting for work (index = worker).
     WorkerPark,
     /// A worker woke up (index = worker).
@@ -76,7 +74,6 @@ impl SpanKind {
             Self::AdmissionAdmit => "admission_admit",
             Self::AdmissionReject => "admission_reject",
             Self::DownBatchSplit => "downbatch_split",
-            Self::Steal => "steal",
             Self::WorkerPark => "worker_park",
             Self::WorkerUnpark => "worker_unpark",
             Self::SimStage => "sim_stage",
@@ -98,7 +95,7 @@ impl SpanKind {
 ///   the modelled clock these events are byte-reproducible and form the
 ///   deterministic Chrome export.
 /// * [`Scope::ScheduleDependent`] — emitted from worker threads or stamped
-///   with measured time (steals, parks, wall-clock kernel applies); they
+///   with measured time (worker parks, wall-clock kernel applies); they
 ///   appear in wall-mode exports but are filtered from the deterministic
 ///   one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -211,7 +208,6 @@ mod tests {
             SpanKind::AdmissionAdmit,
             SpanKind::AdmissionReject,
             SpanKind::DownBatchSplit,
-            SpanKind::Steal,
             SpanKind::WorkerPark,
             SpanKind::WorkerUnpark,
             SpanKind::SimStage,

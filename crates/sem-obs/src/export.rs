@@ -7,8 +7,8 @@
 //! *kind* (never the recording thread), and sorts by a total order over
 //! the event content — so the same seed produces byte-identical JSON no
 //! matter how many worker threads recorded, on both the sync and the
-//! work-stealing serving paths.  Under the wall clock every event is kept
-//! (steals, parks, measured kernel applies included) with the same stable
+//! threaded serving paths.  Under the wall clock every event is kept
+//! (worker parks, measured kernel applies included) with the same stable
 //! ordering rules; the bytes then vary with the host, which is the point.
 
 use crate::drift::{json_number, json_string};
@@ -127,14 +127,14 @@ mod tests {
     #[test]
     fn modeled_export_filters_schedule_dependent_events() {
         let det = SpanEvent::new(SpanKind::Upload, Scope::Deterministic, 0.0, 1.0).with_request(2);
-        let sched = SpanEvent::new(SpanKind::Steal, Scope::ScheduleDependent, 0.5, 0.5);
+        let sched = SpanEvent::new(SpanKind::WorkerPark, Scope::ScheduleDependent, 0.5, 0.5);
         let json = chrome_trace_json(&snapshot(true, vec![det, sched]));
         assert!(json.contains("\"name\":\"upload\""));
-        assert!(!json.contains("\"name\":\"steal\""));
+        assert!(!json.contains("\"name\":\"worker_park\""));
         assert!(json.contains("\"request\":2"));
         // Wall-mode export keeps everything.
         let wall = chrome_trace_json(&snapshot(false, vec![det, sched]));
-        assert!(wall.contains("\"name\":\"steal\""));
+        assert!(wall.contains("\"name\":\"worker_park\""));
         assert!(wall.contains("\"cat\":\"schedule_dependent\""));
     }
 

@@ -18,7 +18,7 @@
 //!   spans are stamped with the modelled seconds already flowing through
 //!   `SolveReport`/`PipelineTimeline`, so traces are byte-reproducible.
 //! * [`event`] — the span model: CG iterations, kernel applies, offload
-//!   stages, pipeline slots, admission verdicts, steals, parks — each
+//!   stages, pipeline slots, admission verdicts, worker parks — each
 //!   tagged [`Scope::Deterministic`] or [`Scope::ScheduleDependent`].
 //! * [`metrics`] — label-aware counters / gauges / log-linear histograms
 //!   under the `sem_<crate>_<noun>_<unit>` naming convention, with a

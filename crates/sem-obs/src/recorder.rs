@@ -494,7 +494,7 @@ mod tests {
         ));
         std::thread::spawn(move || {
             recorder().record(SpanEvent::new(
-                SpanKind::Steal,
+                SpanKind::WorkerPark,
                 Scope::ScheduleDependent,
                 0.5,
                 0.5,

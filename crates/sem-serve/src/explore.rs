@@ -1,4 +1,4 @@
-//! Loom-style bounded schedule exploration of the work-stealing host.
+//! Loom-style bounded schedule exploration of the serving worker pool.
 //!
 //! The vendored crossbeam primitives route every queue operation through
 //! [`crossbeam::sched::yield_point`]; this module installs a [`Scheduler`]
@@ -22,13 +22,11 @@
 //!
 //! 1. **Job conservation under failure** — every job is delivered exactly
 //!    once or handed back, hand-back happens only when the whole pool is
-//!    dead, only scripted workers die (delivering nothing), dying workers
-//!    requeue what they held, retries are counted exactly, and the
-//!    per-worker ledgers agree with the delivered completions;
-//! 2. **Ordering** (fault-free cases) — jobs a worker takes from its *own*
-//!    deque execute in hint (submission) order, each worker drains
-//!    injector floaters in FIFO order, and steal counts and hints match
-//!    the delivered completions;
+//!    dead, only scripted workers die (delivering nothing), retries are
+//!    counted exactly, and the per-worker ledgers agree with the delivered
+//!    completions;
+//! 2. **Ordering** (fault-free cases) — each worker takes jobs from the
+//!    shared queue in FIFO (submission) order;
 //! 3. **Deadlock/livelock freedom** — the schedule terminates within a step
 //!    budget (a genuinely stuck pool would either hang a grant forever or
 //!    exceed the budget, both of which the explorer reports).
@@ -47,7 +45,7 @@
 //! the `sem-lint` binary and the integration smoke test) to bound the
 //! schedule budget in constrained environments.
 
-use crate::steal::{run_stealing, run_stealing_with_feeder, JobVerdict, StealRun, TaggedJob};
+use crate::steal::{run_stealing, run_stealing_with_feeder, JobVerdict, StealRun};
 use crossbeam::sched::{self, SchedOp, Scheduler};
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -64,19 +62,20 @@ pub enum Strategy {
     Seeded(u64),
 }
 
-/// One scenario to explore: a pool size plus the hint of every job
-/// (`Some(worker)` seeds the worker's deque, `None` floats via the
-/// injector).  Job `i`'s payload is its submission index `i`.
+/// One scenario to explore: a pool size, the jobs queued before the
+/// workers spawn, and the jobs a live feeder pushes while they run.  Job
+/// `i`'s payload is its submission index `i`.
 #[derive(Debug, Clone)]
 pub struct ExploreCase {
     /// Short stable name for reports.
     pub name: &'static str,
     /// Worker pool size.
     pub workers: usize,
-    /// Per-job scheduling hints, in submission order.
-    pub hints: Vec<Option<usize>>,
-    /// Jobs pushed into the shared injector *while the pool runs*, by an
-    /// uncontrolled feeder thread (payloads continue after the seeded
+    /// Jobs in the shared queue before the workers spawn (payloads
+    /// `0..jobs`).
+    pub jobs: usize,
+    /// Jobs pushed into the shared queue *while the pool runs*, by an
+    /// uncontrolled feeder thread (payloads continue after the up-front
     /// jobs).  Non-zero cases exercise the feeder-done termination
     /// protocol: workers must neither exit before fed jobs land nor hang
     /// after the feeder finishes.  Because the feeder is uncontrolled, its
@@ -85,14 +84,14 @@ pub struct ExploreCase {
     pub feeder_jobs: usize,
     /// Simulated-contention budget: the first this-many controlled
     /// injector steals observe [`crossbeam::deque::Steal::Retry`] instead
-    /// of touching the queue, driving the contended-sweep backoff path a
-    /// mutex-backed deque never reaches on its own.
+    /// of touching the queue, driving the contended-take backoff path a
+    /// mutex-backed queue never reaches on its own.
     pub contention: usize,
     /// Fault schedule: workers whose device is dead — each returns
     /// [`crate::steal::JobVerdict::Fatal`] on the first job it touches and
-    /// retires, draining its deque back to the injector.  Cases with a
-    /// non-empty fault schedule skip the ordering checks, which requeued
-    /// (unhinted) jobs cannot honour.
+    /// retires, handing the job back to the queue.  Cases with a non-empty
+    /// fault schedule skip the ordering check, which requeued jobs cannot
+    /// honour.
     pub fatal_workers: Vec<usize>,
     /// Fault schedule: payloads that fail recoverably
     /// ([`crate::steal::JobVerdict::Retry`]) on their first execution by a
@@ -101,22 +100,9 @@ pub struct ExploreCase {
 }
 
 impl ExploreCase {
-    fn jobs(&self) -> Vec<TaggedJob<usize>> {
-        self.hints
-            .iter()
-            .enumerate()
-            .map(|(payload, &hint)| TaggedJob { payload, hint })
-            .collect()
-    }
-
-    /// Total jobs the run must conserve: seeded plus fed.
+    /// Total jobs the run must conserve: up-front plus fed.
     fn total_jobs(&self) -> usize {
-        self.hints.len() + self.feeder_jobs
-    }
-
-    /// The hint job `payload` was submitted with (fed jobs always float).
-    fn hint_of(&self, payload: usize) -> Option<usize> {
-        self.hints.get(payload).copied().flatten()
+        self.jobs + self.feeder_jobs
     }
 }
 
@@ -529,24 +515,23 @@ fn run_one(
         log.push(payload);
         JobVerdict::Done(payload)
     };
+    let up_front: Vec<usize> = (0..case.jobs).collect();
     let run = if case.feeder_jobs > 0 {
-        let base = case.hints.len();
-        let fed = case.feeder_jobs;
         run_stealing_with_feeder(
             states,
-            case.jobs(),
+            up_front,
             |feeder| {
-                for payload in base..base + fed {
+                for payload in case.jobs..case.total_jobs() {
                     feeder.push(payload);
                     // Let workers drain between arrivals so some pushes
-                    // genuinely race live sweeps.
+                    // genuinely race live takes.
                     std::thread::yield_now();
                 }
             },
             execute,
         )
     } else {
-        run_stealing(states, case.jobs(), execute)
+        run_stealing(states, up_front, execute)
     };
     drop(installed);
     let s = lock_poison_free(&scheduler.state);
@@ -579,9 +564,9 @@ fn format_trace(trace: &[(usize, Option<SchedOp>)]) -> String {
 /// Check the host's contract on one completed run; returns human-readable
 /// violations (empty when the schedule upholds every invariant).  Every
 /// case is held to **job conservation under failure**; fault-free cases
-/// are also held to the ordering and steal-accounting invariants (a
-/// requeued job re-enters unhinted, so hint-order invariants do not apply
-/// to runs that retry or lose workers).
+/// are also held to the FIFO ordering invariant (a requeued job re-enters
+/// behind later ones, so it does not apply to runs that retry or lose
+/// workers).
 fn check_run(
     case: &ExploreCase,
     run: &StealRun<usize, Vec<usize>, usize>,
@@ -643,18 +628,9 @@ fn check_run(
         ));
     }
 
-    // 5. Every death requeues at least the job the worker died holding.
-    let deaths = run.died.iter().filter(|&&d| d).count();
-    if run.requeued_on_death < deaths {
-        violations.push(format!(
-            "fault: {deaths} deaths but only {} jobs requeued on death",
-            run.requeued_on_death
-        ));
-    }
-
     let fault_free = case.fatal_workers.is_empty() && case.retry_once.is_empty();
     for (worker, ledger) in run.workers.iter().enumerate() {
-        // 6. Ledger agreement: this worker's completions cross the channel
+        // 5. Ledger agreement: this worker's completions cross the channel
         // in its execution order (the caller's re-sequencing relies on
         // results being attributable, not on channel order — but per-sender
         // FIFO is the channel's contract and the ledger must agree with it).
@@ -677,58 +653,15 @@ fn check_run(
                 ledger.state.len()
             ));
         }
-        if !fault_free {
-            continue;
-        }
-        // 7a. Own-deque FIFO: jobs hinted here and executed here left the
-        // deque front in submission order.
-        let own: Vec<usize> = ledger
-            .state
-            .iter()
-            .copied()
-            .filter(|&job| case.hint_of(job) == Some(worker))
-            .collect();
-        if !own.windows(2).all(|pair| pair[0] < pair[1]) {
-            violations.push(format!(
-                "ordering: worker {worker} ran its own hinted jobs out of order: {own:?}"
-            ));
-        }
-        // 7b. Injector FIFO per consumer: floaters a worker takes arrive in
-        // submission order.  Fed jobs are pushed behind the seeded floaters
+        // 6. Queue FIFO per consumer: the jobs a worker takes arrive in
+        // submission order.  Fed jobs are pushed behind the up-front ones
         // in ascending payload order by a single feeder thread, so the
-        // global injector FIFO (and hence each consumer's drain order)
-        // stays ascending.
-        let floats: Vec<usize> = ledger
-            .state
-            .iter()
-            .copied()
-            .filter(|&job| case.hint_of(job).is_none())
-            .collect();
-        if !floats.windows(2).all(|pair| pair[0] < pair[1]) {
+        // global FIFO (and hence each consumer's drain order) stays
+        // ascending.
+        if fault_free && !ledger.state.windows(2).all(|pair| pair[0] < pair[1]) {
             violations.push(format!(
-                "ordering: worker {worker} drained floaters out of order: {floats:?}"
-            ));
-        }
-    }
-    if !fault_free {
-        return violations;
-    }
-
-    // 8. Steal accounting matches the per-job flags and recorded hints.
-    let stolen_flags = run.completed.iter().filter(|c| c.stolen()).count();
-    if run.total_steals() != stolen_flags {
-        violations.push(format!(
-            "accounting: total_steals {} != stolen completions {stolen_flags}",
-            run.total_steals()
-        ));
-    }
-    for completed in &run.completed {
-        if completed.hint != case.hint_of(completed.result) {
-            violations.push(format!(
-                "accounting: job {} completed with hint {:?}, submitted with {:?}",
-                completed.result,
-                completed.hint,
-                case.hint_of(completed.result)
+                "ordering: worker {worker} drained the queue out of order: {:?}",
+                ledger.state
             ));
         }
     }
@@ -756,8 +689,8 @@ fn next_script(mut script: Vec<usize>, mut arity: Vec<usize>) -> Option<Vec<usiz
 /// `budget` walks and reports how many were distinct.
 ///
 /// # Panics
-/// Panics if the case has no workers or a hint is out of range (mirroring
-/// [`run_stealing`]'s own contract).
+/// Panics if the case has no workers (mirroring [`run_stealing`]'s own
+/// contract).
 #[must_use]
 pub fn explore_case(case: &ExploreCase, strategy: Strategy, budget: usize) -> CaseReport {
     let _exclusive = lock_poison_free(&EXPLORE_LOCK);
@@ -817,118 +750,62 @@ pub fn explore_case(case: &ExploreCase, strategy: Strategy, budget: usize) -> Ca
     report
 }
 
-/// The standard exploration battery: the hint/float patterns the serving
-/// host actually produces, small enough to explore densely.
+/// The standard exploration battery: the queue, feeder and fault patterns
+/// the serving host actually produces, small enough to explore densely.
 #[must_use]
 pub fn standard_cases() -> Vec<ExploreCase> {
+    let case = |name, workers, jobs| ExploreCase {
+        name,
+        workers,
+        jobs,
+        feeder_jobs: 0,
+        contention: 0,
+        fatal_workers: Vec::new(),
+        retry_once: Vec::new(),
+    };
     vec![
+        case("shared-queue", 2, 3),
+        case("three-way-contention", 3, 2),
+        case("idle-pool", 3, 1),
+        // Pins the injector-retry backoff fix: a contended take must go
+        // through the shared backoff path instead of hot-spinning on the
+        // queue, with conservation intact.
         ExploreCase {
-            name: "steal-storm",
-            workers: 2,
-            hints: vec![Some(0), Some(0), Some(0)],
-            feeder_jobs: 0,
-            contention: 0,
-            fatal_workers: Vec::new(),
-            retry_once: Vec::new(),
-        },
-        ExploreCase {
-            name: "hinted-plus-floater",
-            workers: 2,
-            hints: vec![Some(0), Some(1), None],
-            feeder_jobs: 0,
-            contention: 0,
-            fatal_workers: Vec::new(),
-            retry_once: Vec::new(),
-        },
-        ExploreCase {
-            name: "floaters-only",
-            workers: 2,
-            hints: vec![None, None, None],
-            feeder_jobs: 0,
-            contention: 0,
-            fatal_workers: Vec::new(),
-            retry_once: Vec::new(),
-        },
-        ExploreCase {
-            name: "three-way-contention",
-            workers: 3,
-            hints: vec![Some(0), Some(0)],
-            feeder_jobs: 0,
-            contention: 0,
-            fatal_workers: Vec::new(),
-            retry_once: Vec::new(),
-        },
-        ExploreCase {
-            name: "idle-pool",
-            workers: 3,
-            hints: vec![Some(1)],
-            feeder_jobs: 0,
-            contention: 0,
-            fatal_workers: Vec::new(),
-            retry_once: Vec::new(),
-        },
-        // Pins the injector-retry backoff fix: contended sweeps must fall
-        // through to sibling steals and the shared backoff path instead of
-        // hot-spinning on the injector, with conservation intact.
-        ExploreCase {
-            name: "contended-injector",
-            workers: 2,
-            hints: vec![Some(0), Some(1), None],
-            feeder_jobs: 0,
             contention: 2,
-            fatal_workers: Vec::new(),
-            retry_once: Vec::new(),
+            ..case("contended-injector", 2, 3)
         },
         // Pins the feeder-done termination protocol: arrivals pushed by an
         // uncontrolled thread mid-run must all execute (no early exit) and
         // the pool must still terminate (no hang after the feeder stops).
         ExploreCase {
-            name: "streaming-feeder",
-            workers: 2,
-            hints: vec![Some(0), None],
             feeder_jobs: 3,
-            contention: 0,
-            fatal_workers: Vec::new(),
-            retry_once: Vec::new(),
+            ..case("streaming-feeder", 2, 2)
         },
-        // Fault schedule: a device dies holding hinted work.  The dying
-        // worker must drain its deque back to the injector — whatever
-        // point of its sweep the death lands on — and the survivor must
-        // finish every job.
+        // Fault schedule: a device dies holding a job while two survivors
+        // race for the rest.  The dying worker must hand its job back —
+        // whatever point of the run the death lands on — and the survivors
+        // must finish every job.
         ExploreCase {
-            name: "dying-worker-drains-deque",
-            workers: 2,
-            hints: vec![Some(0), Some(0), Some(0)],
-            feeder_jobs: 0,
-            contention: 0,
             fatal_workers: vec![0],
-            retry_once: Vec::new(),
-        },
-        // Fault schedule: the death lands on a *stolen* job — worker 1
-        // owns nothing, so whatever it dies holding was taken from a
-        // sibling's deque or the injector mid-steal, and must be handed
-        // back rather than lost with the worker.
-        ExploreCase {
-            name: "death-mid-steal",
-            workers: 3,
-            hints: vec![Some(0), Some(0)],
-            feeder_jobs: 0,
-            contention: 0,
-            fatal_workers: vec![1],
-            retry_once: Vec::new(),
+            ..case("dying-worker-hands-back", 3, 3)
         },
         // Fault schedule: retries race the feeder-done flag.  A fed job's
         // requeue keeps the outstanding count up, so no worker may exit in
         // the window between the feeder finishing and the retried job
-        // landing back in the injector.
+        // landing back in the queue.
         ExploreCase {
-            name: "retry-races-feeder-done",
-            workers: 2,
-            hints: vec![Some(0), None],
             feeder_jobs: 2,
-            contention: 0,
-            fatal_workers: Vec::new(),
             retry_once: vec![1, 2, 3],
+            ..case("retry-races-feeder-done", 2, 2)
+        },
+        // The production fault path: every job arrives through the live
+        // feeder, as `execute_plan` feeds the pool, and a device dies under
+        // those arrivals.  The survivor must drain every fed job, including
+        // the one the dead worker handed back.
+        ExploreCase {
+            feeder_jobs: 3,
+            fatal_workers: vec![0],
+            ..case("feeder-death", 2, 0)
         },
     ]
 }
@@ -1007,14 +884,14 @@ mod tests {
 
     #[test]
     fn trace_formatting_is_compact() {
-        let trace = vec![(0, None), (1, Some(SchedOp::WorkerPop))];
-        assert_eq!(format_trace(&trace), "w0:go w1:wo");
+        let trace = vec![(0, None), (1, Some(SchedOp::InjectorSteal))];
+        assert_eq!(format_trace(&trace), "w0:go w1:is");
     }
 
     #[test]
     fn transition_map_renders_classes_in_deterministic_order() {
         let mut transitions = BTreeSet::new();
-        transitions.insert((SchedOp::WorkerPop, SchedOp::WorkerSteal));
+        transitions.insert((SchedOp::InjectorSteal, SchedOp::ChannelSend));
         transitions.insert((SchedOp::InjectorPush, SchedOp::InjectorSteal));
         let report = CaseReport {
             name: "map",
@@ -1026,13 +903,13 @@ mod tests {
             transitions,
             violations: Vec::new(),
         };
-        assert_eq!(report.transition_map(), "ip>is wo>ws");
+        assert_eq!(report.transition_map(), "ip>is is>cs");
     }
 
     #[test]
     fn to_json_round_trips_fields_and_escapes_violations() {
         let mut transitions = BTreeSet::new();
-        transitions.insert((SchedOp::WorkerPop, SchedOp::WorkerSteal));
+        transitions.insert((SchedOp::InjectorSteal, SchedOp::ChannelSend));
         let report = CaseReport {
             name: "json",
             workers: 2,
@@ -1048,7 +925,7 @@ mod tests {
             json,
             "{\"name\":\"json\",\"workers\":2,\"jobs\":3,\"schedules\":17,\
              \"exhausted\":true,\"longest_trace\":9,\
-             \"transitions\":[\"wo>ws\"],\
+             \"transitions\":[\"is>cs\"],\
              \"violations\":[\"lost \\\"job\\\"\\nafter steal\"]}"
         );
     }
@@ -1058,7 +935,7 @@ mod tests {
         let case = ExploreCase {
             name: "coverage-smoke",
             workers: 2,
-            hints: vec![Some(0), None],
+            jobs: 2,
             feeder_jobs: 0,
             contention: 0,
             fatal_workers: Vec::new(),
@@ -1077,96 +954,11 @@ mod tests {
     }
 
     #[test]
-    fn contended_injector_steal_falls_through_to_siblings_not_back_to_own_pop() {
-        // Regression for the injector hot-spin: a `Steal::Retry` from the
-        // injector used to `continue` straight back to the top of the
-        // sweep (own-deque pop next), skipping the sibling probes and the
-        // yield/park backoff that sibling retries got.  Force worker 0's
-        // first injector steals to lose their race and assert each one
-        // falls through to a sibling steal within the same sweep — the
-        // pre-fix loop restarted at `WorkerPop` instead.
-        let _exclusive = lock_poison_free(&EXPLORE_LOCK);
-
-        struct RetryProbe {
-            ops: Mutex<Vec<(usize, SchedOp)>>,
-            retries_left: AtomicUsize,
-        }
-
-        impl Scheduler for RetryProbe {
-            fn thread_started(&self, _index: usize) {}
-            fn yield_point(&self, index: usize, op: SchedOp) {
-                lock_poison_free(&self.ops).push((index, op));
-            }
-            fn thread_finished(&self, _index: usize) {}
-            fn steal_contended(&self, index: usize, op: SchedOp) -> bool {
-                index == 0
-                    && op == SchedOp::InjectorSteal
-                    && self
-                        .retries_left
-                        .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |left| {
-                            left.checked_sub(1)
-                        })
-                        .is_ok()
-            }
-        }
-
-        const FORCED_RETRIES: usize = 2;
-        let probe = Arc::new(RetryProbe {
-            ops: Mutex::new(Vec::new()),
-            retries_left: AtomicUsize::new(FORCED_RETRIES),
-        });
-        sched::install(Arc::clone(&probe) as Arc<dyn Scheduler>);
-        let jobs: Vec<TaggedJob<usize>> = (0..2)
-            .map(|payload| TaggedJob {
-                payload,
-                hint: Some(1),
-            })
-            .collect();
-        let run = run_stealing(
-            vec![Vec::new(); 2],
-            jobs,
-            |_, log: &mut Vec<usize>, payload| {
-                log.push(payload);
-                JobVerdict::<usize, usize>::Done(payload)
-            },
-        );
-        sched::uninstall();
-        assert_eq!(run.completed.len(), 2, "conservation under forced retries");
-
-        let ops = lock_poison_free(&probe.ops);
-        let w0: Vec<SchedOp> = ops
-            .iter()
-            .filter(|&&(index, _)| index == 0)
-            .map(|&(_, op)| op)
-            .collect();
-        let retried: Vec<usize> = w0
-            .iter()
-            .enumerate()
-            .filter(|&(_, &op)| op == SchedOp::InjectorSteal)
-            .map(|(at, _)| at)
-            .take(FORCED_RETRIES)
-            .collect();
-        assert_eq!(
-            retried.len(),
-            FORCED_RETRIES,
-            "worker 0 must reach enough injector steals to consume the budget"
-        );
-        for at in retried {
-            assert_eq!(
-                w0.get(at + 1),
-                Some(&SchedOp::WorkerSteal),
-                "a contended injector steal must fall through to the sibling \
-                 probe, not restart the sweep at its own deque: {w0:?}"
-            );
-        }
-    }
-
-    #[test]
     fn contention_injection_is_explored_without_violations() {
         let case = ExploreCase {
             name: "contention-smoke",
             workers: 2,
-            hints: vec![Some(0), None],
+            jobs: 2,
             feeder_jobs: 0,
             contention: 2,
             fatal_workers: Vec::new(),
@@ -1182,7 +974,7 @@ mod tests {
         let case = ExploreCase {
             name: "feeder-smoke",
             workers: 2,
-            hints: vec![Some(0), None],
+            jobs: 2,
             feeder_jobs: 3,
             contention: 0,
             fatal_workers: Vec::new(),
@@ -1190,7 +982,7 @@ mod tests {
         };
         let report = explore_case(&case, Strategy::Seeded(7), 16);
         assert!(report.violations.is_empty(), "{:?}", report.violations);
-        assert_eq!(report.jobs, 5, "seeded plus fed jobs are all accounted");
+        assert_eq!(report.jobs, 5, "up-front plus fed jobs are all accounted");
         assert!(report.schedules > 0);
     }
 
@@ -1199,7 +991,7 @@ mod tests {
         let case = ExploreCase {
             name: "death-smoke",
             workers: 2,
-            hints: vec![Some(0), Some(0), Some(0)],
+            jobs: 3,
             feeder_jobs: 0,
             contention: 0,
             fatal_workers: vec![0],
@@ -1215,7 +1007,7 @@ mod tests {
         let case = ExploreCase {
             name: "retry-feeder-smoke",
             workers: 2,
-            hints: vec![None],
+            jobs: 1,
             feeder_jobs: 2,
             contention: 0,
             fatal_workers: Vec::new(),
@@ -1223,7 +1015,7 @@ mod tests {
         };
         let report = explore_case(&case, Strategy::Seeded(11), 16);
         assert!(report.violations.is_empty(), "{:?}", report.violations);
-        assert_eq!(report.jobs, 3, "seeded plus fed jobs are all accounted");
+        assert_eq!(report.jobs, 3, "up-front plus fed jobs are all accounted");
         assert!(report.schedules > 0);
     }
 }

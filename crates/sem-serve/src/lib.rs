@@ -24,11 +24,11 @@
 //!   simulator where one exists and by `perf_model::HostCostModel`
 //!   elsewhere;
 //! * [`steal`] — [`run_stealing`] / [`run_stealing_with_feeder`]: the one
-//!   work-stealing execution core (per-worker deques + shared injector from
-//!   the vendored `crossbeam`), one thread per device slot, owned-session
-//!   handoff, steal/concurrency accounting, and a [`JobVerdict`] per job —
-//!   retries and dying-worker requeues ride an outstanding-work
-//!   termination proof, so jobs are conserved under any mix of faults;
+//!   threaded execution core (one shared FIFO queue from the vendored
+//!   `crossbeam`, fed live while the workers run), one thread per device
+//!   slot, owned-session handoff, and a [`JobVerdict`] per job — retries
+//!   and dying-worker requeues ride an outstanding-work termination proof,
+//!   so jobs are conserved under any mix of faults;
 //! * [`server`] — [`Server`]: the pool, its [`ServeOptions`] and sessions,
 //!   and the execution step every job runs through `SemSystem::solve_many`
 //!   (solutions stay bitwise identical to direct batched solves), answering
@@ -104,7 +104,7 @@ pub use scheduler::DeviceSlot;
 pub use server::{RequestOutcome, ServeOptions, Server};
 pub use steal::{
     run_stealing, run_stealing_with_feeder, CompletedJob, FeederHandle, JobVerdict, StealRun,
-    TaggedJob, WorkerLedger,
+    WorkerLedger,
 };
 pub use stream::{
     ArrivalStream, LiveOptions, LiveRejection, LiveReport, RejectionReason, TimedRequest,

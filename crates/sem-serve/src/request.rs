@@ -25,11 +25,22 @@ impl ProblemSpec {
         }
     }
 
-    /// Whether the spec can be meshed: degree ≥ 1 and at least one element
-    /// per direction.
+    /// Whether the spec can be meshed: degree ≥ 1, at least one element
+    /// per direction, and a local dof count `(degree + 1)³ · ex · ey · ez`
+    /// that fits in `usize` (meshing computes it, so an overflowing spec
+    /// would panic there).
     #[must_use]
     pub fn is_valid(&self) -> bool {
-        self.degree >= 1 && self.elements.iter().all(|&e| e >= 1)
+        let dofs = self
+            .degree
+            .checked_add(1)
+            .and_then(|nodes| nodes.checked_pow(3))
+            .and_then(|per_element| {
+                self.elements
+                    .iter()
+                    .try_fold(per_element, |acc, &e| acc.checked_mul(e))
+            });
+        self.degree >= 1 && self.elements.iter().all(|&e| e >= 1) && dofs.is_some()
     }
 
     /// Total element count.

@@ -221,15 +221,15 @@ impl Server {
         &self.options
     }
 
-    /// Execute batch jobs on the work-stealing pool, one worker thread per
+    /// Execute batch jobs on the worker pool, one worker thread per
     /// device slot.  Each worker borrows its slot's sessions for the run
     /// (`SemSystem` is `Send`, so the handoff is a move, not a copy), builds
     /// any session it lacks, and hands them back for reuse when the pool
-    /// drains.  A live feeder pushes the `fed` jobs (unhinted) while the
-    /// workers already run.  `execute` runs one job on the worker's session
-    /// for its shape and resolves it with a [`JobVerdict`].  Returns the
-    /// delivered results in completion order and the jobs left unfinished
-    /// (only when every worker died).
+    /// drains.  A live feeder pushes the `fed` jobs into the shared queue
+    /// while the workers already run.  `execute` runs one job on the
+    /// worker's session for its shape and resolves it with a
+    /// [`JobVerdict`].  Returns the delivered results in completion order
+    /// and the jobs left unfinished (only when every worker died).
     pub(crate) fn run_pool<K, R, F>(
         &mut self,
         fed: Vec<(K, BatchJob)>,
@@ -244,7 +244,7 @@ impl Server {
             self.systems.iter_mut().map(std::mem::take).collect();
         let server = &*self;
         // lint: no-panic (this closure runs on worker threads; a panic would
-        // strand sibling deques mid-run)
+        // strand the pool mid-run)
         let execute = |worker: usize,
                        systems: &mut HashMap<ProblemSpec, SemSystem>,
                        (key, job): (K, BatchJob)| {

@@ -14,7 +14,7 @@
 //!   it was priced for, charges the backlog the actual session, and teaches
 //!   a [`StageDriftCorrector`] that re-prices later admissions.
 //! * [`Server::serve_stream_async`] admits against corrected *predicted*
-//!   backlog, then feeds every admitted job into the work-stealing pool
+//!   backlog, then feeds every admitted job into the worker pool's queue
 //!   while it drains.  On a homogeneous pool its answers are bitwise those
 //!   of `SemSystem::solve_many`, whichever worker ran them.
 //!
@@ -608,8 +608,8 @@ impl Server {
 
     /// Serve an arrival stream on the threaded executor: admission prices
     /// against corrected *predicted* backlog, then a live feeder pushes
-    /// every admitted job (unhinted) into the shared injector while the
-    /// worker pool drains.  Outcomes carry the plan's virtual times and the
+    /// every admitted job into the pool's shared queue while the workers
+    /// drain it.  Outcomes carry the plan's virtual times and the
     /// executing worker; on a homogeneous pool the solution bits are those
     /// of `SemSystem::solve_many` on the same right-hand sides.  Faults are
     /// handled as [`crate::chaos`] describes.
@@ -988,7 +988,7 @@ impl Server {
     }
 
     /// The threaded executor: a live feeder pushes every planned job
-    /// (unhinted) into the shared injector while the worker pool drains.
+    /// into the pool's shared queue while the workers drain it.
     /// Each worker judges its own attempts with the one detection step: a
     /// dead device retires its worker (`Fatal`), any other fault requeues
     /// the job (`Retry`).  Verified answers land on the plan's virtual

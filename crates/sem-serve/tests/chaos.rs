@@ -1,5 +1,5 @@
-//! Chaos conservation battery: seeded fault mixes through the
-//! work-stealing pool and the fault-tolerant streaming host, proving **no
+//! Chaos conservation battery: seeded fault mixes through the worker
+//! pool and the fault-tolerant streaming host, proving **no
 //! job is ever lost** — every run delivers results that are exactly `0..n`,
 //! or hands the remainder back explicitly when the whole pool dies.  Each
 //! end-to-end test runs on both executors of the streaming host.
@@ -13,7 +13,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use fpga_sim::{FaultKind, FaultPlan, ScheduledFault};
 use sem_serve::{
     run_stealing, run_stealing_with_feeder, ArrivalStream, JobVerdict, LiveOptions, LiveReport,
-    ProblemSpec, ServeOptions, ServeRequest, Server, StealRun, TaggedJob,
+    ProblemSpec, ServeOptions, ServeRequest, Server, StealRun,
 };
 
 /// splitmix64: the deterministic seed expander used across the repo's
@@ -32,19 +32,9 @@ fn draw(state: &mut u64, bound: u64) -> u64 {
     *state % bound
 }
 
-/// `n` jobs, a seeded mix of hinted and floating, payload == index.
-fn seeded_jobs(n: usize, workers: usize, seed: u64) -> Vec<TaggedJob<usize>> {
-    let mut state = seed;
-    (0..n)
-        .map(|payload| {
-            let hint = if draw(&mut state, 2) == 0 {
-                Some(draw(&mut state, workers as u64) as usize)
-            } else {
-                None
-            };
-            TaggedJob { payload, hint }
-        })
-        .collect()
+/// `n` jobs for the shared queue, payload == index.
+fn jobs(n: usize) -> Vec<usize> {
+    (0..n).collect()
 }
 
 /// Sorted payloads delivered by the run (payload-returning executors).
@@ -87,7 +77,7 @@ fn seeded_retry_mixes_deliver_exactly_zero_to_n() {
 
         let run: StealRun<usize, usize, usize> = run_stealing(
             vec![0usize; workers],
-            seeded_jobs(n, workers, seed ^ 0xA5A5),
+            jobs(n),
             |_worker, _state, payload: usize| {
                 if retry_once[payload] && attempts[payload].fetch_add(1, Ordering::SeqCst) == 0 {
                     return JobVerdict::Retry(payload);
@@ -105,30 +95,23 @@ fn seeded_retry_mixes_deliver_exactly_zero_to_n() {
 }
 
 #[test]
-fn a_dying_worker_requeues_its_deque_and_loses_nothing() {
-    // Every job is hinted to worker 0, which dies on the first job it
-    // touches: the survivors must still deliver exactly 0..n, and the
-    // drained deque shows up in the requeue counter.  Survivors gate on
-    // the death so the deque is provably nonempty when it drains —
-    // without the gate a pathological schedule could let the thieves
-    // empty it first and the test would not pin the drain path.
+fn a_dying_worker_hands_its_job_to_a_survivor_and_loses_nothing() {
+    // Worker 0 dies on the first job it touches: the survivors must still
+    // deliver exactly 0..n, the job it died holding among them.  Survivors
+    // gate on the death so worker 0 provably takes a job before the queue
+    // drains — without the gate a pathological schedule could let them
+    // empty it first and the test would not pin the hand-back path.
     let n = 16;
     let workers = 3;
-    let jobs: Vec<TaggedJob<usize>> = (0..n)
-        .map(|payload| TaggedJob {
-            payload,
-            hint: Some(0),
-        })
-        .collect();
-    let death_seen = AtomicUsize::new(0);
+    let held = AtomicUsize::new(usize::MAX);
 
     let run: StealRun<usize, usize, usize> =
-        run_stealing(vec![0usize; workers], jobs, |worker, _state, payload| {
+        run_stealing(vec![0usize; workers], jobs(n), |worker, _state, payload| {
             if worker == 0 {
-                death_seen.store(1, Ordering::SeqCst);
+                held.store(payload, Ordering::SeqCst);
                 return JobVerdict::Fatal(payload);
             }
-            while death_seen.load(Ordering::SeqCst) == 0 {
+            while held.load(Ordering::SeqCst) == usize::MAX {
                 std::thread::yield_now();
             }
             JobVerdict::Done(payload)
@@ -138,12 +121,15 @@ fn a_dying_worker_requeues_its_deque_and_loses_nothing() {
     assert!(run.unfinished.is_empty());
     assert!(run.died[0], "worker 0 must retire through Fatal");
     assert_eq!(run.alive_workers(), workers - 1);
-    // The fatal verdict requeues its in-flight payload, so the counter is
-    // at least 1 even when the survivors had already emptied the deque.
-    assert!(run.requeued_on_death >= 1);
     assert_eq!(
         run.workers[0].executed_jobs, 0,
         "a dead worker must not deliver results"
+    );
+    let held = held.load(Ordering::SeqCst);
+    let delivery = run.completed.iter().find(|c| c.result == held);
+    assert!(
+        delivery.is_some_and(|c| c.worker != 0),
+        "the job worker 0 died holding must be delivered by a survivor"
     );
 }
 
@@ -163,7 +149,7 @@ fn retries_racing_a_live_feeder_still_conserve_jobs() {
 
         let run: StealRun<usize, usize, usize> = run_stealing_with_feeder(
             vec![0usize; workers],
-            seeded_jobs(preloaded, workers, seed ^ 0x5A5A),
+            jobs(preloaded),
             |handle| {
                 for payload in preloaded..n {
                     handle.push(payload);
@@ -200,7 +186,7 @@ fn a_fully_dead_pool_hands_every_job_back() {
     let workers = 2;
     let run: StealRun<usize, usize, usize> = run_stealing(
         vec![0usize; workers],
-        seeded_jobs(n, workers, 0xDEAD),
+        jobs(n),
         |_worker, _state, payload: usize| JobVerdict::Fatal(payload),
     );
 
@@ -223,7 +209,7 @@ fn seeded_death_and_retry_storms_conserve_jobs() {
 
         let run: StealRun<usize, usize, usize> = run_stealing(
             vec![0usize; workers],
-            seeded_jobs(n, workers, seed ^ 0x1111),
+            jobs(n),
             |worker, _state, payload: usize| {
                 if worker == fatal_worker {
                     return JobVerdict::Fatal(payload);

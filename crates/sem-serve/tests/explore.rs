@@ -8,7 +8,7 @@
 //! schedule budget (CI smoke uses a small value; the stress job a larger
 //! one).
 
-use sem_serve::{explore_case, standard_battery, ExploreCase, Strategy};
+use sem_serve::{explore_case, standard_battery, standard_cases, ExploreCase, Strategy};
 
 fn schedule_budget(default: usize) -> usize {
     std::env::var("SEM_SCHED_ITERS")
@@ -19,9 +19,10 @@ fn schedule_budget(default: usize) -> usize {
 
 #[test]
 fn standard_battery_upholds_the_contract_on_every_schedule() {
+    let cases = standard_cases();
     let reports = standard_battery(schedule_budget(1500));
     let mut total = 0;
-    for report in &reports {
+    for (case, report) in cases.iter().zip(&reports) {
         assert!(
             report.violations.is_empty(),
             "case {} violated the contract:\n{}",
@@ -33,23 +34,32 @@ fn standard_battery_upholds_the_contract_on_every_schedule() {
             "case {} ran no schedules",
             report.name
         );
-        // Transition coverage: even a handful of schedules realizes most of
-        // the operation-pair classes a case can produce (measured: >= 8 at
-        // ten schedules per case, 11-16 at saturation).  A collapse below
-        // this floor means the explorer stopped actually interleaving ops.
+        // Transition coverage: workers only push to and take from the
+        // shared queue (`ip`, `is`) and send results (`cs`), so a case can
+        // realize at most nine op-pair classes.  Every case must interleave
+        // takes with sends (measured: `is>is is>cs cs>is` in every case at
+        // fifty schedules each), and a case with a fault schedule must also
+        // realize a requeue (`ip`).  A collapse below this means the
+        // explorer stopped actually interleaving ops.
+        let map = report.transition_map();
+        for class in ["is>is", "is>cs", "cs>is"] {
+            assert!(
+                map.split(' ').any(|c| c == class),
+                "case {} never realized {class}: {map}",
+                report.name
+            );
+        }
+        let faulty = !(case.fatal_workers.is_empty() && case.retry_once.is_empty());
         assert!(
-            report.transitions.len() >= 6,
-            "case {} covered only {} op-pair transition classes: {}",
-            report.name,
-            report.transitions.len(),
-            report.transition_map()
+            !faulty || map.contains("ip"),
+            "fault case {} never requeued a job: {map}",
+            report.name
         );
         total += report.schedules;
     }
-    // Ten cases (feeder cases walk seeded, the rest depth-first; three
-    // carry fault schedules): the battery covers
-    // a healthy slice of the interleaving space even under the CI smoke
-    // budget.
+    // Eight cases (feeder cases walk seeded, the rest depth-first; three
+    // carry fault schedules): the battery covers a healthy slice of the
+    // interleaving space even under the CI smoke budget.
     assert!(
         total >= reports.len() * 10,
         "expected meaningful coverage, got {total} schedules"
@@ -63,7 +73,7 @@ fn single_worker_case_is_exhausted_with_one_schedule() {
     let case = ExploreCase {
         name: "solo",
         workers: 1,
-        hints: vec![Some(0), Some(0)],
+        jobs: 2,
         feeder_jobs: 0,
         contention: 0,
         fatal_workers: Vec::new(),
@@ -80,7 +90,7 @@ fn exhaustive_runs_are_distinct_by_construction() {
     let case = ExploreCase {
         name: "pair",
         workers: 2,
-        hints: vec![Some(0)],
+        jobs: 1,
         feeder_jobs: 0,
         contention: 0,
         fatal_workers: Vec::new(),
@@ -99,9 +109,9 @@ fn exhaustive_runs_are_distinct_by_construction() {
 #[test]
 fn seeded_walks_find_many_distinct_schedules() {
     let case = ExploreCase {
-        name: "seeded-storm",
+        name: "seeded-walk",
         workers: 3,
-        hints: vec![Some(0), Some(0), None],
+        jobs: 3,
         feeder_jobs: 0,
         contention: 0,
         fatal_workers: Vec::new(),
@@ -116,13 +126,14 @@ fn seeded_walks_find_many_distinct_schedules() {
 fn transition_coverage_saturates_under_a_fixed_exhaustive_budget() {
     // DFS exploration is deterministic, so the coverage map at a fixed
     // budget is a stable fingerprint of the host's scheduling behaviour.
-    // steal-storm realizes 16 op-pair classes at 400 schedules (measured);
-    // pin a floor with a small margin so a host change that *narrows* the
-    // realizable interleavings trips this test.
+    // shared-queue realizes `is>is is>cs cs>is` at 200 and at 400
+    // schedules (measured) — every class a fault-free take/send loop
+    // produces except back-to-back sends; pin it so a host change that
+    // *narrows* the realizable interleavings trips this test.
     let case = ExploreCase {
-        name: "steal-storm",
+        name: "shared-queue",
         workers: 2,
-        hints: vec![Some(0), Some(0), Some(0)],
+        jobs: 3,
         feeder_jobs: 0,
         contention: 0,
         fatal_workers: Vec::new(),
@@ -131,8 +142,8 @@ fn transition_coverage_saturates_under_a_fixed_exhaustive_budget() {
     let half = explore_case(&case, Strategy::Exhaustive, 200);
     let full = explore_case(&case, Strategy::Exhaustive, 400);
     assert!(
-        full.transitions.len() >= 14,
-        "expected >= 14 transition classes, got {}: {}",
+        full.transitions.len() >= 3,
+        "expected >= 3 transition classes, got {}: {}",
         full.transitions.len(),
         full.transition_map()
     );
@@ -151,16 +162,16 @@ fn transition_coverage_saturates_under_a_fixed_exhaustive_budget() {
 fn regression_worker_send_failure_must_not_panic_the_pool() {
     // Pin the fix for the former `tx.send(...).unwrap()` in the worker
     // loop: a torn-down channel mid-run must end the worker quietly, not
-    // panic it with sibling deques still live.  The explorer cannot tear
-    // the channel down mid-run (the receiver outlives the scope), so this
+    // panic it with the pool still live.  The explorer cannot tear the
+    // channel down mid-run (the receiver outlives the scope), so this
     // exercises the code path the defect lived on: every standard case
-    // completes with workers exiting via the normal empty-sweep path, and
+    // completes with workers exiting via the normal empty-take path, and
     // a schedule in which one worker drains everything leaves the others
     // returning ledgers instead of unwinding.
     let case = ExploreCase {
         name: "greedy-drain",
         workers: 2,
-        hints: vec![Some(0), Some(0), Some(0), Some(0)],
+        jobs: 4,
         feeder_jobs: 0,
         contention: 0,
         fatal_workers: Vec::new(),

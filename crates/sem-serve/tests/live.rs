@@ -227,6 +227,49 @@ fn invalid_specs_are_rejected_with_their_reason_while_valid_ones_are_answered() 
 }
 
 #[test]
+fn overflowing_specs_are_rejected_while_valid_ones_are_answered() {
+    // `(degree + 1)³ · ex · ey · ez` overflows `usize` for both bad specs.
+    // Meshing computes exactly that, so an unchecked spec would panic the
+    // whole call: both executors must reject it with its reason.
+    let specs = [
+        ProblemSpec::cube(3, 2),
+        ProblemSpec {
+            degree: usize::MAX,
+            elements: [1, 1, 1],
+        },
+        ProblemSpec {
+            degree: 3,
+            elements: [usize::MAX, 2, 1],
+        },
+    ];
+    let stream = ArrivalStream::new(
+        (0..6)
+            .map(|i| TimedRequest {
+                arrival_seconds: i as f64 * 0.1,
+                request: ServeRequest::seeded(specs[i % 3], i as u64),
+            })
+            .collect(),
+    );
+    for asynchronous in [false, true] {
+        let mut server = Server::from_registry_names(&["fpga:stratix10-gx2800"], options(4));
+        let report = if asynchronous {
+            server.serve_stream_async(&stream, &generous(), None)
+        } else {
+            server.serve_stream(&stream, &generous(), None)
+        };
+        let answered: Vec<usize> = report.outcomes.iter().map(|o| o.request).collect();
+        assert_eq!(answered, [0, 3], "async {asynchronous}");
+        let rejected: Vec<_> = report
+            .rejections
+            .iter()
+            .map(|r| (r.request, r.reason))
+            .collect();
+        let invalid = [1, 2, 4, 5].map(|i| (i, RejectionReason::InvalidSpec));
+        assert_eq!(rejected, invalid, "async {asynchronous}");
+    }
+}
+
+#[test]
 fn the_autoscaler_grows_under_load_shrinks_after_it_and_holds_when_idle() {
     // Self-calibrating: probe the modelled latency of one single-request
     // job on the (simulated, hence deterministic) device, then shape a

@@ -1,6 +1,6 @@
-//! Seeded stress/property battery for the coalescer and the work-stealing
-//! host: random request streams (shapes, sizes, arrival bursts) must never
-//! drop, duplicate, or reorder a request, across at least 100 seeded cases.
+//! Seeded stress/property battery for the coalescer and the worker pool:
+//! random request streams (shapes, sizes, arrival bursts) must never drop,
+//! duplicate, or reorder a request, across at least 100 seeded cases.
 //!
 //! The case count scales with `SEM_STRESS_ITERS` (default 100) so CI's
 //! release stress job can run the battery harder without code changes.
@@ -8,7 +8,7 @@
 //! comparisons, only conservation, ordering and accounting invariants.
 
 use rand::{Rng, SeedableRng, StdRng};
-use sem_serve::steal::{run_stealing, JobVerdict, StealRun, TaggedJob};
+use sem_serve::steal::{run_stealing_with_feeder, JobVerdict, StealRun};
 use sem_serve::{
     ArrivalStream, LiveOptions, ProblemSpec, ServeOptions, ServeRequest, Server, TimedRequest,
 };
@@ -49,12 +49,17 @@ fn random_stream(rng: &mut StdRng) -> Vec<ServeRequest> {
     requests
 }
 
-/// Run `jobs` on a `pool`-worker stealing pool whose executor delivers
-/// each payload unchanged, as a host that never retries does.
-fn echo_run(pool: usize, jobs: Vec<TaggedJob<usize>>) -> StealRun<usize, (), usize> {
-    run_stealing(vec![(); pool], jobs, |_, (), payload| {
-        JobVerdict::Done(payload)
-    })
+/// Run `num_jobs` jobs on a `pool`-worker pool whose executor delivers
+/// each payload unchanged, as a host that never retries does: the first
+/// `up_front` are queued before the workers spawn, the rest arrive through
+/// the live feeder the serving host uses.
+fn echo_run(pool: usize, num_jobs: usize, up_front: usize) -> StealRun<usize, (), usize> {
+    run_stealing_with_feeder(
+        vec![(); pool],
+        (0..up_front).collect(),
+        |feeder| (up_front..num_jobs).for_each(|payload| feeder.push(payload)),
+        |_, (), payload| JobVerdict::Done(payload),
+    )
 }
 
 #[test]
@@ -137,27 +142,15 @@ fn packing_conserves_every_request_across_seeded_streams() {
 }
 
 #[test]
-fn work_stealing_conserves_jobs_across_seeded_pools_and_hints() {
+fn the_pool_conserves_jobs_across_seeded_pools() {
     let cases = stress_iters();
     for seed in 0..cases {
         let mut rng = StdRng::seed_from_u64(0x5EA1 ^ seed);
         let pool = rng.gen_range(1..=6_usize);
         let num_jobs = rng.gen_range(0..120_usize);
-        let jobs: Vec<TaggedJob<usize>> = (0..num_jobs)
-            .map(|payload| TaggedJob {
-                payload,
-                // Skewed hints: bursts behind one worker, floaters, and a
-                // uniform remainder.
-                hint: match rng.gen_range(0..4_u32) {
-                    0 => Some(0),
-                    1 => None,
-                    _ => Some(rng.gen_range(0..pool)),
-                },
-            })
-            .collect();
-        let expected_hints: Vec<Option<usize>> = jobs.iter().map(|job| job.hint).collect();
+        let up_front = rng.gen_range(0..=num_jobs);
 
-        let run = echo_run(pool, jobs);
+        let run = echo_run(pool, num_jobs, up_front);
 
         // Conservation: every job executed exactly once, nothing invented.
         assert_eq!(run.completed.len(), num_jobs, "seed {seed}");
@@ -165,56 +158,23 @@ fn work_stealing_conserves_jobs_across_seeded_pools_and_hints() {
         assert_eq!(seen.len(), num_jobs, "seed {seed}: duplicate execution");
         let ledger_total: usize = run.workers.iter().map(|w| w.executed_jobs).sum();
         assert_eq!(ledger_total, num_jobs, "seed {seed}: ledger drift");
-
-        // Hints survive the trip and steal accounting matches them.
-        for completed in &run.completed {
-            assert_eq!(
-                completed.hint, expected_hints[completed.result],
-                "seed {seed}"
-            );
-            assert!(completed.worker < pool, "seed {seed}");
-        }
-        let stolen = run.completed.iter().filter(|c| c.stolen()).count();
-        assert_eq!(run.total_steals(), stolen, "seed {seed}");
-        for ledger in &run.workers {
-            assert!(ledger.steals <= ledger.executed_jobs, "seed {seed}");
-        }
+        assert!(run.completed.iter().all(|c| c.worker < pool), "seed {seed}");
     }
 }
 
 #[test]
-fn single_worker_pools_execute_hinted_jobs_in_submission_order() {
-    // With one worker there is nobody to steal: the deque is FIFO, so the
-    // completion order must equal the submission order for every seed.
+fn single_worker_pools_drain_the_queue_in_submission_order() {
+    // With one worker the shared queue is drained FIFO: up-front jobs
+    // first, then the fed ones in push order, so the completion order must
+    // equal the submission order for every seed.
     let cases = stress_iters().min(50);
     for seed in 0..cases {
         let mut rng = StdRng::seed_from_u64(0xF1F0 ^ seed);
         let num_jobs = rng.gen_range(1..60_usize);
-        let floaters: Vec<bool> = (0..num_jobs)
-            .map(|_| rng.gen_range(0..3_u32) == 0)
-            .collect();
-        let jobs: Vec<TaggedJob<usize>> = floaters
-            .iter()
-            .enumerate()
-            .map(|(payload, &floating)| TaggedJob {
-                payload,
-                hint: (!floating).then_some(0),
-            })
-            .collect();
-        let run = echo_run(1, jobs);
-        // Hinted jobs keep their relative order (the worker drains its own
-        // deque before touching the injector, both FIFO).
-        let hinted_order: Vec<usize> = run
-            .completed
-            .iter()
-            .map(|c| c.result)
-            .filter(|&payload| !floaters[payload])
-            .collect();
-        let mut sorted = hinted_order.clone();
-        sorted.sort_unstable();
-        assert_eq!(hinted_order, sorted, "seed {seed}");
-        assert_eq!(run.completed.len(), num_jobs, "seed {seed}");
-        assert_eq!(run.total_steals(), 0, "seed {seed}");
+        let up_front = rng.gen_range(0..=num_jobs);
+        let run = echo_run(1, num_jobs, up_front);
+        let order: Vec<usize> = run.completed.iter().map(|c| c.result).collect();
+        assert_eq!(order, (0..num_jobs).collect::<Vec<_>>(), "seed {seed}");
     }
 }
 

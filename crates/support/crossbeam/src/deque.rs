@@ -1,19 +1,17 @@
-//! Work-stealing deques with the `crossbeam-deque` API shape: a global
-//! [`Injector`] any thread can push to and steal from, plus per-worker
-//! [`Worker`] queues whose [`Stealer`] handles let sibling threads take work
-//! from the back while the owner pops from the front.
+//! The shared work queue with the `crossbeam-deque` API shape: a global
+//! FIFO [`Injector`] any thread can push to and steal from.
 //!
-//! All three types are lock-based (see the crate docs); steals block briefly
-//! on the lock instead of spinning, so [`Steal::Retry`] never arises
+//! The queue is lock-based (see the crate docs); steals block briefly on
+//! the lock instead of spinning, so [`Steal::Retry`] never arises
 //! organically.  It *is* produced on demand: an installed schedule
 //! controller (see [`crate::sched::Scheduler::steal_contended`]) can make a
 //! controlled thread's steal observe simulated contention, which is how the
-//! race explorer drives the contended-sweep paths of a work-stealing loop
-//! that a mutex-backed deque would otherwise never exercise.
+//! race explorer drives the contended-take path of a worker loop that a
+//! mutex-backed queue would otherwise never exercise.
 
 use crate::sched::{self, SchedOp};
 use std::collections::VecDeque;
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
 /// The outcome of one steal attempt.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -49,39 +47,10 @@ impl<T> Steal<T> {
     }
 }
 
-#[derive(Debug)]
-struct Shared<T> {
-    queue: Mutex<VecDeque<T>>,
-}
-
-impl<T> Shared<T> {
-    fn new() -> Arc<Self> {
-        Arc::new(Self {
-            queue: Mutex::new(VecDeque::new()),
-        })
-    }
-
-    fn push_back(&self, item: T) {
-        self.queue.lock().expect("deque poisoned").push_back(item);
-    }
-
-    fn pop_front(&self) -> Option<T> {
-        self.queue.lock().expect("deque poisoned").pop_front()
-    }
-
-    fn pop_back(&self) -> Option<T> {
-        self.queue.lock().expect("deque poisoned").pop_back()
-    }
-
-    fn len(&self) -> usize {
-        self.queue.lock().expect("deque poisoned").len()
-    }
-}
-
 /// A global FIFO queue every thread may push to and steal from.
 #[derive(Debug)]
 pub struct Injector<T> {
-    shared: Arc<Shared<T>>,
+    queue: Mutex<VecDeque<T>>,
 }
 
 impl<T> Default for Injector<T> {
@@ -95,14 +64,14 @@ impl<T> Injector<T> {
     #[must_use]
     pub fn new() -> Self {
         Self {
-            shared: Shared::new(),
+            queue: Mutex::new(VecDeque::new()),
         }
     }
 
     /// Push an item onto the back of the queue.
     pub fn push(&self, item: T) {
         sched::yield_point(SchedOp::InjectorPush);
-        self.shared.push_back(item);
+        self.queue.lock().expect("queue poisoned").push_back(item);
     }
 
     /// Steal the oldest item.
@@ -111,7 +80,7 @@ impl<T> Injector<T> {
         if sched::simulate_contention(SchedOp::InjectorSteal) {
             return Steal::Retry;
         }
-        match self.shared.pop_front() {
+        match self.queue.lock().expect("queue poisoned").pop_front() {
             Some(item) => Steal::Success(item),
             None => Steal::Empty,
         }
@@ -120,100 +89,10 @@ impl<T> Injector<T> {
     /// Number of queued items.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.shared.len()
+        self.queue.lock().expect("queue poisoned").len()
     }
 
     /// Whether the queue is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-/// A per-thread FIFO work queue.  The owner pushes to the back and pops from
-/// the front; [`Stealer`] handles take from the back, so under contention
-/// the owner keeps the work it queued first.
-#[derive(Debug)]
-pub struct Worker<T> {
-    shared: Arc<Shared<T>>,
-}
-
-impl<T> Worker<T> {
-    /// An empty FIFO worker queue.
-    #[must_use]
-    pub fn new_fifo() -> Self {
-        Self {
-            shared: Shared::new(),
-        }
-    }
-
-    /// Push an item onto the back of the queue.
-    pub fn push(&self, item: T) {
-        sched::yield_point(SchedOp::WorkerPush);
-        self.shared.push_back(item);
-    }
-
-    /// Pop the oldest item (owner side).
-    pub fn pop(&self) -> Option<T> {
-        sched::yield_point(SchedOp::WorkerPop);
-        self.shared.pop_front()
-    }
-
-    /// A handle other threads can steal through.
-    #[must_use]
-    pub fn stealer(&self) -> Stealer<T> {
-        Stealer {
-            shared: Arc::clone(&self.shared),
-        }
-    }
-
-    /// Number of queued items.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.shared.len()
-    }
-
-    /// Whether the queue is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-/// A shareable handle that steals from the back of a [`Worker`] queue.
-#[derive(Debug)]
-pub struct Stealer<T> {
-    shared: Arc<Shared<T>>,
-}
-
-impl<T> Clone for Stealer<T> {
-    fn clone(&self) -> Self {
-        Self {
-            shared: Arc::clone(&self.shared),
-        }
-    }
-}
-
-impl<T> Stealer<T> {
-    /// Steal the newest item from the worker's queue.
-    pub fn steal(&self) -> Steal<T> {
-        sched::yield_point(SchedOp::WorkerSteal);
-        if sched::simulate_contention(SchedOp::WorkerSteal) {
-            return Steal::Retry;
-        }
-        match self.shared.pop_back() {
-            Some(item) => Steal::Success(item),
-            None => Steal::Empty,
-        }
-    }
-
-    /// Number of items currently stealable.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.shared.len()
-    }
-
-    /// Whether the worker's queue is empty.
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.len() == 0
@@ -224,23 +103,6 @@ impl<T> Stealer<T> {
 mod tests {
     use super::*;
     use std::collections::BTreeSet;
-    use std::sync::atomic::{AtomicUsize, Ordering};
-
-    #[test]
-    fn worker_pops_fifo_and_stealer_takes_the_back() {
-        let worker = Worker::new_fifo();
-        for i in 0..4 {
-            worker.push(i);
-        }
-        assert_eq!(worker.len(), 4);
-        let stealer = worker.stealer();
-        assert_eq!(worker.pop(), Some(0), "owner takes the oldest");
-        assert_eq!(stealer.steal().success(), Some(3), "thief takes the newest");
-        assert_eq!(worker.pop(), Some(1));
-        assert_eq!(stealer.steal().success(), Some(2));
-        assert!(worker.pop().is_none());
-        assert!(stealer.steal().is_empty());
-    }
 
     #[test]
     fn injector_is_fifo_from_every_thread() {
@@ -255,34 +117,19 @@ mod tests {
 
     #[test]
     fn concurrent_stealing_conserves_every_item() {
-        // A steal storm: four threads drain one worker queue plus the
-        // injector through stealer handles; every item must surface exactly
-        // once.
+        // A steal storm: four threads drain one injector; every item must
+        // surface exactly once.
         const ITEMS: usize = 2000;
-        let worker = Worker::new_fifo();
         let injector = Injector::new();
         for i in 0..ITEMS {
-            if i % 3 == 0 {
-                injector.push(i);
-            } else {
-                worker.push(i);
-            }
+            injector.push(i);
         }
-        let stealer = worker.stealer();
         let taken = Mutex::new(Vec::new());
-        let active = AtomicUsize::new(4);
         std::thread::scope(|scope| {
             for _ in 0..4 {
                 scope.spawn(|| {
-                    let mut local = Vec::new();
-                    while let Some(item) = injector
-                        .steal()
-                        .success()
-                        .or_else(|| stealer.steal().success())
-                    {
-                        local.push(item);
-                    }
-                    active.fetch_sub(1, Ordering::SeqCst);
+                    let local: Vec<usize> =
+                        std::iter::from_fn(|| injector.steal().success()).collect();
                     taken.lock().unwrap().extend(local);
                 });
             }

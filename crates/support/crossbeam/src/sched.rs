@@ -24,12 +24,6 @@ pub enum SchedOp {
     InjectorPush,
     /// `Injector::steal`.
     InjectorSteal,
-    /// `Worker::push`.
-    WorkerPush,
-    /// `Worker::pop` (owner side).
-    WorkerPop,
-    /// `Stealer::steal` (thief side).
-    WorkerSteal,
     /// `channel::Sender::send`.
     ChannelSend,
     /// `channel::Receiver::recv` / `try_recv`.
@@ -43,9 +37,6 @@ impl SchedOp {
         match self {
             SchedOp::InjectorPush => "ip",
             SchedOp::InjectorSteal => "is",
-            SchedOp::WorkerPush => "wp",
-            SchedOp::WorkerPop => "wo",
-            SchedOp::WorkerSteal => "ws",
             SchedOp::ChannelSend => "cs",
             SchedOp::ChannelRecv => "cr",
         }
@@ -77,9 +68,9 @@ pub trait Scheduler: Send + Sync {
     ///
     /// Called *after* [`Scheduler::yield_point`] grants the step, so the
     /// decision rides the granted step rather than adding one.  The
-    /// default — no contention, ever — preserves the vendored deque's
+    /// default — no contention, ever — preserves the vendored queue's
     /// uncontended behaviour; explorers override it to drive the
-    /// contended-sweep paths that a mutex-backed deque can otherwise
+    /// contended-take paths that a mutex-backed queue can otherwise
     /// never reach.
     fn steal_contended(&self, index: usize, op: SchedOp) -> bool {
         let _ = (index, op);
@@ -263,15 +254,15 @@ mod tests {
         std::thread::scope(|scope| {
             scope.spawn(|| {
                 let _guard = controlled(3);
-                let worker = crate::deque::Worker::new_fifo();
-                worker.push(7);
-                assert_eq!(worker.pop(), Some(7));
+                let injector = crate::deque::Injector::new();
+                injector.push(7);
+                assert_eq!(injector.steal().success(), Some(7));
             });
         });
         uninstall();
         assert_eq!(recorder.started.load(Ordering::SeqCst), 1);
         assert_eq!(recorder.finished.load(Ordering::SeqCst), 1);
-        // Two deque ops passed through the hook.
+        // Two queue ops passed through the hook.
         assert_eq!(recorder.yields.load(Ordering::SeqCst), 2);
         // After uninstall the hook is inert again.
         let _guard = controlled(0);
@@ -314,7 +305,7 @@ mod tests {
             scope.spawn(|| {
                 let _guard = controlled(0);
                 // The first two steals see simulated contention, the third
-                // lands; worker-deque steals are untouched.
+                // lands.
                 assert!(injector.steal().is_retry());
                 assert!(injector.steal().is_retry());
                 assert_eq!(injector.steal().success(), Some(9));
