@@ -12,7 +12,7 @@
 //! * `bw_eff` — the fraction of peak bandwidth the kernel streams at;
 //! * `ramp(E, N)` — the small-problem ramp of Fig. 1 (launch/latency
 //!   overheads amortise with the transferred bytes);
-//! * `degrade(N)` — the tuned GPU kernel of [40] targets the production
+//! * `degrade(N)` — the tuned GPU kernel of \[40\] targets the production
 //!   degrees (N ≤ 11) and loses efficiency above them, which the paper points
 //!   out explicitly.
 //!

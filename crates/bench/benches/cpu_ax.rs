@@ -24,7 +24,7 @@ fn bench_ax(c: &mut Criterion) {
         let u = mesh.evaluate(|x, y, z| (x + y) * z + 0.5);
         for (label, implementation) in [
             ("reference", AxImplementation::Reference),
-            ("optimized", AxImplementation::Optimized),
+            ("specialized", AxImplementation::Specialized),
             ("parallel", AxImplementation::Parallel),
         ] {
             let op = PoissonOperator::new(&mesh, implementation);

@@ -7,8 +7,7 @@
 
 use bench::table::fmt;
 use bench::TableWriter;
-use fpga_sim::multi::estimate_scaling;
-use fpga_sim::FpgaDevice;
+use fpga_sim::{FpgaDevice, MultiBoardAccelerator};
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -26,7 +25,8 @@ fn main() {
         "efficiency",
     ]);
     for &boards in &[1_usize, 2, 4, 8, 16, 32] {
-        let est = estimate_scaling(&device, degree, elements, boards, interconnect_gbs);
+        let est = MultiBoardAccelerator::new(degree, &device, boards, interconnect_gbs)
+            .estimate(elements);
         table.row(vec![
             boards.to_string(),
             est.elements_per_board.to_string(),

@@ -1,6 +1,6 @@
 //! Simulated STREAM-for-FPGA sweep: effective external bandwidth vs. transfer
 //! size for banked and interleaved allocations — the measurement (paper
-//! reference [42]) the evaluation uses to explain its small-input behaviour
+//! reference \[42\]) the evaluation uses to explain its small-input behaviour
 //! and model error.
 //!
 //! Run with `cargo run -p bench --bin stream --release`.

@@ -34,67 +34,14 @@ pub struct MultiBoardEstimate {
     pub parallel_efficiency: f64,
 }
 
-/// Estimate the scaling of the accelerator for `degree` over `boards` boards,
-/// assuming a block partition of `num_elements` elements and an
-/// `interconnect_gbs` GB/s host interconnect for the interface exchange.
-///
-/// # Panics
-/// Panics if `boards` is zero.
-#[must_use]
-pub fn estimate_scaling(
-    device: &FpgaDevice,
-    degree: usize,
-    num_elements: usize,
-    boards: usize,
-    interconnect_gbs: f64,
-) -> MultiBoardEstimate {
-    assert!(boards > 0, "need at least one board");
-    let accelerator = FpgaAccelerator::for_degree(degree, device);
-    let elements_per_board = num_elements.div_ceil(boards);
-    let local = accelerator.estimate(elements_per_board);
-
-    // Interface traffic: a block partition of a roughly cubic box exposes
-    // about 2·(E_local)^(2/3) faces per board; each face carries (N+1)^2
-    // doubles that must be exchanged and summed.
-    let nx = (degree + 1) as f64;
-    let faces = 2.0 * (elements_per_board as f64).powf(2.0 / 3.0);
-    let exchange_bytes = if boards == 1 {
-        0.0
-    } else {
-        faces * nx * nx * 8.0 * 2.0 // send + receive
-    };
-    let exchange_seconds = exchange_bytes / (interconnect_gbs * 1e9);
-
-    let flops = sem_kernel::flops_per_dof(degree) as f64
-        * sem_basis::dofs_per_element(degree) as f64
-        * num_elements as f64;
-    let wall = local.seconds + exchange_seconds;
-    let gflops = flops / wall / 1e9;
-
-    let single = accelerator.estimate(num_elements);
-    let ideal_speedup = boards as f64;
-    let actual_speedup = single.seconds / wall;
-    MultiBoardEstimate {
-        degree,
-        num_elements,
-        boards,
-        elements_per_board,
-        kernel_seconds: local.seconds,
-        exchange_seconds,
-        gflops,
-        parallel_efficiency: (actual_speedup / ideal_speedup).min(1.0),
-    }
-}
-
 /// A set of identical simulated accelerator boards with the element set
 /// block-partitioned across them, one partition per board — the
 /// one-board-per-MPI-rank deployment the paper's host application implies.
 ///
-/// Unlike [`estimate_scaling`], which only produces timing numbers, this
-/// type also *executes* the kernel functionally: each board's contiguous
+/// The type both prices and *executes* the kernel: each board's contiguous
 /// element block runs through the per-board [`FpgaAccelerator`]'s datapath
 /// (the resolved specialized kernel family), so one code path serves one
-/// board and many, and a solver iterating through a multi-board backend
+/// board and many, and a solver iterating through a multi-board engine
 /// obtains bit-identical results to the single-board simulator.
 #[derive(Debug, Clone)]
 pub struct MultiBoardAccelerator {
@@ -146,17 +93,46 @@ impl MultiBoardAccelerator {
     }
 
     /// Timing estimate for one operator application over `num_elements`
-    /// block-partitioned elements (kernel time of the most loaded board plus
-    /// the interface exchange).
+    /// block-partitioned elements: kernel time of the most loaded board plus
+    /// the interface exchange over the host interconnect.  Reuses this
+    /// design; nothing is re-synthesised.
     #[must_use]
     pub fn estimate(&self, num_elements: usize) -> MultiBoardEstimate {
-        estimate_scaling(
-            self.device(),
-            self.accelerator.design().degree,
+        let degree = self.accelerator.design().degree;
+        let elements_per_board = self.elements_per_board(num_elements);
+        let local = self.accelerator.estimate(elements_per_board);
+
+        // Interface traffic: a block partition of a roughly cubic box exposes
+        // about 2·(E_local)^(2/3) faces per board; each face carries (N+1)^2
+        // doubles that must be exchanged and summed.
+        let nx = (degree + 1) as f64;
+        let faces = 2.0 * (elements_per_board as f64).powf(2.0 / 3.0);
+        let exchange_bytes = if self.boards == 1 {
+            0.0
+        } else {
+            faces * nx * nx * 8.0 * 2.0 // send + receive
+        };
+        let exchange_seconds = exchange_bytes / (self.interconnect_gbs * 1e9);
+
+        let flops = sem_kernel::flops_per_dof(degree) as f64
+            * sem_basis::dofs_per_element(degree) as f64
+            * num_elements as f64;
+        let wall = local.seconds + exchange_seconds;
+        let gflops = flops / wall / 1e9;
+
+        let single = self.accelerator.estimate(num_elements);
+        let ideal_speedup = self.boards as f64;
+        let actual_speedup = single.seconds / wall;
+        MultiBoardEstimate {
+            degree,
             num_elements,
-            self.boards,
-            self.interconnect_gbs,
-        )
+            boards: self.boards,
+            elements_per_board,
+            kernel_seconds: local.seconds,
+            exchange_seconds,
+            gflops,
+            parallel_efficiency: (actual_speedup / ideal_speedup).min(1.0),
+        }
     }
 
     /// Execute `w = A u` and return the multi-board timing estimate:
@@ -211,10 +187,15 @@ impl MultiBoardAccelerator {
 mod tests {
     use super::*;
 
+    fn estimate(num_elements: usize, boards: usize) -> MultiBoardEstimate {
+        MultiBoardAccelerator::new(7, &FpgaDevice::stratix10_gx2800(), boards, 12.0)
+            .estimate(num_elements)
+    }
+
     #[test]
     fn single_board_matches_the_plain_estimate() {
         let device = FpgaDevice::stratix10_gx2800();
-        let est = estimate_scaling(&device, 7, 4096, 1, 12.0);
+        let est = estimate(4096, 1);
         assert_eq!(est.elements_per_board, 4096);
         assert_eq!(est.exchange_seconds, 0.0);
         assert!((est.parallel_efficiency - 1.0).abs() < 1e-9);
@@ -224,10 +205,9 @@ mod tests {
 
     #[test]
     fn more_boards_increase_aggregate_throughput() {
-        let device = FpgaDevice::stratix10_gx2800();
-        let one = estimate_scaling(&device, 7, 8192, 1, 12.0);
-        let four = estimate_scaling(&device, 7, 8192, 4, 12.0);
-        let eight = estimate_scaling(&device, 7, 8192, 8, 12.0);
+        let one = estimate(8192, 1);
+        let four = estimate(8192, 4);
+        let eight = estimate(8192, 8);
         assert!(four.gflops > 2.0 * one.gflops);
         assert!(eight.gflops > four.gflops);
         assert!(eight.parallel_efficiency <= 1.0);
@@ -235,17 +215,9 @@ mod tests {
 
     #[test]
     fn efficiency_degrades_when_boards_outnumber_the_work() {
-        let device = FpgaDevice::stratix10_gx2800();
-        let few = estimate_scaling(&device, 7, 512, 2, 12.0);
-        let many = estimate_scaling(&device, 7, 512, 32, 12.0);
+        let few = estimate(512, 2);
+        let many = estimate(512, 32);
         assert!(many.parallel_efficiency < few.parallel_efficiency);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one board")]
-    fn zero_boards_is_rejected() {
-        let device = FpgaDevice::stratix10_gx2800();
-        let _ = estimate_scaling(&device, 7, 64, 0, 12.0);
     }
 
     #[test]
@@ -282,12 +254,18 @@ mod tests {
     }
 
     #[test]
-    fn multi_board_estimates_match_the_free_function() {
+    fn multi_board_estimates_price_the_most_loaded_board() {
         let device = FpgaDevice::stratix10_gx2800();
         let multi = MultiBoardAccelerator::new(7, &device, 4, 12.0);
         let a = multi.estimate(4096);
-        let b = estimate_scaling(&device, 7, 4096, 4, 12.0);
-        assert_eq!(a, b);
+        assert_eq!(a, estimate(4096, 4), "the estimate is a pure function");
+        assert_eq!(
+            a.kernel_seconds,
+            FpgaAccelerator::for_degree(7, &device)
+                .estimate(1024)
+                .seconds
+        );
+        assert!(a.exchange_seconds > 0.0);
         assert_eq!(multi.elements_per_board(4096), 1024);
         assert_eq!(multi.boards(), 4);
     }

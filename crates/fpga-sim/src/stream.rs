@@ -2,7 +2,7 @@
 //!
 //! The paper explains its small-problem performance and its model error
 //! through the input-size-dependent effective bandwidth it observed with the
-//! FPGA adaptation of the HPCChallenge STREAM benchmark (reference [42]).
+//! FPGA adaptation of the HPCChallenge STREAM benchmark (reference \[42\]).
 //! This module reproduces that experiment against the simulated memory
 //! system: a copy/scale/add/triad sweep over transfer sizes for both
 //! allocation policies, yielding the effective-bandwidth curve the executor

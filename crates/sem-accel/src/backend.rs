@@ -20,7 +20,7 @@
 //! configuration this was silently asymmetric-by-construction: a parsed
 //! name could not carry what the solve later decided per call.)
 
-use crate::exec::{AxBackend, CpuBackend, FpgaSimBackend, MultiFpgaBackend};
+use crate::exec::{AxBackend, CpuBackend, FpgaSimBackend};
 use fpga_sim::FpgaDevice;
 use sem_kernel::AxImplementation;
 use sem_mesh::{BoxMesh, GeometricFactors};
@@ -95,12 +95,6 @@ impl Backend {
         Self::new(ExecSpec::Cpu(AxImplementation::Reference))
     }
 
-    /// Native CPU, optimised sequential kernel.
-    #[must_use]
-    pub fn cpu_optimized() -> Self {
-        Self::new(ExecSpec::Cpu(AxImplementation::Optimized))
-    }
-
     /// Native CPU, Rayon-parallel kernel.
     #[must_use]
     pub fn cpu_parallel() -> Self {
@@ -108,7 +102,7 @@ impl Backend {
     }
 
     /// Native CPU, degree-specialized const-generic kernel (falls back to
-    /// the generic optimised kernel outside degrees 3..=15).
+    /// the bitwise-identical generic kernel outside degrees 3..=15).
     #[must_use]
     pub fn cpu_specialized() -> Self {
         Self::new(ExecSpec::Cpu(AxImplementation::Specialized))
@@ -151,8 +145,9 @@ impl Backend {
     /// for CPU backends; allocating only when a device name is embedded.
     #[must_use]
     pub fn label(&self) -> Cow<'static, str> {
-        // Shared with the engines in `exec`, so a configuration's label
-        // always matches the label of the engine it instantiates.
+        // Shared with the engines in `exec` (a multi-board engine is handed
+        // this label by `instantiate`), so a configuration's label always
+        // matches the label of the engine it instantiates.
         match &self.exec {
             ExecSpec::Cpu(implementation) => Cow::Borrowed(CpuBackend::label_of(*implementation)),
             ExecSpec::FpgaSimulated(device) => Cow::Owned(crate::exec::fpga_sim_label(device)),
@@ -193,7 +188,6 @@ impl Backend {
     fn exec_name(&self) -> Option<String> {
         match &self.exec {
             ExecSpec::Cpu(AxImplementation::Reference) => Some("cpu:reference".to_string()),
-            ExecSpec::Cpu(AxImplementation::Optimized) => Some("cpu:optimized".to_string()),
             ExecSpec::Cpu(AxImplementation::Parallel) => Some("cpu:parallel".to_string()),
             ExecSpec::Cpu(AxImplementation::Specialized) => Some("cpu:specialized".to_string()),
             ExecSpec::FpgaSimulated(device) => {
@@ -222,7 +216,10 @@ impl Backend {
     /// Resolve a registry name (`cpu:<impl>`, `fpga:<device>`,
     /// `multi:<n>x<device>`, each optionally followed by a `+<precond>`
     /// suffix) to a configuration.  Device slugs come from the `arch-db`
-    /// catalogue ([`arch_db::fpga_device_slugs`]).
+    /// catalogue ([`arch_db::fpga_device_slugs`]).  `cpu:optimized` is a
+    /// parse-only alias of `cpu:specialized` (the kernel it always ran), so
+    /// names recorded before the two were folded still resolve; it
+    /// canonicalises to `cpu:specialized`.
     #[must_use]
     pub fn from_name(name: &str) -> Option<Self> {
         let (base, precond) = match name.rsplit_once('+') {
@@ -233,9 +230,8 @@ impl Backend {
         let exec = match kind {
             "cpu" => match spec {
                 "reference" => ExecSpec::Cpu(AxImplementation::Reference),
-                "optimized" => ExecSpec::Cpu(AxImplementation::Optimized),
+                "optimized" | "specialized" => ExecSpec::Cpu(AxImplementation::Specialized),
                 "parallel" => ExecSpec::Cpu(AxImplementation::Parallel),
-                "specialized" => ExecSpec::Cpu(AxImplementation::Specialized),
                 _ => return None,
             },
             "fpga" => ExecSpec::FpgaSimulated(arch_db::fpga_device(spec)?),
@@ -265,7 +261,6 @@ impl Backend {
     pub fn registry_names() -> Vec<String> {
         let mut names = vec![
             "cpu:reference".to_string(),
-            "cpu:optimized".to_string(),
             "cpu:parallel".to_string(),
             "cpu:specialized".to_string(),
         ];
@@ -321,6 +316,9 @@ impl Backend {
 
     /// Build the live execution engine for this configuration on `mesh`,
     /// applying the mesh's already computed `geometry` (shared, not copied).
+    /// Both FPGA variants build the one simulated-board engine
+    /// ([`FpgaSimBackend`]), labelled with this configuration's
+    /// [`Backend::label`].
     ///
     /// # Panics
     /// Panics if an FPGA design does not fit on the configured device, or if
@@ -343,12 +341,13 @@ impl Backend {
                 device,
                 boards,
                 interconnect_gbs,
-            } => Box::new(MultiFpgaBackend::new(
+            } => Box::new(FpgaSimBackend::on_boards(
                 mesh,
                 geometry,
-                device.clone(),
+                device,
                 *boards,
                 *interconnect_gbs,
+                self.label().into_owned(),
             )),
         }
     }
@@ -390,14 +389,14 @@ mod tests {
         assert!(multi.is_simulated());
         assert!(multi.label().contains("4 x"));
         // Display mirrors the label.
-        assert_eq!(format!("{}", Backend::cpu_optimized()), "cpu-optimized");
+        assert_eq!(format!("{}", Backend::cpu_specialized()), "cpu-specialized");
     }
 
     #[test]
     fn cpu_labels_do_not_allocate() {
         for backend in [
             Backend::cpu_reference(),
-            Backend::cpu_optimized(),
+            Backend::cpu_specialized(),
             Backend::cpu_parallel(),
         ] {
             assert!(matches!(backend.label(), Cow::Borrowed(_)));
@@ -445,10 +444,10 @@ mod tests {
 
     #[test]
     fn precond_suffixes_parse_and_print() {
-        let fdm = Backend::from_name("cpu:optimized+fdm").unwrap();
+        let fdm = Backend::from_name("cpu:specialized+fdm").unwrap();
         assert_eq!(fdm.precond, PrecondSpec::Fdm);
-        assert_eq!(fdm.exec, Backend::cpu_optimized().exec);
-        assert_eq!(fdm.name().as_deref(), Some("cpu:optimized+fdm"));
+        assert_eq!(fdm.exec, Backend::cpu_specialized().exec);
+        assert_eq!(fdm.name().as_deref(), Some("cpu:specialized+fdm"));
 
         let none = Backend::from_name("fpga:stratix10-gx2800+none").unwrap();
         assert_eq!(none.precond, PrecondSpec::Identity);
@@ -458,6 +457,32 @@ mod tests {
         let jacobi = Backend::from_name("multi:4x520n+jacobi").unwrap();
         assert_eq!(jacobi.precond, PrecondSpec::Jacobi);
         assert_eq!(jacobi.name().as_deref(), Some("multi:4x520n"));
+    }
+
+    #[test]
+    fn cpu_optimized_is_a_parse_only_alias_of_cpu_specialized() {
+        for suffix in ["", "+fdm", "+none", "+jacobi"] {
+            let alias = Backend::from_name(&format!("cpu:optimized{suffix}"));
+            assert_eq!(
+                alias,
+                Backend::from_name(&format!("cpu:specialized{suffix}")),
+                "{suffix}"
+            );
+        }
+        let fdm = Backend::from_name("cpu:optimized+fdm").unwrap();
+        assert_eq!(
+            fdm,
+            Backend::cpu_specialized().with_precond(PrecondSpec::Fdm)
+        );
+        // The alias canonicalises to the kernel it names and is not a
+        // registry entry of its own.
+        assert_eq!(fdm.name().as_deref(), Some("cpu:specialized+fdm"));
+        assert!(!Backend::registry_names().contains(&"cpu:optimized".to_string()));
+        let cpu = Backend::registry_names()
+            .into_iter()
+            .filter(|name| name.starts_with("cpu:"))
+            .count();
+        assert_eq!(cpu, 3, "one registry entry per CPU kernel selector");
     }
 
     #[test]
@@ -523,16 +548,24 @@ mod tests {
     #[test]
     fn config_labels_match_instantiated_engine_labels() {
         let mesh = BoxMesh::unit_cube(3, 2);
-        for config in [
-            Backend::cpu_parallel(),
-            Backend::fpga_simulated(),
-            Backend::multi_fpga(2),
-        ] {
+        let names = Backend::registry_names()
+            .into_iter()
+            .chain(["multi:1x520n".to_string()]);
+        for name in names {
+            let config = Backend::from_name(&name).unwrap();
             assert_eq!(
                 config.label(),
-                config.instantiate(&mesh, &geometry(&mesh)).label()
+                config.instantiate(&mesh, &geometry(&mesh)).label(),
+                "{name}"
             );
         }
+        // One board through the multi syntax keeps its multi label.
+        let one = Backend::from_name("multi:1x520n").unwrap();
+        assert!(
+            one.label().starts_with("multi-fpga (1 x"),
+            "{}",
+            one.label()
+        );
     }
 
     #[test]

@@ -4,16 +4,15 @@
 //! [`AxBackend`] is the object-safe contract an execution engine has to
 //! satisfy: apply the element-local `Ax` kernel into a preallocated output,
 //! and account for what one application costs (FLOPs, seconds, watts).
-//! Three engines ship with the workspace:
+//! One engine ships per device kind:
 //!
-//! * [`CpuBackend`] — the native host kernels (reference / optimised /
+//! * [`CpuBackend`] — the native host kernels (reference / specialized /
 //!   Rayon-parallel), timed with wall clocks;
-//! * [`FpgaSimBackend`] — one simulated accelerator board
-//!   ([`fpga_sim::FpgaAccelerator`]), reporting simulated kernel seconds and
-//!   board power;
-//! * [`MultiFpgaBackend`] — the element set block-partitioned over several
-//!   simulated boards ([`fpga_sim::MultiBoardAccelerator`]), including the
-//!   interface-exchange overhead.
+//! * [`FpgaSimBackend`] — simulated accelerator boards
+//!   ([`fpga_sim::MultiBoardAccelerator`]): one board, or the element set
+//!   block-partitioned over several identical boards with the
+//!   interface-exchange overhead priced in.  It reports simulated kernel
+//!   seconds and board power.
 //!
 //! `dyn AxBackend` also implements [`sem_solver::LocalOperator`], so a
 //! [`sem_solver::CgSolver`] iterates through any backend unchanged — that is
@@ -21,6 +20,7 @@
 //! instead of beside it.  Configuration (which backend to build, from serde
 //! data or a registry name) lives in [`crate::backend::Backend`].
 
+use crate::backend::DEFAULT_INTERCONNECT_GBS;
 use crate::offload::OffloadPlan;
 use crate::report::PerfSource;
 use fpga_sim::{
@@ -187,7 +187,8 @@ pub trait AxBackend: Send + Sync {
         0
     }
 
-    /// The underlying simulated accelerator, for single-board FPGA backends.
+    /// The underlying simulated accelerator, for single-board FPGA backends
+    /// (`None` when the elements are partitioned over several boards).
     fn fpga_accelerator(&self) -> Option<&FpgaAccelerator> {
         None
     }
@@ -314,9 +315,8 @@ impl CpuBackend {
     pub fn label_of(implementation: AxImplementation) -> &'static str {
         match implementation {
             AxImplementation::Reference => "cpu-reference",
-            AxImplementation::Optimized => "cpu-optimized",
-            AxImplementation::Parallel => "cpu-parallel",
             AxImplementation::Specialized => "cpu-specialized",
+            AxImplementation::Parallel => "cpu-parallel",
         }
     }
 }
@@ -352,26 +352,31 @@ impl AxBackend for CpuBackend {
 }
 
 /// The display label of a single-board simulated-FPGA backend on `device`
-/// (shared by [`FpgaSimBackend`] and `Backend::label`).
+/// (shared by [`FpgaSimBackend::new`] and `Backend::label`).
 #[must_use]
 pub fn fpga_sim_label(device: &FpgaDevice) -> String {
     format!("fpga-sim ({})", device.name)
 }
 
 /// The display label of a `boards`-board simulated-FPGA backend on `device`
-/// (shared by [`MultiFpgaBackend`] and `Backend::label`).
+/// (used by `Backend::label`, which names the engine it instantiates).
 #[must_use]
 pub fn multi_fpga_label(boards: usize, device: &FpgaDevice) -> String {
     format!("multi-fpga ({boards} x {})", device.name)
 }
 
-/// One simulated FPGA accelerator board.
+/// Simulated FPGA boards: one board, or the elements block-partitioned
+/// across several identical boards (one board per rank, Nek5000-style) with
+/// the interface exchange priced over the host interconnect.
 pub struct FpgaSimBackend {
-    accelerator: FpgaAccelerator,
+    multi: MultiBoardAccelerator,
     geometry: Arc<GeometricFactors>,
     seconds_per_application: f64,
-    /// The on-device FDM preconditioner model (pass timing, BRAM fit,
-    /// table bytes) for this problem shape.
+    /// Interface-exchange seconds per application (zero on one board).
+    exchange_seconds: f64,
+    /// On-device FDM model, priced over one board's element share (the pass
+    /// is element-local, so boards run it exchange-free in parallel; the
+    /// small coarse solve is conservatively charged in full per board).
     fdm_model: FdmPrecondModel,
     fdm_seconds: f64,
     fdm_fits: bool,
@@ -380,27 +385,52 @@ pub struct FpgaSimBackend {
 }
 
 impl FpgaSimBackend {
-    /// Synthesise the production design for `mesh.degree()` onto `device`
-    /// and bind it to the mesh's (shared) geometric factors.
+    /// Synthesise the production design for `mesh.degree()` onto one board
+    /// of `device` and bind it to the mesh's (shared) geometric factors.
     ///
     /// # Panics
     /// Panics if the design does not fit on the device.
     #[must_use]
     pub fn new(mesh: &BoxMesh, geometry: Arc<GeometricFactors>, device: FpgaDevice) -> Self {
-        let accelerator = FpgaAccelerator::for_degree(mesh.degree(), &device);
+        let label = fpga_sim_label(&device);
+        Self::on_boards(mesh, geometry, &device, 1, DEFAULT_INTERCONNECT_GBS, label)
+    }
+
+    /// The engine over `boards` copies of `device`, exchanging interface
+    /// data over `interconnect_gbs` GB/s and reporting `label`.  Only
+    /// `boards.min(num_elements)` boards are priced: a board that would
+    /// hold no element neither computes, draws power nor stores tables.
+    ///
+    /// # Panics
+    /// Panics if `boards` is zero or the design does not fit on the device.
+    pub(crate) fn on_boards(
+        mesh: &BoxMesh,
+        geometry: Arc<GeometricFactors>,
+        device: &FpgaDevice,
+        boards: usize,
+        interconnect_gbs: f64,
+        label: String,
+    ) -> Self {
         let num_elements = mesh.num_elements();
-        let seconds_per_application = accelerator.estimate(num_elements).seconds;
+        let multi = MultiBoardAccelerator::new(
+            mesh.degree(),
+            device,
+            boards.min(num_elements),
+            interconnect_gbs,
+        );
+        let estimate = multi.estimate(num_elements);
+        let per_board = estimate.elements_per_board;
         let fdm_model = FdmPrecondModel::new(
             mesh.degree(),
             coarse_space_dofs(mesh.degree(), mesh.element_counts()),
         );
-        let fdm_estimate = fdm_model.estimate(&accelerator, num_elements);
-        let jacobi_seconds = estimate_jacobi_seconds(&accelerator, num_elements);
-        let label = fpga_sim_label(accelerator.device());
+        let fdm_estimate = fdm_model.estimate(multi.accelerator(), per_board);
+        let jacobi_seconds = estimate_jacobi_seconds(multi.accelerator(), per_board);
         Self {
-            accelerator,
+            seconds_per_application: estimate.kernel_seconds + estimate.exchange_seconds,
+            exchange_seconds: estimate.exchange_seconds,
+            multi,
             geometry,
-            seconds_per_application,
             fdm_model,
             fdm_seconds: fdm_estimate.seconds,
             fdm_fits: fdm_estimate.fits,
@@ -409,10 +439,10 @@ impl FpgaSimBackend {
         }
     }
 
-    /// The underlying accelerator.
+    /// The per-board accelerator (identical design on every board).
     #[must_use]
     pub fn accelerator(&self) -> &FpgaAccelerator {
-        &self.accelerator
+        self.multi.accelerator()
     }
 }
 
@@ -426,170 +456,14 @@ impl AxBackend for FpgaSimBackend {
     }
 
     fn apply_into(&self, u: &ElementField, w: &mut ElementField) {
-        self.accelerator.apply_into(u, &self.geometry, w);
-    }
-
-    fn fuses_dssum(&self) -> bool {
-        // The board keeps the field resident, so the gather–scatter runs as
-        // part of the kernel pass instead of a host round trip; the trait's
-        // default `apply_dssum_into` (kernel + CSR sweep) already models
-        // that pass bitwise.
-        true
-    }
-
-    fn flops_per_application(&self) -> u64 {
-        ops::total_flops(self.degree(), self.num_elements())
-    }
-
-    fn dofs_per_application(&self) -> u64 {
-        ops::total_dofs(self.degree(), self.num_elements())
-    }
-
-    fn perf_source(&self) -> PerfSource {
-        PerfSource::Simulated
-    }
-
-    fn simulated_seconds_per_application(&self) -> Option<f64> {
-        Some(self.seconds_per_application)
-    }
-
-    fn simulated_seconds_per_batch(&self, batch: usize) -> Option<f64> {
-        Some(
-            self.accelerator
-                .estimate_batch(self.num_elements(), batch)
-                .seconds,
-        )
-    }
-
-    fn power_watts(&self) -> Option<f64> {
-        Some(self.accelerator.power_watts())
-    }
-
-    fn offload_plan(&self) -> Option<OffloadPlan> {
-        Some(OffloadPlan::new(
-            self.accelerator.design(),
-            self.accelerator.device(),
-            self.num_elements(),
-        ))
-    }
-
-    fn fpga_accelerator(&self) -> Option<&FpgaAccelerator> {
-        Some(&self.accelerator)
-    }
-
-    fn precond_on_device(&self, precond: PrecondSpec) -> bool {
-        match precond {
-            PrecondSpec::Identity => false,
-            PrecondSpec::Jacobi => true,
-            // Claimed only while the FDM tables fit next to the Ax design.
-            PrecondSpec::Fdm => self.fdm_fits,
-        }
-    }
-
-    fn simulated_seconds_per_precond(&self, precond: PrecondSpec) -> Option<f64> {
-        match precond {
-            PrecondSpec::Identity => None,
-            PrecondSpec::Jacobi => Some(self.jacobi_seconds),
-            PrecondSpec::Fdm => self.fdm_fits.then_some(self.fdm_seconds),
-        }
-    }
-
-    fn precond_table_bytes(&self, precond: PrecondSpec) -> u64 {
-        match precond {
-            PrecondSpec::Identity => 0,
-            // The inverse diagonal is a full field, uploaded once per
-            // session.
-            PrecondSpec::Jacobi => ops::total_dofs(self.degree(), self.num_elements()) * 8,
-            PrecondSpec::Fdm => {
-                if self.fdm_fits {
-                    self.fdm_model.table_bytes()
-                } else {
-                    0
-                }
-            }
-        }
-    }
-}
-
-/// Several simulated FPGA boards with the elements block-partitioned across
-/// them (one board per rank, Nek5000-style).
-pub struct MultiFpgaBackend {
-    multi: MultiBoardAccelerator,
-    geometry: Arc<GeometricFactors>,
-    seconds_per_application: f64,
-    /// On-device FDM model, priced over one board's element share (the pass
-    /// is element-local, so boards run it exchange-free in parallel; the
-    /// small coarse solve is conservatively charged in full per board).
-    fdm_model: FdmPrecondModel,
-    fdm_seconds: f64,
-    fdm_fits: bool,
-    jacobi_seconds: f64,
-    label: String,
-}
-
-impl MultiFpgaBackend {
-    /// Synthesise the per-degree design onto `boards` copies of `device`,
-    /// exchanging interface data over `interconnect_gbs` GB/s, and bind it
-    /// to the mesh's (shared) geometric factors.
-    ///
-    /// # Panics
-    /// Panics if `boards` is zero or the design does not fit on the device.
-    #[must_use]
-    pub fn new(
-        mesh: &BoxMesh,
-        geometry: Arc<GeometricFactors>,
-        device: FpgaDevice,
-        boards: usize,
-        interconnect_gbs: f64,
-    ) -> Self {
-        let multi = MultiBoardAccelerator::new(mesh.degree(), &device, boards, interconnect_gbs);
-        let num_elements = mesh.num_elements();
-        let estimate = multi.estimate(num_elements);
-        let seconds_per_application = estimate.kernel_seconds + estimate.exchange_seconds;
-        let per_board = multi.elements_per_board(num_elements);
-        let fdm_model = FdmPrecondModel::new(
-            mesh.degree(),
-            coarse_space_dofs(mesh.degree(), mesh.element_counts()),
-        );
-        let fdm_estimate = fdm_model.estimate(multi.accelerator(), per_board);
-        let jacobi_seconds = estimate_jacobi_seconds(multi.accelerator(), per_board);
-        let label = multi_fpga_label(boards, multi.device());
-        Self {
-            multi,
-            geometry,
-            seconds_per_application,
-            fdm_model,
-            fdm_seconds: fdm_estimate.seconds,
-            fdm_fits: fdm_estimate.fits,
-            jacobi_seconds,
-            label,
-        }
-    }
-
-    /// The underlying multi-board accelerator.
-    #[must_use]
-    pub fn multi_board(&self) -> &MultiBoardAccelerator {
-        &self.multi
-    }
-}
-
-impl AxBackend for MultiFpgaBackend {
-    fn label(&self) -> Cow<'static, str> {
-        Cow::Owned(self.label.clone())
-    }
-
-    fn geometry(&self) -> &Arc<GeometricFactors> {
-        &self.geometry
-    }
-
-    fn apply_into(&self, u: &ElementField, w: &mut ElementField) {
         self.multi.apply_into(u, &self.geometry, w);
     }
 
     fn fuses_dssum(&self) -> bool {
-        // Interior summation happens on each board; the interface exchange
-        // the estimate already charges carries the cross-board sums.  The
-        // trait's default `apply_dssum_into` models the pass bitwise.
+        // The boards keep the field resident, so the gather–scatter runs as
+        // part of the kernel pass instead of a host round trip (cross-board
+        // sums ride the priced interface exchange); the trait's default
+        // `apply_dssum_into` (kernel + CSR sweep) models that pass bitwise.
         true
     }
 
@@ -612,35 +486,35 @@ impl AxBackend for MultiFpgaBackend {
     fn simulated_seconds_per_batch(&self, batch: usize) -> Option<f64> {
         // The kernel launch amortises across the batch; the interface
         // exchange happens once per application regardless.
-        let estimate = self.multi.estimate(self.num_elements());
         let per_board = self.multi.elements_per_board(self.num_elements());
-        let kernel = self
-            .multi
-            .accelerator()
-            .estimate_batch(per_board, batch)
-            .seconds;
-        Some(kernel + estimate.exchange_seconds * batch as f64)
+        let kernel = self.accelerator().estimate_batch(per_board, batch).seconds;
+        Some(kernel + self.exchange_seconds * batch as f64)
     }
 
     fn power_watts(&self) -> Option<f64> {
         // All boards draw power while the partitioned kernel runs.
-        Some(self.multi.accelerator().power_watts() * self.multi.boards() as f64)
+        Some(self.accelerator().power_watts() * self.multi.boards() as f64)
     }
 
     fn offload_plan(&self) -> Option<OffloadPlan> {
         // Each board uploads its own block; the aggregate traffic equals one
         // plan over the full element set.
         Some(OffloadPlan::new(
-            self.multi.accelerator().design(),
-            self.multi.device(),
+            self.accelerator().design(),
+            self.accelerator().device(),
             self.num_elements(),
         ))
+    }
+
+    fn fpga_accelerator(&self) -> Option<&FpgaAccelerator> {
+        (self.multi.boards() == 1).then(|| self.accelerator())
     }
 
     fn precond_on_device(&self, precond: PrecondSpec) -> bool {
         match precond {
             PrecondSpec::Identity => false,
             PrecondSpec::Jacobi => true,
+            // Claimed only while the FDM tables fit next to the Ax design.
             PrecondSpec::Fdm => self.fdm_fits,
         }
     }
@@ -658,15 +532,14 @@ impl AxBackend for MultiFpgaBackend {
     fn precond_table_bytes(&self, precond: PrecondSpec) -> u64 {
         match precond {
             PrecondSpec::Identity => 0,
+            // The inverse diagonal is a full field, uploaded once per
+            // session.
             PrecondSpec::Jacobi => ops::total_dofs(self.degree(), self.num_elements()) * 8,
-            PrecondSpec::Fdm => {
-                if self.fdm_fits {
-                    // Every board holds the (tiny) table set.
-                    self.fdm_model.table_bytes() * self.multi.boards() as u64
-                } else {
-                    0
-                }
+            // Every board holds the (tiny) FDM table set.
+            PrecondSpec::Fdm if self.fdm_fits => {
+                self.fdm_model.table_bytes() * self.multi.boards() as u64
             }
+            PrecondSpec::Fdm => 0,
         }
     }
 }
@@ -674,6 +547,7 @@ impl AxBackend for MultiFpgaBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Backend;
     use sem_solver::LocalOperator;
 
     fn test_mesh(degree: usize) -> BoxMesh {
@@ -684,16 +558,21 @@ mod tests {
         Arc::new(GeometricFactors::from_mesh(mesh))
     }
 
+    /// The engine `Backend::instantiate` builds for `boards` boards.
+    fn multi(mesh: &BoxMesh, device: FpgaDevice, boards: usize) -> Box<dyn AxBackend> {
+        Backend::multi_fpga_on(device, boards, 12.0).instantiate(mesh, &geometry(mesh))
+    }
+
     #[test]
     fn cpu_backend_matches_the_operator_it_wraps() {
         let mesh = test_mesh(4);
-        let backend = CpuBackend::new(&mesh, AxImplementation::Optimized);
+        let backend = CpuBackend::new(&mesh, AxImplementation::Specialized);
         let u = mesh.evaluate(|x, y, z| x * y + z);
         let mut w = ElementField::zeros(4, 8);
         backend.apply_into(&u, &mut w);
         let expect = backend.operator().apply(&u);
         assert_eq!(w.as_slice(), expect.as_slice());
-        assert_eq!(backend.label(), "cpu-optimized");
+        assert_eq!(backend.label(), "cpu-specialized");
         assert_eq!(backend.perf_source(), PerfSource::Measured);
         assert!(backend.simulated_seconds_per_application().is_none());
         assert!(backend.power_watts().is_none());
@@ -721,13 +600,7 @@ mod tests {
             Box::new(CpuBackend::new(&mesh, AxImplementation::Reference)),
             Box::new(CpuBackend::new(&mesh, AxImplementation::Parallel)),
             Box::new(FpgaSimBackend::new(&mesh, geometry(&mesh), device.clone())),
-            Box::new(MultiFpgaBackend::new(
-                &mesh,
-                geometry(&mesh),
-                device,
-                3,
-                12.0,
-            )),
+            multi(&mesh, device, 3),
         ];
         let u = mesh.evaluate(|x, y, z| (2.0 * x).sin() * y + z * z);
         let mut reference: Option<ElementField> = None;
@@ -755,15 +628,9 @@ mod tests {
         let mesh = test_mesh(4);
         let device = FpgaDevice::stratix10_gx2800();
         let backends: Vec<Box<dyn AxBackend>> = vec![
-            Box::new(CpuBackend::new(&mesh, AxImplementation::Optimized)),
+            Box::new(CpuBackend::new(&mesh, AxImplementation::Specialized)),
             Box::new(FpgaSimBackend::new(&mesh, geometry(&mesh), device.clone())),
-            Box::new(MultiFpgaBackend::new(
-                &mesh,
-                geometry(&mesh),
-                device,
-                2,
-                12.0,
-            )),
+            multi(&mesh, device, 2),
         ];
         let us: Vec<ElementField> = (0..3)
             .map(|i| mesh.evaluate(move |x, y, z| ((i + 1) as f64 * x).sin() * y + z))
@@ -783,9 +650,9 @@ mod tests {
     fn accelerator_backends_claim_the_fused_dssum_pass() {
         let mesh = test_mesh(3);
         let device = FpgaDevice::stratix10_gx2800();
-        let cpu = CpuBackend::new(&mesh, AxImplementation::Optimized);
+        let cpu = CpuBackend::new(&mesh, AxImplementation::Specialized);
         let fpga = FpgaSimBackend::new(&mesh, geometry(&mesh), device.clone());
-        let multi = MultiFpgaBackend::new(&mesh, geometry(&mesh), device, 2, 12.0);
+        let multi = multi(&mesh, device, 2);
         assert!(!cpu.fuses_dssum());
         assert!(fpga.fuses_dssum());
         assert!(multi.fuses_dssum());
@@ -806,8 +673,8 @@ mod tests {
         let mesh = test_mesh(7);
         let device = FpgaDevice::stratix10_gx2800();
         let fpga = FpgaSimBackend::new(&mesh, geometry(&mesh), device.clone());
-        let multi = MultiFpgaBackend::new(&mesh, geometry(&mesh), device, 2, 12.0);
-        for backend in [&fpga as &dyn AxBackend, &multi as &dyn AxBackend] {
+        let multi = multi(&mesh, device, 2);
+        for backend in [&fpga as &dyn AxBackend, multi.as_ref()] {
             let single = backend.simulated_seconds_per_application().unwrap();
             let batched = backend.simulated_seconds_per_batch(16).unwrap();
             assert!(
@@ -845,9 +712,13 @@ mod tests {
     fn multi_fpga_power_scales_with_boards() {
         let mesh = test_mesh(7);
         let device = FpgaDevice::stratix10_gx2800();
-        let two = MultiFpgaBackend::new(&mesh, geometry(&mesh), device.clone(), 2, 12.0);
-        let four = MultiFpgaBackend::new(&mesh, geometry(&mesh), device, 4, 12.0);
+        let two = multi(&mesh, device.clone(), 2);
+        let four = multi(&mesh, device, 4);
         assert!((four.power_watts().unwrap() / two.power_watts().unwrap() - 2.0).abs() < 1e-9);
         assert!(four.label().contains("4 x"));
+        assert!(
+            two.fpga_accelerator().is_none(),
+            "partitioned engines expose no single board"
+        );
     }
 }

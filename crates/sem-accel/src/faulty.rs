@@ -189,7 +189,7 @@ mod tests {
 
     fn wrapped(plan: FaultPlan) -> (FaultyBackend, BoxMesh) {
         let mesh = BoxMesh::unit_cube(3, 2);
-        let inner = Box::new(CpuBackend::new(&mesh, AxImplementation::Optimized));
+        let inner = Box::new(CpuBackend::new(&mesh, AxImplementation::Specialized));
         (
             FaultyBackend::new(inner, Arc::new(FaultState::new(plan))),
             mesh,
@@ -199,7 +199,7 @@ mod tests {
     #[test]
     fn healthy_wrapper_is_bitwise_transparent() {
         let (faulty, mesh) = wrapped(FaultPlan::none());
-        let clean = CpuBackend::new(&mesh, AxImplementation::Optimized);
+        let clean = CpuBackend::new(&mesh, AxImplementation::Specialized);
         let u = mesh.evaluate(|x, y, z| x * y + z);
         let mut w_faulty = ElementField::zeros(3, 8);
         let mut w_clean = ElementField::zeros(3, 8);

@@ -9,8 +9,9 @@
 //!
 //! * [`backend::Backend`] — serde-friendly configuration with a string
 //!   registry (`cpu:parallel`, `fpga:stratix10-gx2800`, `multi:4x520n`);
-//! * [`exec`] — the [`AxBackend`] trait plus the shipped engines
-//!   ([`CpuBackend`], [`FpgaSimBackend`], [`MultiFpgaBackend`]); the trait
+//! * [`exec`] — the [`AxBackend`] trait plus one shipped engine per device
+//!   kind ([`CpuBackend`]; [`FpgaSimBackend`], which runs one simulated
+//!   board or several with the elements partitioned across them); the trait
 //!   carries batched ([`AxBackend::apply_many`]) and fused
 //!   ([`AxBackend::apply_dssum_into`]) entry points accelerator engines
 //!   claim, and fallible variants ([`AxBackend::try_apply_into`]) through
@@ -56,7 +57,7 @@ pub mod system;
 
 pub use autotune::{autotune, TuningCandidate, TuningReport};
 pub use backend::{Backend, ExecSpec};
-pub use exec::{solve_fault_of, AxBackend, CpuBackend, FpgaSimBackend, MultiFpgaBackend};
+pub use exec::{solve_fault_of, AxBackend, CpuBackend, FpgaSimBackend};
 pub use faulty::FaultyBackend;
 pub use offload::OffloadPlan;
 pub use report::{PerfSource, PerfSummary};

@@ -132,10 +132,11 @@ impl SemSystemBuilder {
         let implementation = match &self.backend.exec {
             ExecSpec::Cpu(implementation) => *implementation,
             // Accelerator backends still need a host operator for RHS
-            // assembly, preconditioning and verification.  `Optimized`
-            // auto-upgrades to the specialized family on covered degrees,
-            // the same kernel the simulated datapath runs.
-            ExecSpec::FpgaSimulated(_) | ExecSpec::MultiFpga { .. } => AxImplementation::Optimized,
+            // assembly, preconditioning and verification: the specialized
+            // kernel, the same one the simulated datapath runs.
+            ExecSpec::FpgaSimulated(_) | ExecSpec::MultiFpga { .. } => {
+                AxImplementation::Specialized
+            }
         };
         let problem = PoissonProblem::with_geometry(mesh, geometry, implementation);
         // Preconditioner setup (for FDM: eigendecompositions plus the
@@ -340,7 +341,8 @@ impl SemSystem {
         self.problem.mask()
     }
 
-    /// The simulated accelerator, if the backend is a single FPGA board.
+    /// The simulated accelerator, if the backend is a single FPGA board
+    /// (`fpga:<slug>` or `multi:1x<slug>`).
     #[must_use]
     pub fn accelerator(&self) -> Option<&FpgaAccelerator> {
         self.execution.fpga_accelerator()
@@ -675,7 +677,6 @@ mod tests {
     fn backend_and_host_problem_share_one_geometry_copy() {
         for name in [
             "cpu:reference",
-            "cpu:optimized",
             "cpu:specialized",
             "cpu:parallel",
             "fpga:stratix10-gx2800",
@@ -720,7 +721,7 @@ mod tests {
         let system = SemSystem::builder()
             .degree(3)
             .elements([2, 2, 2])
-            .backend(Backend::cpu_optimized())
+            .backend(Backend::cpu_specialized())
             .build();
         let s = system.benchmark_operator(5);
         assert_eq!(s.applications, 5);
@@ -749,7 +750,7 @@ mod tests {
         let system = SemSystem::builder()
             .degree(6)
             .elements([2, 2, 2])
-            .backend(Backend::cpu_optimized())
+            .backend(Backend::cpu_specialized())
             .build();
         let sol = system.solve_manufactured(CgOptions {
             max_iterations: 2000,
@@ -782,7 +783,7 @@ mod tests {
         let cpu = SemSystem::builder()
             .degree(5)
             .elements([2, 2, 2])
-            .backend(Backend::cpu_optimized())
+            .backend(Backend::cpu_specialized())
             .build();
         let fpga = SemSystem::builder()
             .degree(5)
@@ -930,7 +931,7 @@ mod tests {
         let cpu = SemSystem::builder()
             .degree(5)
             .elements([2, 2, 2])
-            .backend(Backend::cpu_optimized())
+            .backend(Backend::cpu_specialized())
             .build();
         let cpu_reports = cpu.solve_many_manufactured(4, options);
         for report in &cpu_reports {
@@ -949,7 +950,7 @@ mod tests {
         let system = SemSystem::builder()
             .degree(4)
             .elements([2, 2, 2])
-            .backend(Backend::cpu_optimized())
+            .backend(Backend::cpu_specialized())
             .build();
         let rhss: Vec<_> = (0..5)
             .map(|i| {
@@ -978,7 +979,7 @@ mod tests {
         let system = SemSystem::builder()
             .degree(3)
             .elements([2, 2, 2])
-            .backend(Backend::cpu_optimized())
+            .backend(Backend::cpu_specialized())
             .build();
         assert!(system.solve_many(&[], CgOptions::default()).is_empty());
     }

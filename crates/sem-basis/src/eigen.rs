@@ -24,7 +24,7 @@ const MAX_SWEEPS: usize = 64;
 ///
 /// # Panics
 /// Panics if `a` is not square or the sweep fails to converge (which cannot
-/// happen for finite symmetric input within [`MAX_SWEEPS`]).
+/// happen for finite symmetric input within `MAX_SWEEPS` sweeps).
 #[must_use]
 pub fn symmetric_eigen(a: &DenseMatrix) -> (Vec<f64>, DenseMatrix) {
     assert_eq!(a.rows(), a.cols(), "matrix must be square");

@@ -3,7 +3,7 @@
 //! This crate provides the one-dimensional building blocks of the Spectral
 //! Element Method (SEM) used throughout the workspace:
 //!
-//! * [`legendre`] — Legendre polynomials \(P_N\) and their derivatives,
+//! * [`legendre`](mod@legendre) — Legendre polynomials \(P_N\) and their derivatives,
 //!   evaluated with the three-term Bonnet recurrence.
 //! * [`quadrature`] — Gauss–Legendre and Gauss–Lobatto–Legendre (GLL)
 //!   quadrature nodes and weights.  GLL points are the collocation points of

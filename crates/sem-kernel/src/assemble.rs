@@ -136,7 +136,7 @@ mod tests {
     #[test]
     fn diagonal_is_positive_on_valid_meshes() {
         let mesh = BoxMesh::unit_cube(5, 2);
-        let op = PoissonOperator::new(&mesh, AxImplementation::Optimized);
+        let op = PoissonOperator::new(&mesh, AxImplementation::Specialized);
         let diag = operator_diagonal(&op);
         assert!(diag.as_slice().iter().all(|&v| v > 0.0));
     }

@@ -122,7 +122,7 @@ mod tests {
 
     fn setup(degree: usize, lambda: f64) -> (BoxMesh, HelmholtzOperator) {
         let mesh = BoxMesh::unit_cube(degree, 2);
-        let poisson = PoissonOperator::new(&mesh, AxImplementation::Optimized);
+        let poisson = PoissonOperator::new(&mesh, AxImplementation::Specialized);
         (mesh, HelmholtzOperator::new(poisson, lambda))
     }
 

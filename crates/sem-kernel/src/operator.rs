@@ -20,15 +20,13 @@ use std::sync::Arc;
 pub enum AxImplementation {
     /// Listing-1 port on the interleaved layout (ground truth).
     Reference,
-    /// Split-layout, cache-blocked kernel.
+    /// The split-layout kernel through [`crate::specialized::ax_split`]: the
+    /// degree-specialized const-generic family (`NX = N + 1` compile-time)
+    /// on `3..=15`, the bitwise-identical generic kernel outside it.
     #[default]
-    Optimized,
+    Specialized,
     /// The [`Self::Specialized`] kernel fanned out over elements with Rayon.
     Parallel,
-    /// Degree-specialized const-generic kernel (`NX = N + 1` compile-time,
-    /// see [`crate::specialized`]); bitwise identical to [`Self::Optimized`]
-    /// and falls back to it when the degree is outside `3..=15`.
-    Specialized,
 }
 
 /// The matrix-free local Poisson operator bound to a mesh.
@@ -46,14 +44,14 @@ pub struct PoissonOperator {
 }
 
 /// Resolve the specialized dispatch for an implementation/degree pair:
-/// `Specialized` and `Parallel` ask for it explicitly, and `Optimized`
-/// auto-upgrades (bitwise-identical results) when the degree is covered.
+/// every non-reference implementation resolves it when the degree is
+/// covered.
 fn resolve_dispatch(implementation: AxImplementation, degree: usize) -> Option<DegreeDispatch> {
     match implementation {
-        AxImplementation::Optimized
-        | AxImplementation::Specialized
-        | AxImplementation::Parallel => DegreeDispatch::for_degree(degree),
         AxImplementation::Reference => None,
+        AxImplementation::Specialized | AxImplementation::Parallel => {
+            DegreeDispatch::for_degree(degree)
+        }
     }
 }
 
@@ -119,8 +117,8 @@ impl PoissonOperator {
     }
 
     /// The specialized kernel family serving this operator, when one is
-    /// resolved (`Optimized` auto-upgrades on covered degrees; `None` means
-    /// the generic path runs).
+    /// resolved (`None` means the reference kernel, an off-range degree or a
+    /// pinned generic path runs).
     #[must_use]
     pub fn dispatch(&self) -> Option<&DegreeDispatch> {
         self.dispatch.as_ref()
@@ -217,19 +215,19 @@ mod tests {
             .for_each(|v| *v = rng.gen_range(-1.0..1.0));
 
         let w_ref = op.apply(&u);
-        op.set_implementation(AxImplementation::Optimized);
-        let w_opt = op.apply(&u);
+        op.set_implementation(AxImplementation::Specialized);
+        let w_spec = op.apply(&u);
         op.set_implementation(AxImplementation::Parallel);
         let w_par = op.apply(&u);
 
         for ((a, b), c) in w_ref
             .as_slice()
             .iter()
-            .zip(w_opt.as_slice())
+            .zip(w_spec.as_slice())
             .zip(w_par.as_slice())
         {
             assert!((a - b).abs() < 1e-11 * (1.0 + a.abs()));
-            assert_eq!(b, c, "optimized and parallel are bitwise identical");
+            assert_eq!(b, c, "specialized and parallel are bitwise identical");
         }
     }
 
@@ -251,10 +249,11 @@ mod tests {
     }
 
     #[test]
-    fn optimized_auto_upgrades_on_covered_degrees_only() {
-        let covered = PoissonOperator::new(&BoxMesh::unit_cube(7, 1), AxImplementation::Optimized);
+    fn specialized_resolves_on_covered_degrees_only() {
+        let covered =
+            PoissonOperator::new(&BoxMesh::unit_cube(7, 1), AxImplementation::Specialized);
         assert!(covered.dispatch().is_some());
-        let low = PoissonOperator::new(&BoxMesh::unit_cube(2, 1), AxImplementation::Optimized);
+        let low = PoissonOperator::new(&BoxMesh::unit_cube(2, 1), AxImplementation::Specialized);
         assert!(low.dispatch().is_none());
         let reference =
             PoissonOperator::new(&BoxMesh::unit_cube(7, 1), AxImplementation::Reference);
@@ -272,9 +271,10 @@ mod tests {
             .iter_mut()
             .for_each(|v| *v = rng.gen_range(-1.0..1.0));
         let w_spec = op.apply(&u);
-        op.set_implementation(AxImplementation::Optimized);
-        let w_opt = op.apply(&u);
-        assert_eq!(w_spec.as_slice(), w_opt.as_slice());
+        op.set_implementation(AxImplementation::Parallel);
+        assert!(op.dispatch().is_none(), "the Rayon fan-out falls back too");
+        let w_par = op.apply(&u);
+        assert_eq!(w_spec.as_slice(), w_par.as_slice());
     }
 
     #[test]
@@ -294,14 +294,14 @@ mod tests {
         op.set_implementation(AxImplementation::Reference);
         let reference = PoissonOperator::new(&mesh, AxImplementation::Reference);
         assert_eq!(op.apply(&u).as_slice(), reference.apply(&u).as_slice());
-        op.set_implementation(AxImplementation::Optimized);
+        op.set_implementation(AxImplementation::Specialized);
         assert!(op.interleaved.is_none(), "leaving Reference drops the copy");
     }
 
     #[test]
     fn accounting_matches_closed_forms() {
         let mesh = BoxMesh::unit_cube(7, 2);
-        let op = PoissonOperator::new(&mesh, AxImplementation::Optimized);
+        let op = PoissonOperator::new(&mesh, AxImplementation::Specialized);
         assert_eq!(op.dofs_per_application(), 8 * 512);
         assert_eq!(op.flops_per_application(), 8 * 512 * 111);
         assert_eq!(op.bytes_per_application(), 8 * 512 * 64);
@@ -311,7 +311,7 @@ mod tests {
     #[should_panic(expected = "degree mismatch")]
     fn rejects_wrong_degree_field() {
         let mesh = BoxMesh::unit_cube(3, 1);
-        let op = PoissonOperator::new(&mesh, AxImplementation::Optimized);
+        let op = PoissonOperator::new(&mesh, AxImplementation::Specialized);
         let u = ElementField::zeros(4, 1);
         let _ = op.apply(&u);
     }

@@ -16,8 +16,9 @@
 //!   floating-point operations in the *same* order as its generic
 //!   counterpart (`ax_element_split`, `fdm_element_apply`, the coarse
 //!   `rcontract_*` chain); only the trip counts are compile-time.  Results
-//!   are therefore bitwise identical, and the `cpu:optimized` backend can
-//!   auto-upgrade to the specialized path without perturbing any solve.
+//!   are therefore bitwise identical, and every non-reference
+//!   [`crate::AxImplementation`] runs the specialized path on covered
+//!   degrees without perturbing any solve.
 //! * **Fixed-size, allocation-free scratch.**  Element scratch is
 //!   `[f64; NX·NX·NX]`-backed (six banks, one per intermediate plane —
 //!   mirroring the accelerator's BRAM banks), boxed once per thread and

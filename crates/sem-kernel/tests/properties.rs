@@ -33,7 +33,7 @@ fn operator_is_linear() {
         let b = rng.gen_range(-3.0..3.0);
         let seed = random_seed(&mut rng, 1.0);
         let mesh = BoxMesh::unit_cube(degree, 2);
-        let op = PoissonOperator::new(&mesh, AxImplementation::Optimized);
+        let op = PoissonOperator::new(&mesh, AxImplementation::Specialized);
         let u = random_field(degree, 8, &seed);
         let mut v = random_field(degree, 8, &seed);
         v.as_mut_slice().iter_mut().for_each(|x| *x = x.cos());
@@ -71,7 +71,7 @@ fn operator_is_symmetric() {
             [1.0, 1.3, 0.8],
             MeshDeformation::Sinusoidal { amplitude },
         );
-        let op = PoissonOperator::new(&mesh, AxImplementation::Optimized);
+        let op = PoissonOperator::new(&mesh, AxImplementation::Specialized);
         let u = random_field(degree, 2, &seed_u);
         let v = random_field(degree, 2, &seed_v);
         let au = op.apply(&u);
@@ -101,7 +101,7 @@ fn operator_is_positive_semidefinite() {
     }
 }
 
-/// Reference and optimised kernels agree on deformed meshes of any degree.
+/// Reference and specialized kernels agree on deformed meshes of any degree.
 #[test]
 fn implementations_agree() {
     let mut rng = StdRng::seed_from_u64(24);
@@ -118,18 +118,18 @@ fn implementations_agree() {
         let mut op = PoissonOperator::new(&mesh, AxImplementation::Reference);
         let u = random_field(degree, 4, &seed);
         let w_ref = op.apply(&u);
-        op.set_implementation(AxImplementation::Optimized);
-        let w_opt = op.apply(&u);
+        op.set_implementation(AxImplementation::Specialized);
+        let w_spec = op.apply(&u);
         op.set_implementation(AxImplementation::Parallel);
         let w_par = op.apply(&u);
         for i in 0..u.len() {
             assert!(
-                (w_ref.as_slice()[i] - w_opt.as_slice()[i]).abs()
+                (w_ref.as_slice()[i] - w_spec.as_slice()[i]).abs()
                     < 1e-10 * (1.0 + w_ref.as_slice()[i].abs()),
                 "degree {degree}, dof {i}"
             );
             assert_eq!(
-                w_opt.as_slice()[i],
+                w_spec.as_slice()[i],
                 w_par.as_slice()[i],
                 "degree {degree}, dof {i}: parallel must be bitwise identical"
             );

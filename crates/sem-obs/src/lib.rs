@@ -7,7 +7,7 @@
 //! capacity plan and a guess.  This crate is the workspace's observability
 //! layer, threaded through every other crate:
 //!
-//! * [`recorder`] — a global [`Recorder`] handle in front of preallocated
+//! * [`recorder`](mod@recorder) — a global [`Recorder`] handle in front of preallocated
 //!   per-thread event rings.  Disabled, every call is one relaxed
 //!   `AtomicBool` load; enabled, recording a [`SpanEvent`] is a
 //!   fixed-size write into storage sized up front (no allocation — proven

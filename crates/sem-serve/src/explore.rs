@@ -1,7 +1,7 @@
 //! Loom-style bounded schedule exploration of the serving worker pool.
 //!
 //! The vendored crossbeam primitives route every queue operation through
-//! [`crossbeam::sched::yield_point`]; this module installs a [`Scheduler`]
+//! crossbeam's internal `sched::yield_point`; this module installs a [`Scheduler`]
 //! that *serializes* the worker pool of [`run_stealing`]: every controlled
 //! thread parks at each yield point, and a central arbiter picks which
 //! thread runs next.  The whole interleaving then becomes a pure function of

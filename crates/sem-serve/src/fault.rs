@@ -425,7 +425,7 @@ mod tests {
         let system = sem_accel::SemSystem::builder()
             .degree(4)
             .elements([2, 2, 2])
-            .backend(Backend::cpu_optimized())
+            .backend(Backend::cpu_specialized())
             .build();
         let rhs = system.problem().manufactured_rhs();
         let report = system

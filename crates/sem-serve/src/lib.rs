@@ -50,7 +50,7 @@
 //! use sem_serve::{ArrivalStream, LiveOptions, ProblemSpec, ServeOptions, ServeRequest, Server};
 //!
 //! let mut server = Server::from_registry_names(
-//!     &["cpu:optimized", "fpga:stratix10-gx2800"],
+//!     &["cpu:specialized", "fpga:stratix10-gx2800"],
 //!     ServeOptions {
 //!         max_batch: 4,
 //!         ..ServeOptions::default()

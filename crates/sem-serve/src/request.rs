@@ -153,7 +153,7 @@ mod tests {
         let system = SemSystem::builder()
             .degree(spec.degree)
             .elements(spec.elements)
-            .backend(Backend::cpu_optimized())
+            .backend(Backend::cpu_specialized())
             .build();
         let a = ServeRequest::seeded(spec, 1).assemble_rhs(&system);
         let b = ServeRequest::seeded(spec, 1).assemble_rhs(&system);

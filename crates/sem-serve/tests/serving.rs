@@ -149,7 +149,7 @@ fn non_default_links_price_both_accountings_consistently() {
 
 #[test]
 fn overlap_disabled_timeline_bitwise_matches_solve_report_accounting() {
-    for backend in [Backend::fpga_simulated(), Backend::cpu_optimized()] {
+    for backend in [Backend::fpga_simulated(), Backend::cpu_specialized()] {
         let system = SemSystem::builder()
             .degree(4)
             .elements([2, 2, 2])

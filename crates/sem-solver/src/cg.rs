@@ -672,7 +672,7 @@ mod tests {
         elems: usize,
     ) -> (BoxMesh, PoissonOperator, GatherScatter, DirichletMask) {
         let mesh = BoxMesh::unit_cube(degree, elems);
-        let op = PoissonOperator::new(&mesh, AxImplementation::Optimized);
+        let op = PoissonOperator::new(&mesh, AxImplementation::Specialized);
         let gs = GatherScatter::from_mesh(&mesh);
         let mask = DirichletMask::from_mesh(&mesh);
         (mesh, op, gs, mask)

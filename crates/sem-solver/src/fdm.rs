@@ -666,7 +666,7 @@ mod tests {
         elems: usize,
     ) -> (BoxMesh, PoissonOperator, GatherScatter, DirichletMask) {
         let mesh = BoxMesh::unit_cube(degree, elems);
-        let op = PoissonOperator::new(&mesh, AxImplementation::Optimized);
+        let op = PoissonOperator::new(&mesh, AxImplementation::Specialized);
         let gs = GatherScatter::from_mesh(&mesh);
         let mask = DirichletMask::from_mesh(&mesh);
         (mesh, op, gs, mask)
@@ -809,7 +809,7 @@ mod tests {
             [1.0; 3],
             MeshDeformation::Sinusoidal { amplitude: 0.04 },
         );
-        let op = PoissonOperator::new(&mesh, AxImplementation::Optimized);
+        let op = PoissonOperator::new(&mesh, AxImplementation::Specialized);
         let gs = GatherScatter::from_mesh(&mesh);
         let mask = DirichletMask::from_mesh(&mesh);
         let options = CgOptions {

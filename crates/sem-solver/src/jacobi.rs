@@ -87,7 +87,7 @@ mod tests {
     #[test]
     fn inverse_diagonal_is_positive_in_the_interior() {
         let mesh = BoxMesh::unit_cube(4, 2);
-        let op = PoissonOperator::new(&mesh, AxImplementation::Optimized);
+        let op = PoissonOperator::new(&mesh, AxImplementation::Specialized);
         let gs = GatherScatter::from_mesh(&mesh);
         let mask = DirichletMask::from_mesh(&mesh);
         let pc = JacobiPreconditioner::new(&op, &gs, &mask);
@@ -112,7 +112,7 @@ mod tests {
     fn jacobi_reduces_iteration_count() {
         let degree = 6;
         let mesh = BoxMesh::unit_cube(degree, 2);
-        let op = PoissonOperator::new(&mesh, AxImplementation::Optimized);
+        let op = PoissonOperator::new(&mesh, AxImplementation::Specialized);
         let gs = GatherScatter::from_mesh(&mesh);
         let mask = DirichletMask::from_mesh(&mesh);
         let solver = CgSolver::new(
@@ -149,7 +149,7 @@ mod tests {
     #[test]
     fn preconditioned_solution_matches_plain_solution() {
         let mesh = BoxMesh::unit_cube(3, 2);
-        let op = PoissonOperator::new(&mesh, AxImplementation::Optimized);
+        let op = PoissonOperator::new(&mesh, AxImplementation::Specialized);
         let gs = GatherScatter::from_mesh(&mesh);
         let mask = DirichletMask::from_mesh(&mesh);
         let solver = CgSolver::new(&op, &gs, &mask, CgOptions::default());

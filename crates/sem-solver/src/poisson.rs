@@ -352,7 +352,7 @@ mod tests {
 
     fn solve(degree: usize, elems: usize, precond: PrecondSpec) -> PoissonSolution {
         let mesh = BoxMesh::unit_cube(degree, elems);
-        let problem = PoissonProblem::new(mesh, AxImplementation::Optimized);
+        let problem = PoissonProblem::new(mesh, AxImplementation::Specialized);
         problem.solve_manufactured(
             CgOptions {
                 max_iterations: 3000,
@@ -389,7 +389,7 @@ mod tests {
     #[test]
     fn rhs_is_masked_and_continuous() {
         let mesh = BoxMesh::unit_cube(4, 2);
-        let problem = PoissonProblem::new(mesh, AxImplementation::Optimized);
+        let problem = PoissonProblem::new(mesh, AxImplementation::Specialized);
         let rhs = problem.right_hand_side(|x, y, z| x + y + z);
         assert!(problem.gather_scatter().is_continuous(&rhs, 1e-12));
         let mut masked = rhs.clone();

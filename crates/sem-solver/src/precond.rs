@@ -2,7 +2,7 @@
 //! plain serde-friendly data.
 //!
 //! [`PrecondSpec`] is the configuration half (it travels inside backend
-//! registry strings like `cpu:optimized+fdm` — see `sem-accel`);
+//! registry strings like `cpu:specialized+fdm` — see `sem-accel`);
 //! [`AnyPreconditioner`] is the runtime half, a concrete instance built by
 //! [`crate::PoissonProblem::preconditioner`] that dispatches to the
 //! identity, Jacobi or FDM implementation without boxing.

@@ -134,7 +134,7 @@ mod tests {
             degree: 4,
             elements: [2, 2, 2],
             cg_iterations: 10,
-            implementation: AxImplementation::Optimized,
+            implementation: AxImplementation::Specialized,
             precond: PrecondSpec::Jacobi,
         };
         let result = config.run();

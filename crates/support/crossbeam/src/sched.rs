@@ -1,7 +1,7 @@
 //! A pluggable schedule hook for systematic concurrency testing.
 //!
 //! Every queue operation in [`crate::deque`] and [`crate::channel`] passes
-//! through [`yield_point`] before it touches shared state.  In production no
+//! through `yield_point` before it touches shared state.  In production no
 //! scheduler is installed and the call is a single relaxed atomic load — the
 //! hook exists so a loom-style explorer (see `sem_serve::explore`) can
 //! serialize a pool of worker threads and drive them through chosen

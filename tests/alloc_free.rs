@@ -60,7 +60,7 @@ fn solver_options(max_iterations: usize) -> CgOptions {
 #[test]
 fn cg_iterations_perform_no_heap_allocations_with_a_shared_scratch() {
     let mesh = BoxMesh::unit_cube(4, 2);
-    let operator = PoissonOperator::new(&mesh, AxImplementation::Optimized);
+    let operator = PoissonOperator::new(&mesh, AxImplementation::Specialized);
     let gather_scatter = GatherScatter::from_mesh(&mesh);
     let mask = DirichletMask::from_mesh(&mesh);
     let preconditioner = JacobiPreconditioner::new(&operator, &gather_scatter, &mask);

@@ -12,7 +12,7 @@ use std::sync::Arc;
 fn parity_backends() -> Vec<Backend> {
     [
         "cpu:reference",
-        "cpu:optimized",
+        "cpu:specialized",
         "cpu:parallel",
         "fpga:stratix10-gx2800",
         "multi:2x520n",
@@ -89,7 +89,7 @@ fn solves_converge_identically_on_cpu_and_fpga_backends() {
             .build()
     };
 
-    let cpu = build(Backend::cpu_optimized()).solve(options);
+    let cpu = build(Backend::cpu_specialized()).solve(options);
     let fpga = build(Backend::fpga_simulated()).solve(options);
     let multi = build(Backend::multi_fpga(2)).solve(options);
 

@@ -98,7 +98,7 @@ fn proxy_driver_uses_exactly_the_advertised_flops() {
         degree: 5,
         elements: [2, 2, 2],
         cg_iterations: 7,
-        implementation: AxImplementation::Optimized,
+        implementation: AxImplementation::Specialized,
         precond: PrecondSpec::Identity,
     };
     let result = config.run();
@@ -139,7 +139,7 @@ fn gather_scatter_and_mask_commute_with_the_kernel_symmetry() {
 
     let degree = 4;
     let mesh = BoxMesh::unit_cube(degree, 2);
-    let op = semfpga::kernel::PoissonOperator::new(&mesh, AxImplementation::Optimized);
+    let op = semfpga::kernel::PoissonOperator::new(&mesh, AxImplementation::Specialized);
     let gs = GatherScatter::from_mesh(&mesh);
     let mask = DirichletMask::from_mesh(&mesh);
     let solver = CgSolver::new(&op, &gs, &mask, CgOptions::default());

@@ -200,17 +200,20 @@ fn fdm_improves_the_modeled_fpga_end_to_end_seconds() {
 
 #[test]
 fn builder_precond_and_name_suffix_agree() {
-    let by_name = system("cpu:optimized+fdm", 3, 2);
+    let by_name = system("cpu:specialized+fdm", 3, 2);
     let by_builder = SemSystem::builder()
         .degree(3)
         .elements([2; 3])
-        .backend(Backend::cpu_optimized())
+        .backend(Backend::cpu_specialized())
         .precond(PrecondSpec::Fdm)
         .build();
     assert_eq!(by_name.backend(), by_builder.backend());
     assert_eq!(by_builder.precond_spec(), PrecondSpec::Fdm);
     assert_eq!(
         by_builder.backend().name().as_deref(),
-        Some("cpu:optimized+fdm")
+        Some("cpu:specialized+fdm")
     );
+    // The folded `cpu:optimized` name still parses, to the same config.
+    let by_alias = system("cpu:optimized+fdm", 3, 2);
+    assert_eq!(by_alias.backend(), by_builder.backend());
 }

@@ -71,7 +71,7 @@ fn assembled_operator_energy_is_nonnegative() {
             [1.0, 0.8, 1.3],
             semfpga::mesh::MeshDeformation::None,
         );
-        let op = PoissonOperator::new(&mesh, AxImplementation::Optimized);
+        let op = PoissonOperator::new(&mesh, AxImplementation::Specialized);
         let gs = GatherScatter::from_mesh(&mesh);
         let mask = DirichletMask::from_mesh(&mesh);
         let mut u = ElementField::zeros(degree, mesh.num_elements());
