@@ -20,13 +20,14 @@ pub struct GatherScatter {
     num_global: usize,
     /// How many local copies each *local* node has (its global multiplicity).
     multiplicity: Vec<f64>,
-    /// CSR offsets into [`GatherScatter::csr_locals`]: the local copies of
-    /// global node `g` are `csr_locals[csr_offsets[g]..csr_offsets[g + 1]]`,
-    /// in ascending local order.
-    csr_offsets: Vec<usize>,
-    /// Local indices grouped by their global node (the inverse of
-    /// `local_to_global`, in CSR form).
-    csr_locals: Vec<usize>,
+    /// CSR offsets into [`GatherScatter::shared_locals`]: the local copies
+    /// of the `s`-th shared global node are
+    /// `shared_locals[shared_offsets[s]..shared_offsets[s + 1]]`.
+    shared_offsets: Vec<usize>,
+    /// Local indices of every global node with more than one copy, grouped
+    /// by global node (ascending) and ascending within a group.  Single-copy
+    /// nodes (element interiors) need no summation and are left out.
+    shared_locals: Vec<usize>,
 }
 
 impl GatherScatter {
@@ -41,20 +42,29 @@ impl GatherScatter {
         }
         let multiplicity = local_to_global.iter().map(|&g| counts[g] as f64).collect();
 
-        // Invert local→global into a CSR global→locals map so dssum can run
-        // as one gather-accumulate-scatter sweep without a global work vector.
-        let mut csr_offsets = vec![0_usize; num_global + 1];
-        for g in 0..num_global {
-            csr_offsets[g + 1] = csr_offsets[g] + counts[g];
+        // Invert local→global into a CSR map over the shared global nodes
+        // only, so dssum is one gather-accumulate-scatter sweep that never
+        // visits an unshared node and needs no global work vector.
+        // `next[g]` is where the next copy of shared node `g` goes.
+        let mut next = vec![0_usize; num_global];
+        let mut shared_offsets = vec![0_usize];
+        let mut total = 0;
+        for (g, &count) in counts.iter().enumerate() {
+            if count > 1 {
+                next[g] = total;
+                total += count;
+                shared_offsets.push(total);
+            }
         }
-        let mut next = csr_offsets[..num_global].to_vec();
-        let mut csr_locals = vec![0_usize; local_to_global.len()];
-        // Filling in ascending local order keeps each global node's copies
-        // sorted, so the CSR sweep accumulates in the same order as the
-        // legacy scatter/gather path (bitwise-identical sums).
+        let mut shared_locals = vec![0_usize; total];
+        // Filling in ascending local order keeps each node's copies sorted,
+        // so the sweep accumulates in the same order as scatter-add then
+        // gather (bitwise-identical sums).
         for (l, &g) in local_to_global.iter().enumerate() {
-            csr_locals[next[g]] = l;
-            next[g] += 1;
+            if counts[g] > 1 {
+                shared_locals[next[g]] = l;
+                next[g] += 1;
+            }
         }
 
         Self {
@@ -63,8 +73,8 @@ impl GatherScatter {
             local_to_global,
             num_global,
             multiplicity,
-            csr_offsets,
-            csr_locals,
+            shared_offsets,
+            shared_locals,
         }
     }
 
@@ -112,21 +122,17 @@ impl GatherScatter {
     /// Direct stiffness summation `QQᵀ`: sum shared nodes and write the sum
     /// back to every copy.  This is the "dssum" of Nek5000/Nekbone.
     ///
-    /// Runs as a single sweep over the precomputed CSR global→locals map —
-    /// gather each global node's copies, accumulate, scatter the sum back —
-    /// with no intermediate global vector, so a CG iteration performs no
-    /// heap allocation here.  Bitwise identical to
-    /// [`GatherScatter::direct_stiffness_sum_via_global`].
+    /// Runs as a single sweep over the precomputed CSR map of the *shared*
+    /// global nodes — gather each one's copies, accumulate in ascending local
+    /// order, scatter the sum back — with no intermediate global vector, so
+    /// a CG iteration performs no heap allocation here.  Unshared nodes
+    /// (element interiors) already hold their sum and are never visited.
+    /// Bitwise identical to `gather(&scatter_add(field))`.
     pub fn direct_stiffness_sum(&self, field: &mut ElementField) {
         assert_eq!(field.len(), self.num_local_dofs(), "field size mismatch");
         let data = field.as_mut_slice();
-        for g in 0..self.num_global {
-            let locals = &self.csr_locals[self.csr_offsets[g]..self.csr_offsets[g + 1]];
-            // Nodes with a single copy (element interiors, the vast majority)
-            // are already "summed".
-            if locals.len() == 1 {
-                continue;
-            }
+        for bounds in self.shared_offsets.windows(2) {
+            let locals = &self.shared_locals[bounds[0]..bounds[1]];
             let mut sum = 0.0;
             for &l in locals {
                 sum += data[l];
@@ -134,16 +140,6 @@ impl GatherScatter {
             for &l in locals {
                 data[l] = sum;
             }
-        }
-    }
-
-    /// The legacy two-pass dssum: scatter-add into a freshly allocated global
-    /// vector, then gather back.  Retained as the reference the CSR sweep is
-    /// parity-tested against (and for callers that want the global vector).
-    pub fn direct_stiffness_sum_via_global(&self, field: &mut ElementField) {
-        let global = self.scatter_add(field);
-        for (l, &g) in self.local_to_global.iter().enumerate() {
-            field.as_mut_slice()[l] = global[g];
         }
     }
 
@@ -243,9 +239,20 @@ mod tests {
 
     #[test]
     fn csr_dssum_matches_the_legacy_global_vector_path_bitwise() {
-        for (degree, elems) in [(2, 2), (3, 3), (5, 2)] {
-            let (mesh, gs) = setup(degree, elems);
-            let mut field = ElementField::zeros(degree, mesh.num_elements());
+        let deformed = BoxMesh::new(
+            4,
+            [2, 3, 2],
+            [1.0, 1.2, 0.9],
+            MeshDeformation::Sinusoidal { amplitude: 0.05 },
+        );
+        let meshes = [(2, 2), (3, 3), (5, 2)]
+            .map(|(degree, elems)| BoxMesh::unit_cube(degree, elems))
+            .into_iter()
+            .chain([deformed]);
+        for mesh in meshes {
+            let gs = GatherScatter::from_mesh(&mesh);
+            let (degree, elems) = (mesh.degree(), mesh.num_elements());
+            let mut field = ElementField::zeros(degree, elems);
             let mut state = 0x9e37_79b9_u64;
             field.fill_with(|_, _, _, _| {
                 state = state
@@ -253,14 +260,13 @@ mod tests {
                     .wrapping_add(1);
                 (state >> 11) as f64 / (1_u64 << 53) as f64 - 0.5
             });
-            let mut csr = field.clone();
-            let mut legacy = field;
+            let legacy = gs.gather(&gs.scatter_add(&field));
+            let mut csr = field;
             gs.direct_stiffness_sum(&mut csr);
-            gs.direct_stiffness_sum_via_global(&mut legacy);
             assert_eq!(
                 csr.as_slice(),
                 legacy.as_slice(),
-                "CSR sweep must be bitwise identical at degree {degree}, {elems}^3 elements"
+                "CSR sweep must be bitwise identical at degree {degree}, {elems} elements"
             );
         }
     }

@@ -9,12 +9,19 @@ use crate::field::ElementField;
 use crate::mesh::BoxMesh;
 use serde::{Deserialize, Serialize};
 
-/// A 0/1 mask over the local degrees of freedom (0 on the Dirichlet boundary).
+/// The Dirichlet mask over the local degrees of freedom: the boundary
+/// (constrained) local indices, zeroed by [`DirichletMask::apply`].
+///
+/// Only the constrained indices are stored (13,256 of 110,592 local dofs at
+/// N = 7 on 6³ elements), so masking touches the boundary copies and leaves
+/// the free values unread — the same bits as multiplying the whole field by
+/// a dense 0/1 mask, without streaming it.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct DirichletMask {
     degree: usize,
     num_elements: usize,
-    mask: Vec<f64>,
+    /// Constrained local indices, ascending.
+    constrained: Vec<usize>,
 }
 
 impl DirichletMask {
@@ -22,16 +29,16 @@ impl DirichletMask {
     #[must_use]
     pub fn from_mesh(mesh: &BoxMesh) -> Self {
         let nx = mesh.points_per_direction();
-        let mut mask = Vec::with_capacity(mesh.num_local_dofs());
+        let mut constrained = Vec::new();
+        let mut l = 0;
         for e in 0..mesh.num_elements() {
             for k in 0..nx {
                 for j in 0..nx {
                     for i in 0..nx {
-                        mask.push(if mesh.is_boundary_node(e, i, j, k) {
-                            0.0
-                        } else {
-                            1.0
-                        });
+                        if mesh.is_boundary_node(e, i, j, k) {
+                            constrained.push(l);
+                        }
+                        l += 1;
                     }
                 }
             }
@@ -39,7 +46,7 @@ impl DirichletMask {
         Self {
             degree: mesh.degree(),
             num_elements: mesh.num_elements(),
-            mask,
+            constrained,
         }
     }
 
@@ -50,40 +57,38 @@ impl DirichletMask {
         Self {
             degree,
             num_elements,
-            mask: vec![1.0; sem_basis::dofs_per_element(degree) * num_elements],
+            constrained: Vec::new(),
         }
+    }
+
+    fn num_local_dofs(&self) -> usize {
+        sem_basis::dofs_per_element(self.degree) * self.num_elements
     }
 
     /// Apply the mask in place: boundary values are zeroed.
+    ///
+    /// Multiplies each constrained value by `0.0` (not a store of `0.0`), so
+    /// the result is bitwise the dense `v *= m` over a 0/1 mask: the sign of
+    /// a zero product and NaN from ±inf are kept, and free values are
+    /// untouched exactly as `v * 1.0` leaves them.
     pub fn apply(&self, field: &mut ElementField) {
-        assert_eq!(field.len(), self.mask.len(), "field size mismatch");
-        for (v, &m) in field.as_mut_slice().iter_mut().zip(&self.mask) {
-            *v *= m;
+        assert_eq!(field.len(), self.num_local_dofs(), "field size mismatch");
+        let data = field.as_mut_slice();
+        for &l in &self.constrained {
+            data[l] *= 0.0;
         }
-    }
-
-    /// The raw mask values (1 = free, 0 = constrained).
-    #[must_use]
-    pub fn as_slice(&self) -> &[f64] {
-        &self.mask
-    }
-
-    /// The mask as an [`ElementField`].
-    #[must_use]
-    pub fn as_field(&self) -> ElementField {
-        ElementField::from_vec(self.degree, self.num_elements, self.mask.clone())
     }
 
     /// Number of constrained (boundary) local degrees of freedom.
     #[must_use]
     pub fn num_constrained(&self) -> usize {
-        self.mask.iter().filter(|&&m| m == 0.0).count()
+        self.constrained.len()
     }
 
     /// Number of free local degrees of freedom.
     #[must_use]
     pub fn num_free(&self) -> usize {
-        self.mask.len() - self.num_constrained()
+        self.num_local_dofs() - self.num_constrained()
     }
 }
 
@@ -130,6 +135,50 @@ mod tests {
         mask.apply(&mut f);
         assert!(f.as_slice().iter().all(|&v| v == 3.0));
         assert_eq!(mask.num_constrained(), 0);
+    }
+
+    #[test]
+    fn index_mask_matches_the_dense_multiply_bitwise() {
+        let mesh = BoxMesh::unit_cube(3, 2);
+        let mask = DirichletMask::from_mesh(&mesh);
+        let special = [
+            -0.0,
+            0.0,
+            -2.5,
+            7.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            -1e-300,
+        ];
+        let mut field = ElementField::zeros(3, 8);
+        let mut next = 0;
+        field.fill_with(|e, i, j, k| {
+            if mesh.is_boundary_node(e, i, j, k) {
+                next += 1;
+                special[next % special.len()]
+            } else {
+                (e + i) as f64 - 0.5 * (j * k) as f64
+            }
+        });
+        let mut dense_mask = ElementField::zeros(3, 8);
+        dense_mask.fill_with(|e, i, j, k| {
+            if mesh.is_boundary_node(e, i, j, k) {
+                0.0
+            } else {
+                1.0
+            }
+        });
+        let mut dense = field.clone();
+        dense.pointwise_mul(&dense_mask);
+        mask.apply(&mut field);
+        let bits = |f: &ElementField| f.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&field), bits(&dense));
+        // -0.0 and negative finite values stay negative zeros; ±inf become NaN.
+        assert!(field.as_slice().iter().any(|v| v.is_nan()));
+        assert!(field
+            .as_slice()
+            .iter()
+            .any(|v| *v == 0.0 && v.is_sign_negative()));
     }
 
     #[test]

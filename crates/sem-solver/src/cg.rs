@@ -4,6 +4,15 @@
 //! storage, every operator application is followed by direct stiffness
 //! summation and Dirichlet masking, and all inner products are weighted by the
 //! inverse node multiplicity so each unique grid point is counted once.
+//!
+//! Outside the operator application every iteration is memory-bound, so
+//! the updates after the step length run as one fused sweep: `x += αp`,
+//! `r −= αw` and `‖r‖²` together, plus `z = d ⊙ r` and `r·z` when the
+//! preconditioner is a pointwise scale (Jacobi; see
+//! [`Preconditioner::pointwise_inverse`]).  Every product keeps its
+//! association and every sum its left-to-right order from `-0.0`, so the
+//! iterates are bitwise those of the unfused call sequence
+//! (`axpy`, `dot_weighted`, `apply_into`, mask).
 
 use sem_kernel::PoissonOperator;
 use sem_mesh::{DirichletMask, ElementField, GatherScatter};
@@ -200,7 +209,10 @@ pub struct CgOutcome {
     /// Seconds attributed to preconditioner applications: the
     /// preconditioner's own (e.g. on-device simulated) accounting when it
     /// has one (see [`Preconditioner::seconds_per_application`]), measured
-    /// wall-clock otherwise.
+    /// wall-clock otherwise.  A measured pointwise preconditioner runs
+    /// inside the fused update sweep after the first application, so each
+    /// later application is charged that whole sweep's wall time (the
+    /// `x`/`r` updates and both reductions included).
     pub precond_seconds: f64,
     /// The backend fault that aborted the solve, if any.  A faulted
     /// outcome never converged and its partial iterate must not be
@@ -232,6 +244,15 @@ pub trait Preconditioner {
     /// on-device and prices it with its cycle model.  `None` means the
     /// solver measures wall-clock time instead.
     fn seconds_per_application(&self) -> Option<f64> {
+        None
+    }
+
+    /// The finite inverse `d` of a pointwise (diagonal) preconditioner:
+    /// [`Preconditioner::apply_into`] must compute exactly `z_i = r_i * d_i`.
+    /// The CG loop then forms `z` and `r·z` inside its fused update sweep
+    /// instead of calling `apply_into`, masking and reducing separately.
+    /// `None` (the default) keeps the separate passes.
+    fn pointwise_inverse(&self) -> Option<&ElementField> {
         None
     }
 
@@ -460,6 +481,15 @@ impl<'a, Op: LocalOperator + ?Sized> CgSolver<'a, Op> {
     /// solution (cloned out of the scratch on exit) and, when
     /// `record_history` is set, the residual history.
     ///
+    /// Each iteration streams the fields once for `p·Ap`, once for the fused
+    /// update sweep (`x`, `r`, `‖r‖²`, and for a pointwise preconditioner
+    /// `z` and `r·z` — see [`Preconditioner::pointwise_inverse`]) and once
+    /// for the new search direction; any other preconditioner is applied,
+    /// masked and reduced after the sweep.  When the sweep converges, the
+    /// `z` it formed is discarded and not counted as an application, so
+    /// `precond_applications`, modelled `precond_seconds` and the
+    /// `PrecondApply` spans are those of the unfused sequence.
+    ///
     /// # Panics
     /// Panics if `rhs` or `scratch` do not match the operator's degree and
     /// element count.
@@ -513,6 +543,11 @@ impl<'a, Op: LocalOperator + ?Sized> CgSolver<'a, Op> {
             Scope::ScheduleDependent
         };
 
+        // `r` starts masked and every `w` is masked, so `r` stays ±0 on the
+        // constrained nodes, and so does `z = r ⊙ d` for any finite `d`: the
+        // mask after a pointwise preconditioner changes no bit, and the
+        // fused sweep leaves it out.
+        let pointwise = precond.pointwise_inverse();
         let mut precond_applications = 0_usize;
         let mut precond_seconds = 0.0_f64;
         precond_seconds += Self::apply_precond_into(precond, &scratch.r, &mut scratch.z, 0.0);
@@ -557,10 +592,20 @@ impl<'a, Op: LocalOperator + ?Sized> CgSolver<'a, Op> {
                 break;
             }
             let alpha = rz / pw;
-            scratch.x.axpy(alpha, &scratch.p);
-            scratch.r.axpy(-alpha, &scratch.w);
+            let sweep_start = obs.stamp(operator_seconds + precond_seconds);
+            let timer = WallTimer::start();
+            let (rr, fused_rz) = update_sweep(
+                alpha,
+                &scratch.p,
+                &scratch.w,
+                &self.inverse_multiplicity,
+                &mut scratch.x,
+                &mut scratch.r,
+                pointwise.map(|inverse| (inverse, &mut scratch.z)),
+            );
+            let sweep_seconds = timer.elapsed_wall_seconds();
 
-            let r_norm = self.inner_product(&scratch.r, &scratch.r).sqrt();
+            let r_norm = rr.sqrt();
             rel_res = r_norm / b_norm;
             if self.options.record_history {
                 history.push(rel_res);
@@ -575,15 +620,25 @@ impl<'a, Op: LocalOperator + ?Sized> CgSolver<'a, Op> {
                 break;
             }
 
-            precond_seconds += Self::apply_precond_into(
-                precond,
-                &scratch.r,
-                &mut scratch.z,
-                operator_seconds + precond_seconds,
-            );
+            let rz_new = if pointwise.is_some() {
+                precond_seconds += Self::charge_precond(
+                    precond,
+                    sweep_start,
+                    sweep_seconds,
+                    operator_seconds + precond_seconds,
+                );
+                fused_rz
+            } else {
+                precond_seconds += Self::apply_precond_into(
+                    precond,
+                    &scratch.r,
+                    &mut scratch.z,
+                    operator_seconds + precond_seconds,
+                );
+                self.mask.apply(&mut scratch.z);
+                self.inner_product(&scratch.r, &scratch.z)
+            };
             precond_applications += 1;
-            self.mask.apply(&mut scratch.z);
-            let rz_new = self.inner_product(&scratch.r, &scratch.z);
             let beta = rz_new / rz;
             rz = rz_new;
             // p = z + beta p
@@ -629,41 +684,105 @@ impl<'a, Op: LocalOperator + ?Sized> CgSolver<'a, Op> {
         z: &mut ElementField,
         accumulated_seconds: f64,
     ) -> f64 {
+        let span_start = recorder().stamp(accumulated_seconds);
+        let timer = WallTimer::start();
+        precond.apply_into(r, z);
+        Self::charge_precond(
+            precond,
+            span_start,
+            timer.elapsed_wall_seconds(),
+            accumulated_seconds,
+        )
+    }
+
+    /// Charge one preconditioner application that started at `span_start`
+    /// and took `measured` wall seconds: record its `PrecondApply` span and
+    /// return its cost — the preconditioner's own accounting when it has
+    /// one, `measured` otherwise.
+    fn charge_precond<P: Preconditioner + ?Sized>(
+        precond: &P,
+        span_start: f64,
+        measured: f64,
+        accumulated_seconds: f64,
+    ) -> f64 {
+        let (seconds, scope) = match precond.seconds_per_application() {
+            Some(seconds) => (seconds, Scope::Deterministic),
+            None => (measured, Scope::ScheduleDependent),
+        };
         let obs = recorder();
-        match precond.seconds_per_application() {
-            Some(seconds) => {
-                let span_start = obs.stamp(accumulated_seconds);
-                precond.apply_into(r, z);
-                let span_end = obs.stamp(accumulated_seconds + seconds);
-                obs.record(SpanEvent::new(
-                    SpanKind::PrecondApply,
-                    Scope::Deterministic,
-                    span_start,
-                    span_end,
-                ));
-                seconds
+        let span_end = obs.stamp(accumulated_seconds + seconds);
+        obs.record(SpanEvent::new(
+            SpanKind::PrecondApply,
+            scope,
+            span_start,
+            span_end,
+        ));
+        seconds
+    }
+}
+
+/// The fused CG update sweep after the step length `alpha`: `x += αp`,
+/// `r −= αw` and `‖r‖²_W`, plus — given a pointwise inverse `d` and the
+/// output `z` — `z = r ⊙ d` and `r·z_W`.  Returns `(‖r‖²_W, r·z_W)`, the
+/// second `-0.0` without a pointwise inverse.
+///
+/// Bitwise the unfused sequence `x.axpy(α, p)`, `r.axpy(−α, w)`,
+/// `r.dot_weighted(r, W)`, `apply_into`, `r.dot_weighted(z, W)`: each
+/// product keeps its association (`(a * b) * w`), each sum folds left from
+/// `-0.0` as `Iterator::sum` does, and nothing is fused into an FMA.
+// lint: alloc-free (runs once per CG iteration over caller scratch)
+fn update_sweep(
+    alpha: f64,
+    p: &ElementField,
+    w: &ElementField,
+    weight: &ElementField,
+    x: &mut ElementField,
+    r: &mut ElementField,
+    pointwise: Option<(&ElementField, &mut ElementField)>,
+) -> (f64, f64) {
+    let n = x.len();
+    assert!(
+        r.len() == n && p.len() == n && w.len() == n && weight.len() == n,
+        "field size mismatch"
+    );
+    let neg_alpha = -alpha;
+    let streams = x
+        .as_mut_slice()
+        .iter_mut()
+        .zip(r.as_mut_slice())
+        .zip(p.as_slice().iter().zip(w.as_slice()).zip(weight.as_slice()));
+    let mut rr = -0.0;
+    let mut rz = -0.0;
+    match pointwise {
+        None => {
+            for ((x, r), ((&p, &w), &weight)) in streams {
+                *x += alpha * p;
+                *r += neg_alpha * w;
+                rr += *r * *r * weight;
             }
-            None => {
-                let span_start = obs.stamp(accumulated_seconds);
-                let timer = WallTimer::start();
-                precond.apply_into(r, z);
-                let seconds = timer.elapsed_wall_seconds();
-                let span_end = obs.stamp(accumulated_seconds + seconds);
-                obs.record(SpanEvent::new(
-                    SpanKind::PrecondApply,
-                    Scope::ScheduleDependent,
-                    span_start,
-                    span_end,
-                ));
-                seconds
+        }
+        Some((inverse, z)) => {
+            assert!(
+                inverse.len() == n && z.len() == n,
+                "pointwise inverse size mismatch"
+            );
+            let pointwise = z.as_mut_slice().iter_mut().zip(inverse.as_slice());
+            for (((x, r), ((&p, &w), &weight)), (z, &d)) in streams.zip(pointwise) {
+                *x += alpha * p;
+                *r += neg_alpha * w;
+                rr += *r * *r * weight;
+                *z = *r * d;
+                rz += *r * *z * weight;
             }
         }
     }
+    (rr, rz)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::precond::AnyPreconditioner;
     use sem_kernel::AxImplementation;
     use sem_mesh::BoxMesh;
 
@@ -761,6 +880,155 @@ mod tests {
             assert_eq!(reused.iterations, fresh.iterations);
             assert_eq!(reused.residual_history, fresh.residual_history);
             assert!(reused.converged);
+        }
+    }
+
+    /// What the bit-for-bit comparison reads off a solve.
+    #[derive(Debug, PartialEq)]
+    struct Trace {
+        solution_bits: Vec<u64>,
+        iterations: usize,
+        residual_history: Vec<f64>,
+        precond_applications: usize,
+        precond_seconds: Option<f64>,
+    }
+
+    impl Trace {
+        fn of(outcome: &CgOutcome, modeled: bool) -> Self {
+            Self {
+                solution_bits: outcome
+                    .solution
+                    .as_slice()
+                    .iter()
+                    .map(|v| v.to_bits())
+                    .collect(),
+                iterations: outcome.iterations,
+                residual_history: outcome.residual_history.clone(),
+                precond_applications: outcome.precond_applications,
+                precond_seconds: modeled.then_some(outcome.precond_seconds),
+            }
+        }
+    }
+
+    /// The unfused CG call sequence through public calls only: one
+    /// `axpy`, `dot_weighted`, `apply_into` and mask per step.
+    fn unfused_cg<P: Preconditioner>(
+        solver: &CgSolver<'_>,
+        mask: &DirichletMask,
+        rhs: &ElementField,
+        precond: &P,
+    ) -> Trace {
+        let options = solver.options();
+        let mut x = ElementField::zeros(rhs.degree(), rhs.num_elements());
+        let mut r = rhs.clone();
+        mask.apply(&mut r);
+        let b_norm = solver.inner_product(&r, &r).sqrt();
+        let mut z = precond.apply(&r);
+        let mut precond_applications = 1;
+        let mut precond_seconds = 0.0;
+        precond_seconds += precond.seconds_per_application().unwrap_or(0.0);
+        mask.apply(&mut z);
+        let mut p = z.clone();
+        let mut rz = solver.inner_product(&r, &z);
+        let mut residual_history = Vec::new();
+        let mut iterations = 0;
+        for iter in 0..options.max_iterations {
+            iterations = iter + 1;
+            let w = solver.apply_operator(&p);
+            let pw = solver.inner_product(&p, &w);
+            if pw <= 0.0 {
+                break;
+            }
+            let alpha = rz / pw;
+            x.axpy(alpha, &p);
+            r.axpy(-alpha, &w);
+            let rel_res = solver.inner_product(&r, &r).sqrt() / b_norm;
+            residual_history.push(rel_res);
+            if rel_res < options.tolerance {
+                break;
+            }
+            precond.apply_into(&r, &mut z);
+            precond_applications += 1;
+            precond_seconds += precond.seconds_per_application().unwrap_or(0.0);
+            mask.apply(&mut z);
+            let rz_new = solver.inner_product(&r, &z);
+            let beta = rz_new / rz;
+            rz = rz_new;
+            p.scale_add(beta, &z);
+        }
+        Trace {
+            solution_bits: x.as_slice().iter().map(|v| v.to_bits()).collect(),
+            iterations,
+            residual_history,
+            precond_applications,
+            precond_seconds: precond.seconds_per_application().map(|_| precond_seconds),
+        }
+    }
+
+    #[test]
+    fn fused_loop_matches_the_unfused_call_sequence_bitwise() {
+        use crate::fdm::FdmPreconditioner;
+        use crate::jacobi::JacobiPreconditioner;
+        use sem_mesh::MeshDeformation;
+
+        let deformed = BoxMesh::new(
+            3,
+            [2, 3, 2],
+            [1.0, 1.2, 0.9],
+            MeshDeformation::Sinusoidal { amplitude: 0.05 },
+        );
+        let cases = [
+            (BoxMesh::unit_cube(4, 2), true),
+            // No Dirichlet boundary: the singular Neumann system, run to
+            // the iteration cap if it does not converge.
+            (deformed, false),
+        ];
+        for (mesh, dirichlet) in cases {
+            let (degree, elements) = (mesh.degree(), mesh.num_elements());
+            let op = PoissonOperator::new(&mesh, AxImplementation::Specialized);
+            let gs = GatherScatter::from_mesh(&mesh);
+            let boundary = DirichletMask::from_mesh(&mesh);
+            let none = DirichletMask::none(degree, elements);
+            let mask = if dirichlet { &boundary } else { &none };
+            let options = CgOptions {
+                max_iterations: 60,
+                tolerance: 1e-9,
+                record_history: true,
+            };
+            let solver = CgSolver::new(&op, &gs, mask, options);
+            let mut x_exact = mesh.evaluate(|x, y, z| (x * (1.0 - x)) * (2.0 * y).sin() + z * z);
+            mask.apply(&mut x_exact);
+            let rhs = solver.apply_operator(&x_exact);
+
+            let jacobi = JacobiPreconditioner::new(&op, &gs, mask);
+            let preconditioners = [
+                (
+                    "identity",
+                    AnyPreconditioner::Identity(IdentityPreconditioner),
+                ),
+                ("jacobi", AnyPreconditioner::Jacobi(jacobi.clone())),
+                (
+                    "modelled jacobi",
+                    AnyPreconditioner::Jacobi(jacobi.with_modeled_seconds(1.5e-4)),
+                ),
+                // Built without the solver's boundary: its inverse does not
+                // vanish on the constrained nodes, but the residual does.
+                (
+                    "jacobi, other mask",
+                    AnyPreconditioner::Jacobi(JacobiPreconditioner::new(&op, &gs, &none)),
+                ),
+                (
+                    "fdm",
+                    AnyPreconditioner::Fdm(Box::new(FdmPreconditioner::new(&mesh, &op, &gs, mask))),
+                ),
+            ];
+            for (label, precond) in &preconditioners {
+                let modeled = precond.seconds_per_application().is_some();
+                let fused = Trace::of(&solver.solve(&rhs, precond), modeled);
+                let reference = unfused_cg(&solver, mask, &rhs, precond);
+                assert!(reference.iterations > 3, "{label}: too short to compare");
+                assert_eq!(fused, reference, "{label}, dirichlet {dirichlet}");
+            }
         }
     }
 

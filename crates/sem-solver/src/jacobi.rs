@@ -66,14 +66,24 @@ impl JacobiPreconditioner {
 }
 
 impl Preconditioner for JacobiPreconditioner {
-    // lint: alloc-free (runs once per CG iteration against caller scratch)
+    // lint: alloc-free (the CG loop's first application and any unfused
+    // caller; one pass against caller scratch)
     fn apply_into(&self, r: &ElementField, z: &mut ElementField) {
-        z.copy_from(r);
-        z.pointwise_mul(&self.inverse_diagonal);
+        assert_eq!(r.len(), z.len(), "field size mismatch");
+        let d = self.inverse_diagonal.as_slice();
+        assert_eq!(r.len(), d.len(), "inverse diagonal size mismatch");
+        for ((z, &r), &d) in z.as_mut_slice().iter_mut().zip(r.as_slice()).zip(d) {
+            *z = r * d;
+        }
     }
 
     fn seconds_per_application(&self) -> Option<f64> {
         self.modeled_seconds
+    }
+
+    /// The masked, finite inverse diagonal: `apply_into` is `z = r ⊙ d`.
+    fn pointwise_inverse(&self) -> Option<&ElementField> {
+        Some(&self.inverse_diagonal)
     }
 }
 

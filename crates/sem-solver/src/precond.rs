@@ -131,6 +131,14 @@ impl Preconditioner for AnyPreconditioner {
             Self::Fdm(p) => p.seconds_per_application(),
         }
     }
+
+    fn pointwise_inverse(&self) -> Option<&ElementField> {
+        match self {
+            Self::Identity(p) => p.pointwise_inverse(),
+            Self::Jacobi(p) => p.pointwise_inverse(),
+            Self::Fdm(p) => p.pointwise_inverse(),
+        }
+    }
 }
 
 #[cfg(test)]
