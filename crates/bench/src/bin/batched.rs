@@ -18,7 +18,7 @@
 use bench::table::{fmt, TableWriter};
 use sem_accel::{Backend, PerfSource, SemSystem};
 use sem_kernel::specialized::{MAX_DEGREE, MIN_DEGREE};
-use sem_kernel::AxImplementation;
+use sem_kernel::{AxImplementation, DegreeDispatch};
 use sem_mesh::{BoxMesh, ElementField, MeshDeformation};
 use sem_solver::{CgOptions, PoissonProblem, PrecondSpec};
 use serde::Serialize;
@@ -71,6 +71,9 @@ struct DegreeRow {
     /// Vector width of the generated kernel at this degree (the same
     /// structural constant `fpga_sim` derives its design unroll from).
     unroll: usize,
+    /// Instruction set the specialized family ran at on this host (`avx2`
+    /// or `baseline`); the generic kernel always runs at the baseline.
+    isa: String,
     /// Per-RHS operator seconds through the pinned generic kernel.
     generic_per_rhs_operator_seconds: f64,
     /// Per-RHS operator seconds through the specialized dispatch.
@@ -152,6 +155,10 @@ fn sweep_degrees(per_side: usize) -> Vec<DegreeRow> {
             elements_per_side: per_side,
             iterations,
             unroll: sem_kernel::kernel_structure(degree).map_or(1, |structure| structure.unroll),
+            isa: specialized
+                .dispatch()
+                .map_or("generic", DegreeDispatch::isa)
+                .to_string(),
             generic_per_rhs_operator_seconds: generic_seconds,
             specialized_per_rhs_operator_seconds: specialized_seconds,
             speedup: generic_seconds / specialized_seconds.max(f64::MIN_POSITIVE),
@@ -255,6 +262,7 @@ fn main() {
     let mut sweep_table = TableWriter::new(vec![
         "N",
         "unroll",
+        "isa",
         "iters",
         "generic op/RHS (ms)",
         "specialized op/RHS (ms)",
@@ -265,6 +273,7 @@ fn main() {
         sweep_table.row(vec![
             row.degree.to_string(),
             row.unroll.to_string(),
+            row.isa.clone(),
             row.iterations.to_string(),
             fmt(row.generic_per_rhs_operator_seconds * 1e3, 3),
             fmt(row.specialized_per_rhs_operator_seconds * 1e3, 3),

@@ -74,12 +74,6 @@ impl DenseMatrix {
         &self.data
     }
 
-    /// Consume the matrix and return its row-major storage.
-    #[must_use]
-    pub fn into_vec(self) -> Vec<f64> {
-        self.data
-    }
-
     /// A single row as a slice.
     #[must_use]
     pub fn row(&self, i: usize) -> &[f64] {

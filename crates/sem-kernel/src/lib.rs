@@ -39,7 +39,9 @@
 //! preconditioning.
 
 #![deny(missing_docs)]
-#![forbid(unsafe_code)]
+// `deny`, not `forbid`: one `#[allow(unsafe_code)]` block calls the AVX2
+// instantiation of the specialized kernels, behind runtime detection.
+#![deny(unsafe_code)]
 
 pub mod assemble;
 pub mod fdm;

@@ -63,7 +63,7 @@ impl AxScratch {
 // Index-based loops deliberately mirror the paper's Listing 1 structure and
 // keep the stride arithmetic explicit for the strength-reduced inner loops.
 #[allow(clippy::needless_range_loop)]
-fn ax_element_split(
+pub(crate) fn ax_element_split(
     u: &[f64],
     w: &mut [f64],
     g: [&[f64]; 6],

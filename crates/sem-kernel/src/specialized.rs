@@ -10,15 +10,16 @@
 //! monomorphized kernel family per hot degree `N = 3..=15`, generated from a
 //! single const-generic contraction core with `NX = N + 1` baked in.
 //!
-//! Three properties are contractual:
+//! Four properties are contractual:
 //!
 //! * **Bitwise parity.**  Every specialized kernel performs the *same*
-//!   floating-point operations in the *same* order as its generic
-//!   counterpart (`ax_element_split`, `fdm_element_apply`, the coarse
-//!   `rcontract_*` chain); only the trip counts are compile-time.  Results
-//!   are therefore bitwise identical, and every non-reference
-//!   [`crate::AxImplementation`] runs the specialized path on covered
-//!   degrees without perturbing any solve.
+//!   floating-point operations, summing each output in the *same* order, as
+//!   its generic counterpart (`ax_element_split`, `fdm_element_apply`, the
+//!   coarse `rcontract_*` chain); only the trip counts are compile-time and
+//!   the `Ax` r-direction loops are interchanged.  Results are therefore
+//!   bitwise identical, and every non-reference [`crate::AxImplementation`]
+//!   runs the specialized path on covered degrees without perturbing any
+//!   solve.
 //! * **Fixed-size, allocation-free scratch.**  Element scratch is
 //!   `[f64; NX·NX·NX]`-backed (six banks, one per intermediate plane —
 //!   mirroring the accelerator's BRAM banks), boxed once per thread and
@@ -26,6 +27,15 @@
 //! * **One dispatch.**  [`DegreeDispatch::for_degree`] resolves the whole
 //!   kernel family once at session/backend setup; out-of-range degrees get
 //!   `None` and callers fall back to the generic path.
+//! * **One ISA dispatch.**  The family is one generic core compiled twice:
+//!   for the build target (SSE2 on default x86-64 builds) and, through a
+//!   `#[target_feature(enable = "avx2")]` trampoline, for 256-bit AVX2.
+//!   `for_degree` picks the AVX2 instantiation when the running host
+//!   reports AVX2 and the baseline one otherwise, so `Ax` runs at the
+//!   host's vector width with no option, feature flag or rebuild.  Both
+//!   give the same bits: Rust never contracts `a * b + c` into a fused
+//!   multiply-add, the cores call no `mul_add` (`sem-lint` bans it here),
+//!   and `fma` is not enabled.
 //!
 //! The generated kernels also export their structural constants
 //! ([`KernelStructure`]): the unroll width of the unit-stride inner
@@ -135,11 +145,18 @@ impl<const NPTS: usize> SpecScratch<NPTS> {
 
 /// One element's `w = Dᵀ G D u` with `NX` as a compile-time constant.
 ///
-/// Mirrors the generic `ax_element_split` operation for operation
-/// (same loops, same accumulation order — results are bitwise identical);
-/// the const trip counts let LLVM fully unroll the `0..NX` dot products and
-/// elide the bounds checks against the fixed-size scratch.
+/// Performs the generic `ax_element_split`'s multiply-adds in the same
+/// per-output order, so results are bitwise identical.  The loops differ
+/// only in the r-direction and its transpose: the generic kernel runs one
+/// scalar dot product per output, while this core keeps a whole row's `NX`
+/// outputs in a register-resident `[f64; NX]`, reading `Dᵀ` rows forward
+/// (and `D` rows in the transpose), the paper's unroll across the outputs
+/// of the unit-stride dimension.  Each output still sums left to right from
+/// 0.0, which requires `dt` to be exactly the transpose of `d`.  The const
+/// trip counts let LLVM fully unroll the `0..NX` loops and elide the bounds
+/// checks against the fixed-size scratch.
 #[allow(clippy::needless_range_loop)] // mirrors the generic kernel's explicit stride arithmetic
+#[inline(always)]
 fn ax_element_core<const NX: usize, const NPTS: usize>(
     u: &[f64],
     w: &mut [f64],
@@ -162,23 +179,23 @@ fn ax_element_core<const NX: usize, const NPTS: usize>(
         let ur = &mut scratch.ur;
         let us = &mut scratch.us;
         let ut = &mut scratch.ut;
-        ur.iter_mut().for_each(|v| *v = 0.0);
         us.iter_mut().for_each(|v| *v = 0.0);
         ut.iter_mut().for_each(|v| *v = 0.0);
 
-        // r-direction: for each (j,k) row, small dense mat-vec.
+        // r-direction: for each (j,k) row, all NX outputs at once.
         for k in 0..NX {
             for j in 0..NX {
                 let row = j * NX + k * nxy;
-                for i in 0..NX {
-                    let mut acc = 0.0;
-                    let drow = &d[i * NX..(i + 1) * NX];
-                    let urow = &u[row..row + NX];
-                    for l in 0..NX {
-                        acc += drow[l] * urow[l];
+                let urow = &u[row..row + NX];
+                let mut acc = [0.0; NX];
+                for l in 0..NX {
+                    let dtrow = &dt[l * NX..(l + 1) * NX];
+                    let ul = urow[l];
+                    for i in 0..NX {
+                        acc[i] += dtrow[i] * ul;
                     }
-                    ur[i + row] = acc;
                 }
+                ur[row..row + NX].copy_from_slice(&acc);
             }
         }
         // s-direction.
@@ -217,20 +234,21 @@ fn ax_element_core<const NX: usize, const NPTS: usize>(
         scratch.shut[p] = g[2][p] * ur + g[4][p] * us + g[5][p] * ut;
     }
 
-    // w = D^T_r shur + D^T_s shus + D^T_t shut.
-    w.iter_mut().for_each(|v| *v = 0.0);
+    // w = D^T_r shur + D^T_s shus + D^T_t shut; the r pass writes every
+    // entry, so neither `w` nor `ur` needs zeroing first.
     for k in 0..NX {
         for j in 0..NX {
             let row = j * NX + k * nxy;
-            for i in 0..NX {
-                let mut acc = 0.0;
-                let dtrow = &dt[i * NX..(i + 1) * NX];
-                let srow = &scratch.shur[row..row + NX];
-                for l in 0..NX {
-                    acc += dtrow[l] * srow[l];
+            let srow = &scratch.shur[row..row + NX];
+            let mut acc = [0.0; NX];
+            for l in 0..NX {
+                let drow = &d[l * NX..(l + 1) * NX];
+                let sl = srow[l];
+                for i in 0..NX {
+                    acc[i] += drow[i] * sl;
                 }
-                w[i + row] = acc;
             }
+            w[row..row + NX].copy_from_slice(&acc);
         }
     }
     for k in 0..NX {
@@ -261,6 +279,7 @@ fn ax_element_core<const NX: usize, const NPTS: usize>(
 
 /// The whole-field element loop over [`ax_element_core`] (the specialized
 /// mirror of [`crate::optimized::ax_optimized_with`]).
+#[inline(always)]
 fn ax_field_core<const NX: usize, const NPTS: usize>(
     u: &[f64],
     w: &mut [f64],
@@ -292,6 +311,7 @@ fn ax_field_core<const NX: usize, const NPTS: usize>(
 /// Square x-contraction with const trip counts (mirrors
 /// [`crate::fdm::rcontract_x`] at `rows = cols = d2 = d3 = NX`).
 #[allow(clippy::needless_range_loop)] // mirrors the generic kernel's explicit stride arithmetic
+#[inline(always)]
 fn contract_x_core<const NX: usize>(m: &[f64], u: &[f64], out: &mut [f64]) {
     for p in 0..NX * NX {
         let urow = &u[p * NX..(p + 1) * NX];
@@ -309,6 +329,7 @@ fn contract_x_core<const NX: usize>(m: &[f64], u: &[f64], out: &mut [f64]) {
 
 /// Square y-contraction with const trip counts (mirrors
 /// [`crate::fdm::rcontract_y`]).
+#[inline(always)]
 fn contract_y_core<const NX: usize>(m: &[f64], u: &[f64], out: &mut [f64]) {
     out[..NX * NX * NX].iter_mut().for_each(|v| *v = 0.0);
     for k in 0..NX {
@@ -327,6 +348,7 @@ fn contract_y_core<const NX: usize>(m: &[f64], u: &[f64], out: &mut [f64]) {
 
 /// Square z-contraction with const trip counts (mirrors
 /// [`crate::fdm::rcontract_z`]).
+#[inline(always)]
 fn contract_z_core<const NX: usize>(m: &[f64], u: &[f64], out: &mut [f64]) {
     let plane = NX * NX;
     out[..plane * NX].iter_mut().for_each(|v| *v = 0.0);
@@ -345,6 +367,7 @@ fn contract_z_core<const NX: usize>(m: &[f64], u: &[f64], out: &mut [f64]) {
 /// One element's fast-diagonalization solve with const trip counts (mirrors
 /// [`crate::fdm::fdm_element_apply`]: three forward contractions, the modal
 /// scale, three back).
+#[inline(always)]
 fn fdm_element_core<const NX: usize, const NPTS: usize>(
     s: [&[f64]; 3],
     st: [&[f64]; 3],
@@ -372,6 +395,7 @@ fn fdm_element_core<const NX: usize, const NPTS: usize>(
 
 /// Rectangular x-contraction with const row/column counts (the coarse
 /// transfer's mirror of [`crate::fdm::rcontract_x`]); `planes = d2·d3`.
+#[inline(always)]
 fn rc_x_core<const ROWS: usize, const COLS: usize>(
     m: &[f64],
     u: &[f64],
@@ -394,6 +418,7 @@ fn rc_x_core<const ROWS: usize, const COLS: usize>(
 
 /// Rectangular y-contraction with const row/column counts (mirror of
 /// [`crate::fdm::rcontract_y`]).
+#[inline(always)]
 fn rc_y_core<const ROWS: usize, const COLS: usize>(
     m: &[f64],
     u: &[f64],
@@ -418,6 +443,7 @@ fn rc_y_core<const ROWS: usize, const COLS: usize>(
 
 /// Rectangular z-contraction with const row/column counts (mirror of
 /// [`crate::fdm::rcontract_z`]).
+#[inline(always)]
 fn rc_z_core<const ROWS: usize, const COLS: usize>(
     m: &[f64],
     u: &[f64],
@@ -441,6 +467,7 @@ fn rc_z_core<const ROWS: usize, const COLS: usize>(
 
 /// Coarse restriction `t1[..CNX³] = Jᵀ⊗Jᵀ⊗Jᵀ fine` with const trip counts
 /// (mirrors `CoarseCorrection::restrict_local` in `sem-solver`).
+#[inline(always)]
 fn restrict_core<const NX: usize, const CNX: usize>(
     jt: &[f64],
     fine: &[f64],
@@ -454,10 +481,127 @@ fn restrict_core<const NX: usize, const CNX: usize>(
 
 /// Coarse prolongation `t2[..NX³] = J⊗J⊗J t1[..CNX³]` with const trip
 /// counts (`t1` is clobbered; mirrors `CoarseCorrection::prolong_local`).
+#[inline(always)]
 fn prolong_core<const NX: usize, const CNX: usize>(j: &[f64], t1: &mut [f64], t2: &mut [f64]) {
     rc_x_core::<NX, CNX>(j, &t1[..CNX * CNX * CNX], t2, CNX * CNX);
     rc_y_core::<NX, CNX>(j, t2, t1, NX, CNX);
     rc_z_core::<NX, CNX>(j, t1, t2, NX, NX);
+}
+
+/// One kernel invocation with its arguments bound.  `run` is
+/// `#[inline(always)]`, as is every core it reaches, so each [`Isa`]
+/// compiles the whole kernel body with its own target features.
+trait Kernel {
+    fn run(self);
+}
+
+/// [`ax_field_core`]'s arguments.
+struct AxField<'a, const NX: usize, const NPTS: usize> {
+    u: &'a [f64],
+    w: &'a mut [f64],
+    g: [&'a [f64]; 6],
+    d: &'a [f64],
+    dt: &'a [f64],
+    scratch: &'a mut SpecScratch<NPTS>,
+}
+
+impl<const NX: usize, const NPTS: usize> Kernel for AxField<'_, NX, NPTS> {
+    #[inline(always)]
+    fn run(self) {
+        ax_field_core::<NX, NPTS>(self.u, self.w, self.g, self.d, self.dt, self.scratch);
+    }
+}
+
+/// [`fdm_element_core`]'s arguments.
+struct FdmElement<'a, const NX: usize, const NPTS: usize> {
+    s: [&'a [f64]; 3],
+    st: [&'a [f64]; 3],
+    inv: &'a [f64],
+    r: &'a [f64],
+    z: &'a mut [f64],
+    scratch: &'a mut SpecScratch<NPTS>,
+}
+
+impl<const NX: usize, const NPTS: usize> Kernel for FdmElement<'_, NX, NPTS> {
+    #[inline(always)]
+    fn run(self) {
+        fdm_element_core::<NX, NPTS>(self.s, self.st, self.inv, self.r, self.z, self.scratch);
+    }
+}
+
+/// [`restrict_core`]'s arguments.
+struct Restrict<'a, const NX: usize, const CNX: usize> {
+    jt: &'a [f64],
+    fine: &'a [f64],
+    t1: &'a mut [f64],
+    t2: &'a mut [f64],
+}
+
+impl<const NX: usize, const CNX: usize> Kernel for Restrict<'_, NX, CNX> {
+    #[inline(always)]
+    fn run(self) {
+        restrict_core::<NX, CNX>(self.jt, self.fine, self.t1, self.t2);
+    }
+}
+
+/// [`prolong_core`]'s arguments.
+struct Prolong<'a, const NX: usize, const CNX: usize> {
+    j: &'a [f64],
+    t1: &'a mut [f64],
+    t2: &'a mut [f64],
+}
+
+impl<const NX: usize, const CNX: usize> Kernel for Prolong<'_, NX, CNX> {
+    #[inline(always)]
+    fn run(self) {
+        prolong_core::<NX, CNX>(self.j, self.t1, self.t2);
+    }
+}
+
+/// The instruction set one instantiation of the kernel family is compiled
+/// for.  Both run the same cores, so their results are bitwise identical:
+/// Rust never contracts `a * b + c` into a fused multiply-add, and the
+/// cores call no `mul_add`.
+trait Isa {
+    const NAME: &'static str;
+    fn run<K: Kernel>(kernel: K);
+}
+
+/// The build target's own instruction set (SSE2 on default x86-64 builds).
+enum Baseline {}
+
+impl Isa for Baseline {
+    const NAME: &'static str = "baseline";
+
+    #[inline(always)]
+    fn run<K: Kernel>(kernel: K) {
+        kernel.run();
+    }
+}
+
+/// 256-bit AVX2 vectors.  Reached only through tables that
+/// [`DegreeDispatch::avx2`] builds after detecting AVX2 on the running host.
+#[cfg(target_arch = "x86_64")]
+enum Avx2 {}
+
+#[cfg(target_arch = "x86_64")]
+impl Isa for Avx2 {
+    const NAME: &'static str = "avx2";
+
+    #[inline(always)]
+    fn run<K: Kernel>(kernel: K) {
+        #[target_feature(enable = "avx2")]
+        fn run_avx2<K: Kernel>(kernel: K) {
+            kernel.run();
+        }
+        // SAFETY: `Avx2` kernels are stored only in tables built by
+        // `DegreeDispatch::avx2`, which returns `None` unless the host
+        // reports AVX2, so the target feature is present here.
+        #[allow(unsafe_code)]
+        unsafe {
+            run_avx2(kernel);
+        }
+    }
 }
 
 type AxAllFn = fn(&[f64], &mut [f64], [&[f64]; 6], &[f64], &[f64]);
@@ -471,6 +615,7 @@ type ProlongFn = fn(&[f64], &mut [f64], &mut [f64]);
 #[derive(Debug, Clone, Copy)]
 pub struct DegreeDispatch {
     structure: KernelStructure,
+    isa: &'static str,
     ax_all: AxAllFn,
     fdm_one: FdmFn,
     restrict3: RestrictFn,
@@ -481,6 +626,7 @@ macro_rules! specialized_degrees {
     ($(($module:ident, $degree:literal)),+ $(,)?) => {
         $(
             mod $module {
+                use super::{AxField, FdmElement, Isa, Prolong, Restrict, COARSE_POINTS};
                 use std::cell::RefCell;
 
                 const NX: usize = $degree + 1;
@@ -493,14 +639,20 @@ macro_rules! specialized_degrees {
                         RefCell::new(super::SpecScratch::boxed());
                 }
 
-                pub fn ax_all(u: &[f64], w: &mut [f64], g: [&[f64]; 6], d: &[f64], dt: &[f64]) {
+                pub fn ax_all<I: Isa>(
+                    u: &[f64],
+                    w: &mut [f64],
+                    g: [&[f64]; 6],
+                    d: &[f64],
+                    dt: &[f64],
+                ) {
                     SCRATCH.with(|cell| {
-                        let mut scratch = cell.borrow_mut();
-                        super::ax_field_core::<NX, NPTS>(u, w, g, d, dt, &mut scratch);
+                        let scratch = &mut **cell.borrow_mut();
+                        I::run(AxField::<NX, NPTS> { u, w, g, d, dt, scratch });
                     });
                 }
 
-                pub fn fdm_one(
+                pub fn fdm_one<I: Isa>(
                     s: [&[f64]; 3],
                     st: [&[f64]; 3],
                     inv: &[f64],
@@ -508,35 +660,34 @@ macro_rules! specialized_degrees {
                     z: &mut [f64],
                 ) {
                     SCRATCH.with(|cell| {
-                        let mut scratch = cell.borrow_mut();
-                        super::fdm_element_core::<NX, NPTS>(s, st, inv, r, z, &mut scratch);
+                        let scratch = &mut **cell.borrow_mut();
+                        I::run(FdmElement::<NX, NPTS> { s, st, inv, r, z, scratch });
                     });
                 }
 
-                pub fn restrict3(jt: &[f64], fine: &[f64], t1: &mut [f64], t2: &mut [f64]) {
-                    super::restrict_core::<NX, { super::COARSE_POINTS }>(jt, fine, t1, t2);
+                pub fn restrict3<I: Isa>(jt: &[f64], fine: &[f64], t1: &mut [f64], t2: &mut [f64]) {
+                    I::run(Restrict::<NX, COARSE_POINTS> { jt, fine, t1, t2 });
                 }
 
-                pub fn prolong3(j: &[f64], t1: &mut [f64], t2: &mut [f64]) {
-                    super::prolong_core::<NX, { super::COARSE_POINTS }>(j, t1, t2);
+                pub fn prolong3<I: Isa>(j: &[f64], t1: &mut [f64], t2: &mut [f64]) {
+                    I::run(Prolong::<NX, COARSE_POINTS> { j, t1, t2 });
                 }
             }
         )+
 
         impl DegreeDispatch {
-            /// Resolve the specialized kernel family for `degree`, or `None`
-            /// when the degree is outside `MIN_DEGREE..=MAX_DEGREE` (callers
-            /// fall back to the generic kernels).
-            #[must_use]
-            pub fn for_degree(degree: usize) -> Option<Self> {
+            /// The family for `degree` compiled for instruction set `I`, or
+            /// `None` off the specialized range.
+            fn instantiate<I: Isa>(degree: usize) -> Option<Self> {
                 match degree {
                     $(
                         $degree => Some(Self {
                             structure: KernelStructure::for_points($degree + 1),
-                            ax_all: $module::ax_all,
-                            fdm_one: $module::fdm_one,
-                            restrict3: $module::restrict3,
-                            prolong3: $module::prolong3,
+                            isa: I::NAME,
+                            ax_all: $module::ax_all::<I>,
+                            fdm_one: $module::fdm_one::<I>,
+                            restrict3: $module::restrict3::<I>,
+                            prolong3: $module::prolong3::<I>,
                         }),
                     )+
                     _ => None,
@@ -563,6 +714,39 @@ specialized_degrees!(
 );
 
 impl DegreeDispatch {
+    /// Resolve the specialized kernel family for `degree`, or `None` when
+    /// the degree is outside `MIN_DEGREE..=MAX_DEGREE` (callers fall back to
+    /// the generic kernels).  The family runs at the widest vector width
+    /// this host supports: the AVX2 instantiation when the host reports
+    /// AVX2, the baseline one otherwise.
+    #[must_use]
+    pub fn for_degree(degree: usize) -> Option<Self> {
+        Self::avx2(degree).or_else(|| Self::baseline(degree))
+    }
+
+    /// The family compiled for the build target's own instruction set.
+    pub(crate) fn baseline(degree: usize) -> Option<Self> {
+        Self::instantiate::<Baseline>(degree)
+    }
+
+    /// The family compiled for AVX2, or `None` when the host lacks AVX2
+    /// (or is not x86-64) or the degree is off the specialized range.
+    pub(crate) fn avx2(degree: usize) -> Option<Self> {
+        #[cfg(target_arch = "x86_64")]
+        if is_x86_feature_detected!("avx2") {
+            return Self::instantiate::<Avx2>(degree);
+        }
+        let _ = degree;
+        None
+    }
+
+    /// Name of the instruction set the family was compiled for: `"avx2"`
+    /// or `"baseline"` (the build target's own).
+    #[must_use]
+    pub fn isa(&self) -> &'static str {
+        self.isa
+    }
+
     /// Resolve by grid points per direction (`points = N + 1`) — the FDM
     /// pass keys on its *patch* extent, which exceeds `N + 1` when the
     /// overlap is nonzero.
@@ -674,9 +858,8 @@ pub fn ax_split(
 mod tests {
     use super::*;
     use crate::fdm::{fdm_element_apply, rcontract_x, rcontract_y, rcontract_z, FdmScratch};
-    use crate::optimized::{ax_optimized_with, AxScratch};
+    use crate::optimized::{ax_element_split, AxScratch};
     use rand::{rngs::StdRng, Rng, SeedableRng};
-    use sem_mesh::{BoxMesh, GeometricFactors, MeshDeformation};
 
     fn random_field(n: usize, seed: u64) -> Vec<f64> {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -713,115 +896,172 @@ mod tests {
         assert_eq!(DegreeDispatch::for_points(8).unwrap().degree(), 7);
     }
 
-    #[test]
-    fn specialized_ax_is_bitwise_identical_to_the_generic_kernel() {
-        for degree in [3_usize, 7, 10] {
-            let mesh = BoxMesh::new(
-                degree,
-                [2, 1, 1],
-                [1.0, 1.0, 1.0],
-                MeshDeformation::Sinusoidal { amplitude: 0.04 },
-            );
-            let geo = GeometricFactors::from_mesh(&mesh);
-            let dm = sem_basis::DerivativeMatrix::new(degree);
-            let g = geo.planes();
-            let u = random_field(mesh.num_local_dofs(), degree as u64);
-            let mut w_gen = vec![0.0; u.len()];
-            let mut w_spec = vec![0.0; u.len()];
-            let mut scratch = AxScratch::default();
-            ax_optimized_with(&u, &mut w_gen, g, &dm, &mut scratch);
-            let dispatch = DegreeDispatch::for_degree(degree).unwrap();
-            dispatch.ax_apply_all(&u, &mut w_spec, g, dm.d().as_slice(), dm.dt().as_slice());
-            assert_eq!(w_gen, w_spec, "degree {degree}");
+    /// A seeded random vector salted with signed zeros and subnormals, so a
+    /// reassociated or fused multiply-add shows up in the low bits or in a
+    /// zero's sign.
+    fn salted_field(n: usize, seed: u64) -> Vec<f64> {
+        const SALT: [f64; 6] = [0.0, -0.0, 4.9e-324, -4.9e-324, 2.2e-310, -1.1e-308];
+        let mut v = random_field(n, seed);
+        for (i, x) in v.iter_mut().enumerate() {
+            if i % 7 == 3 {
+                *x = SALT[(i / 7) % SALT.len()];
+            }
         }
+        v
     }
 
-    #[test]
-    fn specialized_fdm_is_bitwise_identical_to_the_generic_kernel() {
-        for degree in [3_usize, 7, 12] {
-            let nx = degree + 1;
-            let npts = nx * nx * nx;
-            let sx = random_field(nx * nx, 1);
-            let sy = random_field(nx * nx, 2);
-            let sz = random_field(nx * nx, 3);
-            let stx = random_field(nx * nx, 4);
-            let sty = random_field(nx * nx, 5);
-            let stz = random_field(nx * nx, 6);
-            let inv = random_field(npts, 7);
-            let r = random_field(npts, 8);
-            let mut z_gen = vec![0.0; npts];
-            let mut z_spec = vec![0.0; npts];
-            let mut scratch = FdmScratch::default();
-            fdm_element_apply(
-                [&sx, &sy, &sz],
-                [&stx, &sty, &stz],
-                &inv,
-                &r,
-                &mut z_gen,
-                nx,
-                &mut scratch,
-            );
-            let dispatch = DegreeDispatch::for_degree(degree).unwrap();
-            dispatch.fdm_element_apply([&sx, &sy, &sz], [&stx, &sty, &stz], &inv, &r, &mut z_spec);
-            assert_eq!(z_gen, z_spec, "degree {degree}");
+    fn transpose(m: &[f64], rows: usize, cols: usize) -> Vec<f64> {
+        let mut t = vec![0.0; m.len()];
+        for r in 0..rows {
+            for c in 0..cols {
+                t[c * rows + r] = m[r * cols + c];
+            }
         }
+        t
     }
 
-    #[test]
-    fn specialized_coarse_transfer_matches_the_generic_contractions() {
-        for degree in [3_usize, 7, 15] {
-            let nx = degree + 1;
-            let cnx = COARSE_POINTS;
-            let npts = nx * nx * nx;
-            let j = random_field(nx * cnx, 21);
-            let jt: Vec<f64> = {
-                // row-major transpose of the nx × cnx matrix
-                let mut t = vec![0.0; cnx * nx];
-                for r in 0..nx {
-                    for c in 0..cnx {
-                        t[c * nx + r] = j[r * cnx + c];
-                    }
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// The generic kernels' results for one degree, on salted inputs: `Ax`
+    /// over two elements, one FDM element, the coarse restriction and the
+    /// prolongation of a salted coarse vector.
+    struct Outputs {
+        ax: Vec<u64>,
+        fdm: Vec<u64>,
+        restrict: Vec<u64>,
+        prolong: Vec<u64>,
+    }
+
+    /// Run every kernel of the family (`Some`) or its generic counterpart
+    /// (`None`) on the same salted inputs.
+    fn family_outputs(degree: usize, family: Option<&DegreeDispatch>) -> Outputs {
+        let nx = degree + 1;
+        let npts = nx * nx * nx;
+        let cnx = COARSE_POINTS;
+        let nc = cnx * cnx * cnx;
+        let seed = degree as u64 * 100;
+
+        // `Ax` over two elements; `dt` must be the exact transpose of `d`.
+        let u = salted_field(2 * npts, seed);
+        let g: Vec<Vec<f64>> = (0..6)
+            .map(|p| salted_field(2 * npts, seed + 1 + p))
+            .collect();
+        let d = salted_field(nx * nx, seed + 7);
+        let dt = transpose(&d, nx, nx);
+        let mut w = vec![1.0; u.len()];
+        match family {
+            Some(family) => {
+                let planes = [&g[0][..], &g[1], &g[2], &g[3], &g[4], &g[5]];
+                family.ax_apply_all(&u, &mut w, planes, &d, &dt);
+            }
+            None => {
+                let mut scratch = AxScratch::default();
+                for e in 0..2 {
+                    let r = e * npts..(e + 1) * npts;
+                    let planes = [0, 1, 2, 3, 4, 5].map(|p| &g[p][r.clone()]);
+                    ax_element_split(&u[r.clone()], &mut w[r], planes, &d, &dt, nx, &mut scratch);
                 }
-                t
-            };
-            let fine = random_field(npts, 22);
-            let dispatch = DegreeDispatch::for_degree(degree).unwrap();
+            }
+        }
 
-            // Restriction.
-            let (mut t1g, mut t2g) = (vec![0.0; npts], vec![0.0; npts]);
-            rcontract_x(&jt, cnx, nx, &fine, &mut t1g, nx, nx);
-            rcontract_y(&jt, cnx, nx, &t1g.clone(), &mut t2g, cnx, nx);
-            let t2snap = t2g.clone();
-            rcontract_z(&jt, cnx, nx, &t2snap, &mut t1g, cnx, cnx);
-            let (mut t1s, mut t2s) = (vec![0.0; npts], vec![0.0; npts]);
-            dispatch.coarse_restrict(&jt, &fine, &mut t1s, &mut t2s);
-            assert_eq!(
-                t1g[..cnx * cnx * cnx],
-                t1s[..cnx * cnx * cnx],
-                "degree {degree}"
-            );
+        // One FDM element.
+        let m: Vec<Vec<f64>> = (0..6)
+            .map(|i| salted_field(nx * nx, seed + 10 + i))
+            .collect();
+        let (s, st) = ([&m[0][..], &m[1], &m[2]], [&m[3][..], &m[4], &m[5]]);
+        let inv = salted_field(npts, seed + 16);
+        let r = salted_field(npts, seed + 17);
+        let mut z = vec![1.0; npts];
+        match family {
+            Some(family) => family.fdm_element_apply(s, st, &inv, &r, &mut z),
+            None => fdm_element_apply(s, st, &inv, &r, &mut z, nx, &mut FdmScratch::default()),
+        }
 
-            // Prolongation of the restricted coefficients.
-            let coarse = t1g[..cnx * cnx * cnx].to_vec();
-            let (mut p1g, mut p2g) = (vec![0.0; npts], vec![0.0; npts]);
-            p1g[..coarse.len()].copy_from_slice(&coarse);
-            rcontract_x(
-                &j,
-                nx,
-                cnx,
-                &p1g.clone()[..cnx * cnx * cnx],
-                &mut p2g,
-                cnx,
-                cnx,
+        // Coarse restriction, then prolongation of a salted coarse vector.
+        let j = salted_field(nx * cnx, seed + 20);
+        let jt = transpose(&j, nx, cnx);
+        let fine = salted_field(npts, seed + 21);
+        let coarse = salted_field(nc, seed + 22);
+        let (mut t1, mut t2) = (vec![1.0; npts], vec![1.0; npts]);
+        let (restrict, prolong) = match family {
+            Some(family) => {
+                family.coarse_restrict(&jt, &fine, &mut t1, &mut t2);
+                let restrict = bits(&t1[..nc]);
+                t1[..nc].copy_from_slice(&coarse);
+                family.coarse_prolong(&j, &mut t1, &mut t2);
+                (restrict, bits(&t2))
+            }
+            None => {
+                rcontract_x(&jt, cnx, nx, &fine, &mut t1, nx, nx);
+                rcontract_y(&jt, cnx, nx, &t1, &mut t2, cnx, nx);
+                rcontract_z(&jt, cnx, nx, &t2, &mut t1, cnx, cnx);
+                let restrict = bits(&t1[..nc]);
+                rcontract_x(&j, nx, cnx, &coarse, &mut t2, cnx, cnx);
+                rcontract_y(&j, nx, cnx, &t2, &mut t1, nx, cnx);
+                rcontract_z(&j, nx, cnx, &t1, &mut t2, nx, nx);
+                (restrict, bits(&t2))
+            }
+        };
+        Outputs {
+            ax: bits(&w),
+            fdm: bits(&z),
+            restrict,
+            prolong,
+        }
+    }
+
+    fn assert_same_bits(degree: usize, label: &str, expected: &Outputs, got: &Outputs) {
+        assert_eq!(expected.ax, got.ax, "{label} ax_all, degree {degree}");
+        assert_eq!(expected.fdm, got.fdm, "{label} fdm_one, degree {degree}");
+        assert_eq!(
+            expected.restrict, got.restrict,
+            "{label} restrict3, degree {degree}"
+        );
+        assert_eq!(
+            expected.prolong, got.prolong,
+            "{label} prolong3, degree {degree}"
+        );
+    }
+
+    /// Both instantiations of the family against the generic kernels, bit
+    /// for bit, on every specialized degree.  The AVX2 half runs only where
+    /// the host has AVX2, and says so when it cannot.
+    #[test]
+    fn baseline_and_avx2_instantiations_match_the_generic_kernels_bitwise() {
+        let host_has_avx2 = DegreeDispatch::avx2(MIN_DEGREE).is_some();
+        if !host_has_avx2 {
+            eprintln!("SKIPPED the AVX2 half: this host has no AVX2, only the baseline runs");
+        }
+        for degree in MIN_DEGREE..=MAX_DEGREE {
+            let generic = family_outputs(degree, None);
+            let baseline = DegreeDispatch::baseline(degree).unwrap();
+            assert_eq!(baseline.isa(), "baseline");
+            assert_same_bits(
+                degree,
+                "baseline",
+                &generic,
+                &family_outputs(degree, Some(&baseline)),
             );
-            let p2snap = p2g.clone();
-            rcontract_y(&j, nx, cnx, &p2snap, &mut p1g, nx, cnx);
-            let p1snap = p1g.clone();
-            rcontract_z(&j, nx, cnx, &p1snap, &mut p2g, nx, nx);
-            let (mut p1s, mut p2s) = (vec![0.0; npts], vec![0.0; npts]);
-            p1s[..coarse.len()].copy_from_slice(&coarse);
-            dispatch.coarse_prolong(&j, &mut p1s, &mut p2s);
-            assert_eq!(p2g, p2s, "degree {degree}");
+            let resolved = DegreeDispatch::for_degree(degree).unwrap();
+            if host_has_avx2 {
+                let avx2 = DegreeDispatch::avx2(degree).unwrap();
+                assert_eq!(avx2.isa(), "avx2");
+                assert_eq!(
+                    resolved.isa(),
+                    "avx2",
+                    "for_degree must pick AVX2 when the host has it"
+                );
+                assert_same_bits(
+                    degree,
+                    "avx2",
+                    &generic,
+                    &family_outputs(degree, Some(&avx2)),
+                );
+            } else {
+                assert_eq!(resolved.isa(), "baseline");
+            }
         }
     }
 }

@@ -7,7 +7,8 @@
 //!    file: wall-clock discipline ([`passes::wall_clock`]), hot-path
 //!    allocation hygiene ([`passes::alloc_free`]), backend-contract
 //!    coherence ([`passes::backend_contract`]), an unsafe/panic audit
-//!    ([`passes::panic_audit`]), metric-name conventions
+//!    ([`passes::panic_audit`]), the kernels' same-bits contract
+//!    ([`passes::bits_contract`]), metric-name conventions
 //!    ([`passes::obs_naming`]), bench-report schema pinning
 //!    ([`passes::bench_schema`]), and observability-artifact schema
 //!    pinning ([`passes::obs_schema`]).  Policy is declared in-source with
@@ -169,6 +170,7 @@ pub fn run_passes(files: &[SourceFile]) -> Vec<Finding> {
     findings.extend(passes::alloc_free::run(files));
     findings.extend(passes::backend_contract::run(files));
     findings.extend(passes::panic_audit::run(files));
+    findings.extend(passes::bits_contract::run(files));
     findings.extend(passes::obs_naming::run(files));
     findings.sort_by(|a, b| {
         (&a.file, a.line, a.pass, &a.message).cmp(&(&b.file, b.line, b.pass, &b.message))

@@ -4,6 +4,7 @@
 pub mod alloc_free;
 pub mod backend_contract;
 pub mod bench_schema;
+pub mod bits_contract;
 pub mod obs_naming;
 pub mod obs_schema;
 pub mod panic_audit;

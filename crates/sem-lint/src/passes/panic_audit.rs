@@ -1,19 +1,23 @@
 //! Unsafe/panic audit.
 //!
-//! Two rules:
+//! Three rules:
 //!
 //! 1. Every non-support crate root (`src/lib.rs`) must carry
 //!    `#![forbid(unsafe_code)]`.  `#![deny(unsafe_code)]` is accepted only
 //!    when a comment directly above the attribute justifies why forbid is
 //!    not possible (support crates — vendored dependency stand-ins — are
 //!    exempt from the rule entirely).
-//! 2. Regions marked `// lint: no-panic` (the serving host's worker
+//! 2. In a crate whose root carries that justified `deny`, every `unsafe`
+//!    block under its `src/` needs a `// SAFETY:` comment directly above
+//!    it.  Attributes on the block (the `#[allow(unsafe_code)]` it needs)
+//!    may sit between; a blank line or code may not.
+//! 3. Regions marked `// lint: no-panic` (the serving host's worker
 //!    threads, where one panic strands sibling deques) must not contain
 //!    panicking calls: `.unwrap()`, `.expect(…)`, `panic!`,
 //!    `unreachable!`, `todo!`, `unimplemented!`, or the `assert*!`
 //!    family.  `// lint: panic-ok (reason)` waives one line.
 
-use crate::lexer::TokKind;
+use crate::lexer::{TokKind, Token};
 use crate::markers::Directive;
 use crate::passes::{next_code_token, prev_code_token};
 use crate::{Finding, SourceFile};
@@ -92,14 +96,61 @@ fn unsafe_stance(file: &SourceFile) -> UnsafeStance {
     UnsafeStance::Absent
 }
 
+/// Whether a `// SAFETY:` line comment sits directly above the token at
+/// `index`, looking past any attributes (`#[...]`) in between.
+fn has_safety_comment(tokens: &[Token], index: usize) -> bool {
+    let mut i = index;
+    let mut line = tokens[index].line;
+    while i > 0 {
+        let prev = &tokens[i - 1];
+        if prev.is_punct(']') {
+            // Step back over one attribute to its `#`.
+            let mut depth = 0_usize;
+            let mut j = i - 1;
+            loop {
+                if tokens[j].is_punct(']') {
+                    depth += 1;
+                } else if tokens[j].is_punct('[') {
+                    depth -= 1;
+                    if depth == 0 {
+                        break;
+                    }
+                }
+                if j == 0 {
+                    return false;
+                }
+                j -= 1;
+            }
+            if j == 0 || !tokens[j - 1].is_punct('#') {
+                return false;
+            }
+            i = j - 1;
+        } else if prev.kind == TokKind::LineComment && prev.line + 1 == line {
+            if prev.text.starts_with("// SAFETY:") {
+                return true;
+            }
+            i -= 1;
+        } else {
+            return false;
+        }
+        line = tokens[i].line;
+    }
+    false
+}
+
 /// Run the pass (see module docs).
 #[must_use]
 pub fn run(files: &[SourceFile]) -> Vec<Finding> {
     let mut findings = Vec::new();
+    // The `src/` directories of crates that justify `deny(unsafe_code)`.
+    let mut deny_srcs = Vec::new();
     for file in files {
         if is_policed_crate_root(&file.rel) {
             match unsafe_stance(file) {
-                UnsafeStance::Forbid | UnsafeStance::Deny { justified: true } => {}
+                UnsafeStance::Forbid => {}
+                UnsafeStance::Deny { justified: true } => {
+                    deny_srcs.push(file.rel.trim_end_matches("lib.rs").to_string());
+                }
                 UnsafeStance::Deny { justified: false } => findings.push(
                     file.finding(
                         PASS,
@@ -114,6 +165,25 @@ pub fn run(files: &[SourceFile]) -> Vec<Finding> {
                     1,
                     "crate root lacks `#![forbid(unsafe_code)]`".to_string(),
                 )),
+            }
+        }
+    }
+    for file in files {
+        if deny_srcs
+            .iter()
+            .any(|src| file.rel.starts_with(src.as_str()))
+        {
+            for (index, tok) in file.tokens.iter().enumerate() {
+                if tok.is_ident("unsafe")
+                    && next_code_token(&file.tokens, index).is_some_and(|n| n.is_punct('{'))
+                    && !has_safety_comment(&file.tokens, index)
+                {
+                    findings.push(file.finding(
+                        PASS,
+                        tok.line,
+                        "`unsafe` block lacks a `// SAFETY:` comment directly above it".to_string(),
+                    ));
+                }
             }
         }
         let regions = file.regions(Directive::NoPanic);

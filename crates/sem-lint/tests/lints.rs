@@ -2,7 +2,9 @@
 //! snippets, proven silent on known-good ones, and the real workspace tree
 //! must come back completely clean.
 
-use sem_lint::passes::{alloc_free, backend_contract, obs_naming, panic_audit, wall_clock};
+use sem_lint::passes::{
+    alloc_free, backend_contract, bits_contract, obs_naming, panic_audit, wall_clock,
+};
 use sem_lint::{Finding, SourceFile};
 use std::path::Path;
 
@@ -132,6 +134,48 @@ fn panic_audit_ignores_non_crate_roots_for_the_attribute_rule() {
         vec![8, 10, 12],
         "no attribute finding outside src/lib.rs"
     );
+}
+
+#[test]
+fn panic_audit_requires_safety_comments_in_justified_deny_crates() {
+    let (root, marker_findings) = parse("crates/foo/src/lib.rs", "unsafe_bad.rs");
+    assert!(marker_findings.is_empty());
+    let findings = panic_audit::run(std::slice::from_ref(&root));
+    // Lines 10, 19, 26: no comment, a blank line in between, no `SAFETY:`.
+    assert_eq!(lines_of(&findings, "panic-audit"), vec![10, 19, 26]);
+
+    // The rule covers every file under the crate's `src/`, not just the
+    // root, and only that crate's.
+    let (good_root, _) = parse("crates/foo/src/lib.rs", "unsafe_good.rs");
+    let (module, _) = parse("crates/foo/src/kernels.rs", "unsafe_bad.rs");
+    let (other, _) = parse("crates/bar/src/kernels.rs", "unsafe_bad.rs");
+    let findings = panic_audit::run(&[good_root, module, other]);
+    let files: Vec<&str> = findings.iter().map(|f| f.file.as_str()).collect();
+    assert_eq!(files, vec!["crates/foo/src/kernels.rs"; 3], "{findings:?}");
+}
+
+#[test]
+fn panic_audit_accepts_safety_comments_above_attributes() {
+    let (file, marker_findings) = parse("crates/foo/src/lib.rs", "unsafe_good.rs");
+    assert!(marker_findings.is_empty());
+    let findings = panic_audit::run(std::slice::from_ref(&file));
+    assert!(findings.is_empty(), "{findings:?}");
+}
+
+#[test]
+fn bits_contract_bans_mul_add_in_kernel_code_only() {
+    let (file, _) = parse("crates/sem-kernel/src/specialized.rs", "bits_bad.rs");
+    let findings = bits_contract::run(std::slice::from_ref(&file));
+    assert_eq!(lines_of(&findings, "bits-contract"), vec![7, 9]);
+    let (elsewhere, _) = parse("crates/sem-solver/src/cg.rs", "bits_bad.rs");
+    assert!(bits_contract::run(std::slice::from_ref(&elsewhere)).is_empty());
+}
+
+#[test]
+fn bits_contract_ignores_comments_and_test_modules() {
+    let (file, _) = parse("crates/sem-kernel/src/specialized.rs", "bits_good.rs");
+    let findings = bits_contract::run(std::slice::from_ref(&file));
+    assert!(findings.is_empty(), "{findings:?}");
 }
 
 #[test]

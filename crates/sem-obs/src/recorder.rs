@@ -229,16 +229,6 @@ impl Recorder {
         with_thread(|cache| cache.core.clock.stamp(modeled_seconds)).unwrap_or(modeled_seconds)
     }
 
-    /// Whether the installed clock is the deterministic modelled one
-    /// (true when disabled: disabled recording is trivially deterministic).
-    #[must_use]
-    pub fn clock_is_modeled(self) -> bool {
-        if !self.is_enabled() {
-            return true;
-        }
-        with_thread(|cache| cache.core.clock.is_modeled()).unwrap_or(true)
-    }
-
     /// Record one span into the calling thread's ring.  Allocation-free
     /// after the thread's first recording (which registers the ring).
     pub fn record(self, event: SpanEvent) {

@@ -187,12 +187,6 @@ impl Autoscaler {
         self.effective.iter().filter(|a| **a).count()
     }
 
-    /// Which devices are currently quarantined.
-    #[must_use]
-    pub fn quarantined_mask(&self) -> &[bool] {
-        &self.quarantined
-    }
-
     /// Feed the circuit breaker's verdict for `device` into the mask
     /// (attributed to observation window `window` in the event log).
     ///

@@ -220,19 +220,6 @@ pub struct CgOutcome {
     pub fault: Option<SolveFault>,
 }
 
-impl CgOutcome {
-    /// Achieved operator throughput in GFLOP/s over the accumulated
-    /// per-application cost (zero when nothing was applied).
-    #[must_use]
-    pub fn operator_gflops(&self) -> f64 {
-        if self.operator_seconds > 0.0 {
-            self.operator_flops as f64 / self.operator_seconds / 1e9
-        } else {
-            0.0
-        }
-    }
-}
-
 /// A preconditioner maps a residual to a search-direction correction.
 pub trait Preconditioner {
     /// Apply `z = M^{-1} r` into a preallocated output (`z` is fully

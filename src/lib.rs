@@ -60,10 +60,3 @@ pub use sem_mesh as mesh;
 pub use sem_obs as obs;
 pub use sem_serve as serve;
 pub use sem_solver as solver;
-
-/// The degrees the paper synthesised accelerators for (Table I).
-pub const PAPER_DEGREES: [usize; 8] = [1, 3, 5, 7, 9, 11, 13, 15];
-
-/// The problem size (number of elements) used for the paper's peak
-/// comparisons (Table I, Fig. 2, Fig. 3).
-pub const PAPER_REFERENCE_ELEMENTS: usize = 4096;
