@@ -92,7 +92,7 @@ pub fn autotune(degree: usize, elements: [usize; 3]) -> TuningReport {
         let config = Backend::from_name(&name).expect("registry names resolve");
         let engine = config.instantiate(&mesh, &geometry);
         let flops = engine.flops_per_application() as f64;
-        let (gflops, simulated) = match engine.simulated_seconds_per_application() {
+        let (gflops, simulated) = match engine.seconds_per_application() {
             Some(seconds) => (flops / seconds / 1e9, true),
             None => {
                 // Host kernels: measure a few repetitions.

@@ -520,11 +520,11 @@ mod tests {
         );
         let engine = backend.instantiate(&mesh, &geometry(&mesh));
         assert!(engine.label().contains("A100-class"), "{}", engine.label());
-        let projected = engine.simulated_seconds_per_application().unwrap();
+        let projected = engine.seconds_per_application().unwrap();
         let real = Backend::from_name("fpga:stratix10-gx2800")
             .unwrap()
             .instantiate(&mesh, &geometry(&mesh))
-            .simulated_seconds_per_application()
+            .seconds_per_application()
             .unwrap();
         assert!(
             projected < real,

@@ -14,42 +14,35 @@
 //!   interface-exchange overhead priced in.  It reports simulated kernel
 //!   seconds and board power.
 //!
-//! `dyn AxBackend` also implements [`sem_solver::LocalOperator`], so a
-//! [`sem_solver::CgSolver`] iterates through any backend unchanged — that is
-//! how [`crate::SemSystem::solve`] runs the full CG solve on the accelerator
-//! instead of beside it.  Configuration (which backend to build, from serde
-//! data or a registry name) lives in [`crate::backend::Backend`].
+//! [`AxBackend`] extends [`sem_solver::LocalOperator`], the seam a
+//! [`sem_solver::CgSolver`] iterates through: apply, fallible apply, FLOPs
+//! and the modelled price are defined once there, and the backend trait
+//! adds only the device hooks (batching, power, offload, and the dssum and
+//! preconditioner claims).  That is how [`crate::SemSystem::solve`] runs
+//! the full CG solve on the accelerator instead of beside it.
+//! Configuration (which backend to build, from serde data or a registry
+//! name) lives in [`crate::backend::Backend`].
 
 use crate::backend::DEFAULT_INTERCONNECT_GBS;
 use crate::offload::OffloadPlan;
 use crate::report::PerfSource;
 use fpga_sim::{
-    estimate_jacobi_seconds, DeviceError, FdmPrecondModel, FpgaAccelerator, FpgaDevice,
-    MultiBoardAccelerator,
+    estimate_jacobi_seconds, FdmPrecondModel, FpgaAccelerator, FpgaDevice, MultiBoardAccelerator,
 };
 use sem_kernel::{ops, AxImplementation, PoissonOperator};
-use sem_mesh::{BoxMesh, ElementField, GatherScatter, GeometricFactors};
-use sem_solver::{coarse_space_dofs, CgApplyResult, LocalOperator, PrecondSpec, SolveFault};
+use sem_mesh::{BoxMesh, ElementField, GeometricFactors};
+use sem_solver::{coarse_space_dofs, LocalOperator, PrecondSpec};
 use std::borrow::Cow;
 use std::sync::Arc;
 
-/// Translate a device-level failure into the solver-side fault the CG loop
-/// reports (`sem-solver` cannot name accelerator types, so the adapter
-/// lives on this side of the seam).
-#[must_use]
-pub fn solve_fault_of(error: DeviceError) -> SolveFault {
-    match error {
-        DeviceError::Dead { at_op } => SolveFault::DeviceDead { at_op },
-        DeviceError::Hung { at_op } => SolveFault::KernelHung { at_op },
-    }
-}
-
-/// An execution engine for the matrix-free `Ax` kernel.
+/// An execution engine for the matrix-free `Ax` kernel: a
+/// [`LocalOperator`] plus the hooks a device adds to it.
 ///
 /// The trait is object-safe and implementations are `Send + Sync`, so a
 /// `Box<dyn AxBackend>` can be selected at runtime (see
-/// [`crate::backend::Backend::instantiate`]) and shared across threads.
-pub trait AxBackend: Send + Sync {
+/// [`crate::backend::Backend::instantiate`]), shared across threads and
+/// handed to a [`sem_solver::CgSolver`] directly.
+pub trait AxBackend: LocalOperator + Send + Sync {
     /// Short human-readable label (used in reports and benches).
     fn label(&self) -> Cow<'static, str>;
 
@@ -58,27 +51,9 @@ pub trait AxBackend: Send + Sync {
     /// between its backend and its host problem.
     fn geometry(&self) -> &Arc<GeometricFactors>;
 
-    /// Polynomial degree `N` the backend was built for.
-    fn degree(&self) -> usize {
-        self.geometry().degree()
-    }
-
-    /// Number of elements the backend was built for.
-    fn num_elements(&self) -> usize {
-        self.geometry().num_elements()
-    }
-
-    /// Apply the element-local operator: `w = A u` (no direct stiffness
-    /// summation, no masking).
-    ///
-    /// # Panics
-    /// Panics if the fields do not match the backend's degree and element
-    /// count.
-    fn apply_into(&self, u: &ElementField, w: &mut ElementField);
-
     /// Apply the operator to a whole batch of operands: `ws[i] = A us[i]`.
     ///
-    /// The default loops over [`AxBackend::apply_into`]; accelerator
+    /// The default loops over [`LocalOperator::apply_into`]; accelerator
     /// backends keep the batch resident and amortise their per-launch
     /// overhead (see [`AxBackend::simulated_seconds_per_batch`]).
     ///
@@ -94,47 +69,32 @@ pub trait AxBackend: Send + Sync {
         }
     }
 
-    /// Whether this backend claims the fused `w = QQᵀ(A u)` pass (operator
-    /// application plus direct stiffness summation without a separate host
-    /// sweep).  Accelerator backends claim it so the field never bounces
-    /// back to the host between `Ax` and dssum — the paper's next offload
-    /// candidate after the kernel itself.
+    /// Whether this backend claims the `w = QQᵀ(A u)` pass (operator
+    /// application plus direct stiffness summation without a host round
+    /// trip) — the paper's next offload candidate after the kernel itself.
+    /// A pricing claim only: the numerics still run the host CSR sweep
+    /// after [`LocalOperator::try_apply_into`], and the claim obliges the
+    /// backend to price its pass per batch
+    /// ([`AxBackend::simulated_seconds_per_batch`]).
     fn fuses_dssum(&self) -> bool {
         false
     }
 
-    /// Fused `w = QQᵀ(A u)` (no masking).  The default composes
-    /// [`AxBackend::apply_into`] with the gather–scatter's CSR sweep; only
-    /// meaningful as a single pass on backends that claim it via
-    /// [`AxBackend::fuses_dssum`].
-    ///
-    /// # Panics
-    /// Panics if the fields or gather–scatter do not match the backend's
-    /// degree and element count.
-    fn apply_dssum_into(
-        &self,
-        u: &ElementField,
-        gather_scatter: &GatherScatter,
-        w: &mut ElementField,
-    ) {
-        self.apply_into(u, w);
-        gather_scatter.direct_stiffness_sum(w);
+    /// Degrees of freedom processed by one application.
+    fn dofs_per_application(&self) -> u64 {
+        ops::total_dofs(self.degree(), self.num_elements())
     }
 
-    /// Floating-point operations of one application.
-    fn flops_per_application(&self) -> u64;
-
-    /// Degrees of freedom processed by one application.
-    fn dofs_per_application(&self) -> u64;
-
-    /// Whether this backend's timings are wall-clock measurements or model
-    /// estimates.
-    fn perf_source(&self) -> PerfSource;
-
-    /// Seconds one application costs according to the backend's own model
-    /// (simulated kernel time plus any exchange overhead).  `None` for
-    /// natively-executed backends, whose cost is measured instead.
-    fn simulated_seconds_per_application(&self) -> Option<f64>;
+    /// Whether this backend's timings are model estimates (exactly when it
+    /// prices an application, see [`LocalOperator::seconds_per_application`])
+    /// or wall-clock measurements.
+    fn perf_source(&self) -> PerfSource {
+        if self.seconds_per_application().is_some() {
+            PerfSource::Simulated
+        } else {
+            PerfSource::Measured
+        }
+    }
 
     /// Seconds a batch of `batch` back-to-back applications costs according
     /// to the backend's own model.  The default charges `batch` independent
@@ -142,7 +102,7 @@ pub trait AxBackend: Send + Sync {
     /// launch overhead once per batch.  `None` for natively-executed
     /// backends.
     fn simulated_seconds_per_batch(&self, batch: usize) -> Option<f64> {
-        self.simulated_seconds_per_application()
+        self.seconds_per_application()
             .map(|seconds| seconds * batch as f64)
     }
 
@@ -192,93 +152,6 @@ pub trait AxBackend: Send + Sync {
     fn fpga_accelerator(&self) -> Option<&FpgaAccelerator> {
         None
     }
-
-    /// Fallible operator application: like [`AxBackend::apply_into`], but a
-    /// backend that can fail (a dead board, a hung kernel caught by the
-    /// modelled watchdog) reports a typed [`DeviceError`] instead of
-    /// succeeding.  The default wraps the infallible path, so every
-    /// existing backend is a perfect device without any change; only fault
-    /// wrappers (see [`crate::FaultyBackend`]) override it.
-    ///
-    /// # Errors
-    /// Returns the device failure when the application cannot complete.
-    ///
-    /// # Panics
-    /// Panics if the fields do not match the backend's degree and element
-    /// count.
-    fn try_apply_into(&self, u: &ElementField, w: &mut ElementField) -> Result<(), DeviceError> {
-        self.apply_into(u, w);
-        Ok(())
-    }
-
-    /// Fallible fused `w = QQᵀ(A u)` pass (see
-    /// [`AxBackend::apply_dssum_into`]).
-    ///
-    /// # Errors
-    /// Returns the device failure when the application cannot complete.
-    ///
-    /// # Panics
-    /// Panics if the fields or gather–scatter do not match the backend's
-    /// degree and element count.
-    fn try_apply_dssum_into(
-        &self,
-        u: &ElementField,
-        gather_scatter: &GatherScatter,
-        w: &mut ElementField,
-    ) -> Result<(), DeviceError> {
-        self.apply_dssum_into(u, gather_scatter, w);
-        Ok(())
-    }
-}
-
-/// Every execution backend is a [`LocalOperator`], so the CG solver iterates
-/// through `dyn AxBackend` directly.
-impl LocalOperator for dyn AxBackend {
-    fn degree(&self) -> usize {
-        AxBackend::degree(self)
-    }
-
-    fn num_elements(&self) -> usize {
-        AxBackend::num_elements(self)
-    }
-
-    fn apply_local_into(&self, u: &ElementField, w: &mut ElementField) {
-        AxBackend::apply_into(self, u, w);
-    }
-
-    fn flops_per_application(&self) -> u64 {
-        AxBackend::flops_per_application(self)
-    }
-
-    fn seconds_per_application(&self) -> Option<f64> {
-        AxBackend::simulated_seconds_per_application(self)
-    }
-
-    fn fuses_dssum(&self) -> bool {
-        AxBackend::fuses_dssum(self)
-    }
-
-    fn apply_dssum_into(
-        &self,
-        u: &ElementField,
-        gather_scatter: &GatherScatter,
-        w: &mut ElementField,
-    ) {
-        AxBackend::apply_dssum_into(self, u, gather_scatter, w);
-    }
-
-    fn try_apply_local_into(&self, u: &ElementField, w: &mut ElementField) -> CgApplyResult {
-        AxBackend::try_apply_into(self, u, w).map_err(solve_fault_of)
-    }
-
-    fn try_apply_dssum_into(
-        &self,
-        u: &ElementField,
-        gather_scatter: &GatherScatter,
-        w: &mut ElementField,
-    ) -> CgApplyResult {
-        AxBackend::try_apply_dssum_into(self, u, gather_scatter, w).map_err(solve_fault_of)
-    }
 }
 
 /// Native CPU execution with one of the host kernels.
@@ -321,13 +194,13 @@ impl CpuBackend {
     }
 }
 
-impl AxBackend for CpuBackend {
-    fn label(&self) -> Cow<'static, str> {
-        Cow::Borrowed(Self::label_of(self.operator.implementation()))
+impl LocalOperator for CpuBackend {
+    fn degree(&self) -> usize {
+        self.operator.degree()
     }
 
-    fn geometry(&self) -> &Arc<GeometricFactors> {
-        self.operator.geometry()
+    fn num_elements(&self) -> usize {
+        self.operator.num_elements()
     }
 
     fn apply_into(&self, u: &ElementField, w: &mut ElementField) {
@@ -337,17 +210,15 @@ impl AxBackend for CpuBackend {
     fn flops_per_application(&self) -> u64 {
         self.operator.flops_per_application()
     }
+}
 
-    fn dofs_per_application(&self) -> u64 {
-        self.operator.dofs_per_application()
+impl AxBackend for CpuBackend {
+    fn label(&self) -> Cow<'static, str> {
+        Cow::Borrowed(Self::label_of(self.operator.implementation()))
     }
 
-    fn perf_source(&self) -> PerfSource {
-        PerfSource::Measured
-    }
-
-    fn simulated_seconds_per_application(&self) -> Option<f64> {
-        None
+    fn geometry(&self) -> &Arc<GeometricFactors> {
+        self.operator.geometry()
     }
 }
 
@@ -446,6 +317,28 @@ impl FpgaSimBackend {
     }
 }
 
+impl LocalOperator for FpgaSimBackend {
+    fn degree(&self) -> usize {
+        self.geometry.degree()
+    }
+
+    fn num_elements(&self) -> usize {
+        self.geometry.num_elements()
+    }
+
+    fn apply_into(&self, u: &ElementField, w: &mut ElementField) {
+        self.multi.apply_into(u, &self.geometry, w);
+    }
+
+    fn flops_per_application(&self) -> u64 {
+        ops::total_flops(self.degree(), self.num_elements())
+    }
+
+    fn seconds_per_application(&self) -> Option<f64> {
+        Some(self.seconds_per_application)
+    }
+}
+
 impl AxBackend for FpgaSimBackend {
     fn label(&self) -> Cow<'static, str> {
         Cow::Owned(self.label.clone())
@@ -455,32 +348,12 @@ impl AxBackend for FpgaSimBackend {
         &self.geometry
     }
 
-    fn apply_into(&self, u: &ElementField, w: &mut ElementField) {
-        self.multi.apply_into(u, &self.geometry, w);
-    }
-
     fn fuses_dssum(&self) -> bool {
         // The boards keep the field resident, so the gather–scatter runs as
         // part of the kernel pass instead of a host round trip (cross-board
-        // sums ride the priced interface exchange); the trait's default
-        // `apply_dssum_into` (kernel + CSR sweep) models that pass bitwise.
+        // sums ride the priced interface exchange); the host CSR sweep after
+        // the kernel models that pass bitwise.
         true
-    }
-
-    fn flops_per_application(&self) -> u64 {
-        ops::total_flops(self.degree(), self.num_elements())
-    }
-
-    fn dofs_per_application(&self) -> u64 {
-        ops::total_dofs(self.degree(), self.num_elements())
-    }
-
-    fn perf_source(&self) -> PerfSource {
-        PerfSource::Simulated
-    }
-
-    fn simulated_seconds_per_application(&self) -> Option<f64> {
-        Some(self.seconds_per_application)
     }
 
     fn simulated_seconds_per_batch(&self, batch: usize) -> Option<f64> {
@@ -548,7 +421,6 @@ impl AxBackend for FpgaSimBackend {
 mod tests {
     use super::*;
     use crate::Backend;
-    use sem_solver::LocalOperator;
 
     fn test_mesh(degree: usize) -> BoxMesh {
         BoxMesh::unit_cube(degree, 2)
@@ -574,7 +446,7 @@ mod tests {
         assert_eq!(w.as_slice(), expect.as_slice());
         assert_eq!(backend.label(), "cpu-specialized");
         assert_eq!(backend.perf_source(), PerfSource::Measured);
-        assert!(backend.simulated_seconds_per_application().is_none());
+        assert!(backend.seconds_per_application().is_none());
         assert!(backend.power_watts().is_none());
         assert!(backend.offload_plan().is_none());
     }
@@ -584,7 +456,7 @@ mod tests {
         let mesh = test_mesh(7);
         let backend = FpgaSimBackend::new(&mesh, geometry(&mesh), FpgaDevice::stratix10_gx2800());
         assert_eq!(backend.perf_source(), PerfSource::Simulated);
-        let seconds = backend.simulated_seconds_per_application().unwrap();
+        let seconds = backend.seconds_per_application().unwrap();
         assert!(seconds > 0.0);
         assert!(backend.power_watts().unwrap() > 50.0);
         assert!(backend.offload_plan().unwrap().num_elements == 8);
@@ -656,16 +528,6 @@ mod tests {
         assert!(!cpu.fuses_dssum());
         assert!(fpga.fuses_dssum());
         assert!(multi.fuses_dssum());
-
-        // The fused pass equals apply followed by a host dssum, bitwise.
-        let gs = GatherScatter::from_mesh(&mesh);
-        let u = mesh.evaluate(|x, y, z| x * x - y * z);
-        let mut fused = ElementField::zeros(3, 8);
-        fpga.apply_dssum_into(&u, &gs, &mut fused);
-        let mut split = ElementField::zeros(3, 8);
-        fpga.apply_into(&u, &mut split);
-        gs.direct_stiffness_sum(&mut split);
-        assert_eq!(fused.as_slice(), split.as_slice());
     }
 
     #[test]
@@ -675,7 +537,7 @@ mod tests {
         let fpga = FpgaSimBackend::new(&mesh, geometry(&mesh), device.clone());
         let multi = multi(&mesh, device, 2);
         for backend in [&fpga as &dyn AxBackend, multi.as_ref()] {
-            let single = backend.simulated_seconds_per_application().unwrap();
+            let single = backend.seconds_per_application().unwrap();
             let batched = backend.simulated_seconds_per_batch(16).unwrap();
             assert!(
                 batched < 16.0 * single,
@@ -702,10 +564,6 @@ mod tests {
         assert_eq!(LocalOperator::degree(op), 3);
         assert_eq!(LocalOperator::num_elements(op), 8);
         assert!(LocalOperator::seconds_per_application(op).unwrap() > 0.0);
-        assert_eq!(
-            LocalOperator::flops_per_application(op),
-            AxBackend::flops_per_application(op)
-        );
     }
 
     #[test]

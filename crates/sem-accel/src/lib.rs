@@ -11,11 +11,12 @@
 //!   registry (`cpu:parallel`, `fpga:stratix10-gx2800`, `multi:4x520n`);
 //! * [`exec`] — the [`AxBackend`] trait plus one shipped engine per device
 //!   kind ([`CpuBackend`]; [`FpgaSimBackend`], which runs one simulated
-//!   board or several with the elements partitioned across them); the trait
-//!   carries batched ([`AxBackend::apply_many`]) and fused
-//!   ([`AxBackend::apply_dssum_into`]) entry points accelerator engines
-//!   claim, and fallible variants ([`AxBackend::try_apply_into`]) through
-//!   which device faults surface;
+//!   board or several with the elements partitioned across them).  The
+//!   trait extends `sem_solver::LocalOperator`, which owns the apply, the
+//!   fallible apply through which device faults surface, and the price; it
+//!   adds the device hooks: a batched entry ([`AxBackend::apply_many`]),
+//!   power, the offload plan, and the dssum and preconditioner claims that
+//!   move where a pass is priced;
 //! * [`faulty::FaultyBackend`] — a deterministic fault-injecting decorator
 //!   over any backend (transient result corruption, scheduled death, sticky
 //!   slowdown, hangs), driven by an `fpga_sim::FaultPlan`;
@@ -57,7 +58,7 @@ pub mod system;
 
 pub use autotune::{autotune, TuningCandidate, TuningReport};
 pub use backend::{Backend, ExecSpec};
-pub use exec::{solve_fault_of, AxBackend, CpuBackend, FpgaSimBackend};
+pub use exec::{AxBackend, CpuBackend, FpgaSimBackend};
 pub use faulty::FaultyBackend;
 pub use offload::OffloadPlan;
 pub use report::{PerfSource, PerfSummary};

@@ -127,7 +127,7 @@ impl SemSystemBuilder {
         let geometry = Arc::new(GeometricFactors::from_mesh(&mesh));
         let mut execution = self.backend.instantiate(&mesh, &geometry);
         if let Some(state) = self.fault_state {
-            execution = Box::new(FaultyBackend::new(execution, state));
+            execution = Box::new(FaultyBackend::new(execution, state, mesh.element_counts()));
         }
         let implementation = match &self.backend.exec {
             ExecSpec::Cpu(implementation) => *implementation,
@@ -364,7 +364,7 @@ impl SemSystem {
     #[must_use]
     pub fn apply_operator(&self, u: &ElementField) -> (ElementField, PerfSummary) {
         let mut w = ElementField::zeros(self.mesh().degree(), self.mesh().num_elements());
-        let summary = match self.execution.simulated_seconds_per_application() {
+        let summary = match self.execution.seconds_per_application() {
             Some(seconds) => {
                 self.execution.apply_into(u, &mut w);
                 self.summary(seconds, 1)
@@ -417,7 +417,7 @@ impl SemSystem {
     #[must_use]
     pub fn benchmark_operator(&self, applications: usize) -> PerfSummary {
         assert!(applications > 0, "need at least one application");
-        match self.execution.simulated_seconds_per_application() {
+        match self.execution.seconds_per_application() {
             Some(seconds) => self.summary(seconds * applications as f64, applications),
             None => {
                 let u = self

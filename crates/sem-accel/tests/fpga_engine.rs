@@ -29,8 +29,8 @@ fn bits(seconds: Option<f64>) -> Option<u64> {
 fn assert_priced_and_solved_alike(a: &SemSystem, b: &SemSystem, context: &str) {
     let (ea, eb) = (a.execution(), b.execution());
     assert_eq!(
-        bits(ea.simulated_seconds_per_application()),
-        bits(eb.simulated_seconds_per_application()),
+        bits(ea.seconds_per_application()),
+        bits(eb.seconds_per_application()),
         "{context}: seconds per application"
     );
     for batch in [1, 2, 4, 16] {

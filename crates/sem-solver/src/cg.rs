@@ -24,7 +24,7 @@ use std::fmt;
 ///
 /// This is the solver-side mirror of the device-level error an execution
 /// backend raises (e.g. `fpga_sim::DeviceError`): `sem-solver` cannot name
-/// accelerator types, so the adapter in `sem-accel` translates.  A faulted
+/// accelerator types, so `sem-accel`'s fault wrapper translates.  A faulted
 /// solve aborts immediately — its outcome carries the fault and
 /// `converged == false`, and the serving layer decides where to retry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -59,7 +59,8 @@ impl std::error::Error for SolveFault {}
 /// `w = A u` on element-local storage plus a little cost accounting, so the
 /// same CG iteration runs unchanged against a native CPU kernel, the
 /// simulated FPGA accelerator, a multi-board partition, or any future
-/// backend (`sem-accel` provides adapters for all of them).
+/// backend (`sem-accel`'s `AxBackend` extends this trait with the device
+/// hooks).
 ///
 /// The trait is object-safe: solvers accept `&dyn LocalOperator` so backends
 /// can be chosen at runtime.
@@ -72,7 +73,23 @@ pub trait LocalOperator {
 
     /// Apply the element-local operator: `w = A u` (no direct stiffness
     /// summation, no masking — the solver does both afterwards).
-    fn apply_local_into(&self, u: &ElementField, w: &mut ElementField);
+    ///
+    /// # Panics
+    /// Panics if the fields do not match the operator's degree and element
+    /// count.
+    fn apply_into(&self, u: &ElementField, w: &mut ElementField);
+
+    /// Fallible operator application: like [`LocalOperator::apply_into`],
+    /// but a backend that can fail (dead device, hung kernel) reports it
+    /// instead of succeeding.  The default wraps the infallible path, so
+    /// operators are perfect devices unless a fault wrapper overrides it.
+    ///
+    /// # Errors
+    /// Returns the fault when the backend cannot complete the application.
+    fn try_apply_into(&self, u: &ElementField, w: &mut ElementField) -> CgApplyResult {
+        self.apply_into(u, w);
+        Ok(())
+    }
 
     /// Floating-point operations of one application.
     fn flops_per_application(&self) -> u64;
@@ -82,60 +99,6 @@ pub trait LocalOperator {
     /// `None` means the caller should measure wall-clock time instead.
     fn seconds_per_application(&self) -> Option<f64> {
         None
-    }
-
-    /// Whether this operator claims the fused `w = QQᵀ(A u)` application
-    /// (operator plus direct stiffness summation in one pass).  Accelerator
-    /// backends that keep the field resident claim it so the gather–scatter
-    /// does not bounce back to a separate host pass; the solver then calls
-    /// [`LocalOperator::apply_dssum_into`] instead of applying and summing
-    /// separately.
-    fn fuses_dssum(&self) -> bool {
-        false
-    }
-
-    /// Fused operator application plus direct stiffness summation:
-    /// `w = QQᵀ(A u)` (still no masking).  The default composes
-    /// [`LocalOperator::apply_local_into`] with the gather–scatter's CSR
-    /// sweep; operators that return `true` from
-    /// [`LocalOperator::fuses_dssum`] may override it with a genuinely
-    /// single-pass implementation.
-    fn apply_dssum_into(
-        &self,
-        u: &ElementField,
-        gather_scatter: &GatherScatter,
-        w: &mut ElementField,
-    ) {
-        self.apply_local_into(u, w);
-        gather_scatter.direct_stiffness_sum(w);
-    }
-
-    /// Fallible operator application: like
-    /// [`LocalOperator::apply_local_into`], but a backend that can fail
-    /// (dead device, hung kernel) reports it instead of succeeding.  The
-    /// default wraps the infallible path, so existing operators are
-    /// perfect devices without any change.
-    ///
-    /// # Errors
-    /// Returns the fault when the backend cannot complete the application.
-    fn try_apply_local_into(&self, u: &ElementField, w: &mut ElementField) -> CgApplyResult {
-        self.apply_local_into(u, w);
-        Ok(())
-    }
-
-    /// Fallible fused operator-plus-dssum application (see
-    /// [`LocalOperator::apply_dssum_into`]).
-    ///
-    /// # Errors
-    /// Returns the fault when the backend cannot complete the application.
-    fn try_apply_dssum_into(
-        &self,
-        u: &ElementField,
-        gather_scatter: &GatherScatter,
-        w: &mut ElementField,
-    ) -> CgApplyResult {
-        self.apply_dssum_into(u, gather_scatter, w);
-        Ok(())
     }
 }
 
@@ -151,7 +114,7 @@ impl LocalOperator for PoissonOperator {
         self.num_elements()
     }
 
-    fn apply_local_into(&self, u: &ElementField, w: &mut ElementField) {
+    fn apply_into(&self, u: &ElementField, w: &mut ElementField) {
         self.apply_into(u, w);
     }
 
@@ -363,17 +326,21 @@ impl<'a, Op: LocalOperator + ?Sized> CgSolver<'a, Op> {
     #[must_use]
     pub fn apply_operator(&self, u: &ElementField) -> ElementField {
         let mut w = ElementField::zeros(self.operator.degree(), self.operator.num_elements());
-        self.operator.apply_local_into(u, &mut w);
+        self.operator.apply_into(u, &mut w);
         self.gather_scatter.direct_stiffness_sum(&mut w);
         self.mask.apply(&mut w);
         w
     }
 
     /// Like [`CgSolver::apply_operator`], but into a preallocated output and
-    /// returning the seconds the application cost (measured wall-clock when
-    /// the operator has no accounting of its own).  Operators that claim the
-    /// fused `Ax`+dssum pass (see [`LocalOperator::fuses_dssum`]) get one
-    /// call instead of an apply followed by a host gather–scatter.
+    /// returning the seconds the application cost: the operator's own price
+    /// when it has one, otherwise the wall-clock of the local operator alone
+    /// (not dssum/mask, so the accumulated seconds divide the operator FLOPs
+    /// cleanly).
+    ///
+    /// The price is read *before* the application: a sticky slowdown the
+    /// application itself triggers (see `sem-accel`'s `FaultyBackend`)
+    /// takes effect from the next one.
     ///
     /// `accumulated_seconds` is the solve's running operator+preconditioner
     /// cost so far: under the modelled observability clock the recorded
@@ -386,63 +353,25 @@ impl<'a, Op: LocalOperator + ?Sized> CgSolver<'a, Op> {
         accumulated_seconds: f64,
     ) -> Result<f64, SolveFault> {
         let obs = recorder();
-        match self.operator.seconds_per_application() {
-            Some(seconds) => {
-                let span_start = obs.stamp(accumulated_seconds);
-                if self.operator.fuses_dssum() {
-                    self.operator
-                        .try_apply_dssum_into(u, self.gather_scatter, w)?;
-                } else {
-                    self.operator.try_apply_local_into(u, w)?;
-                    self.gather_scatter.direct_stiffness_sum(w);
-                }
-                self.mask.apply(w);
-                let span_end = obs.stamp(accumulated_seconds + seconds);
-                obs.record(SpanEvent::new(
-                    SpanKind::OperatorApply,
-                    Scope::Deterministic,
-                    span_start,
-                    span_end,
-                ));
-                Ok(seconds)
-            }
-            None if self.operator.fuses_dssum() => {
-                // The fused pass is indivisible, so its wall clock includes
-                // the summation.
-                let span_start = obs.stamp(accumulated_seconds);
-                let timer = WallTimer::start();
-                self.operator
-                    .try_apply_dssum_into(u, self.gather_scatter, w)?;
-                let seconds = timer.elapsed_wall_seconds();
-                self.mask.apply(w);
-                let span_end = obs.stamp(accumulated_seconds + seconds);
-                obs.record(SpanEvent::new(
-                    SpanKind::OperatorApply,
-                    Scope::ScheduleDependent,
-                    span_start,
-                    span_end,
-                ));
-                Ok(seconds)
-            }
-            None => {
-                // Time only the local operator, not dssum/mask, so the
-                // accumulated seconds divide the operator FLOPs cleanly.
-                let span_start = obs.stamp(accumulated_seconds);
-                let timer = WallTimer::start();
-                self.operator.try_apply_local_into(u, w)?;
-                let seconds = timer.elapsed_wall_seconds();
-                self.gather_scatter.direct_stiffness_sum(w);
-                self.mask.apply(w);
-                let span_end = obs.stamp(accumulated_seconds + seconds);
-                obs.record(SpanEvent::new(
-                    SpanKind::OperatorApply,
-                    Scope::ScheduleDependent,
-                    span_start,
-                    span_end,
-                ));
-                Ok(seconds)
-            }
-        }
+        let price = self.operator.seconds_per_application();
+        let span_start = obs.stamp(accumulated_seconds);
+        let timer = WallTimer::start();
+        self.operator.try_apply_into(u, w)?;
+        let measured = timer.elapsed_wall_seconds();
+        self.gather_scatter.direct_stiffness_sum(w);
+        self.mask.apply(w);
+        let (seconds, scope) = match price {
+            Some(seconds) => (seconds, Scope::Deterministic),
+            None => (measured, Scope::ScheduleDependent),
+        };
+        let span_end = obs.stamp(accumulated_seconds + seconds);
+        obs.record(SpanEvent::new(
+            SpanKind::OperatorApply,
+            scope,
+            span_start,
+            span_end,
+        ));
+        Ok(seconds)
     }
 
     /// Solve `A x = b` with an optional preconditioner, allocating a private
@@ -1045,7 +974,7 @@ mod tests {
             self.inner.num_elements()
         }
 
-        fn apply_local_into(&self, u: &ElementField, w: &mut ElementField) {
+        fn apply_into(&self, u: &ElementField, w: &mut ElementField) {
             self.inner.apply_into(u, w);
         }
 
@@ -1053,7 +982,7 @@ mod tests {
             self.inner.flops_per_application()
         }
 
-        fn try_apply_local_into(&self, u: &ElementField, w: &mut ElementField) -> CgApplyResult {
+        fn try_apply_into(&self, u: &ElementField, w: &mut ElementField) -> CgApplyResult {
             let remaining = self.ok_ops.get();
             if remaining == 0 {
                 return Err(SolveFault::DeviceDead {
@@ -1061,7 +990,7 @@ mod tests {
                 });
             }
             self.ok_ops.set(remaining - 1);
-            self.apply_local_into(u, w);
+            self.apply_into(u, w);
             Ok(())
         }
     }

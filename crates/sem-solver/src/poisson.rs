@@ -212,35 +212,6 @@ impl PoissonProblem {
         options: CgOptions,
         precond: PrecondSpec,
     ) -> PoissonSolution {
-        let rhs = self.manufactured_rhs();
-        let cg = self.solve_rhs_through(operator, options, precond, &rhs);
-        let exact_field = self.manufactured_exact();
-        let (max_error, l2_error) = self.error_against(&cg.solution, &exact_field);
-        PoissonSolution {
-            solution: cg.solution.clone(),
-            max_error,
-            l2_error,
-            cg,
-        }
-    }
-
-    /// Solve an already-assembled (continuous, masked) right-hand side
-    /// through `operator`, returning the raw CG outcome — no exact solution
-    /// is associated, so there are no error metrics.  This is the
-    /// single-RHS building block of the batched `solve_many` path in
-    /// `sem-accel`.
-    ///
-    /// # Panics
-    /// Panics if `operator` or `rhs` do not match the problem's degree and
-    /// element count.
-    #[must_use]
-    pub fn solve_rhs_through<Op: LocalOperator + ?Sized>(
-        &self,
-        operator: &Op,
-        options: CgOptions,
-        precond: PrecondSpec,
-        rhs: &ElementField,
-    ) -> CgOutcome {
         assert_eq!(operator.degree(), self.mesh.degree(), "degree mismatch");
         assert_eq!(
             operator.num_elements(),
@@ -248,8 +219,16 @@ impl PoissonProblem {
             "element count mismatch"
         );
         let solver = CgSolver::new(operator, &self.gather_scatter, &self.mask, options);
-        let pc = self.preconditioner(precond);
-        solver.solve(rhs, &pc)
+        // The preconditioner comes from the host discretisation; it does not
+        // change what is being solved.
+        let cg = solver.solve(&self.manufactured_rhs(), &self.preconditioner(precond));
+        let (max_error, l2_error) = self.error_against(&cg.solution, &self.manufactured_exact());
+        PoissonSolution {
+            solution: cg.solution.clone(),
+            max_error,
+            l2_error,
+            cg,
+        }
     }
 
     /// Build the preconditioner a spec names, against the host
@@ -279,70 +258,6 @@ impl PoissonProblem {
     #[must_use]
     pub fn fdm_preconditioner(&self) -> FdmPreconditioner {
         FdmPreconditioner::new(&self.mesh, &self.operator, &self.gather_scatter, &self.mask)
-    }
-
-    /// Solve for an arbitrary forcing with a known exact solution and report
-    /// the errors.
-    #[must_use]
-    pub fn solve_with_exact<F, G>(
-        &self,
-        options: CgOptions,
-        precond: PrecondSpec,
-        forcing: F,
-        exact: G,
-    ) -> PoissonSolution
-    where
-        F: Fn(f64, f64, f64) -> f64,
-        G: Fn(f64, f64, f64) -> f64,
-    {
-        self.solve_with_exact_through(&self.operator, options, precond, forcing, exact)
-    }
-
-    /// Like [`PoissonProblem::solve_with_exact`], but iterating through an
-    /// arbitrary [`LocalOperator`] (an execution backend) instead of the
-    /// problem's own host operator.
-    ///
-    /// # Panics
-    /// Panics if `operator` does not match the problem's degree and element
-    /// count.
-    #[must_use]
-    pub fn solve_with_exact_through<Op, F, G>(
-        &self,
-        operator: &Op,
-        options: CgOptions,
-        precond: PrecondSpec,
-        forcing: F,
-        exact: G,
-    ) -> PoissonSolution
-    where
-        Op: LocalOperator + ?Sized,
-        F: Fn(f64, f64, f64) -> f64,
-        G: Fn(f64, f64, f64) -> f64,
-    {
-        assert_eq!(operator.degree(), self.mesh.degree(), "degree mismatch");
-        assert_eq!(
-            operator.num_elements(),
-            self.mesh.num_elements(),
-            "element count mismatch"
-        );
-        let rhs = self.right_hand_side(forcing);
-        let solver = CgSolver::new(operator, &self.gather_scatter, &self.mask, options);
-        // The preconditioner comes from the host discretisation; it does not
-        // change what is being solved.
-        let pc = self.preconditioner(precond);
-        let cg = solver.solve(&rhs, &pc);
-
-        let mut exact_field = self.mesh.evaluate(exact);
-        self.mask.apply(&mut exact_field);
-        // One fused sweep instead of diff/weighted intermediate clones.
-        let (max_error, l2_error) = self.error_against(&cg.solution, &exact_field);
-
-        PoissonSolution {
-            solution: cg.solution.clone(),
-            max_error,
-            l2_error,
-            cg,
-        }
     }
 }
 

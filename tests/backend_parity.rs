@@ -67,7 +67,7 @@ fn every_registry_backend_reports_consistent_metadata() {
             "{name}: source must match the configuration"
         );
         assert_eq!(
-            backend.simulated_seconds_per_application().is_some(),
+            backend.seconds_per_application().is_some(),
             config.is_simulated(),
             "{name}: only simulated backends have modelled cost"
         );
