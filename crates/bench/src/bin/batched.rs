@@ -71,8 +71,9 @@ struct DegreeRow {
     /// Vector width of the generated kernel at this degree (the same
     /// structural constant `fpga_sim` derives its design unroll from).
     unroll: usize,
-    /// Instruction set the specialized family ran at on this host (`avx2`
-    /// or `baseline`); the generic kernel always runs at the baseline.
+    /// Instruction set the specialized family ran at on this host
+    /// (`avx512f`, `avx2` or `baseline`); the generic kernel always runs at
+    /// the baseline.
     isa: String,
     /// Per-RHS operator seconds through the pinned generic kernel.
     generic_per_rhs_operator_seconds: f64,

@@ -39,8 +39,9 @@
 //! preconditioning.
 
 #![deny(missing_docs)]
-// `deny`, not `forbid`: one `#[allow(unsafe_code)]` block calls the AVX2
-// instantiation of the specialized kernels, behind runtime detection.
+// `deny`, not `forbid`: two `#[allow(unsafe_code)]` blocks call the AVX2 and
+// AVX-512F instantiations of the specialized kernels, behind runtime
+// detection.
 #![deny(unsafe_code)]
 
 pub mod assemble;

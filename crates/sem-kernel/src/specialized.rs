@@ -16,34 +16,44 @@
 //!   floating-point operations, summing each output in the *same* order, as
 //!   its generic counterpart (`ax_element_split`, `fdm_element_apply`, the
 //!   coarse `rcontract_*` chain); only the trip counts are compile-time and
-//!   the `Ax` r-direction loops are interchanged.  Results are therefore
-//!   bitwise identical, and every non-reference [`crate::AxImplementation`]
-//!   runs the specialized path on covered degrees without perturbing any
-//!   solve.
-//! * **Fixed-size, allocation-free scratch.**  Element scratch is
-//!   `[f64; NX·NX·NX]`-backed (six banks, one per intermediate plane —
-//!   mirroring the accelerator's BRAM banks), boxed once per thread and
+//!   the `Ax` loops are reorganised around register blocks.  Results are
+//!   therefore bitwise identical, and every non-reference
+//!   [`crate::AxImplementation`] runs the specialized path on covered
+//!   degrees without perturbing any solve.
+//! * **Fixed-size, allocation-free scratch.**  Element scratch is three
+//!   `[f64; NX·NX·NX]` banks (`shur/shus/shut`), boxed once per thread and
 //!   reused for every application.
 //! * **One dispatch.**  [`DegreeDispatch::for_degree`] resolves the whole
 //!   kernel family once at session/backend setup; out-of-range degrees get
 //!   `None` and callers fall back to the generic path.
-//! * **One ISA dispatch.**  The family is one generic core compiled twice:
-//!   for the build target (SSE2 on default x86-64 builds) and, through a
-//!   `#[target_feature(enable = "avx2")]` trampoline, for 256-bit AVX2.
-//!   `for_degree` picks the AVX2 instantiation when the running host
-//!   reports AVX2 and the baseline one otherwise, so `Ax` runs at the
-//!   host's vector width with no option, feature flag or rebuild.  Both
-//!   give the same bits: Rust never contracts `a * b + c` into a fused
-//!   multiply-add, the cores call no `mul_add` (`sem-lint` bans it here),
-//!   and `fma` is not enabled.
+//! * **One ISA dispatch.**  The family is one generic core compiled three
+//!   times: for the build target (SSE2 on default x86-64 builds) and,
+//!   through `#[target_feature]` trampolines, for 256-bit AVX2 and 512-bit
+//!   AVX-512F.  `for_degree` picks one instruction set per degree from the
+//!   degree and the running host alone: AVX-512F when the host reports it
+//!   and `4 | N + 1` (N = 3, 7, 11, 15, where a two-row block fills 8-lane
+//!   vectors), else AVX2 when the host reports it, else the baseline.  `Ax`
+//!   thus runs at the host's vector width with no option, feature flag or
+//!   rebuild.  Every instantiation gives the same bits although `avx512f`
+//!   enables `fma`: Rust never contracts `a * b + c` into a fused
+//!   multiply-add or reassociates a sum, and the cores use no `mul_add`, no
+//!   fused-multiply-add intrinsic and no fast-math operation (`sem-lint`'s
+//!   `bits-contract` pass bans all three here).
+//!
+//! The `Ax` core streams an element through two fused sweeps, the CPU
+//! analogue of the accelerator's one-pass pipeline with its intermediates
+//! in partitioned registers (Section III-B, Listing 1).  The forward sweep
+//! accumulates a block's three derivatives in registers and stores only
+//! the geometrically scaled `shur/shus/shut`; the backward sweep gathers
+//! each block's three transposed contractions in one register accumulator
+//! and stores it to `w` once.
 //!
 //! The generated kernels also export their structural constants
 //! ([`KernelStructure`]): the unroll width of the unit-stride inner
-//! dimension, the scratch bank count, and the initiation interval the fully
-//! unrolled dot products sustain.  `fpga_sim::AcceleratorDesign` derives its
-//! design parameters from these instead of hand-picked constants, so the
-//! measured CPU kernel and the modeled FPGA datapath share one source of
-//! truth.
+//! dimension and the initiation interval the fully unrolled dot products
+//! sustain.  `fpga_sim::AcceleratorDesign` derives its design parameters
+//! from these instead of hand-picked constants, so the measured CPU kernel
+//! and the modeled FPGA datapath share one source of truth.
 
 use crate::optimized::ax_optimized;
 use sem_basis::DerivativeMatrix;
@@ -82,10 +92,6 @@ pub struct KernelStructure {
     /// largest power of two dividing `NX`, so lanes never straddle a pencil
     /// (the paper's arbitration-free unroll rule).
     pub unroll: usize,
-    /// Fixed-size scratch banks the kernel partitions its intermediates
-    /// into (`ur/us/ut/shur/shus/shut` — one BRAM bank each on the
-    /// accelerator).
-    pub scratch_banks: usize,
     /// Initiation interval of the contraction loops: with the dot products
     /// fully unrolled there is no loop-carried dependence, so new operands
     /// issue every cycle.
@@ -101,7 +107,6 @@ impl KernelStructure {
             degree: points - 1,
             points,
             unroll: largest_pow2_divisor(points),
-            scratch_banks: 6,
             initiation_interval: 1,
         }
     }
@@ -118,13 +123,26 @@ pub fn kernel_structure(degree: usize) -> Option<KernelStructure> {
     }
 }
 
-/// Fixed-size element scratch: six `[f64; NPTS]` banks, one per intermediate
-/// plane, mirroring [`crate::optimized::AxScratch`]'s six buffers (and the
-/// accelerator's six BRAM banks).  Boxed once per thread.
+/// Rows per register block of the fused `Ax` core.  Up to `NX = 6` a block
+/// is a whole k-plane: its t-direction and geometric-factor lanes then run
+/// `NX²` wide instead of `NX` (at `NX = 5` a single row splits 4 + 1 on AVX2).
+/// Above that a block is two rows when `NX` is even, so `2·NX` contiguous
+/// lanes fill whole vectors, else one row.
+const fn rows_per_block(points: usize) -> usize {
+    if points <= 6 {
+        points
+    } else if points.is_multiple_of(2) {
+        2
+    } else {
+        1
+    }
+}
+
+/// Fixed-size element scratch: the three geometrically scaled gradient
+/// planes `shur/shus/shut` the forward sweep of [`ax_element_core`] stores
+/// and its backward sweep reads (the FDM pass borrows two of them as its
+/// ping-pong buffers).  Boxed once per thread.
 struct SpecScratch<const NPTS: usize> {
-    ur: [f64; NPTS],
-    us: [f64; NPTS],
-    ut: [f64; NPTS],
     shur: [f64; NPTS],
     shus: [f64; NPTS],
     shut: [f64; NPTS],
@@ -133,9 +151,6 @@ struct SpecScratch<const NPTS: usize> {
 impl<const NPTS: usize> SpecScratch<NPTS> {
     fn boxed() -> Box<Self> {
         Box::new(Self {
-            ur: [0.0; NPTS],
-            us: [0.0; NPTS],
-            ut: [0.0; NPTS],
             shur: [0.0; NPTS],
             shus: [0.0; NPTS],
             shut: [0.0; NPTS],
@@ -143,21 +158,28 @@ impl<const NPTS: usize> SpecScratch<NPTS> {
     }
 }
 
-/// One element's `w = Dᵀ G D u` with `NX` as a compile-time constant.
+/// One element's `w = Dᵀ G D u` with `NX` as a compile-time constant, in
+/// two fused sweeps over blocks of `B` rows (`BNX = B·NX` contiguous nodes
+/// of one k-plane).
 ///
-/// Performs the generic `ax_element_split`'s multiply-adds in the same
-/// per-output order, so results are bitwise identical.  The loops differ
-/// only in the r-direction and its transpose: the generic kernel runs one
-/// scalar dot product per output, while this core keeps a whole row's `NX`
-/// outputs in a register-resident `[f64; NX]`, reading `Dᵀ` rows forward
-/// (and `D` rows in the transpose), the paper's unroll across the outputs
-/// of the unit-stride dimension.  Each output still sums left to right from
-/// 0.0, which requires `dt` to be exactly the transpose of `d`.  The const
-/// trip counts let LLVM fully unroll the `0..NX` loops and elide the bounds
-/// checks against the fixed-size scratch.
+/// * **Forward.**  A block's `ur`, `us` and `ut` accumulate in
+///   register-resident `[f64; BNX]` arrays; the geometric factors are
+///   applied to them there and only `shur/shus/shut` are stored.
+/// * **Backward.**  One `[f64; BNX]` accumulator takes the block's r terms,
+///   then its s terms, then its t terms, and is stored to `w` once.
+///
+/// Every output sums the generic `ax_element_split`'s products in the same
+/// order: each derivative from 0.0 over ascending `l`, and `w` as the r sum
+/// followed by the s and t terms in ascending `l`.  Results are therefore
+/// bitwise identical.  The r-direction and its transpose read `Dᵀ` rows
+/// forward (and `D` rows in the transpose) across a row's outputs, the
+/// paper's unroll across the unit-stride dimension, which requires `dt` to
+/// be exactly the transpose of `d`.  The const trip counts let LLVM fully
+/// unroll the `0..NX` loops, keep the accumulators in vector registers and
+/// elide the bounds checks against the fixed-size scratch.
 #[allow(clippy::needless_range_loop)] // mirrors the generic kernel's explicit stride arithmetic
 #[inline(always)]
-fn ax_element_core<const NX: usize, const NPTS: usize>(
+fn ax_element_core<const NX: usize, const NPTS: usize, const B: usize, const BNX: usize>(
     u: &[f64],
     w: &mut [f64],
     g: [&[f64]; 6],
@@ -166,6 +188,8 @@ fn ax_element_core<const NX: usize, const NPTS: usize>(
     scratch: &mut SpecScratch<NPTS>,
 ) {
     debug_assert_eq!(NPTS, NX * NX * NX);
+    debug_assert_eq!(BNX, B * NX);
+    debug_assert_eq!(NX % B, 0);
     assert_eq!(u.len(), NPTS);
     assert_eq!(w.len(), NPTS);
     assert_eq!(d.len(), NX * NX);
@@ -174,105 +198,95 @@ fn ax_element_core<const NX: usize, const NPTS: usize>(
         assert_eq!(plane.len(), NPTS);
     }
     let nxy = NX * NX;
+    let SpecScratch { shur, shus, shut } = scratch;
 
-    {
-        let ur = &mut scratch.ur;
-        let us = &mut scratch.us;
-        let ut = &mut scratch.ut;
-        us.iter_mut().for_each(|v| *v = 0.0);
-        ut.iter_mut().for_each(|v| *v = 0.0);
-
-        // r-direction: for each (j,k) row, all NX outputs at once.
-        for k in 0..NX {
-            for j in 0..NX {
-                let row = j * NX + k * nxy;
-                let urow = &u[row..row + NX];
-                let mut acc = [0.0; NX];
+    // Forward sweep: the three derivatives of a block, then G.
+    for k in 0..NX {
+        let dk = &d[k * NX..(k + 1) * NX];
+        for jb in 0..NX / B {
+            let j0 = jb * B;
+            let base = j0 * NX + k * nxy;
+            let ublock = &u[base..base + BNX];
+            let drows: [&[f64]; B] = std::array::from_fn(|b| &d[(j0 + b) * NX..(j0 + b + 1) * NX]);
+            let mut ur = [0.0; BNX];
+            let mut us = [0.0; BNX];
+            let mut ut = [0.0; BNX];
+            for b in 0..B {
+                let urow = &ublock[b * NX..(b + 1) * NX];
                 for l in 0..NX {
                     let dtrow = &dt[l * NX..(l + 1) * NX];
                     let ul = urow[l];
                     for i in 0..NX {
-                        acc[i] += dtrow[i] * ul;
+                        ur[b * NX + i] += dtrow[i] * ul;
                     }
                 }
-                ur[row..row + NX].copy_from_slice(&acc);
             }
-        }
-        // s-direction.
-        for k in 0..NX {
-            for j in 0..NX {
-                let drow = &d[j * NX..(j + 1) * NX];
-                for l in 0..NX {
-                    let dv = drow[l];
-                    let src = l * NX + k * nxy;
-                    let dst = j * NX + k * nxy;
+            for l in 0..NX {
+                let src = &u[l * NX + k * nxy..(l + 1) * NX + k * nxy];
+                for b in 0..B {
+                    let dv = drows[b][l];
                     for i in 0..NX {
-                        us[i + dst] += dv * u[i + src];
+                        us[b * NX + i] += dv * src[i];
                     }
                 }
             }
-        }
-        // t-direction.
-        for k in 0..NX {
-            let drow = &d[k * NX..(k + 1) * NX];
             for l in 0..NX {
-                let dv = drow[l];
-                let src = l * nxy;
-                let dst = k * nxy;
-                for ij in 0..nxy {
-                    ut[ij + dst] += dv * u[ij + src];
+                let dv = dk[l];
+                let src = &u[j0 * NX + l * nxy..j0 * NX + l * nxy + BNX];
+                for p in 0..BNX {
+                    ut[p] += dv * src[p];
                 }
+            }
+            let gb: [&[f64]; 6] = g.map(|plane| &plane[base..base + BNX]);
+            let shur = &mut shur[base..base + BNX];
+            let shus = &mut shus[base..base + BNX];
+            let shut = &mut shut[base..base + BNX];
+            for p in 0..BNX {
+                let (r, s, t) = (ur[p], us[p], ut[p]);
+                shur[p] = gb[0][p] * r + gb[1][p] * s + gb[2][p] * t;
+                shus[p] = gb[1][p] * r + gb[3][p] * s + gb[4][p] * t;
+                shut[p] = gb[2][p] * r + gb[4][p] * s + gb[5][p] * t;
             }
         }
     }
 
-    // Multiply by the geometric factors pointwise.
-    for p in 0..NPTS {
-        let (ur, us, ut) = (scratch.ur[p], scratch.us[p], scratch.ut[p]);
-        scratch.shur[p] = g[0][p] * ur + g[1][p] * us + g[2][p] * ut;
-        scratch.shus[p] = g[1][p] * ur + g[3][p] * us + g[4][p] * ut;
-        scratch.shut[p] = g[2][p] * ur + g[4][p] * us + g[5][p] * ut;
-    }
-
-    // w = D^T_r shur + D^T_s shus + D^T_t shut; the r pass writes every
-    // entry, so neither `w` nor `ur` needs zeroing first.
+    // Backward sweep: w = D^T_r shur + D^T_s shus + D^T_t shut per block.
     for k in 0..NX {
-        for j in 0..NX {
-            let row = j * NX + k * nxy;
-            let srow = &scratch.shur[row..row + NX];
-            let mut acc = [0.0; NX];
-            for l in 0..NX {
-                let drow = &d[l * NX..(l + 1) * NX];
-                let sl = srow[l];
-                for i in 0..NX {
-                    acc[i] += drow[i] * sl;
+        let dtk = &dt[k * NX..(k + 1) * NX];
+        for jb in 0..NX / B {
+            let j0 = jb * B;
+            let base = j0 * NX + k * nxy;
+            let sblock = &shur[base..base + BNX];
+            let dtrows: [&[f64]; B] =
+                std::array::from_fn(|b| &dt[(j0 + b) * NX..(j0 + b + 1) * NX]);
+            let mut acc = [0.0; BNX];
+            for b in 0..B {
+                let srow = &sblock[b * NX..(b + 1) * NX];
+                for l in 0..NX {
+                    let drow = &d[l * NX..(l + 1) * NX];
+                    let sl = srow[l];
+                    for i in 0..NX {
+                        acc[b * NX + i] += drow[i] * sl;
+                    }
                 }
             }
-            w[row..row + NX].copy_from_slice(&acc);
-        }
-    }
-    for k in 0..NX {
-        for j in 0..NX {
-            let dtrow = &dt[j * NX..(j + 1) * NX];
             for l in 0..NX {
-                let dv = dtrow[l];
-                let src = l * NX + k * nxy;
-                let dst = j * NX + k * nxy;
-                for i in 0..NX {
-                    w[i + dst] += dv * scratch.shus[i + src];
+                let src = &shus[l * NX + k * nxy..(l + 1) * NX + k * nxy];
+                for b in 0..B {
+                    let dv = dtrows[b][l];
+                    for i in 0..NX {
+                        acc[b * NX + i] += dv * src[i];
+                    }
                 }
             }
-        }
-    }
-    for k in 0..NX {
-        let dtrow = &dt[k * NX..(k + 1) * NX];
-        for l in 0..NX {
-            let dv = dtrow[l];
-            let src = l * nxy;
-            let dst = k * nxy;
-            for ij in 0..nxy {
-                w[ij + dst] += dv * scratch.shut[ij + src];
+            for l in 0..NX {
+                let dv = dtk[l];
+                let src = &shut[j0 * NX + l * nxy..j0 * NX + l * nxy + BNX];
+                for p in 0..BNX {
+                    acc[p] += dv * src[p];
+                }
             }
+            w[base..base + BNX].copy_from_slice(&acc);
         }
     }
 }
@@ -280,7 +294,7 @@ fn ax_element_core<const NX: usize, const NPTS: usize>(
 /// The whole-field element loop over [`ax_element_core`] (the specialized
 /// mirror of [`crate::optimized::ax_optimized_with`]).
 #[inline(always)]
-fn ax_field_core<const NX: usize, const NPTS: usize>(
+fn ax_field_core<const NX: usize, const NPTS: usize, const B: usize, const BNX: usize>(
     u: &[f64],
     w: &mut [f64],
     g_planes: [&[f64]; 6],
@@ -304,7 +318,14 @@ fn ax_field_core<const NX: usize, const NPTS: usize>(
             &g_planes[4][range.clone()],
             &g_planes[5][range.clone()],
         ];
-        ax_element_core::<NX, NPTS>(&u[range.clone()], &mut w[range.clone()], g, d, dt, scratch);
+        ax_element_core::<NX, NPTS, B, BNX>(
+            &u[range.clone()],
+            &mut w[range.clone()],
+            g,
+            d,
+            dt,
+            scratch,
+        );
     }
 }
 
@@ -380,7 +401,9 @@ fn fdm_element_core<const NX: usize, const NPTS: usize>(
     assert_eq!(r.len(), NPTS);
     assert_eq!(z.len(), NPTS);
     assert_eq!(inv.len(), NPTS);
-    let SpecScratch { ur: t1, us: t2, .. } = scratch;
+    let SpecScratch {
+        shur: t1, shus: t2, ..
+    } = scratch;
 
     contract_x_core::<NX>(st[0], r, t1);
     contract_y_core::<NX>(st[1], t1, t2);
@@ -496,7 +519,7 @@ trait Kernel {
 }
 
 /// [`ax_field_core`]'s arguments.
-struct AxField<'a, const NX: usize, const NPTS: usize> {
+struct AxField<'a, const NX: usize, const NPTS: usize, const B: usize, const BNX: usize> {
     u: &'a [f64],
     w: &'a mut [f64],
     g: [&'a [f64]; 6],
@@ -505,10 +528,12 @@ struct AxField<'a, const NX: usize, const NPTS: usize> {
     scratch: &'a mut SpecScratch<NPTS>,
 }
 
-impl<const NX: usize, const NPTS: usize> Kernel for AxField<'_, NX, NPTS> {
+impl<const NX: usize, const NPTS: usize, const B: usize, const BNX: usize> Kernel
+    for AxField<'_, NX, NPTS, B, BNX>
+{
     #[inline(always)]
     fn run(self) {
-        ax_field_core::<NX, NPTS>(self.u, self.w, self.g, self.d, self.dt, self.scratch);
+        ax_field_core::<NX, NPTS, B, BNX>(self.u, self.w, self.g, self.d, self.dt, self.scratch);
     }
 }
 
@@ -559,9 +584,9 @@ impl<const NX: usize, const CNX: usize> Kernel for Prolong<'_, NX, CNX> {
 }
 
 /// The instruction set one instantiation of the kernel family is compiled
-/// for.  Both run the same cores, so their results are bitwise identical:
-/// Rust never contracts `a * b + c` into a fused multiply-add, and the
-/// cores call no `mul_add`.
+/// for.  All run the same cores, so their results are bitwise identical:
+/// Rust never contracts `a * b + c` into a fused multiply-add, even with
+/// `fma` enabled, and the cores call no `mul_add`.
 trait Isa {
     const NAME: &'static str;
     fn run<K: Kernel>(kernel: K);
@@ -604,6 +629,32 @@ impl Isa for Avx2 {
     }
 }
 
+/// 512-bit AVX-512F vectors.  Reached only through tables that
+/// [`DegreeDispatch::avx512`] builds after detecting AVX-512F on the running
+/// host.
+#[cfg(target_arch = "x86_64")]
+enum Avx512 {}
+
+#[cfg(target_arch = "x86_64")]
+impl Isa for Avx512 {
+    const NAME: &'static str = "avx512f";
+
+    #[inline(always)]
+    fn run<K: Kernel>(kernel: K) {
+        #[target_feature(enable = "avx512f")]
+        fn run_avx512<K: Kernel>(kernel: K) {
+            kernel.run();
+        }
+        // SAFETY: `Avx512` kernels are stored only in tables built by
+        // `DegreeDispatch::avx512`, which returns `None` unless the host
+        // reports AVX-512F, so the target feature is present here.
+        #[allow(unsafe_code)]
+        unsafe {
+            run_avx512(kernel);
+        }
+    }
+}
+
 type AxAllFn = fn(&[f64], &mut [f64], [&[f64]; 6], &[f64], &[f64]);
 type FdmFn = fn([&[f64]; 3], [&[f64]; 3], &[f64], &[f64], &mut [f64]);
 type RestrictFn = fn(&[f64], &[f64], &mut [f64], &mut [f64]);
@@ -631,6 +682,8 @@ macro_rules! specialized_degrees {
 
                 const NX: usize = $degree + 1;
                 const NPTS: usize = NX * NX * NX;
+                const B: usize = super::rows_per_block(NX);
+                const BNX: usize = B * NX;
 
                 thread_local! {
                     /// Per-thread fixed-size scratch, allocated once on first
@@ -648,7 +701,7 @@ macro_rules! specialized_degrees {
                 ) {
                     SCRATCH.with(|cell| {
                         let scratch = &mut **cell.borrow_mut();
-                        I::run(AxField::<NX, NPTS> { u, w, g, d, dt, scratch });
+                        I::run(AxField::<NX, NPTS, B, BNX> { u, w, g, d, dt, scratch });
                     });
                 }
 
@@ -716,12 +769,16 @@ specialized_degrees!(
 impl DegreeDispatch {
     /// Resolve the specialized kernel family for `degree`, or `None` when
     /// the degree is outside `MIN_DEGREE..=MAX_DEGREE` (callers fall back to
-    /// the generic kernels).  The family runs at the widest vector width
-    /// this host supports: the AVX2 instantiation when the host reports
-    /// AVX2, the baseline one otherwise.
+    /// the generic kernels).  The instruction set follows from the degree
+    /// and the host: AVX-512F when the host reports it and `4 | N + 1`
+    /// (where a two-row `Ax` block fills whole 8-lane vectors), else AVX2
+    /// when the host reports it, else the baseline.
     #[must_use]
     pub fn for_degree(degree: usize) -> Option<Self> {
-        Self::avx2(degree).or_else(|| Self::baseline(degree))
+        Self::avx512(degree)
+            .filter(|_| (degree + 1).is_multiple_of(4))
+            .or_else(|| Self::avx2(degree))
+            .or_else(|| Self::baseline(degree))
     }
 
     /// The family compiled for the build target's own instruction set.
@@ -740,8 +797,20 @@ impl DegreeDispatch {
         None
     }
 
-    /// Name of the instruction set the family was compiled for: `"avx2"`
-    /// or `"baseline"` (the build target's own).
+    /// The family compiled for AVX-512F, or `None` when the host lacks
+    /// AVX-512F (or is not x86-64) or the degree is off the specialized
+    /// range.
+    pub(crate) fn avx512(degree: usize) -> Option<Self> {
+        #[cfg(target_arch = "x86_64")]
+        if is_x86_feature_detected!("avx512f") {
+            return Self::instantiate::<Avx512>(degree);
+        }
+        let _ = degree;
+        None
+    }
+
+    /// Name of the instruction set the family was compiled for:
+    /// `"avx512f"`, `"avx2"` or `"baseline"` (the build target's own).
     #[must_use]
     pub fn isa(&self) -> &'static str {
         self.isa
@@ -871,7 +940,6 @@ mod tests {
         let s7 = kernel_structure(7).unwrap();
         assert_eq!(s7.points, 8);
         assert_eq!(s7.unroll, 8, "N+1 = 8 is itself a power of two");
-        assert_eq!(s7.scratch_banks, 6);
         assert_eq!(s7.initiation_interval, 1);
         let s9 = kernel_structure(9).unwrap();
         assert_eq!(s9.unroll, 2, "N+1 = 10: only 2 divides it");
@@ -1025,15 +1093,27 @@ mod tests {
         );
     }
 
-    /// Both instantiations of the family against the generic kernels, bit
-    /// for bit, on every specialized degree.  The AVX2 half runs only where
-    /// the host has AVX2, and says so when it cannot.
+    /// Every instantiation of the family against the generic kernels, bit
+    /// for bit, on every specialized degree; both `Ax` block shapes occur
+    /// (whole k-planes up to `N + 1 = 6`, one row at odd `N + 1` above, two
+    /// rows at even).  The AVX2 and AVX-512 halves run only where the host
+    /// has the feature, and say so when they cannot.  `for_degree` must
+    /// resolve AVX-512F exactly where `4 | N + 1` on an AVX-512F host and
+    /// AVX2 on every other degree of an AVX2 host.
     #[test]
-    fn baseline_and_avx2_instantiations_match_the_generic_kernels_bitwise() {
+    fn every_isa_instantiation_matches_the_generic_kernels_bitwise() {
         let host_has_avx2 = DegreeDispatch::avx2(MIN_DEGREE).is_some();
+        let host_has_avx512 = DegreeDispatch::avx512(MIN_DEGREE).is_some();
         if !host_has_avx2 {
-            eprintln!("SKIPPED the AVX2 half: this host has no AVX2, only the baseline runs");
+            eprintln!("SKIPPED the AVX2 half: this host has no AVX2");
         }
+        if !host_has_avx512 {
+            eprintln!("SKIPPED the AVX-512 half: this host has no AVX-512F");
+        }
+        let shapes: Vec<usize> = (MIN_DEGREE..=MAX_DEGREE)
+            .map(|degree| rows_per_block(degree + 1))
+            .collect();
+        assert!(shapes.contains(&1) && shapes.contains(&2) && shapes.iter().any(|&b| b > 2));
         for degree in MIN_DEGREE..=MAX_DEGREE {
             let generic = family_outputs(degree, None);
             let baseline = DegreeDispatch::baseline(degree).unwrap();
@@ -1044,24 +1124,31 @@ mod tests {
                 &generic,
                 &family_outputs(degree, Some(&baseline)),
             );
-            let resolved = DegreeDispatch::for_degree(degree).unwrap();
-            if host_has_avx2 {
-                let avx2 = DegreeDispatch::avx2(degree).unwrap();
-                assert_eq!(avx2.isa(), "avx2");
-                assert_eq!(
-                    resolved.isa(),
-                    "avx2",
-                    "for_degree must pick AVX2 when the host has it"
-                );
+            let wide = [
+                ("avx2", DegreeDispatch::avx2(degree)),
+                ("avx512f", DegreeDispatch::avx512(degree)),
+            ];
+            for (name, family) in wide.iter().filter_map(|(n, f)| Some((n, f.as_ref()?))) {
+                assert_eq!(family.isa(), *name);
                 assert_same_bits(
                     degree,
-                    "avx2",
+                    name,
                     &generic,
-                    &family_outputs(degree, Some(&avx2)),
+                    &family_outputs(degree, Some(family)),
                 );
-            } else {
-                assert_eq!(resolved.isa(), "baseline");
             }
+            let expected = if host_has_avx512 && (degree + 1).is_multiple_of(4) {
+                "avx512f"
+            } else if host_has_avx2 {
+                "avx2"
+            } else {
+                "baseline"
+            };
+            assert_eq!(
+                DegreeDispatch::for_degree(degree).unwrap().isa(),
+                expected,
+                "for_degree at degree {degree}"
+            );
         }
     }
 }

@@ -1,7 +1,7 @@
 //! Golden bits of the specialized kernel family.
 //!
-//! Hashes of `DegreeDispatch::ax_apply_all` at N = 3, 7 and 11 and of one
-//! fast-diagonalization element at N = 7, pinned as constants.  The inputs
+//! Hashes of `DegreeDispatch::ax_apply_all` at N = 3, 4, 5, 7 and 11 and of
+//! one fast-diagonalization element at N = 7, pinned as constants.  The inputs
 //! come from an integer generator scaled by exact powers of two, with no
 //! transcendental call anywhere, so the expected hashes are the same on
 //! every IEEE-754 platform.  Whichever instruction set `for_degree` picks on
@@ -86,16 +86,19 @@ fn fdm_hash(degree: usize) -> u64 {
 
 #[test]
 fn specialized_kernels_reproduce_their_golden_bits() {
-    let isa = DegreeDispatch::for_degree(7).unwrap().isa();
-    let got = [ax_hash(3), ax_hash(7), ax_hash(11), fdm_hash(7)];
-    let pinned: [u64; 4] = [
-        0x6d8b_95f0_ff84_7916,
-        0x9f2a_957e_a63c_1fae,
-        0x9d2d_f575_06e4_a3bd,
-        0xbb1a_badd_418a_14be,
+    // (label, degree, hash, pinned).  N = 4 runs the whole-k-plane block on
+    // AVX2, N = 5 the AVX2 side of the AVX-512 rule; N = 3, 7 and 11 run
+    // AVX-512F where the host has it.
+    let cases = [
+        ("ax N=3", 3, ax_hash(3), 0x6d8b_95f0_ff84_7916_u64),
+        ("ax N=7", 7, ax_hash(7), 0x9f2a_957e_a63c_1fae),
+        ("ax N=11", 11, ax_hash(11), 0x9d2d_f575_06e4_a3bd),
+        ("fdm N=7", 7, fdm_hash(7), 0xbb1a_badd_418a_14be),
+        ("ax N=4", 4, ax_hash(4), 0x795e_6f56_9c02_2552),
+        ("ax N=5", 5, ax_hash(5), 0xfd29_783d_a68b_ddd2),
     ];
-    let labels = ["ax N=3", "ax N=7", "ax N=11", "fdm N=7"];
-    for ((label, got), pinned) in labels.iter().zip(got).zip(pinned) {
+    for (label, degree, got, pinned) in cases {
+        let isa = DegreeDispatch::for_degree(degree).unwrap().isa();
         assert_eq!(
             got, pinned,
             "{label} on the {isa} instantiation: {got:#018x} != pinned {pinned:#018x}"

@@ -179,6 +179,26 @@ fn bits_contract_ignores_comments_and_test_modules() {
 }
 
 #[test]
+fn bits_contract_bans_fused_intrinsics_and_fast_math_in_kernel_code_only() {
+    let (file, _) = parse("crates/sem-kernel/src/specialized.rs", "bits_fast_bad.rs");
+    let findings = bits_contract::run(std::slice::from_ref(&file));
+    assert_eq!(
+        lines_of(&findings, "bits-contract"),
+        vec![5, 5, 6, 6, 9, 15, 15, 17],
+        "{findings:?}"
+    );
+    let (elsewhere, _) = parse("crates/sem-solver/src/cg.rs", "bits_fast_bad.rs");
+    assert!(bits_contract::run(std::slice::from_ref(&elsewhere)).is_empty());
+}
+
+#[test]
+fn bits_contract_ignores_banned_names_in_comments_strings_and_tests() {
+    let (file, _) = parse("crates/sem-kernel/src/specialized.rs", "bits_fast_good.rs");
+    let findings = bits_contract::run(std::slice::from_ref(&file));
+    assert!(findings.is_empty(), "{findings:?}");
+}
+
+#[test]
 fn backend_contract_flags_unpriced_claims_exactly() {
     let (file, marker_findings) = parse("crates/foo/src/exec.rs", "backend_bad.rs");
     assert!(marker_findings.is_empty());
