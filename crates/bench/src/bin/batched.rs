@@ -18,7 +18,7 @@
 use bench::table::{fmt, TableWriter};
 use sem_accel::{Backend, PerfSource, SemSystem};
 use sem_kernel::specialized::{MAX_DEGREE, MIN_DEGREE};
-use sem_kernel::{AxImplementation, DegreeDispatch};
+use sem_kernel::AxImplementation;
 use sem_mesh::{BoxMesh, ElementField, MeshDeformation};
 use sem_solver::{CgOptions, PoissonProblem, PrecondSpec};
 use serde::Serialize;
@@ -156,10 +156,7 @@ fn sweep_degrees(per_side: usize) -> Vec<DegreeRow> {
             elements_per_side: per_side,
             iterations,
             unroll: sem_kernel::kernel_structure(degree).map_or(1, |structure| structure.unroll),
-            isa: specialized
-                .dispatch()
-                .map_or("generic", DegreeDispatch::isa)
-                .to_string(),
+            isa: specialized.dispatch().isa().to_string(),
             generic_per_rhs_operator_seconds: generic_seconds,
             specialized_per_rhs_operator_seconds: specialized_seconds,
             speedup: generic_seconds / specialized_seconds.max(f64::MIN_POSITIVE),

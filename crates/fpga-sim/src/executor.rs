@@ -2,11 +2,10 @@
 //!
 //! [`FpgaAccelerator::execute`] produces the actual kernel output together
 //! with a cycle-level timing estimate.  The functional datapath is the
-//! degree-specialized kernel family the host operators run
-//! ([`sem_kernel::specialized::ax_split`] over the [`DegreeDispatch`]
-//! resolved for the design's degree, the generic kernel off-range), so a
-//! simulated board's numbers are bitwise those of `cpu:specialized`.  The
-//! timing follows the design parameters:
+//! kernel table the host operators run (the [`DegreeDispatch`] resolved for
+//! the design's degree: the specialized family, or the generic kernels
+//! off-range), so a simulated board's numbers are bitwise those of
+//! `cpu:specialized`.  The timing follows the design parameters:
 //!
 //! * the unrolled datapath retires `T / II` DOFs per cycle when fed,
 //!   halved if the unroll factor does not divide `N+1` (BRAM arbitration);
@@ -26,7 +25,6 @@ use crate::power::PowerModel;
 use crate::synthesis::{synthesize, SynthesisReport};
 use perf_model::FpgaDevice;
 use sem_basis::DerivativeMatrix;
-use sem_kernel::specialized::ax_split;
 use sem_kernel::DegreeDispatch;
 use sem_mesh::{ElementField, GeometricFactors};
 use sem_obs::{recorder, Scope, SpanEvent, SpanKind};
@@ -108,9 +106,8 @@ pub struct FpgaAccelerator {
     memory: MemorySystem,
     power: PowerModel,
     derivative: DerivativeMatrix,
-    /// The specialized kernel family of the design's degree (`None`
-    /// off-range: the datapath runs the generic kernel).
-    dispatch: Option<DegreeDispatch>,
+    /// The kernel table of the design's degree.
+    dispatch: DegreeDispatch,
 }
 
 impl FpgaAccelerator {
@@ -405,10 +402,12 @@ impl FpgaAccelerator {
     }
 
     /// The functional datapath over a run of whole elements: the resolved
-    /// specialized kernel family, exactly as `cpu:specialized` runs it.
-    /// Multi-board execution feeds each board's element block through here.
+    /// kernel table, exactly as `cpu:specialized` runs it.  Multi-board
+    /// execution feeds each board's element block through here.
     pub(crate) fn datapath(&self, u: &[f64], w: &mut [f64], planes: [&[f64]; 6]) {
-        ax_split(self.dispatch.as_ref(), u, w, planes, &self.derivative);
+        let (d, dt) = (self.derivative.d(), self.derivative.dt());
+        self.dispatch
+            .ax_apply_all(u, w, planes, d.as_slice(), dt.as_slice());
     }
 }
 

@@ -27,16 +27,12 @@
 use crate::bram::{blocks_for_array, DOUBLE_BUFFER};
 use crate::executor::{FpgaAccelerator, LAUNCH_OVERHEAD_CYCLES};
 use sem_basis::fdm_coarse_degree;
-use sem_kernel::fdm::fdm_flops_per_element;
+use sem_kernel::fdm::{fdm_bytes_per_dof, fdm_flops_per_element};
 use serde::{Deserialize, Serialize};
 
 /// Streamed external words per DOF of the Jacobi pass (residual in, inverse
 /// diagonal in, correction out).
 pub const JACOBI_WORDS_PER_DOF: f64 = 3.0;
-
-/// Streamed external bytes per DOF of the FDM pass (residual in, correction
-/// out; the operators stay in BRAM).
-pub const FDM_BYTES_PER_DOF: f64 = 16.0;
 
 /// Worst-case distinct boundary classes per direction (low / interior /
 /// high), used to bound the resident `S`/`Sᵀ` storage.
@@ -153,11 +149,12 @@ impl FdmPrecondModel {
         // The pass streams far fewer external bytes per DOF than `Ax`
         // (16 vs 64+), so the memory system rarely binds; model it with the
         // same effective-bandwidth ramp regardless.
-        let total_bytes = FDM_BYTES_PER_DOF * total_dofs;
+        let bytes_per_dof = fdm_bytes_per_dof() as f64;
+        let total_bytes = bytes_per_dof * total_dofs;
         let memory_rate = accelerator
             .memory()
             .effective_bytes_per_cycle(total_bytes, f_mhz)
-            / FDM_BYTES_PER_DOF;
+            / bytes_per_dof;
         let steady_rate = compute_rate.min(memory_rate).max(1e-9);
         let fill = 0.5 * nx as f64 * num_elements as f64;
 

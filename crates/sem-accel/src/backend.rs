@@ -301,19 +301,6 @@ impl Backend {
         names
     }
 
-    /// The registry names that describe hardware one could actually deploy
-    /// on: everything in [`Backend::registry_names`] except the
-    /// `fpga:projected:*` model-designed devices.  Autotuning ranks only
-    /// these — a hypothetical board that beats every real one by
-    /// construction must not be crowned "the fastest backend".
-    #[must_use]
-    pub fn deployable_registry_names() -> Vec<String> {
-        Self::registry_names()
-            .into_iter()
-            .filter(|name| !name.starts_with("fpga:projected:"))
-            .collect()
-    }
-
     /// Build the live execution engine for this configuration on `mesh`,
     /// applying the mesh's already computed `geometry` (shared, not copied).
     /// Both FPGA variants build the one simulated-board engine
@@ -530,19 +517,11 @@ mod tests {
             projected < real,
             "model-designed A100-class device must outrun the 520N: {projected} vs {real}"
         );
-        // Both projected entries are registered...
+        // Both projected entries are registered.
         let names = Backend::registry_names();
-        let deployable = Backend::deployable_registry_names();
         for slug in arch_db::projected_fpga_slugs() {
-            let name = format!("fpga:{slug}");
-            assert!(names.contains(&name), "{slug}");
-            // ...but stay out of the deployable set autotune ranks.
-            assert!(!deployable.contains(&name), "{slug}");
+            assert!(names.contains(&format!("fpga:{slug}")), "{slug}");
         }
-        assert_eq!(
-            names.len(),
-            deployable.len() + arch_db::projected_fpga_slugs().len()
-        );
     }
 
     #[test]

@@ -26,9 +26,7 @@
 //!   [`SemSystem::solve_many`] serving whole batches of right-hand sides
 //!   with the offload transfer amortised across the batch and
 //!   [`SolveReport`] carrying both the serial and the pipelined
-//!   (overlap-aware, see `sem-serve`) transfer accounting;
-//! * [`autotune`](autotune()) — sweep the registry (plus padded FPGA
-//!   variants) and name the fastest backend for an operating point.
+//!   (overlap-aware, see `sem-serve`) transfer accounting.
 //!
 //! ```
 //! use sem_accel::{Backend, SemSystem};
@@ -48,7 +46,6 @@
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod autotune;
 pub mod backend;
 pub mod exec;
 pub mod faulty;
@@ -56,7 +53,6 @@ pub mod offload;
 pub mod report;
 pub mod system;
 
-pub use autotune::{autotune, TuningCandidate, TuningReport};
 pub use backend::{Backend, ExecSpec};
 pub use exec::{AxBackend, CpuBackend, FpgaSimBackend};
 pub use faulty::FaultyBackend;

@@ -8,6 +8,11 @@
 //! index — so the same datapath shape serves both kernels on the CPU and on
 //! the simulated accelerator (`fpga-sim` prices this pass with the same
 //! cycle model family).
+//!
+//! These are the generic kernels, with `nx` a runtime value.  Callers reach
+//! them through [`crate::DegreeDispatch`]: its table for a degree off the
+//! specialized range (or [`crate::DegreeDispatch::generic`]) holds
+//! [`fdm_element_apply_cached`] and the rectangular coarse-transfer chain.
 
 /// Scratch buffers for one element's FDM apply, reused across elements.
 #[derive(Debug, Default, Clone)]
@@ -117,21 +122,6 @@ pub fn rcontract_z(
     }
 }
 
-/// Square x-contraction (the FDM apply's special case of [`rcontract_x`]).
-fn contract_x(m: &[f64], u: &[f64], out: &mut [f64], nx: usize) {
-    rcontract_x(m, nx, nx, u, out, nx, nx);
-}
-
-/// Square y-contraction (the FDM apply's special case of [`rcontract_y`]).
-fn contract_y(m: &[f64], u: &[f64], out: &mut [f64], nx: usize) {
-    rcontract_y(m, nx, nx, u, out, nx, nx);
-}
-
-/// Square z-contraction (the FDM apply's special case of [`rcontract_z`]).
-fn contract_z(m: &[f64], u: &[f64], out: &mut [f64], nx: usize) {
-    rcontract_z(m, nx, nx, u, out, nx, nx);
-}
-
 /// Apply the element-local fast-diagonalization solve to one element:
 /// `z = (Sz ⊗ Sy ⊗ Sx) diag(inv) (Szᵀ ⊗ Syᵀ ⊗ Sxᵀ) r`.
 ///
@@ -165,17 +155,17 @@ pub fn fdm_element_apply(
     let t2 = &mut scratch.t2[..npts];
 
     // Forward: modal coefficients c = (Szᵀ ⊗ Syᵀ ⊗ Sxᵀ) r.
-    contract_x(st[0], r, t1, nx);
-    contract_y(st[1], t1, t2, nx);
-    contract_z(st[2], t2, t1, nx);
+    rcontract_x(st[0], nx, nx, r, t1, nx, nx);
+    rcontract_y(st[1], nx, nx, t1, t2, nx, nx);
+    rcontract_z(st[2], nx, nx, t2, t1, nx, nx);
     // Diagonal solve in modal space.
     for (c, &w) in t1.iter_mut().zip(inv) {
         *c *= w;
     }
     // Back: z = (Sz ⊗ Sy ⊗ Sx) c.
-    contract_x(s[0], t1, t2, nx);
-    contract_y(s[1], t2, t1, nx);
-    contract_z(s[2], t1, z, nx);
+    rcontract_x(s[0], nx, nx, t1, t2, nx, nx);
+    rcontract_y(s[1], nx, nx, t2, t1, nx, nx);
+    rcontract_z(s[2], nx, nx, t1, z, nx, nx);
 }
 
 thread_local! {
@@ -186,8 +176,8 @@ thread_local! {
         std::cell::RefCell::new(FdmScratch::default());
 }
 
-/// [`fdm_element_apply`] with a per-thread scratch (sized on first use), the
-/// entry point callers without their own scratch use.
+/// [`fdm_element_apply`] with a per-thread scratch (sized on first use): the
+/// generic entry of [`crate::DegreeDispatch::fdm_element_apply`].
 pub fn fdm_element_apply_cached(
     s: [&[f64]; 3],
     st: [&[f64]; 3],
@@ -199,6 +189,32 @@ pub fn fdm_element_apply_cached(
     FDM_SCRATCH.with(|scratch| {
         fdm_element_apply(s, st, inv, r, z, nx, &mut scratch.borrow_mut());
     });
+}
+
+/// Coarse restriction `t1[..cnx³] = Jᵀ⊗Jᵀ⊗Jᵀ fine` from `nx` fine onto
+/// `cnx` coarse points per direction (`jt` is `cnx × nx`; `t2` is the
+/// ping-pong buffer).  The generic entry of
+/// [`crate::DegreeDispatch::coarse_restrict`].
+pub(crate) fn coarse_restrict(
+    jt: &[f64],
+    fine: &[f64],
+    t1: &mut [f64],
+    t2: &mut [f64],
+    nx: usize,
+    cnx: usize,
+) {
+    rcontract_x(jt, cnx, nx, fine, t1, nx, nx);
+    rcontract_y(jt, cnx, nx, t1, t2, cnx, nx);
+    rcontract_z(jt, cnx, nx, t2, t1, cnx, cnx);
+}
+
+/// Coarse prolongation `t2[..nx³] = J⊗J⊗J t1[..cnx³]` (`j` is `nx × cnx`;
+/// `t1` is clobbered).  The generic entry of
+/// [`crate::DegreeDispatch::coarse_prolong`].
+pub(crate) fn coarse_prolong(j: &[f64], t1: &mut [f64], t2: &mut [f64], nx: usize, cnx: usize) {
+    rcontract_x(j, nx, cnx, &t1[..cnx * cnx * cnx], t2, cnx, cnx);
+    rcontract_y(j, nx, cnx, t2, t1, nx, cnx);
+    rcontract_z(j, nx, cnx, t1, t2, nx, nx);
 }
 
 /// Floating-point operations of one element's FDM apply: six element-sized

@@ -9,7 +9,7 @@
 use crate::ops;
 use crate::parallel::ax_parallel;
 use crate::reference::ax_reference;
-use crate::specialized::{ax_split, DegreeDispatch};
+use crate::specialized::DegreeDispatch;
 use sem_basis::DerivativeMatrix;
 use sem_mesh::{BoxMesh, ElementField, GeometricFactors};
 use serde::{Deserialize, Serialize};
@@ -20,9 +20,10 @@ use std::sync::Arc;
 pub enum AxImplementation {
     /// Listing-1 port on the interleaved layout (ground truth).
     Reference,
-    /// The split-layout kernel through [`crate::specialized::ax_split`]: the
-    /// degree-specialized const-generic family (`NX = N + 1` compile-time)
-    /// on `3..=15`, the bitwise-identical generic kernel outside it.
+    /// The split-layout kernel through the operator's [`DegreeDispatch`]
+    /// table: the degree-specialized const-generic family (`NX = N + 1`
+    /// compile-time) on `3..=15`, the bitwise-identical generic kernel
+    /// outside it.
     #[default]
     Specialized,
     /// The [`Self::Specialized`] kernel fanned out over elements with Rayon.
@@ -38,21 +39,9 @@ pub struct PoissonOperator {
     /// the reference kernel is selected.
     interleaved: Option<Vec<f64>>,
     implementation: AxImplementation,
-    /// Specialized kernel family, resolved once at construction when the
-    /// selected implementation can use it and the degree is covered.
-    dispatch: Option<DegreeDispatch>,
-}
-
-/// Resolve the specialized dispatch for an implementation/degree pair:
-/// every non-reference implementation resolves it when the degree is
-/// covered.
-fn resolve_dispatch(implementation: AxImplementation, degree: usize) -> Option<DegreeDispatch> {
-    match implementation {
-        AxImplementation::Reference => None,
-        AxImplementation::Specialized | AxImplementation::Parallel => {
-            DegreeDispatch::for_degree(degree)
-        }
-    }
+    /// The kernel table the split-layout implementations run, resolved
+    /// once at construction (the reference kernel does not read it).
+    dispatch: DegreeDispatch,
 }
 
 /// The interleaved copy the reference kernel needs, and only it.
@@ -83,7 +72,7 @@ impl PoissonOperator {
             interleaved: interleaved_for(implementation, &geometry),
             geometry,
             implementation,
-            dispatch: resolve_dispatch(implementation, degree),
+            dispatch: DegreeDispatch::for_degree(degree),
         }
     }
 
@@ -106,29 +95,28 @@ impl PoissonOperator {
     }
 
     /// Switch implementation (e.g. reference for verification, parallel for
-    /// throughput runs).  Re-resolves the specialized dispatch, and builds
-    /// (or drops) the interleaved copy the reference kernel reads.
+    /// throughput runs).  Builds (or drops) the interleaved copy the
+    /// reference kernel reads; the kernel table is kept.
     pub fn set_implementation(&mut self, implementation: AxImplementation) {
         if implementation != self.implementation {
             self.interleaved = interleaved_for(implementation, &self.geometry);
         }
         self.implementation = implementation;
-        self.dispatch = resolve_dispatch(implementation, self.degree());
     }
 
-    /// The specialized kernel family serving this operator, when one is
-    /// resolved (`None` means the reference kernel, an off-range degree or a
-    /// pinned generic path runs).
+    /// The kernel table the split-layout implementations run: the
+    /// specialized family on a covered degree, the generic kernels otherwise
+    /// or when pinned ([`DegreeDispatch::isa`] says which).
     #[must_use]
-    pub fn dispatch(&self) -> Option<&DegreeDispatch> {
-        self.dispatch.as_ref()
+    pub fn dispatch(&self) -> &DegreeDispatch {
+        &self.dispatch
     }
 
     /// Pin the generic kernels even when the degree is covered — the
     /// escape hatch benchmarks use to measure generic-vs-specialized on the
     /// same operator configuration.
     pub fn pin_generic(&mut self) {
-        self.dispatch = None;
+        self.dispatch = DegreeDispatch::generic(self.degree());
     }
 
     /// The differentiation matrix.
@@ -167,16 +155,20 @@ impl PoissonOperator {
         assert_eq!(u.len(), w.len(), "output field size mismatch");
         let (u, w) = (u.as_slice(), w.as_mut_slice());
         let planes = self.geometry.planes();
-        let dispatch = self.dispatch.as_ref();
+        let derivative = &self.derivative;
         // The interleaved copy exists exactly when `Reference` is selected.
         match (&self.interleaved, self.implementation) {
-            (Some(interleaved), _) => ax_reference(u, w, interleaved, &self.derivative),
+            (Some(interleaved), _) => ax_reference(u, w, interleaved, derivative),
             (None, AxImplementation::Parallel) => {
-                ax_parallel(u, w, planes, &self.derivative, dispatch);
+                ax_parallel(u, w, planes, derivative, &self.dispatch);
             }
-            // Off-range degrees (or pinned generic kernels) have no dispatch
-            // and run the generic split-layout kernel.
-            (None, _) => ax_split(dispatch, u, w, planes, &self.derivative),
+            (None, _) => self.dispatch.ax_apply_all(
+                u,
+                w,
+                planes,
+                derivative.d().as_slice(),
+                derivative.dt().as_slice(),
+            ),
         }
     }
 
@@ -235,7 +227,7 @@ mod tests {
     fn specialized_dispatch_resolves_once_and_is_bitwise_identical() {
         let mesh = BoxMesh::unit_cube(5, 2);
         let mut op = PoissonOperator::new(&mesh, AxImplementation::Specialized);
-        assert!(op.dispatch().is_some(), "degree 5 is covered");
+        assert_ne!(op.dispatch().isa(), "generic", "degree 5 is covered");
         let mut rng = StdRng::seed_from_u64(23);
         let mut u = ElementField::zeros(5, 8);
         u.as_mut_slice()
@@ -243,7 +235,7 @@ mod tests {
             .for_each(|v| *v = rng.gen_range(-1.0..1.0));
         let w_spec = op.apply(&u);
         op.pin_generic();
-        assert!(op.dispatch().is_none());
+        assert_eq!(op.dispatch().isa(), "generic");
         let w_gen = op.apply(&u);
         assert_eq!(w_spec.as_slice(), w_gen.as_slice());
     }
@@ -252,19 +244,22 @@ mod tests {
     fn specialized_resolves_on_covered_degrees_only() {
         let covered =
             PoissonOperator::new(&BoxMesh::unit_cube(7, 1), AxImplementation::Specialized);
-        assert!(covered.dispatch().is_some());
+        assert_ne!(covered.dispatch().isa(), "generic");
         let low = PoissonOperator::new(&BoxMesh::unit_cube(2, 1), AxImplementation::Specialized);
-        assert!(low.dispatch().is_none());
-        let reference =
-            PoissonOperator::new(&BoxMesh::unit_cube(7, 1), AxImplementation::Reference);
-        assert!(reference.dispatch().is_none());
+        assert_eq!(low.dispatch().isa(), "generic");
+        let high = PoissonOperator::new(&BoxMesh::unit_cube(16, 1), AxImplementation::Parallel);
+        assert_eq!(high.dispatch().isa(), "generic");
     }
 
     #[test]
     fn specialized_out_of_range_falls_back_without_panicking() {
         let mesh = BoxMesh::unit_cube(2, 2);
         let mut op = PoissonOperator::new(&mesh, AxImplementation::Specialized);
-        assert!(op.dispatch().is_none(), "degree 2 is below the range");
+        assert_eq!(
+            op.dispatch().isa(),
+            "generic",
+            "degree 2 is below the range"
+        );
         let mut rng = StdRng::seed_from_u64(31);
         let mut u = ElementField::zeros(2, 8);
         u.as_mut_slice()
@@ -272,7 +267,7 @@ mod tests {
             .for_each(|v| *v = rng.gen_range(-1.0..1.0));
         let w_spec = op.apply(&u);
         op.set_implementation(AxImplementation::Parallel);
-        assert!(op.dispatch().is_none(), "the Rayon fan-out falls back too");
+        assert_eq!(op.dispatch().isa(), "generic", "the Rayon fan-out too");
         let w_par = op.apply(&u);
         assert_eq!(w_spec.as_slice(), w_par.as_slice());
     }

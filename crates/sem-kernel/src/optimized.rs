@@ -14,11 +14,9 @@
 //!   reused across the two loop nests, exactly like the on-chip BRAM copy.
 //!
 //! The module is crate-private: outside `sem-kernel` it is reached only
-//! through [`crate::specialized::ax_split`], which runs it when no
-//! specialized family is resolved (off-range degrees, or a
+//! through the `"generic"` [`crate::DegreeDispatch`] table, which holds
+//! [`ax_optimized`] for degrees off the specialized range (and for a
 //! [`crate::PoissonOperator`] pinned to the generic kernels).
-
-use sem_basis::DerivativeMatrix;
 
 /// Scratch buffers reused across elements to avoid per-element allocation.
 #[derive(Debug, Default, Clone)]
@@ -196,13 +194,12 @@ thread_local! {
 /// Apply the operator to every element using the split layout, sequentially.
 ///
 /// `g_planes` holds the six geometric-factor planes, each of length
-/// `E (N+1)^3` (see `sem_mesh::GeometricFactors::planes`).
+/// `E (N+1)^3` (see `sem_mesh::GeometricFactors::planes`); `d` and `dt` are
+/// the row-major differentiation matrix and its transpose, `nx = N + 1`.
 ///
-/// This is the generic element loop behind [`crate::specialized::ax_split`]
-/// when no specialized family is resolved.  The element scratch comes from a
-/// thread-local buffer sized on first use, so repeated applications are
-/// allocation-free; callers that manage their own scratch use
-/// [`ax_optimized_with`] instead.
+/// This is the `Ax` entry of the generic [`crate::DegreeDispatch`] table.
+/// The element scratch comes from a thread-local buffer sized on first use,
+/// so repeated applications are allocation-free.
 ///
 /// # Panics
 /// Panics if `u` and `w` differ in length, the length is not a multiple of
@@ -211,58 +208,25 @@ pub(crate) fn ax_optimized(
     u: &[f64],
     w: &mut [f64],
     g_planes: [&[f64]; 6],
-    derivative: &DerivativeMatrix,
+    d: &[f64],
+    dt: &[f64],
+    nx: usize,
 ) {
-    ELEMENT_SCRATCH.with(|scratch| {
-        ax_optimized_with(u, w, g_planes, derivative, &mut scratch.borrow_mut());
-    });
-}
-
-/// [`ax_optimized`] with a caller-provided element scratch (resized on
-/// demand), the fully allocation-free entry point.
-///
-/// # Panics
-/// Panics if `u` and `w` differ in length, the length is not a multiple of
-/// `(N+1)^3`, or any plane slice does not match `u`.
-pub(crate) fn ax_optimized_with(
-    u: &[f64],
-    w: &mut [f64],
-    g_planes: [&[f64]; 6],
-    derivative: &DerivativeMatrix,
-    scratch: &mut AxScratch,
-) {
-    let nx = derivative.num_points();
     let npts = nx * nx * nx;
     assert_eq!(u.len(), w.len());
     assert_eq!(u.len() % npts, 0);
     for plane in g_planes {
         assert_eq!(plane.len(), u.len(), "geometric plane length mismatch");
     }
-    // Borrow the row-major matrix data in place: flattening copies would be
-    // two heap allocations on every application.
-    let d = derivative.d().as_slice();
-    let dt = derivative.dt().as_slice();
     let num_elements = u.len() / npts;
-    for e in 0..num_elements {
-        let range = e * npts..(e + 1) * npts;
-        let g = [
-            &g_planes[0][range.clone()],
-            &g_planes[1][range.clone()],
-            &g_planes[2][range.clone()],
-            &g_planes[3][range.clone()],
-            &g_planes[4][range.clone()],
-            &g_planes[5][range.clone()],
-        ];
-        ax_element_split(
-            &u[range.clone()],
-            &mut w[range.clone()],
-            g,
-            d,
-            dt,
-            nx,
-            scratch,
-        );
-    }
+    ELEMENT_SCRATCH.with(|scratch| {
+        let scratch = &mut *scratch.borrow_mut();
+        for e in 0..num_elements {
+            let range = e * npts..(e + 1) * npts;
+            let g = g_planes.map(|plane| &plane[range.clone()]);
+            ax_element_split(&u[range.clone()], &mut w[range], g, d, dt, nx, scratch);
+        }
+    });
 }
 
 #[cfg(test)]
@@ -270,6 +234,7 @@ mod tests {
     use super::*;
     use crate::reference::ax_reference;
     use rand::{rngs::StdRng, Rng, SeedableRng};
+    use sem_basis::DerivativeMatrix;
     use sem_mesh::{BoxMesh, GeometricFactors, MeshDeformation};
 
     fn random_field(n: usize, seed: u64) -> Vec<f64> {
@@ -301,12 +266,19 @@ mod tests {
         for degree in [1, 2, 3, 5, 7] {
             let mesh = BoxMesh::unit_cube(degree, 2);
             let geo = GeometricFactors::from_mesh(&mesh);
-            let dm = sem_basis::DerivativeMatrix::new(degree);
+            let dm = DerivativeMatrix::new(degree);
             let u = random_field(mesh.num_local_dofs(), degree as u64);
             let mut w_ref = vec![0.0; u.len()];
             let mut w_opt = vec![0.0; u.len()];
             ax_reference(&u, &mut w_ref, &geo.to_interleaved(), &dm);
-            ax_optimized(&u, &mut w_opt, geo.planes(), &dm);
+            ax_optimized(
+                &u,
+                &mut w_opt,
+                geo.planes(),
+                &dm.d_flat(),
+                &dm.dt_flat(),
+                degree + 1,
+            );
             for (a, b) in w_ref.iter().zip(&w_opt) {
                 assert!(
                     (a - b).abs() < 1e-11 * (1.0 + a.abs()),
@@ -326,12 +298,19 @@ mod tests {
             MeshDeformation::Sinusoidal { amplitude: 0.05 },
         );
         let geo = GeometricFactors::from_mesh(&mesh);
-        let dm = sem_basis::DerivativeMatrix::new(degree);
+        let dm = DerivativeMatrix::new(degree);
         let u = random_field(mesh.num_local_dofs(), 99);
         let mut w_ref = vec![0.0; u.len()];
         let mut w_opt = vec![0.0; u.len()];
         ax_reference(&u, &mut w_ref, &geo.to_interleaved(), &dm);
-        ax_optimized(&u, &mut w_opt, geo.planes(), &dm);
+        ax_optimized(
+            &u,
+            &mut w_opt,
+            geo.planes(),
+            &dm.d_flat(),
+            &dm.dt_flat(),
+            degree + 1,
+        );
         let max_err = w_ref
             .iter()
             .zip(&w_opt)
@@ -348,7 +327,7 @@ mod tests {
         let degree = 5;
         let mesh = BoxMesh::unit_cube(degree, 1);
         let geo = GeometricFactors::from_mesh(&mesh);
-        let dm = sem_basis::DerivativeMatrix::new(degree);
+        let dm = DerivativeMatrix::new(degree);
         let u = random_field(mesh.num_local_dofs(), 3);
         let mut w = vec![0.0; u.len()];
         ax_element_split(

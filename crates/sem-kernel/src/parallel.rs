@@ -3,19 +3,19 @@
 //! The evaluation of the operator is embarrassingly parallel over elements —
 //! exactly the property the CPU baselines of the paper exploit with one MPI
 //! rank per core.  Here we use Rayon's work-stealing pool instead: this module
-//! only chunks the field by element, and each chunk runs the same kernel the
-//! sequential path resolves ([`crate::specialized::ax_split`]: the
-//! degree-specialized family, or the generic split-layout kernel off-range).
+//! only chunks the field by element, and each chunk runs the same
+//! [`DegreeDispatch`] table the sequential path holds (the
+//! degree-specialized family, or the generic kernels off-range).
 
-use crate::specialized::{ax_split, DegreeDispatch};
+use crate::specialized::DegreeDispatch;
 use rayon::prelude::*;
 use sem_basis::DerivativeMatrix;
 
 /// Apply the operator to every element in parallel.
 ///
-/// Semantics are identical to [`ax_split`] on the whole field; only the
-/// scheduling differs, so results are bitwise identical (each element's
-/// arithmetic is unchanged and elements are independent).
+/// Semantics are identical to [`DegreeDispatch::ax_apply_all`] on the whole
+/// field; only the scheduling differs, so results are bitwise identical
+/// (each element's arithmetic is unchanged and elements are independent).
 ///
 /// # Panics
 /// Panics if `u` and `w` differ in length, the length is not a multiple of
@@ -25,7 +25,7 @@ pub fn ax_parallel(
     w: &mut [f64],
     g_planes: [&[f64]; 6],
     derivative: &DerivativeMatrix,
-    dispatch: Option<&DegreeDispatch>,
+    dispatch: &DegreeDispatch,
 ) {
     let nx = derivative.num_points();
     let npts = nx * nx * nx;
@@ -34,12 +34,13 @@ pub fn ax_parallel(
     for plane in g_planes {
         assert_eq!(plane.len(), u.len(), "geometric plane length mismatch");
     }
+    let (d, dt) = (derivative.d().as_slice(), derivative.dt().as_slice());
     w.par_chunks_mut(npts).enumerate().for_each_init(
         || (),
         |(), (e, w_elem)| {
             let range = e * npts..(e + 1) * npts;
             let g = g_planes.map(|plane| &plane[range.clone()]);
-            ax_split(dispatch, &u[range], w_elem, g, derivative);
+            dispatch.ax_apply_all(&u[range], w_elem, g, d, dt);
         },
     );
 }
@@ -47,7 +48,6 @@ pub fn ax_parallel(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::optimized::ax_optimized;
     use rand::{rngs::StdRng, Rng, SeedableRng};
     use sem_mesh::{BoxMesh, GeometricFactors, MeshDeformation};
 
@@ -67,14 +67,16 @@ mod tests {
                 .map(|_| rng.gen_range(-1.0..1.0))
                 .collect();
             let mut w_seq = vec![0.0; u.len()];
-            ax_optimized(&u, &mut w_seq, geo.planes(), &dm);
-            let dispatch = DegreeDispatch::for_degree(degree);
-            for dispatch in [None, dispatch.as_ref()] {
+            let generic = DegreeDispatch::generic(degree);
+            generic.ax_apply_all(&u, &mut w_seq, geo.planes(), &dm.d_flat(), &dm.dt_flat());
+            for dispatch in [generic, DegreeDispatch::for_degree(degree)] {
                 let mut w_par = vec![0.0; u.len()];
-                ax_parallel(&u, &mut w_par, geo.planes(), &dm, dispatch);
+                ax_parallel(&u, &mut w_par, geo.planes(), &dm, &dispatch);
                 assert_eq!(
-                    w_seq, w_par,
-                    "degree {degree}: parallel must be bitwise equal"
+                    w_seq,
+                    w_par,
+                    "degree {degree}, {}: parallel must be bitwise equal",
+                    dispatch.isa()
                 );
             }
         }
@@ -92,7 +94,7 @@ mod tests {
             &mut w,
             geo.planes(),
             &dm,
-            DegreeDispatch::for_degree(3).as_ref(),
+            &DegreeDispatch::for_degree(3),
         );
         assert!(w.iter().all(|&v| v.abs() < 1e-10));
     }

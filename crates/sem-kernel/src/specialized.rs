@@ -23,9 +23,11 @@
 //! * **Fixed-size, allocation-free scratch.**  Element scratch is three
 //!   `[f64; NX·NX·NX]` banks (`shur/shus/shut`), boxed once per thread and
 //!   reused for every application.
-//! * **One dispatch.**  [`DegreeDispatch::for_degree`] resolves the whole
-//!   kernel family once at session/backend setup; out-of-range degrees get
-//!   `None` and callers fall back to the generic path.
+//! * **One dispatch.**  [`DegreeDispatch::for_degree`] resolves a kernel
+//!   table once at session/backend setup, for every degree: the specialized
+//!   family on `N = 3..=15`, the generic runtime-`nx` kernels (`isa()` is
+//!   `"generic"`) everywhere else.  Callers hold the table and call it; none
+//!   of them asks whether a degree is specialized.
 //! * **One ISA dispatch.**  The family is one generic core compiled three
 //!   times: for the build target (SSE2 on default x86-64 builds) and,
 //!   through `#[target_feature]` trampolines, for 256-bit AVX2 and 512-bit
@@ -55,8 +57,8 @@
 //! from these instead of hand-picked constants, so the measured CPU kernel
 //! and the modeled FPGA datapath share one source of truth.
 
+use crate::fdm::{coarse_prolong, coarse_restrict, fdm_element_apply_cached};
 use crate::optimized::ax_optimized;
-use sem_basis::DerivativeMatrix;
 
 /// Smallest specialized degree.
 pub const MIN_DEGREE: usize = 3;
@@ -65,8 +67,9 @@ pub const MIN_DEGREE: usize = 3;
 pub const MAX_DEGREE: usize = 15;
 
 /// Coarse points per direction the specialized coarse-transfer kernels are
-/// generated for (`c + 1` with the degree-2 Galerkin coarse space).
-pub const COARSE_POINTS: usize = 3;
+/// generated for (`c + 1` with the degree-2 Galerkin coarse space that
+/// `sem_basis::fdm_coarse_degree` picks on the whole specialized range).
+const COARSE_POINTS: usize = 3;
 
 /// Largest power of two dividing `n` (the arbitration-free vector width of
 /// Section III-B: a power-of-two unroll that divides `N + 1` needs no BRAM
@@ -98,29 +101,18 @@ pub struct KernelStructure {
     pub initiation_interval: usize,
 }
 
-impl KernelStructure {
-    /// The structure of the generated kernel for `points = N + 1` grid
-    /// points per direction.
-    #[must_use]
-    pub const fn for_points(points: usize) -> Self {
-        Self {
-            degree: points - 1,
-            points,
-            unroll: largest_pow2_divisor(points),
-            initiation_interval: 1,
-        }
-    }
-}
-
 /// The structural constants of the generated kernel for `degree`, or `None`
 /// when the degree is outside the specialized range.
 #[must_use]
 pub fn kernel_structure(degree: usize) -> Option<KernelStructure> {
-    if (MIN_DEGREE..=MAX_DEGREE).contains(&degree) {
-        Some(KernelStructure::for_points(degree + 1))
-    } else {
-        None
-    }
+    (MIN_DEGREE..=MAX_DEGREE)
+        .contains(&degree)
+        .then(|| KernelStructure {
+            degree,
+            points: degree + 1,
+            unroll: largest_pow2_divisor(degree + 1),
+            initiation_interval: 1,
+        })
 }
 
 /// Rows per register block of the fused `Ax` core.  Up to `NX = 6` a block
@@ -292,7 +284,7 @@ fn ax_element_core<const NX: usize, const NPTS: usize, const B: usize, const BNX
 }
 
 /// The whole-field element loop over [`ax_element_core`] (the specialized
-/// mirror of [`crate::optimized::ax_optimized_with`]).
+/// mirror of [`crate::optimized::ax_optimized`]).
 #[inline(always)]
 fn ax_field_core<const NX: usize, const NPTS: usize, const B: usize, const BNX: usize>(
     u: &[f64],
@@ -329,65 +321,9 @@ fn ax_field_core<const NX: usize, const NPTS: usize, const B: usize, const BNX: 
     }
 }
 
-/// Square x-contraction with const trip counts (mirrors
-/// [`crate::fdm::rcontract_x`] at `rows = cols = d2 = d3 = NX`).
-#[allow(clippy::needless_range_loop)] // mirrors the generic kernel's explicit stride arithmetic
-#[inline(always)]
-fn contract_x_core<const NX: usize>(m: &[f64], u: &[f64], out: &mut [f64]) {
-    for p in 0..NX * NX {
-        let urow = &u[p * NX..(p + 1) * NX];
-        let orow = &mut out[p * NX..(p + 1) * NX];
-        for (i, o) in orow.iter_mut().enumerate() {
-            let mrow = &m[i * NX..(i + 1) * NX];
-            let mut acc = 0.0;
-            for l in 0..NX {
-                acc += mrow[l] * urow[l];
-            }
-            *o = acc;
-        }
-    }
-}
-
-/// Square y-contraction with const trip counts (mirrors
-/// [`crate::fdm::rcontract_y`]).
-#[inline(always)]
-fn contract_y_core<const NX: usize>(m: &[f64], u: &[f64], out: &mut [f64]) {
-    out[..NX * NX * NX].iter_mut().for_each(|v| *v = 0.0);
-    for k in 0..NX {
-        for j in 0..NX {
-            let mrow = &m[j * NX..(j + 1) * NX];
-            let dst = (j + k * NX) * NX;
-            for (l, &mv) in mrow.iter().enumerate() {
-                let src = (l + k * NX) * NX;
-                for i in 0..NX {
-                    out[dst + i] += mv * u[src + i];
-                }
-            }
-        }
-    }
-}
-
-/// Square z-contraction with const trip counts (mirrors
-/// [`crate::fdm::rcontract_z`]).
-#[inline(always)]
-fn contract_z_core<const NX: usize>(m: &[f64], u: &[f64], out: &mut [f64]) {
-    let plane = NX * NX;
-    out[..plane * NX].iter_mut().for_each(|v| *v = 0.0);
-    for k in 0..NX {
-        let mrow = &m[k * NX..(k + 1) * NX];
-        let dst = k * plane;
-        for (l, &mv) in mrow.iter().enumerate() {
-            let src = l * plane;
-            for p in 0..plane {
-                out[dst + p] += mv * u[src + p];
-            }
-        }
-    }
-}
-
 /// One element's fast-diagonalization solve with const trip counts (mirrors
 /// [`crate::fdm::fdm_element_apply`]: three forward contractions, the modal
-/// scale, three back).
+/// scale, three back, each a square [`rc_x_core`]-family contraction).
 #[inline(always)]
 fn fdm_element_core<const NX: usize, const NPTS: usize>(
     s: [&[f64]; 3],
@@ -405,19 +341,20 @@ fn fdm_element_core<const NX: usize, const NPTS: usize>(
         shur: t1, shus: t2, ..
     } = scratch;
 
-    contract_x_core::<NX>(st[0], r, t1);
-    contract_y_core::<NX>(st[1], t1, t2);
-    contract_z_core::<NX>(st[2], t2, t1);
+    rc_x_core::<NX, NX>(st[0], r, t1, NX * NX);
+    rc_y_core::<NX, NX>(st[1], t1, t2, NX, NX);
+    rc_z_core::<NX, NX>(st[2], t2, t1, NX, NX);
     for (c, &w) in t1.iter_mut().zip(inv) {
         *c *= w;
     }
-    contract_x_core::<NX>(s[0], t1, t2);
-    contract_y_core::<NX>(s[1], t2, t1);
-    contract_z_core::<NX>(s[2], t1, z);
+    rc_x_core::<NX, NX>(s[0], t1, t2, NX * NX);
+    rc_y_core::<NX, NX>(s[1], t2, t1, NX, NX);
+    rc_z_core::<NX, NX>(s[2], t1, z, NX, NX);
 }
 
-/// Rectangular x-contraction with const row/column counts (the coarse
-/// transfer's mirror of [`crate::fdm::rcontract_x`]); `planes = d2·d3`.
+/// Rectangular x-contraction with const row/column counts (mirror of
+/// [`crate::fdm::rcontract_x`]; square for the FDM pass, rectangular for the
+/// coarse transfer); `planes = d2·d3`.
 #[inline(always)]
 fn rc_x_core<const ROWS: usize, const COLS: usize>(
     m: &[f64],
@@ -655,22 +592,30 @@ impl Isa for Avx512 {
     }
 }
 
-type AxAllFn = fn(&[f64], &mut [f64], [&[f64]; 6], &[f64], &[f64]);
-type FdmFn = fn([&[f64]; 3], [&[f64]; 3], &[f64], &[f64], &mut [f64]);
-type RestrictFn = fn(&[f64], &[f64], &mut [f64], &mut [f64]);
-type ProlongFn = fn(&[f64], &mut [f64], &mut [f64]);
+/// `Ax` over whole elements; the trailing extent is `nx = N + 1`.
+type AxAllFn = fn(&[f64], &mut [f64], [&[f64]; 6], &[f64], &[f64], usize);
+/// One FDM element; the trailing extent is `nx`.
+type FdmFn = fn([&[f64]; 3], [&[f64]; 3], &[f64], &[f64], &mut [f64], usize);
+/// Coarse restriction; the trailing extents are `nx` and the coarse `cnx`.
+type RestrictFn = fn(&[f64], &[f64], &mut [f64], &mut [f64], usize, usize);
+/// Coarse prolongation; the trailing extents are `nx` and `cnx`.
+type ProlongFn = fn(&[f64], &mut [f64], &mut [f64], usize, usize);
 
-/// The kernel family of one specialized degree, resolved once at session or
-/// backend setup and shared by `Ax`, the FDM fine pass, and the degree-2
-/// coarse transfer.
+/// The kernel table of one degree, resolved once at session or backend
+/// setup and shared by `Ax`, the FDM fine pass, and the coarse transfer:
+/// the specialized family on `MIN_DEGREE..=MAX_DEGREE`, the generic
+/// runtime-extent kernels on every other degree.
 #[derive(Debug, Clone, Copy)]
 pub struct DegreeDispatch {
-    structure: KernelStructure,
+    /// Grid points per direction, `N + 1`.
+    points: usize,
+    /// Coarse points per direction of the FDM coarse space.
+    coarse_points: usize,
     isa: &'static str,
     ax_all: AxAllFn,
     fdm_one: FdmFn,
-    restrict3: RestrictFn,
-    prolong3: ProlongFn,
+    restrict: RestrictFn,
+    prolong: ProlongFn,
 }
 
 macro_rules! specialized_degrees {
@@ -698,7 +643,9 @@ macro_rules! specialized_degrees {
                     g: [&[f64]; 6],
                     d: &[f64],
                     dt: &[f64],
+                    nx: usize,
                 ) {
+                    debug_assert_eq!(nx, NX);
                     SCRATCH.with(|cell| {
                         let scratch = &mut **cell.borrow_mut();
                         I::run(AxField::<NX, NPTS, B, BNX> { u, w, g, d, dt, scratch });
@@ -711,18 +658,35 @@ macro_rules! specialized_degrees {
                     inv: &[f64],
                     r: &[f64],
                     z: &mut [f64],
+                    nx: usize,
                 ) {
+                    debug_assert_eq!(nx, NX);
                     SCRATCH.with(|cell| {
                         let scratch = &mut **cell.borrow_mut();
                         I::run(FdmElement::<NX, NPTS> { s, st, inv, r, z, scratch });
                     });
                 }
 
-                pub fn restrict3<I: Isa>(jt: &[f64], fine: &[f64], t1: &mut [f64], t2: &mut [f64]) {
+                pub fn restrict<I: Isa>(
+                    jt: &[f64],
+                    fine: &[f64],
+                    t1: &mut [f64],
+                    t2: &mut [f64],
+                    nx: usize,
+                    cnx: usize,
+                ) {
+                    debug_assert_eq!((nx, cnx), (NX, COARSE_POINTS));
                     I::run(Restrict::<NX, COARSE_POINTS> { jt, fine, t1, t2 });
                 }
 
-                pub fn prolong3<I: Isa>(j: &[f64], t1: &mut [f64], t2: &mut [f64]) {
+                pub fn prolong<I: Isa>(
+                    j: &[f64],
+                    t1: &mut [f64],
+                    t2: &mut [f64],
+                    nx: usize,
+                    cnx: usize,
+                ) {
+                    debug_assert_eq!((nx, cnx), (NX, COARSE_POINTS));
                     I::run(Prolong::<NX, COARSE_POINTS> { j, t1, t2 });
                 }
             }
@@ -735,12 +699,13 @@ macro_rules! specialized_degrees {
                 match degree {
                     $(
                         $degree => Some(Self {
-                            structure: KernelStructure::for_points($degree + 1),
+                            points: $degree + 1,
+                            coarse_points: COARSE_POINTS,
                             isa: I::NAME,
                             ax_all: $module::ax_all::<I>,
                             fdm_one: $module::fdm_one::<I>,
-                            restrict3: $module::restrict3::<I>,
-                            prolong3: $module::prolong3::<I>,
+                            restrict: $module::restrict::<I>,
+                            prolong: $module::prolong::<I>,
                         }),
                     )+
                     _ => None,
@@ -767,21 +732,42 @@ specialized_degrees!(
 );
 
 impl DegreeDispatch {
-    /// Resolve the specialized kernel family for `degree`, or `None` when
-    /// the degree is outside `MIN_DEGREE..=MAX_DEGREE` (callers fall back to
-    /// the generic kernels).  The instruction set follows from the degree
-    /// and the host: AVX-512F when the host reports it and `4 | N + 1`
-    /// (where a two-row `Ax` block fills whole 8-lane vectors), else AVX2
-    /// when the host reports it, else the baseline.
+    /// Resolve the kernel table for `degree`.  On `MIN_DEGREE..=MAX_DEGREE`
+    /// it is the specialized family, and the instruction set follows from
+    /// the degree and the host: AVX-512F when the host reports it and
+    /// `4 | N + 1` (where a two-row `Ax` block fills whole 8-lane vectors),
+    /// else AVX2 when the host reports it, else the baseline.  Every other
+    /// degree gets [`DegreeDispatch::generic`].
     #[must_use]
-    pub fn for_degree(degree: usize) -> Option<Self> {
+    pub fn for_degree(degree: usize) -> Self {
         Self::avx512(degree)
             .filter(|_| (degree + 1).is_multiple_of(4))
             .or_else(|| Self::avx2(degree))
             .or_else(|| Self::baseline(degree))
+            .unwrap_or_else(|| Self::generic(degree))
     }
 
-    /// The family compiled for the build target's own instruction set.
+    /// The generic kernels for `degree`, with `nx = N + 1` and the FDM coarse
+    /// extent (`sem_basis::fdm_coarse_degree(N) + 1`) as runtime values:
+    /// the split-layout `Ax`, the FDM element solve and the rectangular
+    /// coarse-transfer chain.  [`DegreeDispatch::for_degree`] returns it off
+    /// the specialized range; on the range it is the measurement hatch that
+    /// times generic against specialized (same bits).
+    #[must_use]
+    pub fn generic(degree: usize) -> Self {
+        Self {
+            points: degree + 1,
+            coarse_points: sem_basis::fdm_coarse_degree(degree) + 1,
+            isa: "generic",
+            ax_all: ax_optimized,
+            fdm_one: fdm_element_apply_cached,
+            restrict: coarse_restrict,
+            prolong: coarse_prolong,
+        }
+    }
+
+    /// The family compiled for the build target's own instruction set, or
+    /// `None` off the specialized range.
     pub(crate) fn baseline(degree: usize) -> Option<Self> {
         Self::instantiate::<Baseline>(degree)
     }
@@ -809,48 +795,28 @@ impl DegreeDispatch {
         None
     }
 
-    /// Name of the instruction set the family was compiled for:
-    /// `"avx512f"`, `"avx2"` or `"baseline"` (the build target's own).
+    /// Name of the instruction set the table was compiled for: `"avx512f"`,
+    /// `"avx2"` or `"baseline"` (the build target's own) for the specialized
+    /// family, `"generic"` for the runtime-extent kernels.
     #[must_use]
     pub fn isa(&self) -> &'static str {
         self.isa
     }
 
-    /// Resolve by grid points per direction (`points = N + 1`) — the FDM
-    /// pass keys on its *patch* extent, which exceeds `N + 1` when the
-    /// overlap is nonzero.
-    #[must_use]
-    pub fn for_points(points: usize) -> Option<Self> {
-        points.checked_sub(1).and_then(Self::for_degree)
-    }
-
-    /// Whether a specialized kernel family exists for `degree`.
-    #[must_use]
-    pub fn covers(degree: usize) -> bool {
-        (MIN_DEGREE..=MAX_DEGREE).contains(&degree)
-    }
-
-    /// The structural constants of this kernel family.
-    #[must_use]
-    pub fn structure(&self) -> KernelStructure {
-        self.structure
-    }
-
-    /// Polynomial degree the family is specialized for.
+    /// Polynomial degree the table serves.
     #[must_use]
     pub fn degree(&self) -> usize {
-        self.structure.degree
+        self.points - 1
     }
 
     /// Grid points per direction, `N + 1`.
     #[must_use]
     pub fn points(&self) -> usize {
-        self.structure.points
+        self.points
     }
 
-    /// Apply `w = Dᵀ G D u` over every element of a field (the specialized
-    /// mirror of the generic split-layout kernel; bitwise
-    /// identical results).
+    /// Apply `w = Dᵀ G D u` over every element of a field (`dt` must be the
+    /// exact transpose of `d`).  Every table gives the same bits.
     ///
     /// # Panics
     /// Panics if the field length is not a multiple of `(N+1)³` or any
@@ -863,11 +829,11 @@ impl DegreeDispatch {
         d: &[f64],
         dt: &[f64],
     ) {
-        (self.ax_all)(u, w, g_planes, d, dt);
+        (self.ax_all)(u, w, g_planes, d, dt, self.points);
     }
 
-    /// One element's fast-diagonalization solve (the specialized mirror of
-    /// [`crate::fdm::fdm_element_apply`]; bitwise identical results).
+    /// One element's fast-diagonalization solve (the kernel of
+    /// [`crate::fdm::fdm_element_apply`]; every table gives the same bits).
     ///
     /// # Panics
     /// Panics if `r`, `z` or `inv` are not `(N+1)³` long.
@@ -879,55 +845,26 @@ impl DegreeDispatch {
         r: &[f64],
         z: &mut [f64],
     ) {
-        (self.fdm_one)(s, st, inv, r, z);
+        (self.fdm_one)(s, st, inv, r, z, self.points);
     }
 
-    /// Coarse restriction `t1[..27] = Jᵀ⊗Jᵀ⊗Jᵀ fine` for the degree-2
-    /// coarse space ([`COARSE_POINTS`] nodes per direction); `t2` is the
-    /// ping-pong buffer.
+    /// Coarse restriction `t1[..c³] = Jᵀ⊗Jᵀ⊗Jᵀ fine` onto the FDM coarse
+    /// space (`c` coarse nodes per direction; `t2` is the ping-pong buffer,
+    /// both at least `(N+1)³` long).
     pub fn coarse_restrict(&self, jt: &[f64], fine: &[f64], t1: &mut [f64], t2: &mut [f64]) {
-        (self.restrict3)(jt, fine, t1, t2);
+        (self.restrict)(jt, fine, t1, t2, self.points, self.coarse_points);
     }
 
-    /// Coarse prolongation `t2[..(N+1)³] = J⊗J⊗J t1[..27]` for the degree-2
+    /// Coarse prolongation `t2[..(N+1)³] = J⊗J⊗J t1[..c³]` from the FDM
     /// coarse space (`t1` is clobbered; the result lands in `t2`).
     pub fn coarse_prolong(&self, j: &[f64], t1: &mut [f64], t2: &mut [f64]) {
-        (self.prolong3)(j, t1, t2);
-    }
-}
-
-/// Apply `w = Dᵀ G D u` over a run of whole elements with the resolved
-/// specialized family, or with the generic split-layout kernel
-/// (`optimized::ax_optimized`) when none is resolved (off-range degrees, pinned
-/// generic kernels).  The two paths are bitwise identical.
-///
-/// # Panics
-/// Panics if the field length is not a multiple of `(N+1)³` or any plane
-/// slice mismatches.
-pub fn ax_split(
-    dispatch: Option<&DegreeDispatch>,
-    u: &[f64],
-    w: &mut [f64],
-    g_planes: [&[f64]; 6],
-    derivative: &DerivativeMatrix,
-) {
-    match dispatch {
-        Some(dispatch) => dispatch.ax_apply_all(
-            u,
-            w,
-            g_planes,
-            derivative.d().as_slice(),
-            derivative.dt().as_slice(),
-        ),
-        None => ax_optimized(u, w, g_planes, derivative),
+        (self.prolong)(j, t1, t2, self.points, self.coarse_points);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fdm::{fdm_element_apply, rcontract_x, rcontract_y, rcontract_z, FdmScratch};
-    use crate::optimized::{ax_element_split, AxScratch};
     use rand::{rngs::StdRng, Rng, SeedableRng};
 
     fn random_field(n: usize, seed: u64) -> Vec<f64> {
@@ -951,17 +888,19 @@ mod tests {
 
     #[test]
     fn dispatch_resolves_exactly_the_specialized_range() {
-        for degree in MIN_DEGREE..=MAX_DEGREE {
-            let d = DegreeDispatch::for_degree(degree).unwrap();
-            assert_eq!(d.degree(), degree);
-            assert_eq!(d.points(), degree + 1);
-            assert!(DegreeDispatch::covers(degree));
+        for degree in 1..=MAX_DEGREE + 2 {
+            let table = DegreeDispatch::for_degree(degree);
+            assert_eq!(table.degree(), degree);
+            assert_eq!(table.points(), degree + 1);
+            let specialized = (MIN_DEGREE..=MAX_DEGREE).contains(&degree);
+            assert_eq!(table.isa() != "generic", specialized, "degree {degree}");
+            let generic = DegreeDispatch::generic(degree);
+            assert_eq!(generic.isa(), "generic");
+            assert_eq!(
+                table.coarse_points, generic.coarse_points,
+                "degree {degree}"
+            );
         }
-        assert!(DegreeDispatch::for_degree(2).is_none());
-        assert!(DegreeDispatch::for_degree(16).is_none());
-        assert!(DegreeDispatch::for_points(17).is_none());
-        assert!(DegreeDispatch::for_points(0).is_none());
-        assert_eq!(DegreeDispatch::for_points(8).unwrap().degree(), 7);
     }
 
     /// A seeded random vector salted with signed zeros and subnormals, so a
@@ -992,8 +931,8 @@ mod tests {
         v.iter().map(|x| x.to_bits()).collect()
     }
 
-    /// The generic kernels' results for one degree, on salted inputs: `Ax`
-    /// over two elements, one FDM element, the coarse restriction and the
+    /// One table's results for one degree, on salted inputs: `Ax` over two
+    /// elements, one FDM element, the coarse restriction and the
     /// prolongation of a salted coarse vector.
     struct Outputs {
         ax: Vec<u64>,
@@ -1002,12 +941,11 @@ mod tests {
         prolong: Vec<u64>,
     }
 
-    /// Run every kernel of the family (`Some`) or its generic counterpart
-    /// (`None`) on the same salted inputs.
-    fn family_outputs(degree: usize, family: Option<&DegreeDispatch>) -> Outputs {
+    /// Run every kernel of `family` on the same salted inputs.
+    fn family_outputs(degree: usize, family: &DegreeDispatch) -> Outputs {
         let nx = degree + 1;
         let npts = nx * nx * nx;
-        let cnx = COARSE_POINTS;
+        let cnx = family.coarse_points;
         let nc = cnx * cnx * cnx;
         let seed = degree as u64 * 100;
 
@@ -1019,20 +957,8 @@ mod tests {
         let d = salted_field(nx * nx, seed + 7);
         let dt = transpose(&d, nx, nx);
         let mut w = vec![1.0; u.len()];
-        match family {
-            Some(family) => {
-                let planes = [&g[0][..], &g[1], &g[2], &g[3], &g[4], &g[5]];
-                family.ax_apply_all(&u, &mut w, planes, &d, &dt);
-            }
-            None => {
-                let mut scratch = AxScratch::default();
-                for e in 0..2 {
-                    let r = e * npts..(e + 1) * npts;
-                    let planes = [0, 1, 2, 3, 4, 5].map(|p| &g[p][r.clone()]);
-                    ax_element_split(&u[r.clone()], &mut w[r], planes, &d, &dt, nx, &mut scratch);
-                }
-            }
-        }
+        let planes = [&g[0][..], &g[1], &g[2], &g[3], &g[4], &g[5]];
+        family.ax_apply_all(&u, &mut w, planes, &d, &dt);
 
         // One FDM element.
         let m: Vec<Vec<f64>> = (0..6)
@@ -1042,10 +968,7 @@ mod tests {
         let inv = salted_field(npts, seed + 16);
         let r = salted_field(npts, seed + 17);
         let mut z = vec![1.0; npts];
-        match family {
-            Some(family) => family.fdm_element_apply(s, st, &inv, &r, &mut z),
-            None => fdm_element_apply(s, st, &inv, &r, &mut z, nx, &mut FdmScratch::default()),
-        }
+        family.fdm_element_apply(s, st, &inv, &r, &mut z);
 
         // Coarse restriction, then prolongation of a salted coarse vector.
         let j = salted_field(nx * cnx, seed + 20);
@@ -1053,30 +976,15 @@ mod tests {
         let fine = salted_field(npts, seed + 21);
         let coarse = salted_field(nc, seed + 22);
         let (mut t1, mut t2) = (vec![1.0; npts], vec![1.0; npts]);
-        let (restrict, prolong) = match family {
-            Some(family) => {
-                family.coarse_restrict(&jt, &fine, &mut t1, &mut t2);
-                let restrict = bits(&t1[..nc]);
-                t1[..nc].copy_from_slice(&coarse);
-                family.coarse_prolong(&j, &mut t1, &mut t2);
-                (restrict, bits(&t2))
-            }
-            None => {
-                rcontract_x(&jt, cnx, nx, &fine, &mut t1, nx, nx);
-                rcontract_y(&jt, cnx, nx, &t1, &mut t2, cnx, nx);
-                rcontract_z(&jt, cnx, nx, &t2, &mut t1, cnx, cnx);
-                let restrict = bits(&t1[..nc]);
-                rcontract_x(&j, nx, cnx, &coarse, &mut t2, cnx, cnx);
-                rcontract_y(&j, nx, cnx, &t2, &mut t1, nx, cnx);
-                rcontract_z(&j, nx, cnx, &t1, &mut t2, nx, nx);
-                (restrict, bits(&t2))
-            }
-        };
+        family.coarse_restrict(&jt, &fine, &mut t1, &mut t2);
+        let restrict = bits(&t1[..nc]);
+        t1[..nc].copy_from_slice(&coarse);
+        family.coarse_prolong(&j, &mut t1, &mut t2);
         Outputs {
             ax: bits(&w),
             fdm: bits(&z),
             restrict,
-            prolong,
+            prolong: bits(&t2),
         }
     }
 
@@ -1085,15 +993,15 @@ mod tests {
         assert_eq!(expected.fdm, got.fdm, "{label} fdm_one, degree {degree}");
         assert_eq!(
             expected.restrict, got.restrict,
-            "{label} restrict3, degree {degree}"
+            "{label} restrict, degree {degree}"
         );
         assert_eq!(
             expected.prolong, got.prolong,
-            "{label} prolong3, degree {degree}"
+            "{label} prolong, degree {degree}"
         );
     }
 
-    /// Every instantiation of the family against the generic kernels, bit
+    /// Every instantiation of the family against the generic table, bit
     /// for bit, on every specialized degree; both `Ax` block shapes occur
     /// (whole k-planes up to `N + 1 = 6`, one row at odd `N + 1` above, two
     /// rows at even).  The AVX2 and AVX-512 halves run only where the host
@@ -1115,14 +1023,14 @@ mod tests {
             .collect();
         assert!(shapes.contains(&1) && shapes.contains(&2) && shapes.iter().any(|&b| b > 2));
         for degree in MIN_DEGREE..=MAX_DEGREE {
-            let generic = family_outputs(degree, None);
+            let generic = family_outputs(degree, &DegreeDispatch::generic(degree));
             let baseline = DegreeDispatch::baseline(degree).unwrap();
             assert_eq!(baseline.isa(), "baseline");
             assert_same_bits(
                 degree,
                 "baseline",
                 &generic,
-                &family_outputs(degree, Some(&baseline)),
+                &family_outputs(degree, &baseline),
             );
             let wide = [
                 ("avx2", DegreeDispatch::avx2(degree)),
@@ -1130,12 +1038,7 @@ mod tests {
             ];
             for (name, family) in wide.iter().filter_map(|(n, f)| Some((n, f.as_ref()?))) {
                 assert_eq!(family.isa(), *name);
-                assert_same_bits(
-                    degree,
-                    name,
-                    &generic,
-                    &family_outputs(degree, Some(family)),
-                );
+                assert_same_bits(degree, name, &generic, &family_outputs(degree, family));
             }
             let expected = if host_has_avx512 && (degree + 1).is_multiple_of(4) {
                 "avx512f"
@@ -1145,7 +1048,7 @@ mod tests {
                 "baseline"
             };
             assert_eq!(
-                DegreeDispatch::for_degree(degree).unwrap().isa(),
+                DegreeDispatch::for_degree(degree).isa(),
                 expected,
                 "for_degree at degree {degree}"
             );

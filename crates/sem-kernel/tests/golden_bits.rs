@@ -1,7 +1,9 @@
-//! Golden bits of the specialized kernel family.
+//! Golden bits of the `DegreeDispatch` kernel tables.
 //!
 //! Hashes of `DegreeDispatch::ax_apply_all` at N = 3, 4, 5, 7 and 11 and of
-//! one fast-diagonalization element at N = 7, pinned as constants.  The inputs
+//! one fast-diagonalization element at N = 7 (the specialized family), and
+//! of `ax_apply_all` at N = 2 and 16 and one FDM element at N = 2 (the
+//! `"generic"` table), pinned as constants.  The inputs
 //! come from an integer generator scaled by exact powers of two, with no
 //! transcendental call anywhere, so the expected hashes are the same on
 //! every IEEE-754 platform.  Whichever instruction set `for_degree` picks on
@@ -53,8 +55,7 @@ fn ax_hash(degree: usize) -> u64 {
     let d = inputs.field(nx * nx);
     let dt = transpose(&d, nx);
     let mut w = vec![0.0; len];
-    let family = DegreeDispatch::for_degree(degree).expect("covered degree");
-    family.ax_apply_all(
+    DegreeDispatch::for_degree(degree).ax_apply_all(
         &u,
         &mut w,
         [&g[0], &g[1], &g[2], &g[3], &g[4], &g[5]],
@@ -73,8 +74,7 @@ fn fdm_hash(degree: usize) -> u64 {
     let inv = inputs.field(npts);
     let r = inputs.field(npts);
     let mut z = vec![0.0; npts];
-    let family = DegreeDispatch::for_degree(degree).expect("covered degree");
-    family.fdm_element_apply(
+    DegreeDispatch::for_degree(degree).fdm_element_apply(
         [&m[0], &m[1], &m[2]],
         [&m[3], &m[4], &m[5]],
         &inv,
@@ -88,7 +88,8 @@ fn fdm_hash(degree: usize) -> u64 {
 fn specialized_kernels_reproduce_their_golden_bits() {
     // (label, degree, hash, pinned).  N = 4 runs the whole-k-plane block on
     // AVX2, N = 5 the AVX2 side of the AVX-512 rule; N = 3, 7 and 11 run
-    // AVX-512F where the host has it.
+    // AVX-512F where the host has it.  N = 2 and 16 run the generic table;
+    // their pins are the generic kernels' bits before the table existed.
     let cases = [
         ("ax N=3", 3, ax_hash(3), 0x6d8b_95f0_ff84_7916_u64),
         ("ax N=7", 7, ax_hash(7), 0x9f2a_957e_a63c_1fae),
@@ -96,9 +97,12 @@ fn specialized_kernels_reproduce_their_golden_bits() {
         ("fdm N=7", 7, fdm_hash(7), 0xbb1a_badd_418a_14be),
         ("ax N=4", 4, ax_hash(4), 0x795e_6f56_9c02_2552),
         ("ax N=5", 5, ax_hash(5), 0xfd29_783d_a68b_ddd2),
+        ("ax N=2", 2, ax_hash(2), 0xcd1f_0398_6c31_63ee),
+        ("ax N=16", 16, ax_hash(16), 0x0ba2_0af0_7bfd_19fe),
+        ("fdm N=2", 2, fdm_hash(2), 0x7371_9fc6_6b1c_0f05),
     ];
     for (label, degree, got, pinned) in cases {
-        let isa = DegreeDispatch::for_degree(degree).unwrap().isa();
+        let isa = DegreeDispatch::for_degree(degree).isa();
         assert_eq!(
             got, pinned,
             "{label} on the {isa} instantiation: {got:#018x} != pinned {pinned:#018x}"

@@ -93,12 +93,6 @@ pub struct Autoscaler {
     watts: Vec<f64>,
     labels: Vec<String>,
     active: Vec<bool>,
-    /// Circuit-breaker overlay: a quarantined device stays *provisioned*
-    /// (it still burns watts until the scaler retires it) but leaves the
-    /// serving mask immediately and cannot be (re)activated while dark.
-    quarantined: Vec<bool>,
-    /// `active & !quarantined` — the mask placement actually serves from.
-    effective: Vec<bool>,
     events: Vec<ScaleEvent>,
 }
 
@@ -132,8 +126,6 @@ impl Autoscaler {
             policy,
             watts,
             labels: slots.iter().map(|slot| slot.label.clone()).collect(),
-            effective: active.clone(),
-            quarantined: vec![false; active.len()],
             active,
             events: Vec::new(),
         }
@@ -167,52 +159,18 @@ impl Autoscaler {
         (slots, watts)
     }
 
-    /// The mask placement serves from: active devices that are not
-    /// quarantined.  Identical to the provisioning mask until
-    /// [`Autoscaler::set_quarantined`] is used.
+    /// The mask placement serves from: the active devices.  (Quarantined
+    /// devices stay in it; placement skips them through the circuit
+    /// breakers.)
     #[must_use]
     pub fn active_mask(&self) -> &[bool] {
-        &self.effective
+        &self.active
     }
 
-    /// Number of provisioned (active) devices, quarantined or not.
+    /// Number of provisioned (active) devices.
     #[must_use]
     pub fn active_count(&self) -> usize {
         self.active.iter().filter(|a| **a).count()
-    }
-
-    /// Number of active devices actually able to serve (not quarantined).
-    #[must_use]
-    pub fn healthy_active_count(&self) -> usize {
-        self.effective.iter().filter(|a| **a).count()
-    }
-
-    /// Feed the circuit breaker's verdict for `device` into the mask
-    /// (attributed to observation window `window` in the event log).
-    ///
-    /// Quarantining a serving device removes it from the serving mask at
-    /// once and grows a replacement (cheapest healthy inactive candidate),
-    /// so capacity recovers without waiting for the next hot window; the
-    /// dark device stays provisioned — and billed — until the scaler
-    /// retires it.  Lifting a quarantine returns the device to the masks
-    /// it was in.
-    pub fn set_quarantined(&mut self, window: usize, device: usize, quarantined: bool) {
-        if self.quarantined[device] == quarantined {
-            return;
-        }
-        self.quarantined[device] = quarantined;
-        self.effective[device] = self.active[device] && !quarantined;
-        let obs = recorder();
-        if obs.is_enabled() {
-            obs.gauge_set(
-                "sem_serve_quarantined_devices_count",
-                &[],
-                self.quarantined.iter().filter(|q| **q).count() as f64,
-            );
-        }
-        if quarantined && self.active[device] {
-            self.flip(window, ScaleDirection::Up);
-        }
     }
 
     /// Per-slot provisioning costs in watts.
@@ -240,9 +198,6 @@ impl Autoscaler {
         if stats.rejected > 0 || hot {
             self.flip(stats.window, ScaleDirection::Up);
         } else if cool && stats.rejected == 0 {
-            // `flip` enforces the floor: it retires dark (quarantined)
-            // devices freely but never deactivates a healthy device unless
-            // more than `min_devices` healthy devices remain.
             self.flip(stats.window, ScaleDirection::Down);
         }
         // Neither branch: hold.  In particular a window with no admitted
@@ -252,34 +207,20 @@ impl Autoscaler {
 
     fn flip(&mut self, window: usize, direction: ScaleDirection) {
         let candidate = match direction {
-            // Cheapest healthy inactive candidate first; a quarantined
-            // device cannot be activated while dark.
+            // Cheapest inactive candidate first.
             ScaleDirection::Up => (0..self.active.len())
-                .filter(|&d| !self.active[d] && !self.quarantined[d])
+                .filter(|&d| !self.active[d])
                 .min_by(|&a, &b| self.watts[a].total_cmp(&self.watts[b]).then(a.cmp(&b))),
-            // Retire a dark (quarantined) active device first: it serves
-            // nothing, so dropping it frees watts without losing capacity.
-            // Only then consider healthy devices, most expensive first, and
-            // never take the pool below `min_devices` *healthy* actives —
-            // `active_count` alone would let a cool window retire the last
-            // serving device when quarantine has darkened the rest.
+            // Most expensive active device first, never below `min_devices`.
+            ScaleDirection::Down if self.active_count() <= self.policy.min_devices => None,
             ScaleDirection::Down => (0..self.active.len())
-                .filter(|&d| self.active[d] && self.quarantined[d])
-                .max_by(|&a, &b| self.watts[a].total_cmp(&self.watts[b]).then(b.cmp(&a)))
-                .or_else(|| {
-                    if self.healthy_active_count() <= self.policy.min_devices {
-                        return None;
-                    }
-                    (0..self.active.len())
-                        .filter(|&d| self.active[d] && !self.quarantined[d])
-                        .max_by(|&a, &b| self.watts[a].total_cmp(&self.watts[b]).then(b.cmp(&a)))
-                }),
+                .filter(|&d| self.active[d])
+                .max_by(|&a, &b| self.watts[a].total_cmp(&self.watts[b]).then(b.cmp(&a))),
         };
         let Some(device) = candidate else {
             return; // Saturated in that direction: every candidate already flipped.
         };
         self.active[device] = direction == ScaleDirection::Up;
-        self.effective[device] = self.active[device] && !self.quarantined[device];
         let obs = recorder();
         if obs.is_enabled() {
             let metric = match direction {
@@ -365,74 +306,6 @@ mod tests {
         scaler.observe(&stats(3, 0, 9, None));
         assert_eq!(scaler.active_count(), 2, "saturated at the pool size");
         assert_eq!(scaler.events().len(), 1, "saturated flips are not events");
-    }
-
-    #[test]
-    fn a_quarantined_device_leaves_the_serving_mask_and_a_replacement_grows() {
-        let (slots, watts) = pool(3);
-        let mut scaler = Autoscaler::new(AutoscalerPolicy::with_deadline(10.0), &slots, watts);
-        assert_eq!(scaler.active_mask(), &[true, false, false]);
-        scaler.set_quarantined(0, 0, true);
-        assert_eq!(
-            scaler.active_mask(),
-            &[false, true, false],
-            "dark device out of the serving mask, cheapest healthy spare in"
-        );
-        assert_eq!(scaler.active_count(), 2, "the dark device is still billed");
-        assert_eq!(scaler.healthy_active_count(), 1);
-        assert_eq!(scaler.events().len(), 1);
-        assert_eq!(scaler.events()[0].direction, ScaleDirection::Up);
-        assert_eq!(scaler.events()[0].device, 1);
-    }
-
-    #[test]
-    fn shrink_never_deactivates_the_last_healthy_device() {
-        // The regression this satellite exists for: quarantine darkens one
-        // of two active devices, then a cool window arrives.  Guarding on
-        // `active_count > min_devices` alone would retire the *healthy*
-        // device (it is the most expensive active one) and leave the pool
-        // serving from nothing.
-        let (slots, watts) = pool(2);
-        let mut scaler = Autoscaler::new(AutoscalerPolicy::with_deadline(10.0), &slots, watts);
-        scaler.observe(&stats(0, 4, 2, None));
-        assert_eq!(scaler.active_mask(), &[true, true]);
-        scaler.set_quarantined(1, 0, true); // replacement grow saturates: 1 is already active
-        assert_eq!(scaler.active_mask(), &[false, true]);
-        scaler.observe(&stats(2, 4, 0, Some(0.5)));
-        assert_eq!(
-            scaler.active_mask(),
-            &[false, true],
-            "the cool window retires the dark device, not the healthy one"
-        );
-        assert_eq!(scaler.active_count(), 1, "device 0 deprovisioned");
-        scaler.observe(&stats(3, 4, 0, Some(0.5)));
-        assert_eq!(
-            scaler.healthy_active_count(),
-            1,
-            "the last healthy device can never be retired"
-        );
-        assert_eq!(scaler.active_mask(), &[false, true]);
-    }
-
-    #[test]
-    fn growth_skips_quarantined_devices_until_the_quarantine_lifts() {
-        let (slots, watts) = pool(3);
-        let mut scaler = Autoscaler::new(AutoscalerPolicy::with_deadline(10.0), &slots, watts);
-        scaler.set_quarantined(0, 1, true); // dark while inactive: no flip
-        assert_eq!(scaler.events().len(), 0);
-        scaler.observe(&stats(1, 4, 2, None));
-        assert_eq!(
-            scaler.active_mask(),
-            &[true, false, true],
-            "growth passes over the cheaper quarantined candidate"
-        );
-        scaler.set_quarantined(2, 1, false);
-        scaler.observe(&stats(3, 4, 2, None));
-        assert_eq!(
-            scaler.active_mask(),
-            &[true, true, true],
-            "a probed-healthy device rejoins the candidate pool"
-        );
     }
 
     #[test]

@@ -48,9 +48,7 @@
 
 use crate::cg::Preconditioner;
 use sem_basis::{DenseMatrix, Fdm1d, Fdm1dBoundary};
-use sem_kernel::fdm::{fdm_element_apply, rcontract_x, rcontract_y, rcontract_z, FdmScratch};
-use sem_kernel::specialized::{ax_split, DegreeDispatch, COARSE_POINTS};
-use sem_kernel::PoissonOperator;
+use sem_kernel::{DegreeDispatch, PoissonOperator};
 use sem_mesh::{BoxMesh, DirichletMask, ElementField, GatherScatter};
 use std::cell::RefCell;
 
@@ -92,8 +90,6 @@ struct ComboTable {
 /// element-vertex (Q1) space; higher degrees add edge/face/centre modes.
 #[derive(Debug, Clone)]
 struct CoarseCorrection {
-    /// Coarse polynomial degree `c`.
-    degree: usize,
     /// Coarse degrees of freedom (interior coarse grid points).
     num_dofs: usize,
     /// Per element, the coarse dof of each of its `(c+1)³` coarse nodes in
@@ -105,31 +101,22 @@ struct CoarseCorrection {
     jt: DenseMatrix,
     /// Cholesky factor of the Galerkin coarse operator `Pᵀ A P`.
     factor: DenseMatrix,
-    /// Degree-specialized transfer kernels, resolved once at setup when the
-    /// coarse space is the degree-2 one the specialized family is generated
-    /// for and the fine degree is covered.
-    dispatch: Option<DegreeDispatch>,
 }
 
 impl CoarseCorrection {
-    /// Coarse nodes per direction, `c + 1`.
-    fn coarse_nx(&self) -> usize {
-        self.degree + 1
-    }
-
     /// Accumulate one element's share of the restriction `Pᵀ w` (where `w`
     /// is already counting-weighted) into the coarse right-hand side, using
-    /// `t1`/`t2` as contraction buffers (each at least `nx³` long).
+    /// `t1`/`t2` as contraction buffers (each at least `(N+1)³` long).
     fn restrict_element(
         &self,
+        kernels: &DegreeDispatch,
         e: usize,
         weighted: &[f64],
-        nx: usize,
         rhs: &mut [f64],
         t1: &mut [f64],
         t2: &mut [f64],
     ) {
-        self.restrict_local(weighted, nx, t1, t2);
+        kernels.coarse_restrict(self.jt.as_slice(), weighted, t1, t2);
         for (local, &dof) in self.element_dofs[e].iter().enumerate() {
             if dof >= 0 {
                 rhs[dof as usize] += t1[local];
@@ -137,41 +124,13 @@ impl CoarseCorrection {
         }
     }
 
-    /// `t1[..cnx³] = Jᵀ⊗Jᵀ⊗Jᵀ fine` (`t2` is the ping-pong buffer).
-    fn restrict_local(&self, fine: &[f64], nx: usize, t1: &mut [f64], t2: &mut [f64]) {
-        let jt = self.jt.as_slice();
-        if let Some(dispatch) = &self.dispatch {
-            dispatch.coarse_restrict(jt, fine, t1, t2);
-            return;
-        }
-        let cnx = self.coarse_nx();
-        rcontract_x(jt, cnx, nx, fine, t1, nx, nx);
-        rcontract_y(jt, cnx, nx, t1, t2, cnx, nx);
-        rcontract_z(jt, cnx, nx, t2, t1, cnx, cnx);
-    }
-
-    /// `out[..nx³] = J⊗J⊗J t1[..cnx³]` (`t1` is clobbered, `t2` is the
-    /// ping-pong buffer; the result lands in `t2`).
-    fn prolong_local<'b>(&self, t1: &'b mut [f64], t2: &'b mut [f64], nx: usize) -> &'b [f64] {
-        let j = self.j.as_slice();
-        if let Some(dispatch) = &self.dispatch {
-            dispatch.coarse_prolong(j, t1, t2);
-            return t2;
-        }
-        let cnx = self.coarse_nx();
-        rcontract_x(j, nx, cnx, &t1[..cnx * cnx * cnx], t2, cnx, cnx);
-        rcontract_y(j, nx, cnx, t2, t1, nx, cnx);
-        rcontract_z(j, nx, cnx, t1, t2, nx, nx);
-        t2
-    }
-
     /// Add the prolongation `P c` of a coarse vector into one element, using
-    /// `t1`/`t2` as buffers (each at least `nx³` long).
+    /// `t1`/`t2` as buffers (each at least `(N+1)³` long).
     fn prolong_element_add(
         &self,
+        kernels: &DegreeDispatch,
         e: usize,
         c: &[f64],
-        nx: usize,
         out: &mut [f64],
         t1: &mut [f64],
         t2: &mut [f64],
@@ -179,8 +138,8 @@ impl CoarseCorrection {
         for (local, &dof) in self.element_dofs[e].iter().enumerate() {
             t1[local] = if dof >= 0 { c[dof as usize] } else { 0.0 };
         }
-        let prolonged = self.prolong_local(t1, t2, nx);
-        for (o, &v) in out.iter_mut().zip(prolonged.iter()) {
+        kernels.coarse_prolong(self.j.as_slice(), t1, t2);
+        for (o, &v) in out.iter_mut().zip(t2.iter()) {
             *o += v;
         }
     }
@@ -189,7 +148,6 @@ impl CoarseCorrection {
 /// Reusable per-thread buffers of one FDM application.
 #[derive(Debug, Default)]
 struct ApplyScratch {
-    kernel: FdmScratch,
     /// Counting-weighted residual, full field (patch solve and coarse
     /// restriction input).
     weighted_residual: Vec<f64>,
@@ -232,9 +190,9 @@ pub struct FdmPreconditioner {
     /// Modelled seconds one application costs when the backend claims the
     /// pass on-device (`None`: measure wall-clock instead).
     modeled_seconds: Option<f64>,
-    /// Degree-specialized patch kernel, resolved once at setup from the
-    /// patch extent `N + 1`.
-    dispatch: Option<DegreeDispatch>,
+    /// The kernel table of the patch solve and the coarse transfers,
+    /// resolved once at setup.
+    dispatch: DegreeDispatch,
 }
 
 impl FdmPreconditioner {
@@ -322,7 +280,8 @@ impl FdmPreconditioner {
             weight_global[g] = w;
         }
 
-        let coarse = Self::build_coarse(mesh, operator);
+        let dispatch = DegreeDispatch::for_degree(degree);
+        let coarse = Self::build_coarse(mesh, operator, &dispatch);
 
         Self {
             degree,
@@ -336,7 +295,7 @@ impl FdmPreconditioner {
             gather_scatter: gather_scatter.clone(),
             mask: mask.clone(),
             modeled_seconds: None,
-            dispatch: DegreeDispatch::for_points(nx),
+            dispatch,
         }
     }
 
@@ -345,10 +304,7 @@ impl FdmPreconditioner {
     /// benchmarks use to compare generic against specialized.
     #[must_use]
     pub fn with_generic_kernels(mut self) -> Self {
-        self.dispatch = None;
-        if let Some(coarse) = &mut self.coarse {
-            coarse.dispatch = None;
-        }
+        self.dispatch = DegreeDispatch::generic(self.degree);
         self
     }
 
@@ -429,7 +385,11 @@ impl FdmPreconditioner {
     /// the degree-`c` coarse space: one SEM operator application per coarse
     /// basis function, restricted back through the counting weight.
     /// Setup-only cost, linear in the coarse dimension times one `Ax`.
-    fn build_coarse(mesh: &BoxMesh, operator: &PoissonOperator) -> Option<CoarseCorrection> {
+    fn build_coarse(
+        mesh: &BoxMesh,
+        operator: &PoissonOperator,
+        kernels: &DegreeDispatch,
+    ) -> Option<CoarseCorrection> {
         let coarse_degree = sem_basis::fdm_coarse_degree(mesh.degree());
         if coarse_degree == 0 {
             return None;
@@ -473,21 +433,12 @@ impl FdmPreconditioner {
 
         let j = sem_basis::degree_prolongation(coarse_degree, mesh.degree());
         let jt = j.transpose();
-        // The specialized transfer kernels are generated for the degree-2
-        // coarse space (3 nodes per direction) only.
-        let dispatch = if cnx == COARSE_POINTS {
-            DegreeDispatch::for_degree(mesh.degree())
-        } else {
-            None
-        };
         let mut coarse = CoarseCorrection {
-            degree: coarse_degree,
             num_dofs,
             element_dofs,
             j,
             jt,
             factor: DenseMatrix::zeros(0, 0),
-            dispatch,
         };
 
         // Galerkin assembly, element by element: the coarse basis functions
@@ -499,7 +450,8 @@ impl FdmPreconditioner {
         let nx = mesh.degree() + 1;
         let npts = nx * nx * nx;
         let planes = operator.geometry().planes();
-        let (derivative, ax_dispatch) = (operator.derivative(), operator.dispatch());
+        let derivative = operator.derivative();
+        let (d, dt) = (derivative.d().as_slice(), derivative.dt().as_slice());
         let cpts = cnx * cnx * cnx;
         let mut a_c = DenseMatrix::zeros(num_dofs, num_dofs);
         let mut y = vec![0.0; npts];
@@ -514,9 +466,9 @@ impl FdmPreconditioner {
                 }
                 t1[..cpts].iter_mut().for_each(|v| *v = 0.0);
                 t1[w_local] = 1.0;
-                let p_w = coarse.prolong_local(&mut t1, &mut t2, nx);
-                ax_split(ax_dispatch, p_w, &mut y, g, derivative);
-                coarse.restrict_local(&y, nx, &mut t1, &mut t2);
+                kernels.coarse_prolong(coarse.j.as_slice(), &mut t1, &mut t2);
+                operator.dispatch().ax_apply_all(&t2, &mut y, g, d, dt);
+                kernels.coarse_restrict(coarse.jt.as_slice(), &y, &mut t1, &mut t2);
                 for (v_local, &v) in coarse.element_dofs[e].iter().enumerate() {
                     if v >= 0 {
                         a_c[(v as usize, w as usize)] += t1[v_local];
@@ -586,9 +538,9 @@ impl Preconditioner for FdmPreconditioner {
                 // Coarse restriction of the counting-weighted residual.
                 if let Some(coarse) = &self.coarse {
                     coarse.restrict_element(
+                        &self.dispatch,
                         e,
                         patch_in,
-                        nx,
                         &mut s.coarse_rhs,
                         &mut s.ct1,
                         &mut s.ct2,
@@ -600,25 +552,13 @@ impl Preconditioner for FdmPreconditioner {
                 let fx = &self.classes[0][combo.class[0]].factors;
                 let fy = &self.classes[1][combo.class[1]].factors;
                 let fz = &self.classes[2][combo.class[2]].factors;
-                if let Some(dispatch) = &self.dispatch {
-                    dispatch.fdm_element_apply(
-                        [fx.s.as_slice(), fy.s.as_slice(), fz.s.as_slice()],
-                        [fx.st.as_slice(), fy.st.as_slice(), fz.st.as_slice()],
-                        &combo.inv,
-                        patch_in,
-                        &mut s.patch_out,
-                    );
-                } else {
-                    fdm_element_apply(
-                        [fx.s.as_slice(), fy.s.as_slice(), fz.s.as_slice()],
-                        [fx.st.as_slice(), fy.st.as_slice(), fz.st.as_slice()],
-                        &combo.inv,
-                        patch_in,
-                        &mut s.patch_out,
-                        nx,
-                        &mut s.kernel,
-                    );
-                }
+                self.dispatch.fdm_element_apply(
+                    [fx.s.as_slice(), fy.s.as_slice(), fz.s.as_slice()],
+                    [fx.st.as_slice(), fy.st.as_slice(), fz.st.as_slice()],
+                    &combo.inv,
+                    patch_in,
+                    &mut s.patch_out,
+                );
 
                 // Scatter the weighted correction to the global grid.
                 for (&g, &zv) in l2g[start..start + npts].iter().zip(&s.patch_out) {
@@ -639,9 +579,9 @@ impl Preconditioner for FdmPreconditioner {
                 coarse.factor.cholesky_solve_in_place(&mut s.coarse_rhs);
                 for e in 0..self.num_elements {
                     coarse.prolong_element_add(
+                        &self.dispatch,
                         e,
                         &s.coarse_rhs,
-                        nx,
                         &mut z.as_mut_slice()[e * npts..(e + 1) * npts],
                         &mut s.ct1,
                         &mut s.ct2,
@@ -688,8 +628,13 @@ mod tests {
     fn specialized_kernels_are_bitwise_identical_in_the_apply() {
         let (mesh, op, gs, mask) = problem(7, 2);
         let pre = FdmPreconditioner::new(&mesh, &op, &gs, &mask);
-        assert!(pre.dispatch.is_some(), "degree 7 patches are covered");
+        assert_ne!(
+            pre.dispatch.isa(),
+            "generic",
+            "degree 7 patches are covered"
+        );
         let pre_generic = pre.clone().with_generic_kernels();
+        assert_eq!(pre_generic.dispatch.isa(), "generic");
         let pi = std::f64::consts::PI;
         let mut r = mesh.evaluate(move |x, y, z| {
             (pi * x).sin() * (2.0 * pi * y).sin() * (pi * z).cos() + 0.3 * x * y
