@@ -46,7 +46,7 @@ struct BatchedRow {
     /// Modelled per-RHS end-to-end seconds (operator + amortised transfer).
     per_rhs_modeled_seconds: f64,
     /// Heap allocations the pre-scratch solver would have performed for this
-    /// batch and that the reusable `CgScratch` + CSR dssum path eliminates
+    /// batch and that the reusable `CgScratch` + in-place dssum path eliminates
     /// (modelled: per solve, two setup clones, one work field, one
     /// preconditioned residual per iteration and one global dssum vector per
     /// operator application, minus the batch's single five-field scratch).

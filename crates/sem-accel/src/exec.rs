@@ -72,7 +72,7 @@ pub trait AxBackend: LocalOperator + Send + Sync {
     /// Whether this backend claims the `w = QQᵀ(A u)` pass (operator
     /// application plus direct stiffness summation without a host round
     /// trip) — the paper's next offload candidate after the kernel itself.
-    /// A pricing claim only: the numerics still run the host CSR sweep
+    /// A pricing claim only: the numerics still run the host dssum sweep
     /// after [`LocalOperator::try_apply_into`], and the claim obliges the
     /// backend to price its pass per batch
     /// ([`AxBackend::simulated_seconds_per_batch`]).
@@ -351,7 +351,7 @@ impl AxBackend for FpgaSimBackend {
     fn fuses_dssum(&self) -> bool {
         // The boards keep the field resident, so the gather–scatter runs as
         // part of the kernel pass instead of a host round trip (cross-board
-        // sums ride the priced interface exchange); the host CSR sweep after
+        // sums ride the priced interface exchange); the host dssum sweep after
         // the kernel models that pass bitwise.
         true
     }

@@ -4,6 +4,7 @@
 //! contiguously element by element — the exact layout the paper's kernel
 //! (Listing 1) and Nekbone use for `u` and `w`.
 
+use crate::lanes::{StripedSum, LANES};
 use serde::{Deserialize, Serialize};
 
 /// A scalar nodal field over a collection of spectral elements.
@@ -155,24 +156,48 @@ impl ElementField {
     /// once per element; use a multiplicity-weighted dot product (see
     /// [`crate::gather_scatter::GatherScatter::inverse_multiplicity`]) for a
     /// true global inner product.
+    ///
+    /// Sums the products `a * b` in the striped lane order of
+    /// [`crate::lanes`].
     #[must_use]
     pub fn dot(&self, other: &Self) -> f64 {
         assert_eq!(self.len(), other.len(), "field size mismatch");
-        self.data.iter().zip(&other.data).map(|(a, b)| a * b).sum()
+        let (a, a_tail) = self.data.as_chunks::<LANES>();
+        let (b, b_tail) = other.data.as_chunks::<LANES>();
+        let mut sum = StripedSum::new();
+        for (a, b) in a.iter().zip(b) {
+            sum.add(std::array::from_fn::<_, LANES, _>(|i| a[i] * b[i]));
+        }
+        sum.add(a_tail.iter().zip(b_tail).map(|(a, b)| a * b));
+        sum.total()
     }
 
     /// Dot product weighted by a third field (`sum_i self_i * other_i * w_i`),
     /// the `glsc3` of Nekbone.
+    ///
+    /// Every product keeps its association, `(a * b) * w`, and the products
+    /// sum in the striped lane order of [`crate::lanes`]; the fused CG
+    /// update sweep reduces in exactly this order, so its `‖r‖²` and `r·z`
+    /// are bitwise this function's.
     #[must_use]
     pub fn dot_weighted(&self, other: &Self, weight: &Self) -> f64 {
         assert_eq!(self.len(), other.len(), "field size mismatch");
         assert_eq!(self.len(), weight.len(), "weight size mismatch");
-        self.data
-            .iter()
-            .zip(&other.data)
-            .zip(&weight.data)
-            .map(|((a, b), w)| a * b * w)
-            .sum()
+        let (a, a_tail) = self.data.as_chunks::<LANES>();
+        let (b, b_tail) = other.data.as_chunks::<LANES>();
+        let (w, w_tail) = weight.data.as_chunks::<LANES>();
+        let mut sum = StripedSum::new();
+        for ((a, b), w) in a.iter().zip(b).zip(w) {
+            sum.add(std::array::from_fn::<_, LANES, _>(|i| a[i] * b[i] * w[i]));
+        }
+        sum.add(
+            a_tail
+                .iter()
+                .zip(b_tail)
+                .zip(w_tail)
+                .map(|((a, b), w)| a * b * w),
+        );
+        sum.total()
     }
 
     /// Euclidean norm of the local data.
@@ -249,6 +274,42 @@ mod tests {
         let mut w = ElementField::constant(1, 2, 0.0);
         w.set(0, 0, 0, 0, 1.0);
         assert!((a.dot_weighted(&b, &w) - 6.0).abs() < 1e-15);
+    }
+
+    /// The striped lane order spelled out: element `i` into lane `i % 8`,
+    /// each lane folded left from `-0.0`, the fixed combine tree.
+    fn striped_reference(terms: impl Iterator<Item = f64>) -> f64 {
+        let mut l = [-0.0; 8];
+        for (i, t) in terms.enumerate() {
+            l[i % 8] += t;
+        }
+        ((l[0] + l[1]) + (l[2] + l[3])) + ((l[4] + l[5]) + (l[6] + l[7]))
+    }
+
+    #[test]
+    fn dot_products_sum_in_the_striped_lane_order_at_every_tail_length() {
+        // Degree 0 has one node per element, so any length is a field.
+        let mut state = 0x2545_f491_u64;
+        let mut next = || {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (state >> 11) as f64 / (1_u64 << 50) as f64 - 4.0
+        };
+        for len in 0..=3 * 8 + 7 {
+            let mut values = || -> Vec<f64> { (0..len).map(|_| next()).collect() };
+            let (a, b, w) = (values(), values(), values());
+            let weighted = striped_reference((0..len).map(|i| a[i] * b[i] * w[i]));
+            let plain = striped_reference((0..len).map(|i| a[i] * b[i]));
+            let [a, b, w] = [a, b, w].map(|v| ElementField::from_vec(0, len, v));
+            assert_eq!(
+                a.dot_weighted(&b, &w).to_bits(),
+                weighted.to_bits(),
+                "dot_weighted, len {len} (tail {})",
+                len % 8
+            );
+            assert_eq!(a.dot(&b).to_bits(), plain.to_bits(), "dot, len {len}");
+        }
     }
 
     #[test]

@@ -9,6 +9,7 @@
 use crate::field::ElementField;
 use crate::mesh::BoxMesh;
 use serde::{Deserialize, Serialize};
+use std::collections::BTreeMap;
 
 /// The gather–scatter operator of a mesh.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -20,14 +21,21 @@ pub struct GatherScatter {
     num_global: usize,
     /// How many local copies each *local* node has (its global multiplicity).
     multiplicity: Vec<f64>,
-    /// CSR offsets into [`GatherScatter::shared_locals`]: the local copies
-    /// of the `s`-th shared global node are
-    /// `shared_locals[shared_offsets[s]..shared_offsets[s + 1]]`.
-    shared_offsets: Vec<usize>,
-    /// Local indices of every global node with more than one copy, grouped
-    /// by global node (ascending) and ascending within a group.  Single-copy
-    /// nodes (element interiors) need no summation and are left out.
-    shared_locals: Vec<usize>,
+    /// The local copies of every global node with more than one copy,
+    /// bucketed by copy count `m` (ascending: 2, 4 and 8 on a box mesh).
+    /// Single-copy nodes (element interiors) need no summation and are left
+    /// out.
+    shared: Vec<SharedBucket>,
+}
+
+/// The shared global nodes with exactly `copies` local copies.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+struct SharedBucket {
+    /// Local copies per node, `m >= 2`.
+    copies: usize,
+    /// `m` local indices per node, ascending within a node; nodes in
+    /// ascending global order.
+    locals: Vec<usize>,
 }
 
 impl GatherScatter {
@@ -42,27 +50,38 @@ impl GatherScatter {
         }
         let multiplicity = local_to_global.iter().map(|&g| counts[g] as f64).collect();
 
-        // Invert local→global into a CSR map over the shared global nodes
-        // only, so dssum is one gather-accumulate-scatter sweep that never
-        // visits an unshared node and needs no global work vector.
-        // `next[g]` is where the next copy of shared node `g` goes.
+        // Invert local→global over the shared global nodes only, bucketed
+        // by copy count, so dssum is one gather-accumulate-scatter sweep per
+        // bucket that never visits an unshared node and needs no global work
+        // vector.  `next[g]` is where the next copy of shared node `g` goes
+        // in its bucket; `totals` sizes each bucket exactly.
         let mut next = vec![0_usize; num_global];
-        let mut shared_offsets = vec![0_usize];
-        let mut total = 0;
-        for (g, &count) in counts.iter().enumerate() {
-            if count > 1 {
-                next[g] = total;
-                total += count;
-                shared_offsets.push(total);
+        let mut totals = BTreeMap::new();
+        for (g, &copies) in counts.iter().enumerate() {
+            if copies > 1 {
+                let total = totals.entry(copies).or_insert(0);
+                next[g] = *total;
+                *total += copies;
             }
         }
-        let mut shared_locals = vec![0_usize; total];
+        let mut shared: Vec<SharedBucket> = totals
+            .into_iter()
+            .map(|(copies, total)| SharedBucket {
+                copies,
+                locals: vec![0; total],
+            })
+            .collect();
         // Filling in ascending local order keeps each node's copies sorted,
         // so the sweep accumulates in the same order as scatter-add then
         // gather (bitwise-identical sums).
         for (l, &g) in local_to_global.iter().enumerate() {
-            if counts[g] > 1 {
-                shared_locals[next[g]] = l;
+            let copies = counts[g];
+            if copies > 1 {
+                let bucket = shared
+                    .iter_mut()
+                    .find(|b| b.copies == copies)
+                    .expect("every shared node has a bucket");
+                bucket.locals[next[g]] = l;
                 next[g] += 1;
             }
         }
@@ -73,8 +92,7 @@ impl GatherScatter {
             local_to_global,
             num_global,
             multiplicity,
-            shared_offsets,
-            shared_locals,
+            shared,
         }
     }
 
@@ -122,23 +140,25 @@ impl GatherScatter {
     /// Direct stiffness summation `QQᵀ`: sum shared nodes and write the sum
     /// back to every copy.  This is the "dssum" of Nek5000/Nekbone.
     ///
-    /// Runs as a single sweep over the precomputed CSR map of the *shared*
-    /// global nodes — gather each one's copies, accumulate in ascending local
+    /// Runs one sweep per copy-count bucket of the *shared* global nodes —
+    /// gather each node's `m` copies, sum them from `0.0` in ascending local
     /// order, scatter the sum back — with no intermediate global vector, so
-    /// a CG iteration performs no heap allocation here.  Unshared nodes
-    /// (element interiors) already hold their sum and are never visited.
-    /// Bitwise identical to `gather(&scatter_add(field))`.
+    /// a CG iteration performs no heap allocation here.  Within a bucket
+    /// every node has the same `m`, so the loop over nodes is one
+    /// `chunks_exact(m)` with a predictable inner trip count.  Unshared
+    /// nodes (element interiors) already hold their sum and are never
+    /// visited.  Bitwise identical to `gather(&scatter_add(field))`.
     pub fn direct_stiffness_sum(&self, field: &mut ElementField) {
         assert_eq!(field.len(), self.num_local_dofs(), "field size mismatch");
         let data = field.as_mut_slice();
-        for bounds in self.shared_offsets.windows(2) {
-            let locals = &self.shared_locals[bounds[0]..bounds[1]];
-            let mut sum = 0.0;
-            for &l in locals {
-                sum += data[l];
-            }
-            for &l in locals {
-                data[l] = sum;
+        for bucket in &self.shared {
+            // A constant copy count lets each node's gather and scatter
+            // unroll; a box mesh has only these three.
+            match bucket.copies {
+                2 => sum_shared_nodes(data, &bucket.locals, 2),
+                4 => sum_shared_nodes(data, &bucket.locals, 4),
+                8 => sum_shared_nodes(data, &bucket.locals, 8),
+                copies => sum_shared_nodes(data, &bucket.locals, copies),
             }
         }
     }
@@ -175,6 +195,22 @@ impl GatherScatter {
             }
         }
         true
+    }
+}
+
+/// Sum each node's `copies` local values (`locals` holds `copies` indices
+/// per node) from `0.0` in ascending local order and write the sum back to
+/// every copy.
+#[inline(always)]
+fn sum_shared_nodes(data: &mut [f64], locals: &[usize], copies: usize) {
+    for node in locals.chunks_exact(copies) {
+        let mut sum = 0.0;
+        for &l in node {
+            sum += data[l];
+        }
+        for &l in node {
+            data[l] = sum;
+        }
     }
 }
 
@@ -238,7 +274,7 @@ mod tests {
     }
 
     #[test]
-    fn csr_dssum_matches_the_legacy_global_vector_path_bitwise() {
+    fn bucketed_dssum_matches_the_legacy_global_vector_path_bitwise() {
         let deformed = BoxMesh::new(
             4,
             [2, 3, 2],
@@ -261,12 +297,14 @@ mod tests {
                 (state >> 11) as f64 / (1_u64 << 53) as f64 - 0.5
             });
             let legacy = gs.gather(&gs.scatter_add(&field));
-            let mut csr = field;
-            gs.direct_stiffness_sum(&mut csr);
+            let mut bucketed = field;
+            gs.direct_stiffness_sum(&mut bucketed);
+            let bits =
+                |f: &ElementField| f.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
             assert_eq!(
-                csr.as_slice(),
-                legacy.as_slice(),
-                "CSR sweep must be bitwise identical at degree {degree}, {elems} elements"
+                bits(&bucketed),
+                bits(&legacy),
+                "bucketed sweep must be bitwise identical at degree {degree}, {elems} elements"
             );
         }
     }

@@ -4,7 +4,9 @@
 //! on: element-major nodal fields, structured box meshes with (optionally
 //! deformed) hexahedral elements, the six packed geometric factors `G` of the
 //! local Poisson operator, the gather–scatter (direct stiffness summation)
-//! operator that glues elements together, and Dirichlet boundary masks.
+//! operator that glues elements together, Dirichlet boundary masks, and
+//! the one striped reduction order ([`lanes`]) of every local inner
+//! product.
 //!
 //! The data layouts intentionally mirror Nekbone / the paper's Listing 1:
 //!
@@ -20,11 +22,13 @@
 pub mod field;
 pub mod gather_scatter;
 pub mod geometry;
+pub mod lanes;
 pub mod mask;
 pub mod mesh;
 
 pub use field::ElementField;
 pub use gather_scatter::GatherScatter;
 pub use geometry::GeometricFactors;
+pub use lanes::{StripedSum, LANES};
 pub use mask::DirichletMask;
 pub use mesh::{BoxMesh, MeshDeformation};

@@ -10,12 +10,15 @@
 //! `r −= αw` and `‖r‖²` together, plus `z = d ⊙ r` and `r·z` when the
 //! preconditioner is a pointwise scale (Jacobi; see
 //! [`Preconditioner::pointwise_inverse`]).  Every product keeps its
-//! association and every sum its left-to-right order from `-0.0`, so the
-//! iterates are bitwise those of the unfused call sequence
-//! (`axpy`, `dot_weighted`, `apply_into`, mask).
+//! association and every sum runs in the striped lane order of
+//! [`sem_mesh::lanes`] — eight accumulators, element `i` in lane `i % 8`,
+//! combined by a fixed tree — which is the order of
+//! [`ElementField::dot_weighted`], so the iterates are bitwise those of the
+//! unfused call sequence (`axpy`, `dot_weighted`, `apply_into`, mask) and
+//! the same at every instruction set and build flag.
 
 use sem_kernel::PoissonOperator;
-use sem_mesh::{DirichletMask, ElementField, GatherScatter};
+use sem_mesh::{DirichletMask, ElementField, GatherScatter, StripedSum, LANES};
 use sem_obs::{recorder, Scope, SpanEvent, SpanKind, WallTimer};
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -392,10 +395,10 @@ impl<'a, Op: LocalOperator + ?Sized> CgSolver<'a, Op> {
     /// solves) the iteration performs **no heap allocation**: the residual,
     /// search direction, preconditioned residual and operator output all
     /// live in `scratch`, the preconditioner writes through
-    /// [`Preconditioner::apply_into`], and the gather–scatter runs its CSR
-    /// sweep in place.  The only allocations per solve are the returned
-    /// solution (cloned out of the scratch on exit) and, when
-    /// `record_history` is set, the residual history.
+    /// [`Preconditioner::apply_into`], and the gather–scatter runs its
+    /// multiplicity-bucketed sweep in place.  The only allocations per
+    /// solve are the returned solution (cloned out of the scratch on exit)
+    /// and, when `record_history` is set, the residual history.
     ///
     /// Each iteration streams the fields once for `p·Ap`, once for the fused
     /// update sweep (`x`, `r`, `‖r‖²`, and for a pointwise preconditioner
@@ -405,6 +408,12 @@ impl<'a, Op: LocalOperator + ?Sized> CgSolver<'a, Op> {
     /// `z` it formed is discarded and not counted as an application, so
     /// `precond_applications`, modelled `precond_seconds` and the
     /// `PrecondApply` spans are those of the unfused sequence.
+    ///
+    /// Every inner product — `p·Ap` through [`CgSolver::inner_product`],
+    /// `‖r‖²` and `r·z` in the sweep — sums in the one striped lane order of
+    /// [`sem_mesh::lanes`] (eight accumulators from `-0.0`, a fixed combine
+    /// tree), so the iterates are bitwise those of the unfused call
+    /// sequence and do not depend on the instruction set or build flags.
     ///
     /// # Panics
     /// Panics if `rhs` or `scratch` do not match the operator's degree and
@@ -644,8 +653,11 @@ impl<'a, Op: LocalOperator + ?Sized> CgSolver<'a, Op> {
 ///
 /// Bitwise the unfused sequence `x.axpy(α, p)`, `r.axpy(−α, w)`,
 /// `r.dot_weighted(r, W)`, `apply_into`, `r.dot_weighted(z, W)`: each
-/// product keeps its association (`(a * b) * w`), each sum folds left from
-/// `-0.0` as `Iterator::sum` does, and nothing is fused into an FMA.
+/// product keeps its association (`(a * b) * w`), both sums run in
+/// `dot_weighted`'s striped lane order ([`sem_mesh::lanes`]), and nothing is
+/// fused into an FMA.  The two arms are out-of-line kernels over plain
+/// slices: inlined into the generic solve loop, the lane loop did not
+/// vectorize.
 // lint: alloc-free (runs once per CG iteration over caller scratch)
 fn update_sweep(
     alpha: f64,
@@ -661,38 +673,119 @@ fn update_sweep(
         r.len() == n && p.len() == n && w.len() == n && weight.len() == n,
         "field size mismatch"
     );
-    let neg_alpha = -alpha;
-    let streams = x
-        .as_mut_slice()
-        .iter_mut()
-        .zip(r.as_mut_slice())
-        .zip(p.as_slice().iter().zip(w.as_slice()).zip(weight.as_slice()));
-    let mut rr = -0.0;
-    let mut rz = -0.0;
+    let (x, r) = (x.as_mut_slice(), r.as_mut_slice());
+    let (p, w, weight) = (p.as_slice(), w.as_slice(), weight.as_slice());
     match pointwise {
-        None => {
-            for ((x, r), ((&p, &w), &weight)) in streams {
-                *x += alpha * p;
-                *r += neg_alpha * w;
-                rr += *r * *r * weight;
-            }
-        }
+        None => (sweep_rr(alpha, p, w, weight, x, r), -0.0),
         Some((inverse, z)) => {
             assert!(
                 inverse.len() == n && z.len() == n,
                 "pointwise inverse size mismatch"
             );
-            let pointwise = z.as_mut_slice().iter_mut().zip(inverse.as_slice());
-            for (((x, r), ((&p, &w), &weight)), (z, &d)) in streams.zip(pointwise) {
-                *x += alpha * p;
-                *r += neg_alpha * w;
-                rr += *r * *r * weight;
-                *z = *r * d;
-                rz += *r * *z * weight;
-            }
+            sweep_rr_rz(
+                alpha,
+                p,
+                w,
+                weight,
+                inverse.as_slice(),
+                x,
+                r,
+                z.as_mut_slice(),
+            )
         }
     }
-    (rr, rz)
+}
+
+/// `x += αp`, `r −= αw`; returns `‖r‖²_W` in the lane order.
+// lint: alloc-free (the sweep kernel of every non-pointwise CG iteration)
+#[inline(never)]
+fn sweep_rr(alpha: f64, p: &[f64], w: &[f64], weight: &[f64], x: &mut [f64], r: &mut [f64]) -> f64 {
+    let neg_alpha = -alpha;
+    let step = |x: &mut f64, r: &mut f64, p: f64, w: f64, weight: f64| {
+        *x += alpha * p;
+        *r += neg_alpha * w;
+        *r * *r * weight
+    };
+    let (x, x_tail) = x.as_chunks_mut::<LANES>();
+    let (r, r_tail) = r.as_chunks_mut::<LANES>();
+    let (p, p_tail) = p.as_chunks::<LANES>();
+    let (w, w_tail) = w.as_chunks::<LANES>();
+    let (weight, weight_tail) = weight.as_chunks::<LANES>();
+    let mut rr = StripedSum::new();
+    for ((x, r), ((p, w), weight)) in x.iter_mut().zip(r).zip(p.iter().zip(w).zip(weight)) {
+        rr.add(std::array::from_fn::<_, LANES, _>(|i| {
+            step(&mut x[i], &mut r[i], p[i], w[i], weight[i])
+        }));
+    }
+    rr.add(
+        x_tail
+            .iter_mut()
+            .zip(r_tail)
+            .zip(p_tail.iter().zip(w_tail).zip(weight_tail))
+            .map(|((x, r), ((&p, &w), &weight))| step(x, r, p, w, weight)),
+    );
+    rr.total()
+}
+
+/// `x += αp`, `r −= αw`, `z = r ⊙ d`; returns `(‖r‖²_W, r·z_W)` in the lane
+/// order.
+// lint: alloc-free (the sweep kernel of every Jacobi CG iteration)
+#[inline(never)]
+#[allow(clippy::too_many_arguments)]
+fn sweep_rr_rz(
+    alpha: f64,
+    p: &[f64],
+    w: &[f64],
+    weight: &[f64],
+    d: &[f64],
+    x: &mut [f64],
+    r: &mut [f64],
+    z: &mut [f64],
+) -> (f64, f64) {
+    let neg_alpha = -alpha;
+    let step = |x: &mut f64, r: &mut f64, z: &mut f64, p: f64, w: f64, weight: f64, d: f64| {
+        *x += alpha * p;
+        *r += neg_alpha * w;
+        *z = *r * d;
+        (*r * *r * weight, *r * *z * weight)
+    };
+    let (x, x_tail) = x.as_chunks_mut::<LANES>();
+    let (r, r_tail) = r.as_chunks_mut::<LANES>();
+    let (z, z_tail) = z.as_chunks_mut::<LANES>();
+    let (p, p_tail) = p.as_chunks::<LANES>();
+    let (w, w_tail) = w.as_chunks::<LANES>();
+    let (weight, weight_tail) = weight.as_chunks::<LANES>();
+    let (d, d_tail) = d.as_chunks::<LANES>();
+    let (mut rr, mut rz) = (StripedSum::new(), StripedSum::new());
+    for (((x, r), z), ((p, w), (weight, d))) in x
+        .iter_mut()
+        .zip(r)
+        .zip(z)
+        .zip(p.iter().zip(w).zip(weight.iter().zip(d)))
+    {
+        let terms: [(f64, f64); LANES] = std::array::from_fn(|i| {
+            step(&mut x[i], &mut r[i], &mut z[i], p[i], w[i], weight[i], d[i])
+        });
+        rr.add(terms.map(|(rr, _)| rr));
+        rz.add(terms.map(|(_, rz)| rz));
+    }
+    // Lanes past the tail take `-0.0`, which leaves every sum's bits alone.
+    let mut terms = [(-0.0, -0.0); LANES];
+    for ((term, ((x, r), z)), ((&p, &w), (&weight, &d))) in terms
+        .iter_mut()
+        .zip(x_tail.iter_mut().zip(r_tail).zip(z_tail))
+        .zip(
+            p_tail
+                .iter()
+                .zip(w_tail)
+                .zip(weight_tail.iter().zip(d_tail)),
+        )
+    {
+        *term = step(x, r, z, p, w, weight, d);
+    }
+    rr.add(terms.map(|(rr, _)| rr));
+    rz.add(terms.map(|(_, rz)| rz));
+    (rr.total(), rz.total())
 }
 
 #[cfg(test)]
@@ -893,11 +986,20 @@ mod tests {
             [1.0, 1.2, 0.9],
             MeshDeformation::Sinusoidal { amplitude: 0.05 },
         );
+        // Three N = 4 elements hold 375 local values and three N = 2
+        // elements 81, so the sweep's tail arm (375 % 8 = 7, 81 % 8 = 1)
+        // runs; every other shape here is a multiple of 8.  The tail is on
+        // the domain boundary, so these run without a Dirichlet mask,
+        // which would zero every tail term.
+        let column =
+            |degree| BoxMesh::new(degree, [1, 1, 3], [1.0, 1.0, 3.0], MeshDeformation::None);
         let cases = [
             (BoxMesh::unit_cube(4, 2), true),
             // No Dirichlet boundary: the singular Neumann system, run to
             // the iteration cap if it does not converge.
             (deformed, false),
+            (column(4), false),
+            (column(2), false),
         ];
         for (mesh, dirichlet) in cases {
             let (degree, elements) = (mesh.degree(), mesh.num_elements());

@@ -4,7 +4,7 @@
 //!   **every** backend in the registry (batch-parallel CPU execution and
 //!   shared-scratch accelerator execution included);
 //! * batching must amortise the offload transfer on FPGA backends;
-//! * the CSR gather–scatter sweep must match the legacy global-vector path.
+//! * the in-place gather–scatter sweep must match the legacy global-vector path.
 
 use sem_accel::{Backend, SemSystem};
 use sem_mesh::{BoxMesh, ElementField, GatherScatter};
@@ -102,7 +102,7 @@ fn csr_dssum_matches_the_legacy_path_on_deformed_meshes() {
         for (a, b) in csr.as_slice().iter().zip(legacy.as_slice()) {
             assert!(
                 (a - b).abs() <= 1e-12 * (1.0 + scale),
-                "CSR sweep diverged from the legacy dssum: {a} vs {b}"
+                "in-place sweep diverged from the legacy dssum: {a} vs {b}"
             );
         }
         // In fact the orders of accumulation agree, so it is bitwise.
