@@ -29,6 +29,7 @@ use crate::request::ServeRequest;
 use crate::server::{RequestOutcome, Server};
 use crate::stream::LiveReport;
 use sem_accel::SemSystem;
+use sem_mesh::ElementField;
 use sem_obs::recorder;
 use serde::{Deserialize, Serialize};
 
@@ -194,16 +195,23 @@ impl Server {
         fault: &FaultToleranceOptions,
         budget_seconds: f64,
     ) -> Attempt {
-        let (timeline, outcomes, modeled) = self.execute_job_on(system, device, job, requests);
+        // Each right-hand side is assembled once: the solve and the
+        // residual check read the same field.
+        let rhss: Vec<ElementField> = job
+            .requests
+            .iter()
+            .map(|&i| requests[i].assemble_rhs(system))
+            .collect();
+        let (timeline, outcomes, modeled) =
+            self.execute_job_on(system, device, job, requests, &rhss);
         let verdict = outcomes
             .iter()
             .find_map(|o| o.fault.map(FaultReason::of_solve_fault))
             .or_else(|| {
-                let corrupt = outcomes.iter().any(|o| {
-                    let rhs = requests[o.request].assemble_rhs(system);
+                let corrupt = outcomes.iter().zip(&rhss).any(|(o, rhs)| {
                     !o.converged
                         || !fault.residual_ok(
-                            relative_residual(system, &rhs, &o.solution),
+                            relative_residual(system, rhs, &o.solution),
                             self.options.cg.tolerance,
                         )
                 });

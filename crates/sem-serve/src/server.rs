@@ -226,7 +226,8 @@ impl Server {
     /// (`SemSystem` is `Send`, so the handoff is a move, not a copy), builds
     /// any session it lacks, and hands them back for reuse when the pool
     /// drains.  A live feeder pushes the `fed` jobs into the shared queue
-    /// while the workers already run.  `execute` runs one job on the
+    /// while the workers already run, all at once and without yielding
+    /// between pushes.  `execute` runs one job on the
     /// worker's session for its shape and resolves it with a
     /// [`JobVerdict`].  Returns the delivered results in completion order
     /// and the jobs left unfinished (only when every worker died).
@@ -258,13 +259,17 @@ impl Server {
             });
             execute(server, worker, system, key, job)
         };
+        // The feeder pushes the whole admitted plan without yielding: it
+        // runs on the calling thread, a third runnable thread beside the
+        // workers, and on a host with one core per worker a feeder that
+        // yields after each push waits a scheduler slice for its core while
+        // the workers spin on an empty queue.
         let run = run_stealing_with_feeder(
             states,
             Vec::new(),
             move |feeder| {
                 for job in fed {
                     feeder.push(job);
-                    std::thread::yield_now();
                 }
             },
             execute,
@@ -275,22 +280,18 @@ impl Server {
         (run.completed, run.unfinished)
     }
 
-    /// Run one job on one device's system: assemble the right-hand sides,
-    /// solve the batch through the backend, and schedule the session on the
-    /// pipeline timeline.
+    /// Run one job on one device's system: solve the batch of assembled
+    /// right-hand sides `rhss` (one per request of `job`, in order) through
+    /// the backend, and schedule the session on the pipeline timeline.
     pub(crate) fn execute_job_on(
         &self,
         system: &SemSystem,
         device: usize,
         job: &BatchJob,
         requests: &[ServeRequest],
+        rhss: &[ElementField],
     ) -> (PipelineTimeline, Vec<RequestOutcome>, bool) {
-        let rhss: Vec<ElementField> = job
-            .requests
-            .iter()
-            .map(|&i| requests[i].assemble_rhs(system))
-            .collect();
-        let reports = system.solve_many(&rhss, self.options.cg);
+        let reports = system.solve_many(rhss, self.options.cg);
         let timeline = PipelineTimeline::from_reports(
             system.offload_plan().as_ref(),
             &reports,

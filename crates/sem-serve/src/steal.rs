@@ -127,6 +127,12 @@ pub struct FeederHandle<'a, T> {
 
 impl<T> FeederHandle<'_, T> {
     /// Push one live arrival into the shared queue.
+    ///
+    /// A feeder pushes what it has without yielding between pushes.  It
+    /// runs on the calling thread beside the workers; on a host with one
+    /// core per worker a feeder that yields after each push is starved of a
+    /// core, and the workers spin on an empty queue while it waits.  A feeder
+    /// that waits should wait for its next arrival, not for the pool.
     pub fn push(&self, payload: T) {
         self.outstanding.fetch_add(1, Ordering::SeqCst);
         self.injector.push(payload);
@@ -164,6 +170,11 @@ where
 /// into the shared queue at any point while the pool drains.  Workers stay
 /// alive — backing off through the contended-take path — until the feeder
 /// returns and every job is resolved.
+///
+/// The feeder should push every job it already holds without yielding
+/// between pushes (see [`FeederHandle::push`]): it competes with the
+/// workers for cores, and a yield hands its core to a worker that then finds
+/// the queue empty and spins in backoff.
 ///
 /// # Panics
 /// Panics if `states` is empty.
