@@ -43,37 +43,62 @@ pub fn assemble_element_matrix(op: &PoissonOperator, element: usize) -> DenseMat
 ///
 /// (the cross terms only pick up the `l = i` / `l = j` / `l = k` contribution
 /// because the two directional sums touch the same node only there).
+///
+/// Runs as a sweep over the contiguous `i`-lines of every `(e, k, j)`: the
+/// `G_rr` term reads a row of the precomputed `D²` table against a broadcast
+/// `G_rr(l, j, k)`, the `G_ss` and `G_tt` terms read contiguous plane rows,
+/// and the cross terms follow the `l`-loop.  Every node still accumulates
+/// from `0.0` in the formula's order (`l` ascending, the three terms of each
+/// `l` in turn, then the three cross terms), so the bits are those of the
+/// per-node evaluation.
 #[must_use]
 pub fn operator_diagonal(op: &PoissonOperator) -> ElementField {
     let degree = op.degree();
     let nx = degree + 1;
+    let npts = nx * nx * nx;
     let d = op.derivative().d();
-    let geo = op.geometry();
-    let mut diag = ElementField::zeros(degree, op.num_elements());
+    // `d2[l][i] = D[l][i]·D[l][i]`, the product the formula forms per node.
+    let d2: Vec<f64> = d.as_slice().iter().map(|&x| x * x).collect();
+    let d2 = |l: usize| &d2[l * nx..][..nx];
+    let dd: Vec<f64> = (0..nx).map(|i| d[(i, i)]).collect();
+    // Each line accumulates in `acc` and is then appended, so the output's
+    // fresh pages are written once and never read first.
+    let mut diag = Vec::with_capacity(npts * op.num_elements());
+    let mut acc = vec![0.0; nx];
     for e in 0..op.num_elements() {
+        let [grr, grs, grt, gss, gst, gtt] = op.geometry().planes().map(|p| &p[npts * e..][..npts]);
         for k in 0..nx {
             for j in 0..nx {
-                for i in 0..nx {
-                    let node = |ii: usize, jj: usize, kk: usize| ii + nx * (jj + nx * kk);
-                    let mut acc = 0.0;
-                    for l in 0..nx {
-                        let dli = d[(l, i)];
-                        let dlj = d[(l, j)];
-                        let dlk = d[(l, k)];
-                        acc += dli * dli * geo.at(e, node(l, j, k), 0);
-                        acc += dlj * dlj * geo.at(e, node(i, l, k), 3);
-                        acc += dlk * dlk * geo.at(e, node(i, j, l), 5);
+                let line = nx * (j + nx * k);
+                acc.fill(0.0);
+                for l in 0..nx {
+                    let g_rr = grr[line + l];
+                    let (d2_lj, d2_lk) = (d2(l)[j], d2(l)[k]);
+                    let gss_row = &gss[nx * (l + nx * k)..][..nx];
+                    let gtt_row = &gtt[nx * (j + nx * l)..][..nx];
+                    for (((a, &d2_li), &g_ss), &g_tt) in
+                        acc.iter_mut().zip(d2(l)).zip(gss_row).zip(gtt_row)
+                    {
+                        *a += d2_li * g_rr;
+                        *a += d2_lj * g_ss;
+                        *a += d2_lk * g_tt;
                     }
-                    let here = node(i, j, k);
-                    acc += 2.0 * d[(i, i)] * d[(j, j)] * geo.at(e, here, 1);
-                    acc += 2.0 * d[(i, i)] * d[(k, k)] * geo.at(e, here, 2);
-                    acc += 2.0 * d[(j, j)] * d[(k, k)] * geo.at(e, here, 4);
-                    diag.element_mut(e)[here] = acc;
                 }
+                let (djj, dkk) = (dd[j], dd[k]);
+                let rows = grs[line..][..nx]
+                    .iter()
+                    .zip(&grt[line..][..nx])
+                    .zip(&gst[line..][..nx]);
+                for ((a, &dii), ((&g_rs, &g_rt), &g_st)) in acc.iter_mut().zip(&dd).zip(rows) {
+                    *a += 2.0 * dii * djj * g_rs;
+                    *a += 2.0 * dii * dkk * g_rt;
+                    *a += 2.0 * djj * dkk * g_st;
+                }
+                diag.extend_from_slice(&acc);
             }
         }
     }
-    diag
+    ElementField::from_vec(degree, op.num_elements(), diag)
 }
 
 /// Convenience: build the operator for `mesh` and assemble element `element`.

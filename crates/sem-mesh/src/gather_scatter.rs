@@ -9,7 +9,6 @@
 use crate::field::ElementField;
 use crate::mesh::BoxMesh;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 
 /// The gather–scatter operator of a mesh.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -48,43 +47,41 @@ impl GatherScatter {
         for &g in &local_to_global {
             counts[g] += 1;
         }
-        let multiplicity = local_to_global.iter().map(|&g| counts[g] as f64).collect();
+        let multiplicity: Vec<f64> = local_to_global.iter().map(|&g| counts[g] as f64).collect();
 
         // Invert local→global over the shared global nodes only, bucketed
         // by copy count, so dssum is one gather-accumulate-scatter sweep per
         // bucket that never visits an unshared node and needs no global work
-        // vector.  `next[g]` is where the next copy of shared node `g` goes
-        // in its bucket; `totals` sizes each bucket exactly.
-        let mut next = vec![0_usize; num_global];
-        let mut totals = BTreeMap::new();
-        for (g, &copies) in counts.iter().enumerate() {
+        // vector.  `locals[m]` is the bucket of the nodes with `m` copies;
+        // `counts[g]` turns into where the next copy of shared node `g` goes
+        // in its bucket.
+        let max_copies = counts.iter().copied().max().unwrap_or(0);
+        let mut totals = vec![0_usize; max_copies + 1];
+        let mut next = counts;
+        for slot in &mut next {
+            let copies = *slot;
             if copies > 1 {
-                let total = totals.entry(copies).or_insert(0);
-                next[g] = *total;
-                *total += copies;
+                *slot = totals[copies];
+                totals[copies] += copies;
             }
         }
-        let mut shared: Vec<SharedBucket> = totals
-            .into_iter()
-            .map(|(copies, total)| SharedBucket {
-                copies,
-                locals: vec![0; total],
-            })
-            .collect();
+        let mut locals: Vec<Vec<usize>> = totals.iter().map(|&total| vec![0; total]).collect();
         // Filling in ascending local order keeps each node's copies sorted,
         // so the sweep accumulates in the same order as scatter-add then
         // gather (bitwise-identical sums).
-        for (l, &g) in local_to_global.iter().enumerate() {
-            let copies = counts[g];
+        for (l, (&g, &copies)) in local_to_global.iter().zip(&multiplicity).enumerate() {
+            let copies = copies as usize;
             if copies > 1 {
-                let bucket = shared
-                    .iter_mut()
-                    .find(|b| b.copies == copies)
-                    .expect("every shared node has a bucket");
-                bucket.locals[next[g]] = l;
+                locals[copies][next[g]] = l;
                 next[g] += 1;
             }
         }
+        let shared = locals
+            .into_iter()
+            .enumerate()
+            .filter(|(copies, locals)| *copies > 1 && !locals.is_empty())
+            .map(|(copies, locals)| SharedBucket { copies, locals })
+            .collect();
 
         Self {
             degree: mesh.degree(),

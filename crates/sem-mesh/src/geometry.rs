@@ -49,6 +49,16 @@ pub struct GeometricFactors {
 impl GeometricFactors {
     /// Compute the geometric factors of every element of `mesh`.
     ///
+    /// Runs element by element as small matrix products over contiguous
+    /// rows: the nine Jacobian entries `∂x_a/∂r_b` of every node come from
+    /// each `i`-line of a coordinate against `Dᵀ` (`∂/∂r`), `D` against each
+    /// `k`-plane (`∂/∂s`) and `D` against the element (`∂/∂t`); then `det`,
+    /// the inverse, the six `G` entries and the mass follow lane by lane
+    /// over the element's nodes.  Every node keeps the per-node formula's
+    /// operations and order (each entry summed from `0.0` over ascending
+    /// `l`, `(wᵢ·wⱼ)·wₖ`, each `G` a `.sum()` of three products), so the
+    /// bits are those of a node-by-node evaluation.
+    ///
     /// # Panics
     /// Panics if the mesh mapping is degenerate (non-positive Jacobian), which
     /// indicates an invalid or overly deformed mesh.
@@ -56,11 +66,16 @@ impl GeometricFactors {
     pub fn from_mesh(mesh: &BoxMesh) -> Self {
         let degree = mesh.degree();
         let nx = degree + 1;
-        let npts = nx * nx * nx;
+        let plane = nx * nx;
+        let npts = plane * nx;
         let num_elements = mesh.num_elements();
-        let gll = gauss_lobatto_legendre(nx);
+        let w = gauss_lobatto_legendre(nx).weights;
         let dm = DerivativeMatrix::new(degree);
-        let d = dm.d();
+        let (d, dt) = (dm.d().as_slice(), dm.dt().as_slice());
+        // `(wᵢ·wⱼ)·wₖ` at every node of an element.
+        let weights: Vec<f64> = (0..npts)
+            .map(|node| w[node % nx] * w[node / nx % nx] * w[node / plane])
+            .collect();
 
         let [xs, ys, zs] = mesh.coordinates();
         let mut planes: [Vec<f64>; NUM_GEOMETRIC_FACTORS] =
@@ -68,53 +83,47 @@ impl GeometricFactors {
         let mut mass = ElementField::zeros(degree, num_elements);
         let mut min_jacobian = f64::INFINITY;
 
-        // Scratch: derivatives of the three coordinates w.r.t. the three
-        // reference directions at one node.
+        // One element's Jacobian, `jac[a][b][node] = ∂x_a/∂r_b`, and its
+        // determinant.
+        let mut jac: [[Vec<f64>; 3]; 3] =
+            std::array::from_fn(|_| std::array::from_fn(|_| vec![0.0; npts]));
+        let mut dets = vec![0.0; npts];
         for e in 0..num_elements {
-            let xe = xs.element(e);
-            let ye = ys.element(e);
-            let ze = zs.element(e);
-            for k in 0..nx {
-                for j in 0..nx {
-                    for i in 0..nx {
-                        let node = i + nx * (j + nx * k);
-                        // dX/dr, dX/ds, dX/dt for X in {x, y, z}.
-                        let mut jac = [[0.0_f64; 3]; 3]; // jac[a][b] = d x_a / d r_b
-                        for l in 0..nx {
-                            let dr = d[(i, l)];
-                            let ds = d[(j, l)];
-                            let dt = d[(k, l)];
-                            let idx_r = l + nx * (j + nx * k);
-                            let idx_s = i + nx * (l + nx * k);
-                            let idx_t = i + nx * (j + nx * l);
-                            jac[0][0] += dr * xe[idx_r];
-                            jac[1][0] += dr * ye[idx_r];
-                            jac[2][0] += dr * ze[idx_r];
-                            jac[0][1] += ds * xe[idx_s];
-                            jac[1][1] += ds * ye[idx_s];
-                            jac[2][1] += ds * ze[idx_s];
-                            jac[0][2] += dt * xe[idx_t];
-                            jac[1][2] += dt * ye[idx_t];
-                            jac[2][2] += dt * ze[idx_t];
-                        }
-                        let det = det3(&jac);
-                        assert!(
-                            det > 0.0,
-                            "degenerate element {e}: non-positive Jacobian {det}"
-                        );
-                        min_jacobian = min_jacobian.min(det);
-                        let inv = inv3(&jac, det); // inv[b][a] = d r_b / d x_a
-                        let w = gll.weights[i] * gll.weights[j] * gll.weights[k];
-                        let scale = det * w;
-                        // G_ab = scale * sum_c dr_a/dx_c * dr_b/dx_c
-                        let pairs = [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)];
-                        for (plane, &(a, b)) in planes.iter_mut().zip(&pairs) {
-                            let acc: f64 = inv[a].iter().zip(&inv[b]).map(|(x, y)| x * y).sum();
-                            plane[node + npts * e] = scale * acc;
-                        }
-                        mass.element_mut(e)[node] = scale;
-                    }
+            for (x, [dr, ds, dtt]) in [xs, ys, zs].map(|c| c.element(e)).iter().zip(&mut jac) {
+                small_matmul(dr, x, dt, nx);
+                for (out, x_k) in ds.chunks_exact_mut(plane).zip(x.chunks_exact(plane)) {
+                    small_matmul(out, d, x_k, nx);
                 }
+                small_matmul(dtt, d, x, nx);
+            }
+            let jac = jac.each_ref().map(|row| row.each_ref().map(|v| &v[..npts]));
+            let at =
+                |node: usize| std::array::from_fn(|a| std::array::from_fn(|b| jac[a][b][node]));
+            let dets = &mut dets[..npts];
+            let mut out = planes.each_mut().map(|p| &mut p[npts * e..][..npts]);
+            let mass = &mut mass.element_mut(e)[..npts];
+            for (node, det_out) in dets.iter_mut().enumerate() {
+                let m = at(node);
+                let det = det3(&m);
+                *det_out = det;
+                let inv = inv3(&m, det); // inv[b][a] = d r_b / d x_a
+                let scale = det * weights[node];
+                // G_ab = scale * sum_c dr_a/dx_c * dr_b/dx_c
+                let pairs = [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)];
+                for (plane, &(a, b)) in out.iter_mut().zip(&pairs) {
+                    let acc: f64 = inv[a].iter().zip(&inv[b]).map(|(x, y)| x * y).sum();
+                    plane[node] = scale * acc;
+                }
+                mass[node] = scale;
+            }
+            // Checked after the element's lane pass, which a degenerate node
+            // cannot make panic.
+            for &det in &*dets {
+                assert!(
+                    det > 0.0,
+                    "degenerate element {e}: non-positive Jacobian {det}"
+                );
+                min_jacobian = min_jacobian.min(det);
             }
         }
 
@@ -191,6 +200,39 @@ impl GeometricFactors {
     #[must_use]
     pub fn size_bytes(&self) -> usize {
         NUM_GEOMETRIC_FACTORS * self.planes[0].len() * std::mem::size_of::<f64>()
+    }
+}
+
+/// Width of the register-resident accumulator blocks of [`small_matmul`].
+const BLOCK: usize = 4;
+
+/// `out = a · b` for row-major `a` (`m × n`) and `b` (`n × p`), with `m` and
+/// `p` taken from the lengths.  Every entry sums `a[i][l]·b[l][q]` from `0.0`
+/// over ascending `l`; the columns run in register-resident blocks of
+/// [`BLOCK`], the last `p % BLOCK` one at a time.
+fn small_matmul(out: &mut [f64], a: &[f64], b: &[f64], n: usize) {
+    let p = b.len() / n;
+    for (out_row, a_row) in out.chunks_exact_mut(p).zip(a.chunks_exact(n)) {
+        let (blocks, tail) = out_row.as_chunks_mut::<BLOCK>();
+        let done = blocks.len() * BLOCK;
+        for (c, block) in blocks.iter_mut().enumerate() {
+            let mut acc = [0.0; BLOCK];
+            for (&a_l, b_row) in a_row.iter().zip(b.chunks_exact(p)) {
+                let b_row: &[f64; BLOCK] = b_row[c * BLOCK..][..BLOCK]
+                    .try_into()
+                    .expect("a full block");
+                for (s, &b) in acc.iter_mut().zip(b_row) {
+                    *s += a_l * b;
+                }
+            }
+            *block = acc;
+        }
+        for (q, o) in tail.iter_mut().enumerate() {
+            *o = a_row
+                .iter()
+                .zip(b.chunks_exact(p))
+                .fold(0.0, |s, (&a_l, b_row)| s + a_l * b_row[done + q]);
+        }
     }
 }
 
@@ -311,6 +353,18 @@ mod tests {
             .map(|(e, n)| geo.at(e, n, 1).abs().max(geo.at(e, n, 2).abs()))
             .fold(0.0_f64, f64::max);
         assert!(max_cross > 1e-6, "deformation must create cross terms");
+    }
+
+    #[test]
+    #[should_panic(expected = "non-positive Jacobian")]
+    fn overly_deformed_mesh_is_rejected() {
+        let mesh = BoxMesh::new(
+            3,
+            [2, 2, 2],
+            [1.0; 3],
+            MeshDeformation::Sinusoidal { amplitude: 1.0 },
+        );
+        let _ = GeometricFactors::from_mesh(&mesh);
     }
 
     #[test]

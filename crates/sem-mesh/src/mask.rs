@@ -25,26 +25,40 @@ pub struct DirichletMask {
 }
 
 impl DirichletMask {
-    /// Build the mask for the whole boundary of a box mesh.
+    /// Build the mask for the whole boundary of a box mesh, the local nodes
+    /// where [`BoxMesh::is_boundary_node`] holds, one `i`-line at a time: a
+    /// line on a `y` or `z` boundary face is constrained whole, any other
+    /// line only at an end on an `x` boundary face.
     #[must_use]
     pub fn from_mesh(mesh: &BoxMesh) -> Self {
-        let nx = mesh.points_per_direction();
+        let n = mesh.degree();
+        let [ex, ey, ez] = mesh.element_counts();
+        let on_face = |g: usize, elements: usize| g == 0 || g == elements * n;
         let mut constrained = Vec::new();
-        let mut l = 0;
-        for e in 0..mesh.num_elements() {
-            for k in 0..nx {
-                for j in 0..nx {
-                    for i in 0..nx {
-                        if mesh.is_boundary_node(e, i, j, k) {
-                            constrained.push(l);
+        let mut first = 0;
+        for ek in 0..ez {
+            for ej in 0..ey {
+                for ei in 0..ex {
+                    for k in 0..=n {
+                        for j in 0..=n {
+                            if on_face(ej * n + j, ey) || on_face(ek * n + k, ez) {
+                                constrained.extend(first..=first + n);
+                            } else {
+                                if ei == 0 {
+                                    constrained.push(first);
+                                }
+                                if ei == ex - 1 {
+                                    constrained.push(first + n);
+                                }
+                            }
+                            first += n + 1;
                         }
-                        l += 1;
                     }
                 }
             }
         }
         Self {
-            degree: mesh.degree(),
+            degree: n,
             num_elements: mesh.num_elements(),
             constrained,
         }
@@ -125,6 +139,37 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    #[test]
+    fn line_sweep_constrains_exactly_the_boundary_nodes() {
+        // One element along x puts both x faces in the same element.
+        for (degree, elements) in [
+            (1, [1, 1, 1]),
+            (2, [1, 3, 2]),
+            (3, [3, 1, 2]),
+            (4, [2, 2, 1]),
+        ] {
+            let mesh = BoxMesh::new(degree, elements, [1.0; 3], crate::MeshDeformation::None);
+            let nx = degree + 1;
+            let mut expect = Vec::new();
+            for e in 0..mesh.num_elements() {
+                for k in 0..nx {
+                    for j in 0..nx {
+                        for i in 0..nx {
+                            if mesh.is_boundary_node(e, i, j, k) {
+                                expect.push(i + nx * (j + nx * (k + nx * e)));
+                            }
+                        }
+                    }
+                }
+            }
+            assert_eq!(
+                DirichletMask::from_mesh(&mesh).constrained,
+                expect,
+                "{elements:?}"
+            );
         }
     }
 

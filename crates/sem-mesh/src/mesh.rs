@@ -74,33 +74,51 @@ impl BoxMesh {
         ];
         let min_len = lengths.iter().copied().fold(f64::INFINITY, f64::min);
 
+        // A node's undeformed coordinate along an axis depends only on its
+        // element and node index along that axis, and so does the bump's
+        // sine of it: tabulate both once per axis, `line[a][ea * nx + i]`.
+        let line: [Vec<f64>; 3] = std::array::from_fn(|a| {
+            (0..elements[a])
+                .flat_map(|ea| {
+                    gll.nodes
+                        .iter()
+                        .map(move |&node| h[a] * (ea as f64 + 0.5 * (node + 1.0)))
+                })
+                .collect()
+        });
+        let bump = match deformation {
+            MeshDeformation::None => None,
+            MeshDeformation::Sinusoidal { amplitude } => {
+                let sines: [Vec<f64>; 3] = std::array::from_fn(|a| {
+                    line[a]
+                        .iter()
+                        .map(|&c| (std::f64::consts::PI * c / lengths[a]).sin())
+                        .collect()
+                });
+                Some((amplitude * min_len, sines))
+            }
+        };
+
         for ek in 0..elements[2] {
             for ej in 0..elements[1] {
                 for ei in 0..elements[0] {
                     let e = ei + elements[0] * (ej + elements[1] * ek);
+                    let at = [ei, ej, ek].map(|ea| ea * nx);
+                    let [xl, yl, zl] = std::array::from_fn(|a| &line[a][at[a]..][..nx]);
+                    let (xe, ye, ze) = (xs.element_mut(e), ys.element_mut(e), zs.element_mut(e));
+                    let mut node = 0;
                     for k in 0..nx {
                         for j in 0..nx {
                             for i in 0..nx {
-                                let x = h[0] * (ei as f64 + 0.5 * (gll.nodes[i] + 1.0));
-                                let y = h[1] * (ej as f64 + 0.5 * (gll.nodes[j] + 1.0));
-                                let z = h[2] * (ek as f64 + 0.5 * (gll.nodes[k] + 1.0));
-                                let (x, y, z) = match deformation {
-                                    MeshDeformation::None => (x, y, z),
-                                    MeshDeformation::Sinusoidal { amplitude } => {
-                                        let a = amplitude * min_len;
-                                        let sx = (std::f64::consts::PI * x / lengths[0]).sin();
-                                        let sy = (std::f64::consts::PI * y / lengths[1]).sin();
-                                        let sz = (std::f64::consts::PI * z / lengths[2]).sin();
-                                        (
-                                            x + a * sx * sy * sz,
-                                            y + a * sx * sy * sz,
-                                            z - a * sx * sy * sz,
-                                        )
+                                let (x, y, z) = (xl[i], yl[j], zl[k]);
+                                (xe[node], ye[node], ze[node]) = match &bump {
+                                    None => (x, y, z),
+                                    Some((a, [sx, sy, sz])) => {
+                                        let b = a * sx[at[0] + i] * sy[at[1] + j] * sz[at[2] + k];
+                                        (x + b, y + b, z - b)
                                     }
                                 };
-                                xs.set(e, i, j, k, x);
-                                ys.set(e, i, j, k, y);
-                                zs.set(e, i, j, k, z);
+                                node += 1;
                             }
                         }
                     }
@@ -205,16 +223,23 @@ impl BoxMesh {
         gi + npx * (gj + npy * gk)
     }
 
-    /// Build the local-to-global index map in element-major node order.
+    /// Build the local-to-global index map in element-major node order:
+    /// `map[l]` is [`BoxMesh::global_node_id`] of local node `l`, one
+    /// contiguous `i`-line of global ids at a time.
     #[must_use]
     pub fn local_to_global(&self) -> Vec<usize> {
-        let nx = self.degree + 1;
+        let n = self.degree;
+        let [ex, ey, ez] = self.elements;
+        let (npx, npy) = (ex * n + 1, ey * n + 1);
         let mut map = Vec::with_capacity(self.num_local_dofs());
-        for e in 0..self.num_elements() {
-            for k in 0..nx {
-                for j in 0..nx {
-                    for i in 0..nx {
-                        map.push(self.global_node_id(e, i, j, k));
+        for ek in 0..ez {
+            for ej in 0..ey {
+                for ei in 0..ex {
+                    for k in 0..=n {
+                        for j in 0..=n {
+                            let first = ei * n + npx * (ej * n + j + npy * (ek * n + k));
+                            map.extend(first..=first + n);
+                        }
                     }
                 }
             }
@@ -316,6 +341,25 @@ mod tests {
             seen[g] = true;
         }
         assert!(seen.iter().all(|&s| s), "every global id must be touched");
+    }
+
+    #[test]
+    fn local_to_global_matches_global_node_id() {
+        let mesh = BoxMesh::new(3, [2, 1, 3], [1.0; 3], MeshDeformation::None);
+        let nx = mesh.points_per_direction();
+        let map = mesh.local_to_global();
+        let mut l = 0;
+        for e in 0..mesh.num_elements() {
+            for k in 0..nx {
+                for j in 0..nx {
+                    for i in 0..nx {
+                        assert_eq!(map[l], mesh.global_node_id(e, i, j, k));
+                        l += 1;
+                    }
+                }
+            }
+        }
+        assert_eq!(l, map.len());
     }
 
     #[test]

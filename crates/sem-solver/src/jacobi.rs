@@ -26,18 +26,14 @@ impl JacobiPreconditioner {
         gather_scatter: &GatherScatter,
         mask: &DirichletMask,
     ) -> Self {
-        let mut diag = operator_diagonal(operator);
-        gather_scatter.direct_stiffness_sum(&mut diag);
-        let mut inverse_diagonal = diag.clone();
-        for (inv, &d) in inverse_diagonal
-            .as_mut_slice()
-            .iter_mut()
-            .zip(diag.as_slice())
-        {
+        let mut inverse_diagonal = operator_diagonal(operator);
+        gather_scatter.direct_stiffness_sum(&mut inverse_diagonal);
+        // Invert in place: the assembled diagonal is not needed afterwards.
+        for d in inverse_diagonal.as_mut_slice() {
             // Diagonal entries are strictly positive on valid meshes; guard
             // anyway so a degenerate input cannot produce infinities.
-            *inv = if d.abs() > f64::MIN_POSITIVE {
-                1.0 / d
+            *d = if d.abs() > f64::MIN_POSITIVE {
+                1.0 / *d
             } else {
                 0.0
             };
