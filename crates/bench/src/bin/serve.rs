@@ -47,8 +47,8 @@ use bench::table::{fmt, TableWriter};
 use sem_accel::{Backend, SemSystem};
 use sem_obs::{chrome_trace_json, recorder, DriftReport, ObsConfig, Recorder, WallTimer};
 use sem_serve::{
-    ArrivalStream, LiveOptions, LiveReport, PipelineConfig, PipelineTimeline, ProblemSpec,
-    ServeOptions, ServeRequest, Server,
+    ArrivalStream, LiveOptions, LiveReport, PipelineTimeline, ProblemSpec, ServeOptions,
+    ServeRequest, Server,
 };
 use sem_solver::{CgOptions, PrecondSpec};
 use serde::Serialize;
@@ -292,11 +292,7 @@ fn pipeline_sweep(degree: usize, per_side: usize) -> Vec<PipelineRow> {
             } else {
                 system.solve_many_manufactured(batch, cg())
             };
-            let timeline = PipelineTimeline::from_reports(
-                system.offload_plan().as_ref(),
-                &reports,
-                PipelineConfig::default(),
-            );
+            let timeline = PipelineTimeline::from_reports(system.offload_plan().as_ref(), &reports);
             let b = batch as f64;
             let per_rhs_operator_seconds =
                 reports.iter().map(|r| r.operator.seconds).sum::<f64>() / b;
@@ -304,11 +300,7 @@ fn pipeline_sweep(degree: usize, per_side: usize) -> Vec<PipelineRow> {
                 reports.iter().map(|r| r.precond_seconds).sum::<f64>() / b;
             let per_rhs_serial_transfer_seconds =
                 reports.iter().map(|r| r.transfer_seconds).sum::<f64>() / b;
-            let per_rhs_pipelined_transfer_seconds = reports
-                .iter()
-                .map(|r| r.pipelined_transfer_seconds)
-                .sum::<f64>()
-                / b;
+            let per_rhs_pipelined_transfer_seconds = timeline.exposed_transfer_seconds() / b;
             let compute = per_rhs_operator_seconds + per_rhs_precond_seconds;
             let serial = compute + per_rhs_serial_transfer_seconds;
             let pipelined = compute + per_rhs_pipelined_transfer_seconds;

@@ -21,9 +21,8 @@
 //! * [`padding`] — the padding penalty analysis of Section III-E / IV;
 //! * [`projection`] — performance projection for arbitrary devices and the
 //!   inverse question ("what FPGA would beat an A100?");
-//! * [`serving`] — the three-stage offload-pipeline closed form and the
-//!   host roofline cost model serving placement prices measured backends
-//!   with;
+//! * [`serving`] — latency percentiles and the host roofline cost model
+//!   serving placement prices measured backends with;
 //! * [`calibration`] — the drift-report helper naming which model term a
 //!   drifting serving stage implicates, and the [`calibration::DriftCorrector`]
 //!   that turns measured residuals into a multiplicative prediction fix;
@@ -53,6 +52,6 @@ pub use measured::{measured_table1, Table1Row};
 pub use projection::{project_device, DegreeProjection, ProjectionOutcome};
 pub use resources::{FpuCost, ResourceVector};
 pub use roofline::roofline_gflops;
-pub use serving::{nearest_rank_percentile, HostCostModel, PipelineCost};
+pub use serving::{nearest_rank_percentile, HostCostModel};
 pub use throughput::{PerformanceBound, ThroughputPrediction};
 pub use workload::{arrival_times, WorkloadKind};

@@ -25,8 +25,9 @@
 //!   simulated kernel + transfer time on accelerators, and
 //!   [`SemSystem::solve_many`] serving whole batches of right-hand sides
 //!   with the offload transfer amortised across the batch and
-//!   [`SolveReport`] carrying both the serial and the pipelined
-//!   (overlap-aware, see `sem-serve`) transfer accounting.
+//!   [`SolveReport`] carrying the serial (blocking) transfer accounting.
+//!   How a batch's transfers overlap with its kernel is scheduled by
+//!   `sem-serve`'s pipeline timeline, not here.
 //!
 //! ```
 //! use sem_accel::{Backend, SemSystem};

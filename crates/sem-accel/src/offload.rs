@@ -7,8 +7,8 @@
 //! account for the PCIe transfer volume that the evaluation deliberately
 //! excludes from its timings.
 
+use crate::system::HOST_LINK_GBS;
 use fpga_sim::{AcceleratorDesign, FpgaDevice};
-use perf_model::PipelineCost;
 use serde::{Deserialize, Serialize};
 
 /// A plan for moving one problem's data to and from the accelerator board.
@@ -111,59 +111,43 @@ impl OffloadPlan {
         self.shared_bytes() + per_rhs * batch as u64
     }
 
-    /// Transfer time in seconds over a link of `gbytes_per_sec` (the paper
+    /// Transfer time in seconds over the [`HOST_LINK_GBS`] link (the paper
     /// excludes this from kernel timings; exposed for end-to-end studies).
     #[must_use]
-    pub fn transfer_seconds(&self, gbytes_per_sec: f64) -> f64 {
-        self.total_transfer_bytes() as f64 / (gbytes_per_sec * 1e9)
+    pub fn transfer_seconds(&self) -> f64 {
+        link_seconds(self.total_transfer_bytes())
     }
 
-    /// Transfer time of a whole `batch`-RHS session over a link of
-    /// `gbytes_per_sec` (see [`OffloadPlan::batched_transfer_bytes`]).
+    /// Transfer time of a whole `batch`-RHS session (see
+    /// [`OffloadPlan::batched_transfer_bytes`]).
     ///
     /// # Panics
     /// Panics if `batch` is zero.
     #[must_use]
-    pub fn batched_transfer_seconds(&self, gbytes_per_sec: f64, batch: usize) -> f64 {
-        self.batched_transfer_bytes(batch) as f64 / (gbytes_per_sec * 1e9)
+    pub fn batched_transfer_seconds(&self, batch: usize) -> f64 {
+        link_seconds(self.batched_transfer_bytes(batch))
     }
 
     /// Seconds the shared data (geometric factors + derivative matrices)
-    /// takes to cross a `gbytes_per_sec` link — the once-per-session upload
-    /// of a batched or pipelined serve.
+    /// takes to cross the link — the once-per-session upload of a batched
+    /// or pipelined serve.
     #[must_use]
-    pub fn shared_upload_seconds(&self, gbytes_per_sec: f64) -> f64 {
-        self.shared_bytes() as f64 / (gbytes_per_sec * 1e9)
+    pub fn shared_upload_seconds(&self) -> f64 {
+        link_seconds(self.shared_bytes())
     }
 
-    /// Seconds one operand field takes to upload over a `gbytes_per_sec`
-    /// link — the per-RHS H2D stage of the offload pipeline.
+    /// Seconds one operand field takes to upload — the per-RHS H2D stage of
+    /// the offload pipeline.
     #[must_use]
-    pub fn operand_upload_seconds(&self, gbytes_per_sec: f64) -> f64 {
-        self.operand_bytes() as f64 / (gbytes_per_sec * 1e9)
+    pub fn operand_upload_seconds(&self) -> f64 {
+        link_seconds(self.operand_bytes())
     }
 
-    /// Seconds one result field takes to download over a `gbytes_per_sec`
-    /// link — the per-RHS D2H stage of the offload pipeline.
+    /// Seconds one result field takes to download — the per-RHS D2H stage
+    /// of the offload pipeline.
     #[must_use]
-    pub fn result_download_seconds(&self, gbytes_per_sec: f64) -> f64 {
-        self.bytes_from_device as f64 / (gbytes_per_sec * 1e9)
-    }
-
-    /// The three-stage pipeline cost of serving right-hand sides whose
-    /// compute stage (the whole solve's kernel seconds) costs
-    /// `compute_seconds_per_rhs`: shared upload once, then per-RHS operand
-    /// upload / kernel / result download over a `gbytes_per_sec` full-duplex
-    /// link.  Feed it to [`perf_model::PipelineCost`]'s closed forms for the
-    /// serial-vs-overlapped session accounting.
-    #[must_use]
-    pub fn pipeline_cost(&self, gbytes_per_sec: f64, compute_seconds_per_rhs: f64) -> PipelineCost {
-        PipelineCost {
-            shared_upload_seconds: self.shared_upload_seconds(gbytes_per_sec),
-            upload_seconds: self.operand_upload_seconds(gbytes_per_sec),
-            compute_seconds: compute_seconds_per_rhs,
-            download_seconds: self.result_download_seconds(gbytes_per_sec),
-        }
+    pub fn result_download_seconds(&self) -> f64 {
+        link_seconds(self.bytes_from_device)
     }
 
     /// Buffers per memory bank under the banked allocation.
@@ -171,6 +155,12 @@ impl OffloadPlan {
     pub fn buffers_per_bank(&self) -> usize {
         self.device_buffers.div_ceil(self.memory_banks)
     }
+}
+
+/// Seconds `bytes` take to cross the [`HOST_LINK_GBS`] link (each direction;
+/// the link is full-duplex).
+fn link_seconds(bytes: u64) -> f64 {
+    bytes as f64 / (HOST_LINK_GBS * 1e9)
 }
 
 #[cfg(test)]
@@ -227,20 +217,10 @@ mod tests {
         let device = FpgaDevice::stratix10_gx2800();
         let design = AcceleratorDesign::for_degree(7, &device);
         let plan = OffloadPlan::new(&design, &device, 512);
-        let gbs = 12.0;
-        let pieces = plan.shared_upload_seconds(gbs)
-            + plan.operand_upload_seconds(gbs)
-            + plan.result_download_seconds(gbs);
-        assert!((pieces - plan.transfer_seconds(gbs)).abs() < 1e-15 * pieces.abs().max(1.0));
-
-        // The pipeline cost of a compute-dominated solve hides almost all of
-        // the per-RHS traffic at batch 16.
-        let cost = plan.pipeline_cost(gbs, 1.0);
-        assert_eq!(cost.compute_seconds, 1.0);
-        let serial = cost.serial_session_seconds(16);
-        let overlapped = cost.overlapped_session_seconds(16);
-        assert!(overlapped < serial);
-        assert!(cost.exposed_transfer_seconds(16) < 16.0 * plan.transfer_seconds(gbs));
+        let pieces = plan.shared_upload_seconds()
+            + plan.operand_upload_seconds()
+            + plan.result_download_seconds();
+        assert!((pieces - plan.transfer_seconds()).abs() < 1e-15 * pieces.abs().max(1.0));
     }
 
     #[test]
@@ -264,12 +244,15 @@ mod tests {
     }
 
     #[test]
-    fn transfer_time_scales_inversely_with_link_speed() {
+    fn transfers_are_priced_at_the_host_link() {
         let device = FpgaDevice::stratix10_gx2800();
         let design = AcceleratorDesign::for_degree(7, &device);
         let plan = OffloadPlan::new(&design, &device, 1024);
-        let slow = plan.transfer_seconds(8.0);
-        let fast = plan.transfer_seconds(16.0);
-        assert!((slow / fast - 2.0).abs() < 1e-12);
+        let seconds = plan.total_transfer_bytes() as f64 / (HOST_LINK_GBS * 1e9);
+        assert_eq!(plan.transfer_seconds().to_bits(), seconds.to_bits());
+        assert_eq!(
+            plan.batched_transfer_seconds(1).to_bits(),
+            plan.transfer_seconds().to_bits()
+        );
     }
 }

@@ -208,13 +208,6 @@ pub struct SolveReport {
     /// the whole batch and this field carries the per-RHS share.  This is
     /// the **serial** accounting: every byte blocks the kernel.
     pub transfer_seconds: f64,
-    /// The per-RHS transfer time still *exposed* (not hidden behind the
-    /// kernel) when the batch runs through the double-buffered three-stage
-    /// offload pipeline — upload `i+1` / solve `i` / download `i-1` — that
-    /// `sem-serve` schedules.  At most [`SolveReport::transfer_seconds`];
-    /// equal to it for standalone solves (a batch of one has nothing to
-    /// overlap with) and zero for host backends.
-    pub pipelined_transfer_seconds: f64,
     /// Wall-clock seconds the whole solve took on this host (for simulated
     /// backends this is simulator time, not accelerator time).
     pub host_wall_seconds: f64,
@@ -257,23 +250,6 @@ impl SolveReport {
     #[must_use]
     pub fn modeled_seconds(&self) -> f64 {
         self.compute_seconds() + self.transfer_seconds
-    }
-
-    /// The backend-attributed per-RHS time when the batch is served through
-    /// the overlapped offload pipeline: compute seconds plus only the
-    /// transfer time the pipeline fails to hide.  Equals
-    /// [`SolveReport::modeled_seconds`] for host backends and standalone
-    /// solves.
-    #[must_use]
-    pub fn pipelined_modeled_seconds(&self) -> f64 {
-        self.compute_seconds() + self.pipelined_transfer_seconds
-    }
-
-    /// Per-RHS seconds the pipelined schedule saves over the serial
-    /// accounting — the overlap win existing consumers compare.
-    #[must_use]
-    pub fn overlap_win_seconds(&self) -> f64 {
-        (self.modeled_seconds() - self.pipelined_modeled_seconds()).max(0.0)
     }
 }
 
@@ -494,7 +470,7 @@ impl SemSystem {
         }
         let batch = rhss.len();
         let per_rhs_transfer = self.offload_plan().map_or(0.0, |plan| {
-            plan.batched_transfer_seconds(HOST_LINK_GBS, batch) / batch as f64
+            plan.batched_transfer_seconds(batch) / batch as f64
         });
         let solver = CgSolver::new(
             self.execution.as_ref(),
@@ -573,24 +549,6 @@ impl SemSystem {
             cg.operator_seconds.max(1e-12),
             cg.operator_applications.max(1),
         );
-        // Exposed per-RHS transfer under the double-buffered pipeline: the
-        // session's un-hidden seconds (closed form) spread over the batch,
-        // with the on-device preconditioner part of the compute stage.
-        // Never worse than the serial share.
-        let compute_seconds = operator.seconds + cg.precond_seconds;
-        let pipelined_transfer_seconds = if batch == 1 {
-            // A standalone solve has no neighbouring requests to overlap
-            // with: the pipelined accounting equals the serial one, bitwise.
-            transfer_seconds
-        } else {
-            self.offload_plan()
-                .map_or(0.0, |plan| {
-                    plan.pipeline_cost(HOST_LINK_GBS, compute_seconds)
-                        .exposed_transfer_seconds(batch)
-                        / batch as f64
-                })
-                .min(transfer_seconds)
-        };
         let report = SolveReport {
             backend: self.execution.label().into_owned(),
             precond: self.config.precond,
@@ -599,7 +557,6 @@ impl SemSystem {
             source: self.execution.perf_source(),
             operator,
             transfer_seconds,
-            pipelined_transfer_seconds,
             host_wall_seconds,
             batch_size: batch,
             solution: PoissonSolution {
@@ -895,49 +852,6 @@ mod tests {
             "per-RHS offload seconds must drop >= 30%, got {:.0}%",
             drop * 100.0
         );
-    }
-
-    #[test]
-    fn pipelined_accounting_hides_transfer_behind_the_kernel() {
-        let options = CgOptions {
-            max_iterations: 1000,
-            tolerance: 1e-10,
-            record_history: false,
-        };
-        let system = SemSystem::builder()
-            .degree(5)
-            .elements([2, 2, 2])
-            .backend(Backend::fpga_simulated())
-            .build();
-
-        // A standalone solve has nothing to overlap with.
-        let solo = system.solve(options);
-        assert_eq!(solo.pipelined_transfer_seconds, solo.transfer_seconds);
-        assert_eq!(solo.pipelined_modeled_seconds(), solo.modeled_seconds());
-        assert_eq!(solo.overlap_win_seconds(), 0.0);
-
-        // At batch 16 the double-buffered pipeline hides most of the per-RHS
-        // traffic: only the ramp (shared upload + first operand + last
-        // result) stays exposed, spread over the batch.
-        let reports = system.solve_many_manufactured(16, options);
-        for report in &reports {
-            assert!(report.pipelined_transfer_seconds < report.transfer_seconds);
-            assert!(report.pipelined_transfer_seconds > 0.0);
-            assert!(report.pipelined_modeled_seconds() < report.modeled_seconds());
-            assert!(report.overlap_win_seconds() > 0.0);
-        }
-
-        // CPU backends move nothing, pipelined or not.
-        let cpu = SemSystem::builder()
-            .degree(5)
-            .elements([2, 2, 2])
-            .backend(Backend::cpu_specialized())
-            .build();
-        let cpu_reports = cpu.solve_many_manufactured(4, options);
-        for report in &cpu_reports {
-            assert_eq!(report.pipelined_transfer_seconds, 0.0);
-            assert_eq!(report.overlap_win_seconds(), 0.0);
-        }
     }
 
     #[test]

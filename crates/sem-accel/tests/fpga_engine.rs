@@ -95,11 +95,6 @@ fn assert_priced_and_solved_alike(a: &SemSystem, b: &SemSystem, context: &str) {
         ("operator seconds", ra.operator.seconds, rb.operator.seconds),
         ("precond seconds", ra.precond_seconds, rb.precond_seconds),
         ("transfer seconds", ra.transfer_seconds, rb.transfer_seconds),
-        (
-            "pipelined transfer seconds",
-            ra.pipelined_transfer_seconds,
-            rb.pipelined_transfer_seconds,
-        ),
     ] {
         assert_eq!(x.to_bits(), y.to_bits(), "{context}: {what}");
     }

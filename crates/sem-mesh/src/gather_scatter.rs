@@ -8,10 +8,10 @@
 
 use crate::field::ElementField;
 use crate::mesh::BoxMesh;
-use serde::{Deserialize, Serialize};
+use std::sync::OnceLock;
 
 /// The gather–scatter operator of a mesh.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct GatherScatter {
     degree: usize,
     num_elements: usize,
@@ -20,6 +20,10 @@ pub struct GatherScatter {
     num_global: usize,
     /// How many local copies each *local* node has (its global multiplicity).
     multiplicity: Vec<f64>,
+    /// `1 / multiplicity`, the counting weight of a global inner product,
+    /// built on first use and kept: built in `from_mesh`, its fresh pages
+    /// would fault inside every session build.
+    inverse_multiplicity: OnceLock<ElementField>,
     /// The local copies of every global node with more than one copy,
     /// bucketed by copy count `m` (ascending: 2, 4 and 8 on a box mesh).
     /// Single-copy nodes (element interiors) need no summation and are left
@@ -28,7 +32,7 @@ pub struct GatherScatter {
 }
 
 /// The shared global nodes with exactly `copies` local copies.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 struct SharedBucket {
     /// Local copies per node, `m >= 2`.
     copies: usize,
@@ -89,6 +93,7 @@ impl GatherScatter {
             local_to_global,
             num_global,
             multiplicity,
+            inverse_multiplicity: OnceLock::new(),
             shared,
         }
     }
@@ -168,11 +173,13 @@ impl GatherScatter {
 
     /// A field of `1 / multiplicity`, used to weight local dot products so
     /// that every unique grid point is counted exactly once (the `vmult` of
-    /// Nekbone).
+    /// Nekbone).  Computed once, on the first call.
     #[must_use]
-    pub fn inverse_multiplicity(&self) -> ElementField {
-        let data = self.multiplicity.iter().map(|&m| 1.0 / m).collect();
-        ElementField::from_vec(self.degree, self.num_elements, data)
+    pub fn inverse_multiplicity(&self) -> &ElementField {
+        self.inverse_multiplicity.get_or_init(|| {
+            let data = self.multiplicity.iter().map(|&m| 1.0 / m).collect();
+            ElementField::from_vec(self.degree, self.num_elements, data)
+        })
     }
 
     /// Whether a local field is continuous (all copies of each global node
@@ -351,7 +358,7 @@ mod tests {
         let inv_mult = gs.inverse_multiplicity();
         let mut averaged = gs.gather(&global);
         // averaged currently holds the sum; divide by multiplicity to recover x.
-        averaged.pointwise_mul(&inv_mult);
+        averaged.pointwise_mul(inv_mult);
         for (a, b) in averaged.as_slice().iter().zip(xs.as_slice()) {
             assert!((a - b).abs() < 1e-10);
         }

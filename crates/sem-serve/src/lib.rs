@@ -15,14 +15,15 @@
 //! * [`request`] — [`ServeRequest`]/[`ProblemSpec`]/[`RhsSpec`]: what
 //!   clients submit;
 //! * [`queue`] — [`BatchJob`]: same-shape requests served as one session;
-//! * [`pipeline`] — [`PipelineTimeline`]: the event-level schedule of one
-//!   session (H2D / kernel / D2H channels, double buffering, per-iteration
-//!   residual streaming so convergence checks never stall the kernel),
-//!   degenerating bitwise to the serial `SolveReport` accounting when
-//!   overlap is disabled;
+//! * [`pipeline`] — [`PipelineTimeline`]: the one session-time model, the
+//!   event-level schedule of one session (H2D / kernel / D2H channels at
+//!   the host link speed, double buffering, per-iteration residual
+//!   streaming so convergence checks never stall the kernel), with the
+//!   serial `SolveReport` accounting kept beside it as the blocking figure
+//!   the overlap win is measured against;
 //! * [`scheduler`] — [`DeviceSlot`]: one device of the pool, priced by the
-//!   simulator where one exists and by `perf_model::HostCostModel`
-//!   elsewhere;
+//!   simulator where one exists and by the generic-server
+//!   `perf_model::HostCostModel` elsewhere;
 //! * [`steal`] — [`run_stealing`] / [`run_stealing_with_feeder`]: the one
 //!   threaded execution core (one shared FIFO queue from the vendored
 //!   `crossbeam`, fed live while the workers run), one thread per device
@@ -95,8 +96,7 @@ pub use fault::{
     RetryLedger, RetryRecord,
 };
 pub use pipeline::{
-    PipelineConfig, PipelineTimeline, RequestStages, Stage, StageEvent,
-    RESIDUAL_BYTES_PER_ITERATION,
+    PipelineTimeline, RequestStages, Stage, StageEvent, RESIDUAL_BYTES_PER_ITERATION,
 };
 pub use queue::BatchJob;
 pub use request::{ProblemSpec, RhsSpec, ServeRequest};

@@ -9,52 +9,23 @@
 //! * **D2H** — per-iteration residual scalars (streamed, so convergence
 //!   checks never stall the kernel) and one result download per RHS.
 //!
-//! With `overlap` enabled the channels run concurrently (the link is
-//! full-duplex, the board double-buffers), so the schedule pipelines
-//! upload(`i+1`) / solve(`i`) / download(`i-1`) and the makespan follows the
-//! classical recurrence; with `overlap` disabled every stage blocks and the
-//! makespan degenerates **exactly** to the serial accounting
-//! `sem_accel::SolveReport` has always reported
-//! (`Σ modeled_seconds()` — see [`PipelineTimeline::makespan_seconds`]).
+//! The channels run concurrently (the link is full-duplex at
+//! [`HOST_LINK_GBS`] each way, the board double-buffers), so the schedule
+//! pipelines upload(`i+1`) / solve(`i`) / download(`i-1`) and the makespan
+//! follows the classical recurrence.  This timeline is the one session-time
+//! model of the workspace: serving, placement, deadline admission, drift
+//! telemetry and every trace span read it.  The blocking figure every byte
+//! would cost if it stalled the kernel — what `sem_accel::SolveReport`
+//! charges a solve — stays available as
+//! [`PipelineTimeline::serial_accounting_seconds`], and the overlap win is
+//! measured against it.
 
-use perf_model::PipelineCost;
 use sem_accel::system::HOST_LINK_GBS;
 use sem_accel::{AxBackend, OffloadPlan, SolveReport};
 use serde::{Deserialize, Serialize};
 
 /// Bytes of one streamed residual norm (a single double per CG iteration).
 pub const RESIDUAL_BYTES_PER_ITERATION: f64 = 8.0;
-
-/// How a session is scheduled: overlapping or serial, over which link.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct PipelineConfig {
-    /// Overlap the H2D / kernel / D2H channels (double buffering).  When
-    /// `false` the timeline reproduces the serial `SolveReport` accounting
-    /// bitwise.
-    pub overlap: bool,
-    /// Host link bandwidth in GB/s (each direction; the link is full-duplex).
-    pub link_gbs: f64,
-}
-
-impl Default for PipelineConfig {
-    fn default() -> Self {
-        Self {
-            overlap: true,
-            link_gbs: HOST_LINK_GBS,
-        }
-    }
-}
-
-impl PipelineConfig {
-    /// The serial (no-overlap) configuration over the default link.
-    #[must_use]
-    pub fn serial() -> Self {
-        Self {
-            overlap: false,
-            ..Self::default()
-        }
-    }
-}
 
 /// Which channel an event occupies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -66,7 +37,7 @@ pub enum Stage {
     /// One right-hand side's kernel compute (the whole CG solve).
     Compute,
     /// The per-iteration residual scalars streaming back during compute
-    /// (D2H channel; only present on overlapped schedules).
+    /// (D2H channel).
     ResidualStream,
     /// One right-hand side's result download (D2H channel).
     Download,
@@ -105,9 +76,8 @@ pub struct RequestStages {
     /// Streamed residual traffic (D2H, concurrent with compute).
     pub residual_stream_seconds: f64,
     /// What this request costs under the serial accounting — kernel seconds
-    /// plus the per-RHS share of the batched transfer at the *same* link
-    /// speed the stage costs use.  At the default link this is exactly
-    /// `SolveReport::modeled_seconds()`, bitwise.
+    /// plus the per-RHS share of the batched transfer.  For an executed
+    /// solve this is exactly `SolveReport::modeled_seconds()`, bitwise.
     pub serial_seconds: f64,
 }
 
@@ -115,24 +85,18 @@ impl RequestStages {
     /// Stage costs of one executed solve: transfers from the offload plan's
     /// byte counts, compute from the report's operator accounting.  Host
     /// backends (no plan) upload and download nothing.
-    ///
-    /// The report's serial transfer share was charged at [`HOST_LINK_GBS`];
-    /// it is rescaled to `link_gbs` so both accountings price bytes over the
-    /// same link (the factor is exactly `1.0` at the default link, which
-    /// preserves the bitwise serial-degeneration guarantee).
     #[must_use]
-    pub fn from_report(report: &SolveReport, plan: Option<&OffloadPlan>, link_gbs: f64) -> Self {
+    pub fn from_report(report: &SolveReport, plan: Option<&OffloadPlan>) -> Self {
         // Compute = operator plus preconditioner applications (the latter
         // priced by the backend's cycle model when claimed on-device).
         let compute_seconds = report.compute_seconds();
-        let serial_seconds = compute_seconds + report.transfer_seconds * (HOST_LINK_GBS / link_gbs);
+        let serial_seconds = report.modeled_seconds();
         match plan {
             Some(plan) => Self {
-                upload_seconds: plan.operand_upload_seconds(link_gbs),
+                upload_seconds: plan.operand_upload_seconds(),
                 compute_seconds,
-                download_seconds: plan.result_download_seconds(link_gbs),
-                residual_stream_seconds: RESIDUAL_BYTES_PER_ITERATION * report.iterations() as f64
-                    / (link_gbs * 1e9),
+                download_seconds: plan.result_download_seconds(),
+                residual_stream_seconds: residual_stream_seconds(report.iterations()),
                 serial_seconds,
             },
             None => Self {
@@ -144,61 +108,11 @@ impl RequestStages {
             },
         }
     }
+}
 
-    /// *Predicted* stage costs of one not-yet-executed solve on `backend`:
-    /// the kernel stage comes from
-    /// [`AxBackend::simulated_seconds_per_batch`] over the expected operator
-    /// applications (one command-queue submission per solve, launch overhead
-    /// amortised) plus one on-device preconditioner application per
-    /// operator application (`precond_seconds_per_application`; zero when
-    /// the preconditioner is not claimed on-device), the transfers from the
-    /// plan's bytes.  Measured backends have no simulator model; callers
-    /// substitute a host cost estimate via `fallback_compute_seconds`.
-    #[must_use]
-    pub fn predict(
-        backend: &dyn AxBackend,
-        plan: Option<&OffloadPlan>,
-        applications: usize,
-        precond_seconds_per_application: f64,
-        fallback_compute_seconds: f64,
-        link_gbs: f64,
-    ) -> Self {
-        let compute_seconds = backend
-            .simulated_seconds_per_batch(applications.max(1))
-            .map_or(fallback_compute_seconds, |kernel| {
-                kernel + precond_seconds_per_application * applications.max(1) as f64
-            });
-        let (upload_seconds, download_seconds) = plan.map_or((0.0, 0.0), |plan| {
-            (
-                plan.operand_upload_seconds(link_gbs),
-                plan.result_download_seconds(link_gbs),
-            )
-        });
-        let shared = plan.map_or(0.0, |plan| plan.shared_upload_seconds(link_gbs));
-        Self {
-            upload_seconds,
-            compute_seconds,
-            download_seconds,
-            residual_stream_seconds: RESIDUAL_BYTES_PER_ITERATION * applications as f64
-                / (link_gbs * 1e9),
-            // Serial prediction: the per-request share of one session;
-            // callers spread `shared` themselves when batching, so charge it
-            // here only as documentation of the standalone cost.
-            serial_seconds: shared + upload_seconds + compute_seconds + download_seconds,
-        }
-    }
-
-    /// The uniform [`PipelineCost`] closed-form equivalent of this request
-    /// (shared upload supplied by the session).
-    #[must_use]
-    pub fn as_pipeline_cost(&self, shared_upload_seconds: f64) -> PipelineCost {
-        PipelineCost {
-            shared_upload_seconds,
-            upload_seconds: self.upload_seconds,
-            compute_seconds: self.compute_seconds,
-            download_seconds: self.download_seconds,
-        }
-    }
+/// Seconds `iterations` streamed residual norms take on the D2H channel.
+fn residual_stream_seconds(iterations: usize) -> f64 {
+    RESIDUAL_BYTES_PER_ITERATION * iterations as f64 / (HOST_LINK_GBS * 1e9)
 }
 
 /// The scheduled timeline of one batched session on one device.
@@ -210,65 +124,48 @@ pub struct PipelineTimeline {
     pub stages: Vec<RequestStages>,
     /// The schedule: every interval on every channel, in emission order.
     pub events: Vec<StageEvent>,
-    /// Session makespan.  With overlap this is the end of the last download;
-    /// without overlap it is **defined** as
-    /// [`PipelineTimeline::serial_accounting_seconds`], so it matches the
-    /// blocking `SolveReport` accounting bitwise (the event list then is a
-    /// visualisation whose last end may differ in the last ulp from the sum,
-    /// because floating-point addition is reassociated).
+    /// Session makespan: the end of the last event.
     pub makespan_seconds: f64,
-    /// Whether the channels overlapped.
-    pub overlap: bool,
 }
 
 impl PipelineTimeline {
     /// Schedule a session from explicit stage costs.
     #[must_use]
-    pub fn build(
-        shared_upload_seconds: f64,
-        stages: Vec<RequestStages>,
-        config: PipelineConfig,
-    ) -> Self {
-        let events = if config.overlap {
-            Self::overlapped_events(shared_upload_seconds, &stages)
-        } else {
-            Self::serial_events(shared_upload_seconds, &stages)
-        };
-        let makespan_seconds = if config.overlap {
-            events.iter().map(|e| e.end_seconds).fold(0.0_f64, f64::max)
-        } else {
-            stages.iter().map(|s| s.serial_seconds).sum()
-        };
+    pub fn build(shared_upload_seconds: f64, stages: Vec<RequestStages>) -> Self {
+        let events = Self::events(shared_upload_seconds, &stages);
+        let makespan_seconds = events.iter().map(|e| e.end_seconds).fold(0.0_f64, f64::max);
         Self {
             shared_upload_seconds,
             stages,
             events,
             makespan_seconds,
-            overlap: config.overlap,
         }
     }
 
     /// Schedule the session of an executed batch: one [`RequestStages`] per
     /// [`SolveReport`], transfers from `plan`'s bytes.
     #[must_use]
-    pub fn from_reports(
-        plan: Option<&OffloadPlan>,
-        reports: &[SolveReport],
-        config: PipelineConfig,
-    ) -> Self {
-        let shared = plan.map_or(0.0, |plan| plan.shared_upload_seconds(config.link_gbs));
+    pub fn from_reports(plan: Option<&OffloadPlan>, reports: &[SolveReport]) -> Self {
+        let shared = plan.map_or(0.0, OffloadPlan::shared_upload_seconds);
         let stages = reports
             .iter()
-            .map(|report| RequestStages::from_report(report, plan, config.link_gbs))
+            .map(|report| RequestStages::from_report(report, plan))
             .collect();
-        Self::build(shared, stages, config)
+        Self::build(shared, stages)
     }
 
     /// *Predict* the session of a `batch`-request job on `backend` before
-    /// running it: every request is priced by [`RequestStages::predict`]
-    /// (simulated kernel model where one exists, `fallback_compute_seconds`
-    /// otherwise).  This is what the serving host's placement and deadline
-    /// admission price candidate devices with.
+    /// running it.  Every request costs the same: the kernel stage comes
+    /// from [`AxBackend::simulated_seconds_per_batch`] over the expected
+    /// operator `applications` (one command-queue submission per solve,
+    /// launch overhead amortised) plus one on-device preconditioner
+    /// application per operator application
+    /// (`precond_seconds_per_application`; zero when the preconditioner is
+    /// not claimed on-device), the transfers from the plan's bytes.
+    /// Measured backends have no simulator model; callers substitute a host
+    /// cost estimate via `fallback_compute_seconds`.  This is what the
+    /// serving host's placement and deadline admission price candidate
+    /// devices with.
     #[must_use]
     pub fn predict(
         backend: &dyn AxBackend,
@@ -276,32 +173,36 @@ impl PipelineTimeline {
         applications: usize,
         precond_seconds_per_application: f64,
         fallback_compute_seconds: f64,
-        config: PipelineConfig,
     ) -> Self {
         let plan = backend.offload_plan();
         let shared = plan
             .as_ref()
-            .map_or(0.0, |plan| plan.shared_upload_seconds(config.link_gbs));
-        let request = RequestStages::predict(
-            backend,
-            plan.as_ref(),
-            applications,
-            precond_seconds_per_application,
-            fallback_compute_seconds,
-            config.link_gbs,
-        );
-        // The standalone serial prediction charges the shared upload per
-        // request; inside a batch it is paid once, so rebuild the serial
-        // share the way `SemSystem::solve_many` spreads it.
-        let batch_f = batch.max(1) as f64;
-        let per_request = RequestStages {
-            serial_seconds: shared / batch_f
-                + request.upload_seconds
-                + request.compute_seconds
-                + request.download_seconds,
-            ..request
+            .map_or(0.0, OffloadPlan::shared_upload_seconds);
+        let compute_seconds = backend
+            .simulated_seconds_per_batch(applications.max(1))
+            .map_or(fallback_compute_seconds, |kernel| {
+                kernel + precond_seconds_per_application * applications.max(1) as f64
+            });
+        let (upload_seconds, download_seconds) = plan.as_ref().map_or((0.0, 0.0), |plan| {
+            (
+                plan.operand_upload_seconds(),
+                plan.result_download_seconds(),
+            )
+        });
+        // The shared upload is paid once per session, so each request's
+        // serial share spreads it the way `SemSystem::solve_many` does.
+        let batch = batch.max(1);
+        let request = RequestStages {
+            upload_seconds,
+            compute_seconds,
+            download_seconds,
+            residual_stream_seconds: residual_stream_seconds(applications),
+            serial_seconds: shared / batch as f64
+                + upload_seconds
+                + compute_seconds
+                + download_seconds,
         };
-        Self::build(shared, vec![per_request; batch.max(1)], config)
+        Self::build(shared, vec![request; batch])
     }
 
     /// The serial (blocking) accounting of the same session: the sum of the
@@ -369,7 +270,7 @@ impl PipelineTimeline {
     /// serial channels; request `i`'s compute waits for its upload and the
     /// previous compute; its download waits for its compute and the D2H
     /// channel (which also carries the streamed residuals).
-    fn overlapped_events(shared: f64, stages: &[RequestStages]) -> Vec<StageEvent> {
+    fn events(shared: f64, stages: &[RequestStages]) -> Vec<StageEvent> {
         let mut events = Vec::with_capacity(1 + stages.len() * 3);
         if shared > 0.0 {
             events.push(StageEvent {
@@ -426,44 +327,13 @@ impl PipelineTimeline {
         }
         events
     }
-
-    /// The blocking schedule: every stage of every request runs back to
-    /// back on a single timeline (no residual streaming — the host already
-    /// blocks on each iteration, so the residual rides the blocking reads).
-    fn serial_events(shared: f64, stages: &[RequestStages]) -> Vec<StageEvent> {
-        let mut events = Vec::with_capacity(1 + stages.len() * 3);
-        let mut cursor = 0.0_f64;
-        if shared > 0.0 {
-            events.push(StageEvent {
-                request: None,
-                stage: Stage::SharedUpload,
-                start_seconds: 0.0,
-                end_seconds: shared,
-            });
-            cursor = shared;
-        }
-        for (i, s) in stages.iter().enumerate() {
-            for (stage, duration) in [
-                (Stage::Upload, s.upload_seconds),
-                (Stage::Compute, s.compute_seconds),
-                (Stage::Download, s.download_seconds),
-            ] {
-                events.push(StageEvent {
-                    request: Some(i),
-                    stage,
-                    start_seconds: cursor,
-                    end_seconds: cursor + duration,
-                });
-                cursor += duration;
-            }
-        }
-        events
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sem_accel::{Backend, SemSystem};
+    use sem_solver::CgOptions;
 
     fn stages(n: usize) -> Vec<RequestStages> {
         (0..n)
@@ -479,23 +349,34 @@ mod tests {
 
     #[test]
     fn overlapped_makespan_respects_the_pipeline_bounds() {
-        let t = PipelineTimeline::build(0.5, stages(8), PipelineConfig::default());
-        let serial = PipelineTimeline::build(0.5, stages(8), PipelineConfig::serial());
+        let t = PipelineTimeline::build(0.5, stages(8));
+        let serial = t.serial_accounting_seconds();
         assert!(t.makespan_seconds >= t.total_compute_seconds());
         assert!(t.makespan_seconds >= t.total_upload_seconds());
         assert!(t.makespan_seconds >= t.total_download_seconds());
-        assert!(t.makespan_seconds <= serial.makespan_seconds + 1e-12);
+        assert!(t.makespan_seconds <= serial + 1e-12);
         assert!(t.overlap_win_seconds() > 0.0);
-        assert!(t.compute_utilisation() > serial.compute_utilisation());
+        assert!(t.compute_utilisation() > t.total_compute_seconds() / serial);
     }
 
-    #[test]
-    fn serial_makespan_is_the_sum_of_serial_accounting() {
-        let t = PipelineTimeline::build(0.5, stages(4), PipelineConfig::serial());
-        assert_eq!(t.makespan_seconds, t.serial_accounting_seconds());
-        assert_eq!(t.overlap_win_seconds(), 0.0);
-        // Events cover every stage of every request plus the shared upload.
-        assert_eq!(t.events.len(), 1 + 4 * 3);
+    /// The closed form of a uniform double-buffered session of `batch`
+    /// requests: `shared + u + c + d + (B - 1) max(u, c, d)`.
+    fn closed_form(shared: f64, request: &RequestStages, batch: usize) -> f64 {
+        let (u, c, d) = (
+            request.upload_seconds,
+            request.compute_seconds,
+            request.download_seconds,
+        );
+        shared + u + c + d + (batch - 1) as f64 * u.max(c).max(d)
+    }
+
+    fn assert_matches_closed_form(t: &PipelineTimeline) {
+        let closed = closed_form(t.shared_upload_seconds, &t.stages[0], t.stages.len());
+        assert!(
+            (t.makespan_seconds - closed).abs() < 1e-12 * closed,
+            "{} vs {closed}",
+            t.makespan_seconds
+        );
     }
 
     #[test]
@@ -509,14 +390,60 @@ mod tests {
                 serial_seconds: 0.0,
             })
             .collect();
-        let cost = uniform[0].as_pipeline_cost(0.5);
-        let t = PipelineTimeline::build(0.5, uniform, PipelineConfig::default());
-        let closed = cost.overlapped_session_seconds(16);
-        assert!(
-            (t.makespan_seconds - closed).abs() < 1e-12 * closed,
-            "{} vs {closed}",
-            t.makespan_seconds
-        );
+        assert_matches_closed_form(&PipelineTimeline::build(0.5, uniform));
+
+        // An executed 16-RHS batch on the evaluated board, residual
+        // streaming included.
+        let system = fpga_system();
+        let reports = system.solve_many_manufactured(16, cg());
+        let t = PipelineTimeline::from_reports(system.offload_plan().as_ref(), &reports);
+        assert_matches_closed_form(&t);
+    }
+
+    fn cg() -> CgOptions {
+        CgOptions {
+            max_iterations: 1000,
+            tolerance: 1e-10,
+            record_history: false,
+        }
+    }
+
+    fn fpga_system() -> SemSystem {
+        SemSystem::builder()
+            .degree(5)
+            .elements([2, 2, 2])
+            .backend_named("fpga:stratix10-gx2800")
+            .build()
+    }
+
+    #[test]
+    fn pipelined_accounting_hides_transfer_behind_the_kernel() {
+        let system = fpga_system();
+        let plan = system.offload_plan();
+
+        // A batch of one has nothing to overlap with.
+        let solo = PipelineTimeline::from_reports(plan.as_ref(), &[system.solve(cg())]);
+        assert!(solo.overlap_win_seconds() <= 1e-12 * solo.serial_accounting_seconds());
+
+        // At batch 16 the double-buffered pipeline hides most of the
+        // traffic: only the ramp (shared upload + first operand + last
+        // result) stays exposed.
+        let reports = system.solve_many_manufactured(16, cg());
+        let serial_transfer: f64 = reports.iter().map(|r| r.transfer_seconds).sum();
+        let batch = PipelineTimeline::from_reports(plan.as_ref(), &reports);
+        assert!(batch.exposed_transfer_seconds() > 0.0);
+        assert!(batch.exposed_transfer_seconds() < serial_transfer);
+        assert!(batch.overlap_win_seconds() > 0.0);
+
+        // Host backends move nothing, pipelined or not.
+        let cpu = SemSystem::builder()
+            .degree(5)
+            .elements([2, 2, 2])
+            .backend(Backend::cpu_specialized())
+            .build();
+        let host = PipelineTimeline::from_reports(None, &cpu.solve_many_manufactured(4, cg()));
+        assert_eq!(host.exposed_transfer_seconds(), 0.0);
+        assert_eq!(host.overlap_win_seconds(), 0.0);
     }
 
     #[test]
@@ -531,8 +458,8 @@ mod tests {
                 ..s
             })
             .collect();
-        let a = PipelineTimeline::build(0.5, with, PipelineConfig::default());
-        let b = PipelineTimeline::build(0.5, without, PipelineConfig::default());
+        let a = PipelineTimeline::build(0.5, with);
+        let b = PipelineTimeline::build(0.5, without);
         assert!((a.makespan_seconds - b.makespan_seconds).abs() < 1e-12);
         assert!(a.stage_busy_seconds(Stage::ResidualStream) > 0.0);
         assert_eq!(b.stage_busy_seconds(Stage::ResidualStream), 0.0);
@@ -549,7 +476,7 @@ mod tests {
                 serial_seconds: 1.4,
             })
             .collect();
-        let t = PipelineTimeline::build(0.0, heavy, PipelineConfig::default());
+        let t = PipelineTimeline::build(0.0, heavy);
         // Uploads serialise on the H2D channel: makespan ~ 8 uploads + tail.
         assert!(t.makespan_seconds >= 8.0);
         assert!(t.exposed_transfer_seconds() > 0.0);
@@ -558,7 +485,7 @@ mod tests {
 
     #[test]
     fn empty_sessions_are_legal() {
-        let t = PipelineTimeline::build(0.0, Vec::new(), PipelineConfig::default());
+        let t = PipelineTimeline::build(0.0, Vec::new());
         assert_eq!(t.makespan_seconds, 0.0);
         assert!(t.events.is_empty());
     }

@@ -3,25 +3,20 @@
 //! Placement itself lives in the serving host ([`crate::stream`]): each job
 //! goes to the device with the earliest corrected predicted completion,
 //! priced by the offload-pipeline model — simulated kernel seconds where a
-//! simulator exists, the slot's `perf-model` roofline estimate for measured
-//! hosts.  Every figure is modelled, never a wall clock, so placement is
+//! simulator exists, the generic-server `perf-model` roofline estimate
+//! (`HostCostModel::generic_server`) for measured hosts.  Every figure is modelled, never a wall clock, so placement is
 //! deterministic under any CI load.
 
-use perf_model::HostCostModel;
 use sem_accel::Backend;
 use serde::{Deserialize, Serialize};
 
-/// One device of the serving pool: a backend configuration plus the host
-/// cost model used to price it when it has no simulator.
+/// One device of the serving pool: a labelled backend configuration.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DeviceSlot {
     /// Display label (the registry name, for registry-built slots).
     pub label: String,
     /// The backend this slot instantiates per problem shape.
     pub config: Backend,
-    /// Roofline cost model for measured (host) execution, used to price
-    /// the slot when the backend reports no simulated seconds.
-    pub host_model: HostCostModel,
 }
 
 impl DeviceSlot {
@@ -33,7 +28,6 @@ impl DeviceSlot {
         Some(Self {
             label: name.to_string(),
             config,
-            host_model: HostCostModel::generic_server(),
         })
     }
 }

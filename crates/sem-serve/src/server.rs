@@ -9,11 +9,12 @@
 //! *when and where* things happen (the schedule, the executing thread),
 //! never *what* is computed.
 
-use crate::pipeline::{PipelineConfig, PipelineTimeline, RequestStages};
+use crate::pipeline::PipelineTimeline;
 use crate::queue::BatchJob;
 use crate::request::{ProblemSpec, RhsSpec, ServeRequest};
 use crate::scheduler::DeviceSlot;
 use crate::steal::{run_stealing_with_feeder, CompletedJob, JobVerdict};
+use perf_model::HostCostModel;
 use sem_accel::{Backend, PerfSource, SemSystem};
 use sem_mesh::ElementField;
 use sem_obs::{recorder, DriftSample};
@@ -34,8 +35,6 @@ pub struct ServeOptions {
     pub precond: Option<PrecondSpec>,
     /// Maximum right-hand sides per batch job.
     pub max_batch: usize,
-    /// How sessions are scheduled (overlap + link speed).
-    pub pipeline: PipelineConfig,
     /// Operator applications one solve is expected to need — the costing
     /// hint placement and deadline admission price jobs with (the
     /// prediction only has to rank devices, so a rough figure is fine).
@@ -52,7 +51,6 @@ impl Default for ServeOptions {
             },
             precond: None,
             max_batch: 16,
-            pipeline: PipelineConfig::default(),
             applications_hint: 60,
         }
     }
@@ -119,16 +117,12 @@ pub struct RequestOutcome {
     /// Max-norm error against the manufactured solution (`NaN` for seeded
     /// right-hand sides, which have no exact solution).
     pub max_error: f64,
-    /// Per-RHS modelled seconds under the serial (blocking) accounting,
-    /// priced at the serve's configured link
-    /// ([`crate::PipelineConfig::link_gbs`]) like the session's timeline;
-    /// equals `SolveReport::modeled_seconds()` bitwise at the
-    /// default link.
+    /// Per-RHS modelled seconds under the serial (blocking) accounting:
+    /// `SolveReport::modeled_seconds()`, bitwise.
     pub serial_modeled_seconds: f64,
     /// Per-RHS modelled seconds under the job's actual schedule: kernel
     /// seconds plus this request's share of the transfer time the session's
-    /// timeline left exposed.  Equals the serial figure when overlap is
-    /// disabled.
+    /// timeline left exposed.
     pub pipelined_modeled_seconds: f64,
     /// The solution field — bitwise identical to
     /// `SemSystem::solve_many` on the same backend.
@@ -292,11 +286,7 @@ impl Server {
         rhss: &[ElementField],
     ) -> (PipelineTimeline, Vec<RequestOutcome>, bool) {
         let reports = system.solve_many(rhss, self.options.cg);
-        let timeline = PipelineTimeline::from_reports(
-            system.offload_plan().as_ref(),
-            &reports,
-            self.options.pipeline,
-        );
+        let timeline = PipelineTimeline::from_reports(system.offload_plan().as_ref(), &reports);
         let modeled = system.execution().perf_source() == PerfSource::Simulated;
         self.record_drift(system, device, job, &timeline);
         // Manufactured requests get real error metrics (solve_many itself
@@ -306,10 +296,10 @@ impl Server {
             .iter()
             .any(|&i| requests[i].rhs == RhsSpec::Manufactured)
             .then(|| system.problem().manufactured_exact());
-        // Per-request accounting at the *configured* link, consistent with
-        // the timeline the report's makespans come from: the serial figure
-        // is the timeline's per-request serial cost, the pipelined figure
-        // spreads the schedule's exposed transfer over the batch.
+        // Per-request accounting consistent with the timeline the report's
+        // makespans come from: the serial figure is the timeline's
+        // per-request serial cost, the pipelined figure spreads the
+        // schedule's exposed transfer over the batch.
         let exposed_share = timeline.exposed_transfer_seconds() / job.batch_size() as f64;
         // Consume the reports: the solution fields move straight into the
         // outcomes instead of being copied on the serving hot path.
@@ -367,30 +357,8 @@ impl Server {
         if !obs.is_enabled() {
             return;
         }
-        let applications = self.options.applications_hint.max(1);
-        let precond = self.slot_precond(device);
-        let precond_per_application = system
-            .execution()
-            .simulated_seconds_per_precond(precond)
-            .unwrap_or(0.0);
-        let plan = system.offload_plan();
-        let predicted = RequestStages::predict(
-            system.execution(),
-            plan.as_ref(),
-            applications,
-            precond_per_application,
-            self.host_fallback_seconds(device, job.spec, applications),
-            self.options.pipeline.link_gbs,
-        );
-        let predicted_session = PipelineTimeline::predict(
-            system.execution(),
-            job.batch_size(),
-            applications,
-            precond_per_application,
-            self.host_fallback_seconds(device, job.spec, applications),
-            self.options.pipeline,
-        )
-        .makespan_seconds;
+        let predicted_session = self.predict_session(system, device, job);
+        let predicted = predicted_session.stages[0];
         let backend = &self.slots[device].label;
         for (&request, actual) in job.requests.iter().zip(&timeline.stages) {
             let stages = [
@@ -406,7 +374,11 @@ impl Server {
                     predicted.residual_stream_seconds,
                     actual.residual_stream_seconds,
                 ),
-                ("session", predicted_session, timeline.makespan_seconds),
+                (
+                    "session",
+                    predicted_session.makespan_seconds,
+                    timeline.makespan_seconds,
+                ),
             ];
             for (stage, predicted_seconds, actual_seconds) in stages {
                 obs.record_drift(DriftSample {
@@ -431,9 +403,7 @@ impl Server {
             PrecondSpec::Jacobi => 0.05,
             PrecondSpec::Fdm => 1.0,
         };
-        self.slots[device]
-            .host_model
-            .seconds_per_application(spec.degree, spec.num_elements())
+        HostCostModel::generic_server().seconds_per_application(spec.degree, spec.num_elements())
             * applications as f64
             * (1.0 + host_precond_factor)
     }
@@ -452,22 +422,29 @@ impl Server {
     /// [`Server::predict_job_seconds`] on a session the caller holds (a
     /// pool worker's own).
     pub(crate) fn predict_on(&self, system: &SemSystem, device: usize, job: &BatchJob) -> f64 {
+        self.predict_session(system, device, job).makespan_seconds
+    }
+
+    /// The predicted timeline of `job` on `device`'s `system`: what
+    /// placement, deadline admission and the drift telemetry all price.
+    fn predict_session(
+        &self,
+        system: &SemSystem,
+        device: usize,
+        job: &BatchJob,
+    ) -> PipelineTimeline {
         let applications = self.options.applications_hint.max(1);
-        let precond = self.slot_precond(device);
         let precond_per_application = system
             .execution()
-            .simulated_seconds_per_precond(precond)
+            .simulated_seconds_per_precond(self.slot_precond(device))
             .unwrap_or(0.0);
-        let fallback = self.host_fallback_seconds(device, job.spec, applications);
         PipelineTimeline::predict(
             system.execution(),
             job.batch_size(),
             applications,
             precond_per_application,
-            fallback,
-            self.options.pipeline,
+            self.host_fallback_seconds(device, job.spec, applications),
         )
-        .makespan_seconds
     }
 
     /// Build the session one device uses for one problem shape (an explicit

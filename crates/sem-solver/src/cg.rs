@@ -289,7 +289,7 @@ pub struct CgSolver<'a, Op: LocalOperator + ?Sized = PoissonOperator> {
     operator: &'a Op,
     gather_scatter: &'a GatherScatter,
     mask: &'a DirichletMask,
-    inverse_multiplicity: ElementField,
+    inverse_multiplicity: &'a ElementField,
     options: CgOptions,
 }
 
@@ -302,12 +302,11 @@ impl<'a, Op: LocalOperator + ?Sized> CgSolver<'a, Op> {
         mask: &'a DirichletMask,
         options: CgOptions,
     ) -> Self {
-        let inverse_multiplicity = gather_scatter.inverse_multiplicity();
         Self {
             operator,
             gather_scatter,
             mask,
-            inverse_multiplicity,
+            inverse_multiplicity: gather_scatter.inverse_multiplicity(),
             options,
         }
     }
@@ -321,7 +320,7 @@ impl<'a, Op: LocalOperator + ?Sized> CgSolver<'a, Op> {
     /// Weighted global inner product of two local fields.
     #[must_use]
     pub fn inner_product(&self, a: &ElementField, b: &ElementField) -> f64 {
-        a.dot_weighted(b, &self.inverse_multiplicity)
+        a.dot_weighted(b, self.inverse_multiplicity)
     }
 
     /// One full "masked continuous operator" application:
@@ -523,7 +522,7 @@ impl<'a, Op: LocalOperator + ?Sized> CgSolver<'a, Op> {
                 alpha,
                 &scratch.p,
                 &scratch.w,
-                &self.inverse_multiplicity,
+                self.inverse_multiplicity,
                 &mut scratch.x,
                 &mut scratch.r,
                 pointwise.map(|inverse| (inverse, &mut scratch.z)),

@@ -178,9 +178,8 @@ pub struct FdmPreconditioner {
     combo_of_element: Vec<u32>,
     /// Inverse eigenvalue-sum tables, one per distinct class combination.
     combos: Vec<ComboTable>,
-    /// The counting weight `W` (inverse node multiplicity), per local node
-    /// and per global node.
-    weight: ElementField,
+    /// The counting weight `W` (inverse node multiplicity) per global node;
+    /// the per-local-node weight is the gather-scatter's.
     weight_global: Vec<f64>,
     /// The coarse solve (`None` for degree-1 discretisations, whose fine
     /// patches already reach the vertex scale).
@@ -270,9 +269,9 @@ impl FdmPreconditioner {
         // Patches are element closures, so the patch coverage of a grid
         // point is its multiplicity and one counting weight serves both the
         // patch sum and the coarse restriction.
-        let weight = gather_scatter.inverse_multiplicity();
         let mut weight_global = vec![0.0; gather_scatter.num_global_dofs()];
-        for (&w, &g) in weight
+        for (&w, &g) in gather_scatter
+            .inverse_multiplicity()
             .as_slice()
             .iter()
             .zip(gather_scatter.local_to_global())
@@ -289,7 +288,6 @@ impl FdmPreconditioner {
             classes,
             combo_of_element,
             combos,
-            weight,
             weight_global,
             coarse,
             gather_scatter: gather_scatter.clone(),
@@ -527,7 +525,7 @@ impl Preconditioner for FdmPreconditioner {
                 .weighted_residual
                 .iter_mut()
                 .zip(r.as_slice())
-                .zip(self.weight.as_slice())
+                .zip(self.gather_scatter.inverse_multiplicity().as_slice())
             {
                 *w = rv * wv;
             }

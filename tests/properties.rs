@@ -83,7 +83,7 @@ fn assembled_operator_energy_is_nonnegative() {
         let mut au = op.apply(&u);
         gs.direct_stiffness_sum(&mut au);
         mask.apply(&mut au);
-        let energy = u.dot_weighted(&au, &gs.inverse_multiplicity());
+        let energy = u.dot_weighted(&au, gs.inverse_multiplicity());
         assert!(energy >= -1e-8, "energy {energy}");
     }
 }
