@@ -20,11 +20,11 @@
 #[must_use]
 pub fn suspect_term(stage: &str) -> &'static str {
     match stage {
-        "shared_upload" => "OffloadPlan::shared_upload_seconds (table bytes / link_gbs)",
-        "upload" => "OffloadPlan::operand_upload_seconds (operand bytes / link_gbs)",
+        "shared_upload" => "OffloadPlan::shared_upload_seconds (table bytes / HOST_LINK_GBS)",
+        "upload" => "OffloadPlan::operand_upload_seconds (operand bytes / HOST_LINK_GBS)",
         "compute" => "AxBackend::simulated_seconds_per_batch (cycle model + applications hint)",
-        "download" => "OffloadPlan::result_download_seconds (result bytes / link_gbs)",
-        "residual_stream" => "RESIDUAL_BYTES_PER_ITERATION x applications hint / link_gbs",
+        "download" => "OffloadPlan::result_download_seconds (result bytes / HOST_LINK_GBS)",
+        "residual_stream" => "RESIDUAL_BYTES_PER_ITERATION x applications hint / HOST_LINK_GBS",
         "session" => "PipelineTimeline::predict (overlap recurrence over the stage terms)",
         _ => "unmodelled stage",
     }

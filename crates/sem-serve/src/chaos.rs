@@ -6,16 +6,18 @@
 //!    (death, hang); then an unconverged answer or a `‖b − Ax‖`, recomputed
 //!    on the trusted host operator, over `verify_slack ×` the tolerance;
 //!    then a modelled session over `timeout_factor ×` its corrected
-//!    prediction (the sticky-slowdown signature).
-//! 2. **Retry** — the synchronous executor requeues in virtual time with
-//!    capped exponential backoff; the threaded one retires a dead device's
-//!    worker (`JobVerdict::Fatal`) and requeues anything else at once
-//!    (`JobVerdict::Retry`).  Past [`FaultToleranceOptions::max_retries`] a
-//!    job runs on the fallback device, the first clean `cpu:*` slot (on the
-//!    threaded executor after its drain).
-//! 3. **Quarantine** — on the synchronous executor each device's
-//!    [`crate::CircuitBreaker`] walks healthy → suspect → quarantined, and a
-//!    probe job after a modelled cooldown re-admits it.
+//!    prediction (the sticky-slowdown signature).  On the threaded
+//!    executor each worker judges its own attempt, and a dead device
+//!    retires its worker (`JobVerdict::Retire`).
+//! 2. **Retry** — both executors share one recovery ladder: a failed
+//!    attempt is requeued in virtual time with capped exponential backoff
+//!    and re-placed.  The threaded executor's pool attempts each job once
+//!    and hands every failure to that ladder after it drains.  Past
+//!    [`FaultToleranceOptions::max_retries`] a job runs on the fallback
+//!    device, the first clean `cpu:*` slot.
+//! 3. **Quarantine** — each device's [`crate::CircuitBreaker`] walks
+//!    healthy → suspect → quarantined, and a probe job after a modelled
+//!    cooldown re-admits it.
 //!
 //! A mixed pool holds its `cpu:*` slots in reserve for degradation.  The
 //! fault wrapper is transparent when not faulting, so a request that
@@ -417,8 +419,9 @@ mod tests {
 
     #[test]
     fn a_fully_dead_pool_reports_unserved_rather_than_losing_jobs() {
-        // On the threaded executor the lone worker retires and its jobs
-        // come back unfinished; the fallback finds no live device either.
+        // On the threaded executor the lone worker retires on its attempt
+        // and the job recovers on the ladder, which finds no live device
+        // either.
         for asynchronous in [false, true] {
             let mut server = server(&[FPGA]);
             server.inject_faults(0, plan(&[(0, FaultKind::Death)]));

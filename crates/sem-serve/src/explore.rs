@@ -16,17 +16,17 @@
 //!   trees are too large to enumerate) and counts distinct traces.
 //!
 //! Every case runs through the one pool, with its fault schedule
-//! ([`ExploreCase::fatal_workers`] / [`ExploreCase::retry_once`]) deciding
-//! each job's verdict, and every explored schedule is checked for the
-//! host's contract:
+//! ([`ExploreCase::fatal_workers`]) deciding which workers retire, and
+//! every explored schedule is checked for the host's contract:
 //!
 //! 1. **Job conservation under failure** — every job is delivered exactly
-//!    once or handed back, hand-back happens only when the whole pool is
-//!    dead, only scripted workers die (delivering nothing), retries are
-//!    counted exactly, and the per-worker ledgers agree with the delivered
-//!    completions;
-//! 2. **Ordering** (fault-free cases) — each worker takes jobs from the
-//!    shared queue in FIFO (submission) order;
+//!    once or handed back, hand-back happens only when every worker
+//!    retired, only scripted workers retire (each after delivering the one
+//!    job it retired on), and the per-worker ledgers agree with the
+//!    delivered completions;
+//! 2. **Ordering** — each worker takes jobs from the shared queue in FIFO
+//!    (submission) order; nothing is ever requeued, so this holds in fault
+//!    cases too;
 //! 3. **Deadlock/livelock freedom** — the schedule terminates within a step
 //!    budget (a genuinely stuck pool would either hang a grant forever or
 //!    exceed the budget, both of which the explorer reports).
@@ -48,7 +48,6 @@
 use crate::steal::{run_stealing, run_stealing_with_feeder, JobVerdict, StealRun};
 use crossbeam::sched::{self, SchedOp, Scheduler};
 use std::collections::BTreeSet;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 /// How the explorer picks the next thread at each scheduling point.
@@ -87,16 +86,10 @@ pub struct ExploreCase {
     /// of touching the queue, driving the contended-take backoff path a
     /// mutex-backed queue never reaches on its own.
     pub contention: usize,
-    /// Fault schedule: workers whose device is dead — each returns
-    /// [`crate::steal::JobVerdict::Fatal`] on the first job it touches and
-    /// retires, handing the job back to the queue.  Cases with a non-empty
-    /// fault schedule skip the ordering check, which requeued jobs cannot
-    /// honour.
+    /// Fault schedule: workers whose device is dead — each delivers the
+    /// first job it touches with [`crate::steal::JobVerdict::Retire`] and
+    /// takes no further job.
     pub fatal_workers: Vec<usize>,
-    /// Fault schedule: payloads that fail recoverably
-    /// ([`crate::steal::JobVerdict::Retry`]) on their first execution by a
-    /// healthy worker and succeed on the second.
-    pub retry_once: Vec<usize>,
 }
 
 impl ExploreCase {
@@ -479,16 +472,14 @@ struct RunRecord {
 }
 
 /// Run `case` once under `script`, with the case's fault schedule driving
-/// verdicts: scripted dead workers `Fatal` their first job, scripted flaky
-/// payloads `Retry` their first healthy execution, everything else is
-/// `Done`.  Also returns the per-payload healthy-execution attempt counts
-/// (consumed in grant order, so exhaustive replays reproduce them).
+/// verdicts: scripted dead workers `Retire` on their first job, everything
+/// else is `Done`.  Every worker logs the payloads it executes.
 fn run_one(
     case: &ExploreCase,
     script: Vec<usize>,
     strategy: Strategy,
     run_seed: u64,
-) -> (StealRun<usize, Vec<usize>, usize>, Vec<usize>, RunRecord) {
+) -> (StealRun<usize, Vec<usize>, usize>, RunRecord) {
     let max_steps = step_budget(case);
     let scheduler = Arc::new(StepScheduler::new(
         case.workers,
@@ -500,20 +491,13 @@ fn run_one(
     ));
     let installed = Installed::new(Arc::clone(&scheduler));
     let states: Vec<Vec<usize>> = vec![Vec::new(); case.workers];
-    let attempts: Vec<AtomicUsize> = (0..case.total_jobs())
-        .map(|_| AtomicUsize::new(0))
-        .collect();
     let execute = |worker: usize, log: &mut Vec<usize>, payload: usize| {
-        if case.fatal_workers.contains(&worker) {
-            return JobVerdict::Fatal(payload);
-        }
-        if case.retry_once.contains(&payload)
-            && attempts[payload].fetch_add(1, Ordering::SeqCst) == 0
-        {
-            return JobVerdict::Retry(payload);
-        }
         log.push(payload);
-        JobVerdict::Done(payload)
+        if case.fatal_workers.contains(&worker) {
+            JobVerdict::Retire(payload)
+        } else {
+            JobVerdict::Done(payload)
+        }
     };
     let up_front: Vec<usize> = (0..case.jobs).collect();
     let run = if case.feeder_jobs > 0 {
@@ -542,8 +526,7 @@ fn run_one(
         budget_exceeded: s.budget_exceeded,
         diverged: s.diverged,
     };
-    let attempts = attempts.iter().map(|a| a.load(Ordering::SeqCst)).collect();
-    (run, attempts, record)
+    (run, record)
 }
 
 /// Render a trace compactly for violation messages: `w0:wo w1:ws ...`.
@@ -562,16 +545,8 @@ fn format_trace(trace: &[(usize, Option<SchedOp>)]) -> String {
 }
 
 /// Check the host's contract on one completed run; returns human-readable
-/// violations (empty when the schedule upholds every invariant).  Every
-/// case is held to **job conservation under failure**; fault-free cases
-/// are also held to the FIFO ordering invariant (a requeued job re-enters
-/// behind later ones, so it does not apply to runs that retry or lose
-/// workers).
-fn check_run(
-    case: &ExploreCase,
-    run: &StealRun<usize, Vec<usize>, usize>,
-    attempts: &[usize],
-) -> Vec<String> {
+/// violations (empty when the schedule upholds every invariant).
+fn check_run(case: &ExploreCase, run: &StealRun<usize, Vec<usize>, usize>) -> Vec<String> {
     let n = case.total_jobs();
     let mut violations = Vec::new();
 
@@ -597,40 +572,19 @@ fn check_run(
         ));
     }
 
-    // 3. Deaths are exactly the scripted ones that were reached, and a
-    // dead device delivers nothing (it dies on its first job).
-    for (worker, &died) in run.died.iter().enumerate() {
-        if died && !case.fatal_workers.contains(&worker) {
-            violations.push(format!("fault: worker {worker} died unscripted"));
-        }
-    }
-    for completed in &run.completed {
-        if run.died[completed.worker] {
+    for (worker, ledger) in run.workers.iter().enumerate() {
+        // 3. Retirements are exactly the scripted workers that reached a
+        // job, each after delivering that one job.
+        let scripted = case.fatal_workers.contains(&worker);
+        let executed = ledger.state.len();
+        if run.died[worker] != (scripted && executed > 0) || (scripted && executed > 1) {
             violations.push(format!(
-                "fault: job {} delivered by dead worker {}",
-                completed.result, completed.worker
+                "fault: worker {worker} (scripted {scripted}) ran {executed} jobs, \
+                 retired {}",
+                run.died[worker]
             ));
         }
-    }
-
-    // 4. Retry accounting: exactly one retry per scripted flaky payload a
-    // healthy worker actually reached (attempt counts are consumed in
-    // grant order, so this is exact per schedule).
-    let reached = case
-        .retry_once
-        .iter()
-        .filter(|&&p| p < n && attempts[p] > 0)
-        .count();
-    if run.retries != reached {
-        violations.push(format!(
-            "accounting: {} retries recorded, {reached} scripted retry payloads reached",
-            run.retries
-        ));
-    }
-
-    let fault_free = case.fatal_workers.is_empty() && case.retry_once.is_empty();
-    for (worker, ledger) in run.workers.iter().enumerate() {
-        // 5. Ledger agreement: this worker's completions cross the channel
+        // 4. Ledger agreement: this worker's completions cross the channel
         // in its execution order (the caller's re-sequencing relies on
         // results being attributable, not on channel order — but per-sender
         // FIFO is the channel's contract and the ledger must agree with it).
@@ -646,19 +600,18 @@ fn check_run(
                 ledger.state
             ));
         }
-        if ledger.executed_jobs != ledger.state.len() {
+        if ledger.executed_jobs != executed {
             violations.push(format!(
-                "accounting: worker {worker} ledger claims {} jobs, log has {}",
-                ledger.executed_jobs,
-                ledger.state.len()
+                "accounting: worker {worker} ledger claims {} jobs, log has {executed}",
+                ledger.executed_jobs
             ));
         }
-        // 6. Queue FIFO per consumer: the jobs a worker takes arrive in
+        // 5. Queue FIFO per consumer: the jobs a worker takes arrive in
         // submission order.  Fed jobs are pushed behind the up-front ones
-        // in ascending payload order by a single feeder thread, so the
-        // global FIFO (and hence each consumer's drain order) stays
-        // ascending.
-        if fault_free && !ledger.state.windows(2).all(|pair| pair[0] < pair[1]) {
+        // in ascending payload order by a single feeder thread and nothing
+        // is requeued, so the global FIFO (and hence each consumer's drain
+        // order) stays ascending.
+        if !ledger.state.windows(2).all(|pair| pair[0] < pair[1]) {
             violations.push(format!(
                 "ordering: worker {worker} drained the queue out of order: {:?}",
                 ledger.state
@@ -707,8 +660,8 @@ pub fn explore_case(case: &ExploreCase, strategy: Strategy, budget: usize) -> Ca
     let mut distinct: BTreeSet<Vec<(usize, Option<SchedOp>)>> = BTreeSet::new();
     let mut script = Vec::new();
     for run_seed in 0..budget as u64 {
-        let (run, attempts, record) = run_one(case, script, strategy, run_seed);
-        let run_violations = check_run(case, &run, &attempts);
+        let (run, record) = run_one(case, script, strategy, run_seed);
+        let run_violations = check_run(case, &run);
         report.longest_trace = report.longest_trace.max(record.trace.len());
         let ops: Vec<SchedOp> = record.trace.iter().filter_map(|&(_, op)| op).collect();
         for pair in ops.windows(2) {
@@ -761,7 +714,6 @@ pub fn standard_cases() -> Vec<ExploreCase> {
         feeder_jobs: 0,
         contention: 0,
         fatal_workers: Vec::new(),
-        retry_once: Vec::new(),
     };
     vec![
         case("shared-queue", 2, 3),
@@ -781,27 +733,18 @@ pub fn standard_cases() -> Vec<ExploreCase> {
             feeder_jobs: 3,
             ..case("streaming-feeder", 2, 2)
         },
-        // Fault schedule: a device dies holding a job while two survivors
-        // race for the rest.  The dying worker must hand its job back —
-        // whatever point of the run the death lands on — and the survivors
-        // must finish every job.
+        // Fault schedule: a device dies on the first job it takes while two
+        // survivors race for the rest.  The dying worker must deliver that
+        // job and retire — whatever point of the run the death lands on —
+        // and the survivors must finish every other job.
         ExploreCase {
             fatal_workers: vec![0],
-            ..case("dying-worker-hands-back", 3, 3)
-        },
-        // Fault schedule: retries race the feeder-done flag.  A fed job's
-        // requeue keeps the outstanding count up, so no worker may exit in
-        // the window between the feeder finishing and the retried job
-        // landing back in the queue.
-        ExploreCase {
-            feeder_jobs: 2,
-            retry_once: vec![1, 2, 3],
-            ..case("retry-races-feeder-done", 2, 2)
+            ..case("dying-worker-retires", 3, 3)
         },
         // The production fault path: every job arrives through the live
         // feeder, as `execute_plan` feeds the pool, and a device dies under
-        // those arrivals.  The survivor must drain every fed job, including
-        // the one the dead worker handed back.
+        // those arrivals.  The survivor must drain every fed job the dead
+        // worker did not take.
         ExploreCase {
             feeder_jobs: 3,
             fatal_workers: vec![0],
@@ -939,7 +882,6 @@ mod tests {
             feeder_jobs: 0,
             contention: 0,
             fatal_workers: Vec::new(),
-            retry_once: Vec::new(),
         };
         let report = explore_case(&case, Strategy::Exhaustive, 64);
         assert!(report.violations.is_empty(), "{:?}", report.violations);
@@ -962,7 +904,6 @@ mod tests {
             feeder_jobs: 0,
             contention: 2,
             fatal_workers: Vec::new(),
-            retry_once: Vec::new(),
         };
         let report = explore_case(&case, Strategy::Exhaustive, 128);
         assert!(report.violations.is_empty(), "{:?}", report.violations);
@@ -978,7 +919,6 @@ mod tests {
             feeder_jobs: 3,
             contention: 0,
             fatal_workers: Vec::new(),
-            retry_once: Vec::new(),
         };
         let report = explore_case(&case, Strategy::Seeded(7), 16);
         assert!(report.violations.is_empty(), "{:?}", report.violations);
@@ -995,27 +935,9 @@ mod tests {
             feeder_jobs: 0,
             contention: 0,
             fatal_workers: vec![0],
-            retry_once: Vec::new(),
         };
         let report = explore_case(&case, Strategy::Exhaustive, 128);
         assert!(report.violations.is_empty(), "{:?}", report.violations);
-        assert!(report.schedules > 0);
-    }
-
-    #[test]
-    fn retries_racing_the_feeder_conserve_jobs_under_seeded_walks() {
-        let case = ExploreCase {
-            name: "retry-feeder-smoke",
-            workers: 2,
-            jobs: 1,
-            feeder_jobs: 2,
-            contention: 0,
-            fatal_workers: Vec::new(),
-            retry_once: vec![0, 1, 2],
-        };
-        let report = explore_case(&case, Strategy::Seeded(11), 16);
-        assert!(report.violations.is_empty(), "{:?}", report.violations);
-        assert_eq!(report.jobs, 3, "up-front plus fed jobs are all accounted");
         assert!(report.schedules > 0);
     }
 }

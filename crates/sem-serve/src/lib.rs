@@ -27,9 +27,9 @@
 //! * [`steal`] — [`run_stealing`] / [`run_stealing_with_feeder`]: the one
 //!   threaded execution core (one shared FIFO queue from the vendored
 //!   `crossbeam`, fed live while the workers run), one thread per device
-//!   slot, owned-session handoff, and a [`JobVerdict`] per job — retries
-//!   and dying-worker requeues ride an outstanding-work termination proof,
-//!   so jobs are conserved under any mix of faults;
+//!   slot, owned-session handoff, and each job attempted at most once; its
+//!   [`JobVerdict`] delivers the result and may retire a dead device's
+//!   worker, so jobs are conserved however many workers retire;
 //! * [`server`] — [`Server`]: the pool, its [`ServeOptions`] and sessions,
 //!   and the execution step every job runs through `SemSystem::solve_many`
 //!   (solutions stay bitwise identical to direct batched solves), answering
@@ -40,8 +40,10 @@
 //!   a synchronous ([`Server::serve_stream`]) and a threaded
 //!   ([`Server::serve_stream_async`]) executor, both reporting in one
 //!   [`LiveReport`];
-//! * [`chaos`] / [`fault`] — how that host detects, retries and quarantines
-//!   injected device faults ([`CircuitBreaker`], [`ChaosSummary`]);
+//! * [`chaos`] / [`fault`] — how that host detects injected device faults
+//!   and recovers them on one ladder for both executors: backoff,
+//!   quarantine, probes and the fallback device ([`CircuitBreaker`],
+//!   [`ChaosSummary`]);
 //! * [`autoscaler`] — [`Autoscaler`]: an SLO-holding, cost-minimising
 //!   activation mask over an `arch-db` candidate pool (real FPGA boards and
 //!   `fpga:projected:*` devices), one flip per observation window, holding

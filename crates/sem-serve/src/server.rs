@@ -35,10 +35,6 @@ pub struct ServeOptions {
     pub precond: Option<PrecondSpec>,
     /// Maximum right-hand sides per batch job.
     pub max_batch: usize,
-    /// Operator applications one solve is expected to need — the costing
-    /// hint placement and deadline admission price jobs with (the
-    /// prediction only has to rank devices, so a rough figure is fine).
-    pub applications_hint: usize,
 }
 
 impl Default for ServeOptions {
@@ -51,32 +47,28 @@ impl Default for ServeOptions {
             },
             precond: None,
             max_batch: 16,
-            applications_hint: 60,
         }
     }
 }
 
 impl ServeOptions {
-    /// The options with a pool-wide preconditioner override *and* a
-    /// matching operator-applications hint, so placement and deadline
-    /// admission price solves at the iteration count the preconditioner
-    /// actually needs (measured on the standard degree-7 serving problems:
-    /// identity ≈ 110, Jacobi ≈ 60, FDM ≈ 25).
+    /// The options with a pool-wide preconditioner override.
     #[must_use]
     pub fn with_precond(mut self, precond: PrecondSpec) -> Self {
         self.precond = Some(precond);
-        self.applications_hint = Self::applications_hint_for(precond);
         self
     }
+}
 
-    /// The default costing hint for a preconditioner.
-    #[must_use]
-    pub fn applications_hint_for(precond: PrecondSpec) -> usize {
-        match precond {
-            PrecondSpec::Identity => 110,
-            PrecondSpec::Jacobi => 60,
-            PrecondSpec::Fdm => 25,
-        }
+/// Operator applications one solve under `precond` is expected to need —
+/// the costing hint placement and deadline admission price jobs with (the
+/// prediction only has to rank devices, so a rough figure is fine;
+/// measured on the standard degree-7 serving problems).
+fn applications_hint_for(precond: PrecondSpec) -> usize {
+    match precond {
+        PrecondSpec::Identity => 110,
+        PrecondSpec::Jacobi => 60,
+        PrecondSpec::Fdm => 25,
     }
 }
 
@@ -221,19 +213,19 @@ impl Server {
     /// any session it lacks, and hands them back for reuse when the pool
     /// drains.  A live feeder pushes the `fed` jobs into the shared queue
     /// while the workers already run, all at once and without yielding
-    /// between pushes.  `execute` runs one job on the
-    /// worker's session for its shape and resolves it with a
-    /// [`JobVerdict`].  Returns the delivered results in completion order
-    /// and the jobs left unfinished (only when every worker died).
+    /// between pushes.  `execute` runs one job, once, on the worker's
+    /// session for its shape and resolves it with a [`JobVerdict`].
+    /// Returns the delivered results in completion order; a job that a
+    /// fully retired pool never took has none.
     pub(crate) fn run_pool<K, R, F>(
         &mut self,
         fed: Vec<(K, BatchJob)>,
         execute: F,
-    ) -> (Vec<CompletedJob<R>>, Vec<(K, BatchJob)>)
+    ) -> Vec<CompletedJob<R>>
     where
         K: Send,
         R: Send,
-        F: Fn(&Self, usize, &SemSystem, K, BatchJob) -> JobVerdict<(K, BatchJob), R> + Sync,
+        F: Fn(&Self, usize, &SemSystem, K, BatchJob) -> JobVerdict<R> + Sync,
     {
         let states: Vec<HashMap<ProblemSpec, SemSystem>> =
             self.systems.iter_mut().map(std::mem::take).collect();
@@ -271,7 +263,7 @@ impl Server {
         for (slot, ledger) in self.systems.iter_mut().zip(run.workers) {
             *slot = ledger.state;
         }
-        (run.completed, run.unfinished)
+        run.completed
     }
 
     /// Run one job on one device's system: solve the batch of assembled
@@ -410,9 +402,8 @@ impl Server {
 
     /// Predicted session seconds of `job` on `device` — the number
     /// placement and deadline admission compare.  The kernel
-    /// applications come from the options' hint (which
-    /// [`ServeOptions::with_precond`] scales to the preconditioner's
-    /// iteration count) and the on-device preconditioner pass is priced per
+    /// applications come from the hint for the preconditioner the slot
+    /// solves with, and the on-device preconditioner pass is priced per
     /// application, so a stronger preconditioner shows up as a genuinely
     /// cheaper predicted completion.  Requires the system to exist.
     pub(crate) fn predict_job_seconds(&self, device: usize, job: &BatchJob) -> f64 {
@@ -433,10 +424,11 @@ impl Server {
         device: usize,
         job: &BatchJob,
     ) -> PipelineTimeline {
-        let applications = self.options.applications_hint.max(1);
+        let precond = self.slot_precond(device);
+        let applications = applications_hint_for(precond);
         let precond_per_application = system
             .execution()
-            .simulated_seconds_per_precond(self.slot_precond(device))
+            .simulated_seconds_per_precond(precond)
             .unwrap_or(0.0);
         PipelineTimeline::predict(
             system.execution(),

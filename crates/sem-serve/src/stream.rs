@@ -15,18 +15,20 @@
 //!   a [`StageDriftCorrector`] that re-prices later admissions.
 //! * [`Server::serve_stream_async`] admits against corrected *predicted*
 //!   backlog, then feeds every admitted job into the worker pool's queue
-//!   while it drains.  On a homogeneous pool its answers are bitwise those
-//!   of `SemSystem::solve_many`, whichever worker ran them.
+//!   while it drains.  The pool attempts each job once; every failed
+//!   attempt then recovers through the synchronous executor's loop.  On a
+//!   homogeneous pool its answers are bitwise those of
+//!   `SemSystem::solve_many`, whichever worker ran them.
 //!
-//! Both release only verified answers (see [`crate::chaos`]).  The stream
-//! is cut into observation windows, each closed with admitted/rejected
-//! counts and a p99 (`None` when nothing was admitted); an optional
-//! [`Autoscaler`] reads each closed window to resize the active pool.
-//! Every second here is modelled time, so admission never depends on host
-//! load.  With the `sem-obs` recorder enabled the host records admission
-//! verdict spans at their pricing instants and every session's pipeline
-//! spans — deterministic for modelled sessions of the synchronous executor,
-//! schedule-dependent otherwise.
+//! Both release only verified answers and share one recovery ladder (see
+//! [`crate::chaos`]).  The stream is cut into observation windows, each
+//! closed with admitted/rejected counts and a p99 (`None` when nothing was
+//! admitted); an optional [`Autoscaler`] reads each closed window to resize
+//! the active pool.  Every second here is modelled time, so admission never
+//! depends on host load.  With the `sem-obs` recorder enabled the host
+//! records admission verdict spans at their pricing instants and every
+//! session's pipeline spans — deterministic for modelled sessions of the
+//! synchronous executor, schedule-dependent otherwise.
 
 use crate::autoscaler::{Autoscaler, ScaleEvent};
 use crate::chaos::{Attempt, FaultEvent};
@@ -40,7 +42,6 @@ use perf_model::{arrival_times, StageDriftCorrector, WorkloadKind};
 use sem_obs::{recorder, Scope, SpanEvent, SpanKind, WallTimer};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
-use std::sync::{Mutex, PoisonError};
 
 /// One timestamped request of an open-loop workload.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -571,6 +572,47 @@ impl LiveRun<'_> {
         }
     }
 
+    /// Termination backstop far beyond any plan the retry/fallback ladder
+    /// can hit: only an all-dead pool reaches it, and those jobs land in
+    /// `unserved` rather than looping forever.
+    fn attempt_ceiling(&self) -> usize {
+        self.live.fault.max_retries + self.free_at.len() + 2
+    }
+
+    /// The one retry step of both executors: charge the failed attempt of
+    /// admitted job `job_id` on `device`, detected at the modelled instant
+    /// `end`, and queue it again after its backoff (or report it unserved
+    /// at the attempt ceiling).
+    fn retry(
+        &mut self,
+        queue: &mut VecDeque<LiveJob>,
+        entry: LiveJob,
+        job_id: usize,
+        device: usize,
+        reason: FaultReason,
+        end: f64,
+    ) {
+        let attempts = entry.attempts + 1;
+        let backoff = self.live.fault.backoff_seconds(attempts);
+        self.report
+            .on_fault(device, reason, end, &entry.job, attempts, backoff);
+        let obs = recorder();
+        if obs.is_enabled() {
+            obs.counter_add("sem_serve_retries_total", &[], 1);
+        }
+        if attempts >= self.attempt_ceiling() {
+            self.report.unserved.extend(&entry.job.requests);
+        } else {
+            let entry = LiveJob {
+                not_before_seconds: end + backoff,
+                attempts,
+                admitted: Some(job_id),
+                ..entry
+            };
+            enqueue(queue, entry);
+        }
+    }
+
     /// Release verified outcomes on the modelled interval `[started,
     /// completed]`, stamping each with its arrival.
     fn release(&mut self, outcomes: Vec<RequestOutcome>, started: f64, completed: f64) {
@@ -611,8 +653,9 @@ impl Server {
     /// every admitted job into the pool's shared queue while the workers
     /// drain it.  Outcomes carry the plan's virtual times and the
     /// executing worker; on a homogeneous pool the solution bits are those
-    /// of `SemSystem::solve_many` on the same right-hand sides.  Faults are
-    /// handled as [`crate::chaos`] describes.
+    /// of `SemSystem::solve_many` on the same right-hand sides.  A failed
+    /// attempt retries on the synchronous executor's ladder once the pool
+    /// drains, as [`crate::chaos`] describes.
     ///
     /// # Panics
     /// Panics if an option is non-positive (`batch_window_seconds` may be
@@ -721,14 +764,11 @@ impl Server {
     /// The one admission-and-recovery loop.  A job not yet admitted is
     /// validated, placed and priced against the deadline; once admitted it
     /// joins the threaded executor's plan (`plan_only`) or runs inline, and
-    /// a failed attempt re-enters the queue after its backoff — on the
-    /// fallback device once its retries are spent.
+    /// a failed attempt — inline or on the pool — re-enters the queue after
+    /// its backoff, on the fallback device once its retries are spent.
     fn drain(&mut self, run: &mut LiveRun<'_>, mut queue: VecDeque<LiveJob>, plan_only: bool) {
         let fault = run.live.fault;
-        // Backstop far beyond any plan the retry/fallback ladder can hit:
-        // only an all-dead pool reaches it, and those jobs land in
-        // `unserved` rather than looping forever.
-        let attempt_ceiling = fault.max_retries + self.slots.len() + 2;
+        let attempt_ceiling = run.attempt_ceiling();
         while let Some(entry) = queue.pop_front() {
             let (job, arrival_seconds) = (&entry.job, entry.arrival_seconds);
             let (not_before_seconds, attempts, admitted) =
@@ -852,27 +892,7 @@ impl Server {
                     }
                     run.release(outcomes, start, end);
                 }
-                Some(reason) => {
-                    let attempts = attempts + 1;
-                    let backoff = fault.backoff_seconds(attempts);
-                    run.report
-                        .on_fault(device, reason, end, job, attempts, backoff);
-                    let obs = recorder();
-                    if obs.is_enabled() {
-                        obs.counter_add("sem_serve_retries_total", &[], 1);
-                    }
-                    if attempts >= attempt_ceiling {
-                        run.report.unserved.extend(&job.requests);
-                    } else {
-                        let entry = LiveJob {
-                            not_before_seconds: end + backoff,
-                            attempts,
-                            admitted: Some(job_id),
-                            ..entry
-                        };
-                        enqueue(&mut queue, entry);
-                    }
-                }
+                Some(reason) => run.retry(&mut queue, entry, job_id, device, reason, end),
             }
         }
     }
@@ -987,39 +1007,31 @@ impl Server {
         Err(probe_due.max(not_before_seconds))
     }
 
-    /// The threaded executor: a live feeder pushes every planned job
-    /// into the pool's shared queue while the workers drain it.
-    /// Each worker judges its own attempts with the one detection step: a
-    /// dead device retires its worker (`Fatal`), any other fault requeues
-    /// the job (`Retry`).  Verified answers land on the plan's virtual
-    /// times; the jobs the pool could not finish (retries exhausted, or
-    /// every worker dead) are returned for the fallback device.
+    /// The threaded executor: a live feeder pushes every planned job into
+    /// the pool's shared queue while the workers drain it.  A worker
+    /// attempts each job once and judges it with the one detection step; a
+    /// dead device retires its worker.  The verdicts are then charged in
+    /// plan (admission) order: verified answers land on the plan's virtual
+    /// times, and every failed attempt — with any job a fully retired pool
+    /// never took — is returned for the recovery ladder of
+    /// [`Server::drain`].
     fn execute_plan(&mut self, run: &mut LiveRun<'_>) -> VecDeque<LiveJob> {
         let planned = std::mem::take(&mut run.planned);
-        let log = Mutex::new(std::mem::take(&mut run.report));
         let fault = run.live.fault;
         let corrector = &run.corrector;
         let requests = &run.requests;
         let fed = planned
             .iter()
             .enumerate()
-            .map(|(index, (plan, _))| ((index, 0), plan.job.clone()))
+            .map(|(index, (plan, _))| (index, plan.job.clone()))
             .collect();
-        let (completed, unfinished) = self.run_pool(
+        let completed = self.run_pool(
             fed,
             // lint: no-panic (runs on the pool's worker threads)
-            |server, worker, system, (index, attempts): (usize, usize), job| {
-                if attempts > fault.max_retries {
-                    return JobVerdict::Done(Err(((index, attempts), job)));
-                }
+            |server, worker, system, index: usize, job| {
                 let predicted =
                     corrector.corrected("session", server.predict_on(system, worker, &job));
-                let Attempt {
-                    timeline,
-                    outcomes,
-                    verdict,
-                    modeled,
-                } = server.attempt(
+                let attempt = server.attempt(
                     system,
                     worker,
                     &job,
@@ -1027,57 +1039,54 @@ impl Server {
                     &fault,
                     fault.timeout_factor * predicted,
                 );
-                if recorder().is_enabled() {
-                    // A plan index is its job's admission ordinal.
-                    let started = planned[index].1;
-                    let scope = session_scope(modeled, true);
-                    server.record_session(index, worker, &job, &timeline, started, scope);
-                }
-                // Only a worker panic poisons the lock, and the pool
-                // re-raises it at join, so a poisoned log is never reported.
-                let mut log = log.lock().unwrap_or_else(PoisonError::into_inner);
-                let Some(reason) = verdict else {
-                    log.on_verified(worker, job.batch_size(), attempts);
-                    return JobVerdict::Done(Ok((index, outcomes)));
-                };
-                // No backoff wait: the injector hands the job to the next
-                // free worker at once.
-                let at = planned[index].1 + timeline.makespan_seconds;
-                log.on_fault(worker, reason, at, &job, attempts + 1, 0.0);
-                let next = ((index, attempts + 1), job);
-                if reason == FaultReason::DeviceDead {
-                    JobVerdict::Fatal(next)
+                if attempt.verdict == Some(FaultReason::DeviceDead) {
+                    JobVerdict::Retire((index, attempt))
                 } else {
-                    JobVerdict::Retry(next)
+                    JobVerdict::Done((index, attempt))
                 }
             },
         );
-        run.report = log.into_inner().unwrap_or_else(PoisonError::into_inner);
 
-        let mut exhausted = Vec::new();
+        let mut attempts: Vec<Option<(usize, Attempt)>> = planned.iter().map(|_| None).collect();
         for done in completed {
-            match done.result {
-                Ok((index, outcomes)) => {
-                    let (plan, started) = &planned[index];
-                    run.release(outcomes, *started, plan.not_before_seconds);
+            let (index, attempt) = done.result;
+            attempts[index] = Some((done.worker, attempt));
+        }
+        // A plan index is its job's admission ordinal.
+        let mut retries = VecDeque::new();
+        for (job_id, ((entry, started), attempt)) in planned.into_iter().zip(attempts).enumerate() {
+            let Some((device, attempt)) = attempt else {
+                // Never taken (every worker retired): due at its planned
+                // start.
+                let entry = LiveJob {
+                    not_before_seconds: started,
+                    ..entry
+                };
+                enqueue(&mut retries, entry);
+                continue;
+            };
+            if recorder().is_enabled() {
+                let scope = session_scope(attempt.modeled, true);
+                self.record_session(
+                    job_id,
+                    device,
+                    &entry.job,
+                    &attempt.timeline,
+                    started,
+                    scope,
+                );
+            }
+            match attempt.verdict {
+                None => {
+                    run.report.on_verified(device, entry.job.batch_size(), 0);
+                    run.release(attempt.outcomes, started, entry.not_before_seconds);
                 }
-                Err(unfinished) => exhausted.push(unfinished),
+                Some(reason) => {
+                    let end = started + attempt.timeline.makespan_seconds;
+                    run.retry(&mut retries, entry, job_id, device, reason, end);
+                }
             }
         }
-        // What the pool could not finish goes back to the synchronous loop
-        // for the fallback device, due when the plan expected it done.
-        let mut leftovers = VecDeque::new();
-        for ((index, attempts), job) in exhausted.into_iter().chain(unfinished) {
-            let attempts = attempts.max(fault.max_retries + 1);
-            enqueue(
-                &mut leftovers,
-                LiveJob {
-                    job,
-                    attempts,
-                    ..planned[index].0
-                },
-            );
-        }
-        leftovers
+        retries
     }
 }

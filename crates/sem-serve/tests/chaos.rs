@@ -1,19 +1,17 @@
-//! Chaos conservation battery: seeded fault mixes through the worker
-//! pool and the fault-tolerant streaming host, proving **no
-//! job is ever lost** — every run delivers results that are exactly `0..n`,
-//! or hands the remainder back explicitly when the whole pool dies.  Each
-//! end-to-end test runs on both executors of the streaming host.
+//! Chaos conservation battery: seeded worker retirements in the worker
+//! pool and seeded fault plans through the fault-tolerant streaming host,
+//! proving **no job is ever lost** — every run delivers results that are
+//! exactly `0..n`.  Each end-to-end test runs on both executors of the
+//! streaming host, and both must charge one recovery ladder.
 //!
 //! Lives in its own integration-test binary (like `tests/explore.rs`) so
 //! the threaded runs here never share a process with the schedule
 //! explorer's process-global hook.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-
 use fpga_sim::{FaultKind, FaultPlan, ScheduledFault};
 use sem_serve::{
-    run_stealing, run_stealing_with_feeder, ArrivalStream, JobVerdict, LiveOptions, LiveReport,
-    ProblemSpec, ServeOptions, ServeRequest, Server, StealRun,
+    run_stealing_with_feeder, ArrivalStream, FaultToleranceOptions, JobVerdict, LiveOptions,
+    LiveReport, ProblemSpec, ServeOptions, ServeRequest, Server, StealRun,
 };
 
 /// splitmix64: the deterministic seed expander used across the repo's
@@ -64,88 +62,16 @@ fn assert_conserved(run: &StealRun<usize, usize, usize>, n: usize) {
 }
 
 #[test]
-fn seeded_retry_mixes_deliver_exactly_zero_to_n() {
-    // Across several seeds: a seeded subset of payloads fails once with a
-    // recoverable verdict, everything is retried through the injector, and
-    // the delivered results are exactly 0..n every time.
-    for seed in [1_u64, 7, 42, 0xC0FFEE] {
-        let n = 24;
-        let workers = 3;
-        let mut state = seed;
-        let retry_once: Vec<bool> = (0..n).map(|_| draw(&mut state, 3) == 0).collect();
-        let attempts: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
-
-        let run: StealRun<usize, usize, usize> = run_stealing(
-            vec![0usize; workers],
-            jobs(n),
-            |_worker, _state, payload: usize| {
-                if retry_once[payload] && attempts[payload].fetch_add(1, Ordering::SeqCst) == 0 {
-                    return JobVerdict::Retry(payload);
-                }
-                JobVerdict::Done(payload)
-            },
-        );
-
-        assert_eq!(delivered(&run), (0..n).collect::<Vec<usize>>());
-        assert!(run.unfinished.is_empty());
-        let expected_retries = retry_once.iter().filter(|r| **r).count();
-        assert_eq!(run.retries, expected_retries, "seed {seed}");
-        assert_eq!(run.died, vec![false; workers]);
-    }
-}
-
-#[test]
-fn a_dying_worker_hands_its_job_to_a_survivor_and_loses_nothing() {
-    // Worker 0 dies on the first job it touches: the survivors must still
-    // deliver exactly 0..n, the job it died holding among them.  Survivors
-    // gate on the death so worker 0 provably takes a job before the queue
-    // drains — without the gate a pathological schedule could let them
-    // empty it first and the test would not pin the hand-back path.
-    let n = 16;
-    let workers = 3;
-    let held = AtomicUsize::new(usize::MAX);
-
-    let run: StealRun<usize, usize, usize> =
-        run_stealing(vec![0usize; workers], jobs(n), |worker, _state, payload| {
-            if worker == 0 {
-                held.store(payload, Ordering::SeqCst);
-                return JobVerdict::Fatal(payload);
-            }
-            while held.load(Ordering::SeqCst) == usize::MAX {
-                std::thread::yield_now();
-            }
-            JobVerdict::Done(payload)
-        });
-
-    assert_eq!(delivered(&run), (0..n).collect::<Vec<usize>>());
-    assert!(run.unfinished.is_empty());
-    assert!(run.died[0], "worker 0 must retire through Fatal");
-    assert_eq!(run.alive_workers(), workers - 1);
-    assert_eq!(
-        run.workers[0].executed_jobs, 0,
-        "a dead worker must not deliver results"
-    );
-    let held = held.load(Ordering::SeqCst);
-    let delivery = run.completed.iter().find(|c| c.result == held);
-    assert!(
-        delivery.is_some_and(|c| c.worker != 0),
-        "the job worker 0 died holding must be delivered by a survivor"
-    );
-}
-
-#[test]
-fn retries_racing_a_live_feeder_still_conserve_jobs() {
-    // Half the jobs arrive through the feeder while seeded retry verdicts
-    // bounce payloads back through the injector: the done-flag race must
-    // not let a requeued job slip past termination.
-    for seed in [3_u64, 99, 0xFEED] {
+fn seeded_retirements_under_a_live_feeder_conserve_jobs() {
+    // A seeded worker retires on its first job while half the jobs arrive
+    // through the feeder: across several seeds, every job is delivered
+    // exactly once by the survivors or the retiree.
+    for seed in [11_u64, 1234, 0xBEEF, 987_654_321] {
         let preloaded = 10;
-        let fed = 10;
-        let n = preloaded + fed;
-        let workers = 3;
+        let n = 20;
+        let workers = 4;
         let mut state = seed;
-        let retry_once: Vec<bool> = (0..n).map(|_| draw(&mut state, 2) == 0).collect();
-        let attempts: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
+        let retiring = draw(&mut state, workers as u64) as usize;
 
         let run: StealRun<usize, usize, usize> = run_stealing_with_feeder(
             vec![0usize; workers],
@@ -155,86 +81,27 @@ fn retries_racing_a_live_feeder_still_conserve_jobs() {
                     handle.push(payload);
                 }
             },
-            |_worker, _state, payload: usize| {
-                if retry_once[payload] && attempts[payload].fetch_add(1, Ordering::SeqCst) == 0 {
-                    return JobVerdict::Retry(payload);
-                }
-                JobVerdict::Done(payload)
-            },
-        );
-
-        assert_eq!(
-            delivered(&run),
-            (0..n).collect::<Vec<usize>>(),
-            "seed {seed}"
-        );
-        assert!(run.unfinished.is_empty());
-        assert_eq!(
-            run.retries,
-            retry_once.iter().filter(|r| **r).count(),
-            "seed {seed}"
-        );
-    }
-}
-
-#[test]
-fn a_fully_dead_pool_hands_every_job_back() {
-    // When every worker dies, nothing can complete — but nothing may be
-    // dropped either: completed + unfinished must still be exactly 0..n so
-    // the caller can degrade the remainder onto host backends.
-    let n = 12;
-    let workers = 2;
-    let run: StealRun<usize, usize, usize> = run_stealing(
-        vec![0usize; workers],
-        jobs(n),
-        |_worker, _state, payload: usize| JobVerdict::Fatal(payload),
-    );
-
-    assert_eq!(run.alive_workers(), 0);
-    assert!(run.completed.is_empty());
-    assert_conserved(&run, n);
-}
-
-#[test]
-fn seeded_death_and_retry_storms_conserve_jobs() {
-    // The combined storm: a seeded fatal worker plus seeded retry payloads,
-    // across several seeds — the union contract must hold in every mix.
-    for seed in [11_u64, 1234, 0xBEEF, 987_654_321] {
-        let n = 20;
-        let workers = 4;
-        let mut state = seed;
-        let fatal_worker = draw(&mut state, workers as u64) as usize;
-        let retry_once: Vec<bool> = (0..n).map(|_| draw(&mut state, 4) == 0).collect();
-        let attempts: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
-
-        let run: StealRun<usize, usize, usize> = run_stealing(
-            vec![0usize; workers],
-            jobs(n),
             |worker, _state, payload: usize| {
-                if worker == fatal_worker {
-                    return JobVerdict::Fatal(payload);
+                if worker == retiring {
+                    JobVerdict::Retire(payload)
+                } else {
+                    JobVerdict::Done(payload)
                 }
-                if retry_once[payload] && attempts[payload].fetch_add(1, Ordering::SeqCst) == 0 {
-                    return JobVerdict::Retry(payload);
-                }
-                JobVerdict::Done(payload)
             },
         );
 
         assert_conserved(&run, n);
-        // Whether the scripted worker actually dies is schedule-dependent
-        // (on a loaded host its siblings can drain the queue before it ever
-        // claims a job) — but death is the *only* way out of the pool, and
-        // the delivered set must be exactly 0..n either way.
+        // Whether the scripted worker reaches a job is schedule-dependent
+        // (its siblings can drain the queue first), but it is the only one
+        // that may retire, and then after exactly one job.
         for (worker, died) in run.died.iter().enumerate() {
             assert!(
-                !died || worker == fatal_worker,
-                "seed {seed}: only the scripted worker may die"
+                !died || worker == retiring,
+                "seed {seed}: only the scripted worker may retire"
             );
         }
-        if run.died[fatal_worker] {
-            assert_eq!(run.alive_workers(), workers - 1, "seed {seed}");
-            assert_eq!(run.workers[fatal_worker].executed_jobs, 0, "seed {seed}");
+        if run.died[retiring] {
+            assert_eq!(run.workers[retiring].executed_jobs, 1, "seed {seed}");
         }
         assert_eq!(
             delivered(&run),
@@ -287,11 +154,18 @@ fn plan(faults: &[(u64, FaultKind)]) -> FaultPlan {
 }
 
 /// Serve `requests` as a closed stream (every arrival at t = 0, no
-/// deadline) on the threaded executor when `asynchronous`, else inline.
-fn serve(server: &mut Server, requests: &[ServeRequest], asynchronous: bool) -> LiveReport {
+/// deadline) under `fault`, on the threaded executor when `asynchronous`,
+/// else inline.
+fn serve_with(
+    server: &mut Server,
+    requests: &[ServeRequest],
+    asynchronous: bool,
+    fault: FaultToleranceOptions,
+) -> LiveReport {
     let stream = ArrivalStream::closed(requests);
     let live = LiveOptions {
         deadline_seconds: f64::INFINITY,
+        fault,
         ..LiveOptions::default()
     };
     if asynchronous {
@@ -299,6 +173,16 @@ fn serve(server: &mut Server, requests: &[ServeRequest], asynchronous: bool) -> 
     } else {
         server.serve_stream(&stream, &live, None)
     }
+}
+
+/// [`serve_with`] under the default fault-tolerance options.
+fn serve(server: &mut Server, requests: &[ServeRequest], asynchronous: bool) -> LiveReport {
+    serve_with(
+        server,
+        requests,
+        asynchronous,
+        FaultToleranceOptions::default(),
+    )
 }
 
 /// Every one of `n` requests answered exactly once, converged, with no
@@ -417,6 +301,51 @@ fn live_serves_degrade_to_the_cpu_reserve_when_every_accelerator_dies() {
                 report.fallback_jobs >= 1,
                 "with every accelerator dark, work must land on the reserve"
             );
+        }
+    }
+}
+
+#[test]
+fn both_executors_charge_one_recovery_ladder_on_a_one_board_pool() {
+    // One board serves a 2-request closed set under one fault kind at a
+    // time.  Every failed attempt recovers through the same ladder
+    // (backoff, breaker, probes, fallback), so the threaded executor must
+    // charge exactly what the synchronous one does; under `Death` that
+    // includes the probes and the quarantine of the dead board.
+    let fault = FaultToleranceOptions {
+        timeout_factor: 2.0,
+        ..FaultToleranceOptions::default()
+    };
+    let requests = seeded_requests(2, 5);
+    let cases = [
+        ("transient", plan(&[(2, FaultKind::Transient)])),
+        ("hang", plan(&[(1, FaultKind::Hang)])),
+        (
+            "slowdown",
+            plan(&[(0, FaultKind::Slowdown { factor: 64.0 })]),
+        ),
+        ("death", plan(&[(0, FaultKind::Death)])),
+    ];
+    for (name, plan) in cases {
+        let charges = [false, true].map(|asynchronous| {
+            let mut server = pool(&[FPGA]);
+            server.inject_faults(0, plan.clone());
+            let summary = serve_with(&mut server, &requests, asynchronous, fault).chaos_summary();
+            (
+                summary.faults_by_reason,
+                summary.retries_total,
+                summary.recovered_requests,
+                summary.fallback_jobs,
+                summary.probes,
+                summary.quarantines_total,
+                summary.unserved,
+            )
+        });
+        let [sync, threaded] = charges;
+        assert!(!sync.0.is_empty(), "{name}: the fault must be detected");
+        assert_eq!(sync, threaded, "{name}: (sync, threaded) charges differ");
+        if name == "death" {
+            assert!(sync.4 > 0 && sync.5 > 0, "{name}: {sync:?}");
         }
     }
 }

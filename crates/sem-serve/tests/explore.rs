@@ -8,7 +8,7 @@
 //! schedule budget (CI smoke uses a small value; the stress job a larger
 //! one).
 
-use sem_serve::{explore_case, standard_battery, standard_cases, ExploreCase, Strategy};
+use sem_serve::{explore_case, standard_battery, ExploreCase, Strategy};
 
 fn schedule_budget(default: usize) -> usize {
     std::env::var("SEM_SCHED_ITERS")
@@ -19,10 +19,9 @@ fn schedule_budget(default: usize) -> usize {
 
 #[test]
 fn standard_battery_upholds_the_contract_on_every_schedule() {
-    let cases = standard_cases();
     let reports = standard_battery(schedule_budget(1500));
     let mut total = 0;
-    for (case, report) in cases.iter().zip(&reports) {
+    for report in &reports {
         assert!(
             report.violations.is_empty(),
             "case {} violated the contract:\n{}",
@@ -34,13 +33,12 @@ fn standard_battery_upholds_the_contract_on_every_schedule() {
             "case {} ran no schedules",
             report.name
         );
-        // Transition coverage: workers only push to and take from the
-        // shared queue (`ip`, `is`) and send results (`cs`), so a case can
-        // realize at most nine op-pair classes.  Every case must interleave
-        // takes with sends (measured: `is>is is>cs cs>is` in every case at
-        // fifty schedules each), and a case with a fault schedule must also
-        // realize a requeue (`ip`).  A collapse below this means the
-        // explorer stopped actually interleaving ops.
+        // Transition coverage: workers only take from the shared queue
+        // (`is`) and send results (`cs`); nothing is ever pushed back, so
+        // a controlled thread never pushes (`ip`).  Every case must
+        // interleave takes with sends (measured: `is>is is>cs cs>is` in
+        // every case at fifty schedules each).  A collapse below this means
+        // the explorer stopped actually interleaving ops.
         let map = report.transition_map();
         for class in ["is>is", "is>cs", "cs>is"] {
             assert!(
@@ -49,15 +47,9 @@ fn standard_battery_upholds_the_contract_on_every_schedule() {
                 report.name
             );
         }
-        let faulty = !(case.fatal_workers.is_empty() && case.retry_once.is_empty());
-        assert!(
-            !faulty || map.contains("ip"),
-            "fault case {} never requeued a job: {map}",
-            report.name
-        );
         total += report.schedules;
     }
-    // Eight cases (feeder cases walk seeded, the rest depth-first; three
+    // Seven cases (feeder cases walk seeded, the rest depth-first; two
     // carry fault schedules): the battery covers a healthy slice of the
     // interleaving space even under the CI smoke budget.
     assert!(
@@ -77,7 +69,6 @@ fn single_worker_case_is_exhausted_with_one_schedule() {
         feeder_jobs: 0,
         contention: 0,
         fatal_workers: Vec::new(),
-        retry_once: Vec::new(),
     };
     let report = explore_case(&case, Strategy::Exhaustive, 16);
     assert!(report.exhausted, "a one-worker tree has a single schedule");
@@ -94,7 +85,6 @@ fn exhaustive_runs_are_distinct_by_construction() {
         feeder_jobs: 0,
         contention: 0,
         fatal_workers: Vec::new(),
-        retry_once: Vec::new(),
     };
     let report = explore_case(&case, Strategy::Exhaustive, 400);
     // Every DFS replay differs from every other in at least one choice, so
@@ -115,7 +105,6 @@ fn seeded_walks_find_many_distinct_schedules() {
         feeder_jobs: 0,
         contention: 0,
         fatal_workers: Vec::new(),
-        retry_once: Vec::new(),
     };
     let report = explore_case(&case, Strategy::Seeded(0xFEED_5EED), 64);
     assert!(report.schedules > 8, "random walks should diverge quickly");
@@ -137,7 +126,6 @@ fn transition_coverage_saturates_under_a_fixed_exhaustive_budget() {
         feeder_jobs: 0,
         contention: 0,
         fatal_workers: Vec::new(),
-        retry_once: Vec::new(),
     };
     let half = explore_case(&case, Strategy::Exhaustive, 200);
     let full = explore_case(&case, Strategy::Exhaustive, 400);
@@ -175,7 +163,6 @@ fn regression_worker_send_failure_must_not_panic_the_pool() {
         feeder_jobs: 0,
         contention: 0,
         fatal_workers: Vec::new(),
-        retry_once: Vec::new(),
     };
     let report = explore_case(&case, Strategy::Seeded(7), 48);
     assert!(report.violations.is_empty(), "{:?}", report.violations);
